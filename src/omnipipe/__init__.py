@@ -27,10 +27,10 @@ from .pipenet import (Frame, PipeNetwork, PipeSegment, RatioMode,
                       load_network, module_path_radii, network_from_dict,
                       network_to_dict, network_to_json, reference_rolls,
                       segment_frames, straight, tee)
-from .planner import (MissionStep, PlannerConfig, StepKind,
-                      holonomic_rotate_step, plan_elbow, plan_from_dict,
-                      plan_mission, plan_straight, plan_tee, plan_to_dict,
-                      plan_to_json, region_for_tee)
+from .planner import (REFERENCE_GEOMETRY, MissionStep, PlannerConfig,
+                      StepKind, holonomic_rotate_step, plan_elbow,
+                      plan_from_dict, plan_mission, plan_straight, plan_tee,
+                      plan_to_dict, plan_to_json, region_for_tee)
 from .sim import (TRAJECTORY_CSV_HEADER, MissionOutcome, MonteCarloResult,
                   SimState, TrajectoryRecord, monte_carlo_tee,
                   outcome_to_json, run_mission, step, write_trajectory_csv)

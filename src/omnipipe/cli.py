@@ -14,6 +14,7 @@ mission failure or simulation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -26,19 +27,19 @@ from .errors import (InsufficientReachError, InvalidGeometryError,
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          forward_kinematics, inverse_kinematics)
 from .pipenet import RatioMode, load_network
-from .planner import PlannerConfig, plan_mission, plan_to_json
+from .planner import (REFERENCE_GEOMETRY, PlannerConfig, plan_mission,
+                      plan_to_json)
 from .sim import (monte_carlo_tee, outcome_to_json, run_mission,
                   write_trajectory_csv)
-from .singularity import (CALIBRATED_REACH_MM, failure_probability,
-                          sweep_t_junction, tee_sweep_tilt_limit)
+from .singularity import (failure_probability, sweep_t_junction,
+                          tee_sweep_tilt_limit)
 
 _EXIT_PARSE = 2
 _EXIT_GEOMETRY = 3
 _EXIT_REACH = 4
 _EXIT_SIM = 5
 
-_GEOMETRY_KEYS = ("lug_radius_r", "arm_length_l", "a_offset", "reach_min",
-                  "reach_max", "module_outer_radius")
+_GEOMETRY_KEYS = tuple(f.name for f in dataclasses.fields(RobotGeometry))
 
 
 def _emit(data: dict) -> None:
@@ -76,9 +77,8 @@ def _add_geometry_args(p: argparse.ArgumentParser) -> None:
 
 
 def _geometry_from_args(args) -> RobotGeometry:
-    values = {"lug_radius_r": 15.0, "arm_length_l": 60.0, "a_offset": None,
-              "reach_min": 40.0, "reach_max": CALIBRATED_REACH_MM,
-              "module_outer_radius": 20.0}
+    # a_offset follows the arm length (l/2) unless set explicitly
+    values = {**dataclasses.asdict(REFERENCE_GEOMETRY), "a_offset": None}
     if args.geometry:
         try:
             loaded = json.loads(Path(args.geometry).read_text())
@@ -105,19 +105,20 @@ def _geometry_from_args(args) -> RobotGeometry:
 
 def _add_planner_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("planner")
-    g.add_argument("--speed", type=float, default=100.0,
+    d = PlannerConfig()
+    g.add_argument("--speed", type=float, default=d.straight_speed,
                    help="straight drive speed, mm/s")
-    g.add_argument("--trigger-fraction", type=float, default=0.25,
+    g.add_argument("--trigger-fraction", type=float,
+                   default=d.tee_trigger_fraction,
                    help="head depth into the junction starting the turn, "
                         "as a fraction of D")
     g.add_argument("--ratio-mode", choices=[m.value for m in RatioMode],
-                   default=RatioMode.GENERALIZED.value)
-    g.add_argument("--deadband", type=float, default=1.0,
+                   default=d.ratio_mode.value)
+    g.add_argument("--deadband", type=float, default=d.wobble_deadband_deg,
                    help="no-motion half-width around 90 deg module "
                         "self-rotation, deg")
-    g.add_argument("--rotate-rate", type=float, default=0.5,
+    g.add_argument("--rotate-rate", type=float, default=d.rotate_rate_rad_s,
                    help="holonomic roll rate, rad/s")
-    g.add_argument("--sweep-steps", type=int, default=64)
     g.add_argument("--phi-max-deg", type=float, default=None,
                    help="tee sweep tilt limit (default: equal-bore limit)")
     g.add_argument("--no-holonomic", action="store_true",
@@ -131,7 +132,6 @@ def _planner_config(args) -> PlannerConfig:
         ratio_mode=RatioMode(args.ratio_mode),
         wobble_deadband_deg=args.deadband,
         rotate_rate_rad_s=args.rotate_rate,
-        sweep_steps=args.sweep_steps,
         sweep_phi_max_deg=args.phi_max_deg)
 
 
@@ -171,19 +171,10 @@ def _cmd_ik(args) -> int:
 def _cmd_sector(args) -> int:
     geom = _geometry_from_args(args)
     reach = args.reach if args.reach is not None else geom.reach_max
-    # the sweep only reads reach_max; shrink the rest to stay consistent
-    # with very short reaches instead of rejecting them as bad geometry
-    sweep_geom = RobotGeometry(
-        lug_radius_r=geom.lug_radius_r,
-        arm_length_l=min(geom.arm_length_l, reach),
-        a_offset=geom.a_offset,
-        reach_min=min(geom.reach_min, reach),
-        reach_max=reach,
-        module_outer_radius=geom.module_outer_radius)
     phi_max = (math.radians(args.phi_max_deg)
                if args.phi_max_deg is not None
                else tee_sweep_tilt_limit(args.d, args.d))
-    region = sweep_t_junction(args.d, sweep_geom, phi_max, args.steps)
+    region = sweep_t_junction(args.d, reach, phi_max)
     _emit({"sector_deg": region.sector_measure_deg,
            "free_margin_deg": region.free_margin_deg,
            "failure_probability": failure_probability(region),
@@ -258,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reach", type=float, default=None,
                    help="module reach, mm (default: geometry reach_max)")
     p.add_argument("--phi-max-deg", type=float, default=None)
-    p.add_argument("--steps", type=int, default=64)
     _add_geometry_args(p)
     p.set_defaults(func=_cmd_sector)
 

@@ -37,8 +37,9 @@ from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          inverse_kinematics, jacobian)
 from .pipenet import (PipeNetwork, PipeSegment, RatioMode, SegmentKind,
                       TeeExit, module_path_radii, reference_rolls)
-from .singularity import (SingularityRegion, escape_rotation, in_singularity,
-                          sweep_t_junction, tee_sweep_tilt_limit)
+from .singularity import (CALIBRATED_REACH_MM, SingularityRegion,
+                          escape_rotation, in_singularity, sweep_t_junction,
+                          tee_sweep_tilt_limit)
 
 _TOL_DEG = 1e-9
 
@@ -46,6 +47,12 @@ _TOL_DEG = 1e-9
 # branch turns, modules straddling the branch mouth when passing over it
 _ELBOW_TARGET_DEG = 0.0
 _THROUGH_TARGET_DEG = 60.0
+
+
+# reference robot: 15 mm lugs, 60 mm arms, reach for the 96.54 deg sector
+REFERENCE_GEOMETRY = RobotGeometry(
+    lug_radius_r=15.0, arm_length_l=60.0, a_offset=30.0, reach_min=40.0,
+    reach_max=CALIBRATED_REACH_MM, module_outer_radius=20.0)
 
 
 class StepKind(enum.Enum):
@@ -136,7 +143,6 @@ class PlannerConfig:
     ratio_mode: RatioMode = RatioMode.GENERALIZED
     wobble_deadband_deg: float = 1.0
     rotate_rate_rad_s: float = 0.5
-    sweep_steps: int = 64
     sweep_phi_max_deg: float | None = None  # None: equal-bore tilt limit
     align_elbow: bool = True
     align_tee: bool = True
@@ -153,8 +159,6 @@ class PlannerConfig:
                             f"{self.wobble_deadband_deg}")
         if self.rotate_rate_rad_s <= 0:
             raise PlanError("rotate_rate_rad_s must be > 0")
-        if self.sweep_steps < 2:
-            raise PlanError("sweep_steps must be >= 2")
 
     @property
     def deadband_rad(self) -> float:
@@ -162,9 +166,9 @@ class PlannerConfig:
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_region(d_mm: float, geom: RobotGeometry, phi_max: float,
-                   steps: int) -> SingularityRegion:
-    return sweep_t_junction(d_mm, geom, phi_max, steps)
+def _cached_region(d_mm: float, reach_max: float,
+                   phi_max: float) -> SingularityRegion:
+    return sweep_t_junction(d_mm, reach_max, phi_max)
 
 
 def region_for_tee(segment: PipeSegment, cfg: PlannerConfig,
@@ -173,7 +177,7 @@ def region_for_tee(segment: PipeSegment, cfg: PlannerConfig,
     phi_max = (math.radians(cfg.sweep_phi_max_deg)
                if cfg.sweep_phi_max_deg is not None
                else tee_sweep_tilt_limit(segment.d_mm, segment.d_mm))
-    return _cached_region(segment.d_mm, geom, phi_max, cfg.sweep_steps)
+    return _cached_region(segment.d_mm, geom.reach_max, phi_max)
 
 
 @functools.lru_cache(maxsize=16)
@@ -198,16 +202,19 @@ def _avoid_no_motion(delta_deg: float, alpha0_rad: float, gain: float,
     """Nudge a roll delta whose end state would sit on the no-motion line.
 
     Landing the module self-rotation inside the deadband would stall every
-    later drive command, so widen the roll just past the band.  The nudge
-    is a fraction of a degree of roll and does not matter against the
-    free-gap margin.
+    later drive command, so widen the roll just past the band, or shorten
+    it where widening would pass +-60 deg.  The nudge is a fraction of a
+    degree of roll and does not matter against the free-gap margin.
     """
     bump_deg = math.degrees(2.0 * deadband_rad + 1e-6) / gain
     for _ in range(4):
         alpha = alpha0_rad - math.radians(delta_deg) * gain
         if drive_sign(alpha, deadband_rad) != 0:
             return delta_deg
-        delta_deg += bump_deg if delta_deg >= 0 else -bump_deg
+        bump = bump_deg if delta_deg >= 0 else -bump_deg
+        if abs(delta_deg + bump) > 60.0:
+            bump = -bump
+        delta_deg += bump
     return delta_deg
 
 

@@ -23,12 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.optimize import brentq
-
 from . import intervals
-from .errors import InsufficientReachError, InvalidSectionError, NoEscapeError
+from .errors import (InsufficientReachError, InvalidGeometryError,
+                     InvalidSectionError, NoEscapeError)
 from .intervals import Interval
-from .kinematics import RobotGeometry
 
 # Robot orientations repeat every 120 deg (three identical modules).
 ORIENTATION_PERIOD_DEG = 120.0
@@ -120,9 +118,13 @@ def contact_loss_arcs(e: EllipseSection, reach_max: float) -> list[Interval]:
     and returns the arcs (degrees) around each major-axis end where the
     wall is out of reach; empty when reach covers the whole ellipse.
 
-    Raises InsufficientReachError when ``reach_max`` is below the
-    semi-minor axis: such a robot cannot press even a circular bore.
+    Raises InvalidGeometryError for a non-finite or non-positive reach,
+    and InsufficientReachError when ``reach_max`` is below the semi-minor
+    axis: such a robot cannot press even a circular bore.
     """
+    if not (math.isfinite(reach_max) and reach_max > 0):
+        raise InvalidGeometryError(
+            f"reach_max must be finite and > 0, got {reach_max!r}")
     a, b = e.semi_major_a, e.semi_minor_b
     if reach_max < b:
         raise InsufficientReachError(
@@ -159,21 +161,16 @@ def orientation_forbidden_set(arcs: list[Interval]) -> SingularityRegion:
     )
 
 
-def sweep_t_junction(D: float, geom: RobotGeometry, phi_max: float,
-                     steps: int) -> SingularityRegion:
-    """Union of contact-loss regions over cut tilts in [0, phi_max].
+def sweep_t_junction(D: float, reach_max: float,
+                     phi_max: float) -> SingularityRegion:
+    """Union of contact-loss regions over cut tilts in [0, phi_max] (rad).
 
-    ``phi_max`` in radians; ``steps`` evenly spaced sections including both
-    endpoints.  The result grows monotonically with phi_max.
+    For any reach above D/2 the lost half-width grows with tilt,
+    d/da [(a^2 - R^2) / (a^2 - b^2)] > 0, so the union is the single
+    section at ``phi_max``.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    arcs: list[Interval] = []
-    for i in range(steps):
-        phi = phi_max * i / (steps - 1)
-        section = cross_section_at(D, phi)
-        arcs.extend(contact_loss_arcs(section, geom.reach_max))
-    return orientation_forbidden_set(arcs)
+    return orientation_forbidden_set(
+        contact_loss_arcs(cross_section_at(D, phi_max), reach_max))
 
 
 def in_singularity(theta5_deg: float, region: SingularityRegion) -> bool:
@@ -230,34 +227,22 @@ def tee_sweep_tilt_limit(d_branch: float, d_main: float) -> float:
 
 
 def calibrate_reach_for_sector(D: float, target_sector_deg: float,
-                               phi_max: float = DEFAULT_PHI_MAX_RAD,
-                               steps: int = 32,
-                               geom_template: RobotGeometry | None = None,
-                               xtol: float = 1e-9) -> float:
-    """Reach (mm) whose swept sector measure equals the target, by bisection.
+                               phi_max: float = DEFAULT_PHI_MAX_RAD) -> float:
+    """Reach (mm) whose swept sector measure equals the target (deg).
 
-    The sector shrinks monotonically as reach grows, from the full period
-    at reach = D/2 down to zero once reach covers the most eccentric
-    section, so a root always brackets for targets inside (0, 120).
+    Two antipodal arcs of half-width h fold to sector = min(4h, 120), which
+    inverts on the section at ``phi_max`` (b = D/2, a = b / cos phi_max) to
+    R = a b / sqrt(b^2 + sin^2(target/4) (a^2 - b^2)).  Target 120 gives
+    the largest reach that still forbids every roll (~101.19 mm at D=160).
+
+    Raises ValueError for a non-finite target or one outside [0, 120], and
+    InvalidSectionError for D <= 0.
     """
-    b = D / 2.0
-    a_max = b / math.cos(phi_max)
-
-    def sector_error(reach: float) -> float:
-        geom = RobotGeometry(
-            lug_radius_r=15.0, arm_length_l=min(60.0, reach), a_offset=30.0,
-            reach_min=1e-6, reach_max=reach, module_outer_radius=20.0,
-        ) if geom_template is None else RobotGeometry(
-            lug_radius_r=geom_template.lug_radius_r,
-            arm_length_l=min(geom_template.arm_length_l, reach),
-            a_offset=geom_template.a_offset,
-            reach_min=min(geom_template.reach_min, reach),
-            reach_max=reach,
-            module_outer_radius=geom_template.module_outer_radius,
-        )
-        region = sweep_t_junction(D, geom, phi_max, steps)
-        return region.sector_measure_deg - target_sector_deg
-
-    lo = b * (1.0 + 1e-12)
-    hi = a_max
-    return float(brentq(sector_error, lo, hi, xtol=xtol))
+    if not (math.isfinite(target_sector_deg)
+            and 0.0 <= target_sector_deg <= ORIENTATION_PERIOD_DEG):
+        raise ValueError(f"target sector must lie in [0, 120] deg, got "
+                         f"{target_sector_deg!r}")
+    section = cross_section_at(D, phi_max)
+    a, b = section.semi_major_a, section.semi_minor_b
+    s = math.sin(math.radians(target_sector_deg / 4.0))
+    return a * b / math.sqrt(b * b + s * s * (a * a - b * b))

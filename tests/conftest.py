@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from omnipipe import (CALIBRATED_REACH_MM, PipeNetwork, PlannerConfig,
+from omnipipe import (REFERENCE_GEOMETRY, PipeNetwork, PlannerConfig,
                       RobotGeometry, straight, tee)
 
 _RESULTS: list[tuple[int, str, bool]] = []
@@ -40,9 +40,7 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def geom() -> RobotGeometry:
     """Reference robot: 15 mm lugs, 60 mm arms, calibrated max reach."""
-    return RobotGeometry(lug_radius_r=15.0, arm_length_l=60.0, a_offset=30.0,
-                         reach_min=40.0, reach_max=CALIBRATED_REACH_MM,
-                         module_outer_radius=20.0)
+    return REFERENCE_GEOMETRY
 
 
 @pytest.fixture

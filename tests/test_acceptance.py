@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from omnipipe import (CALIBRATED_REACH_MM, CommandVector, EllipseSection,
+from omnipipe import (REFERENCE_GEOMETRY, CommandVector, EllipseSection,
                       MissionStep, ModuleVelocities, PipeNetwork,
-                      PlannerConfig, RobotGeometry, SimState, StepKind,
+                      PlannerConfig, SimState, StepKind,
                       calibrate_reach_for_sector, center_velocity,
                       contact_loss_arcs, failure_probability,
                       forward_kinematics, inverse_kinematics,
@@ -27,9 +27,7 @@ from omnipipe.cli import main as cli_main
 
 from conftest import criterion
 
-GEOM = RobotGeometry(lug_radius_r=15.0, arm_length_l=60.0, a_offset=30.0,
-                     reach_min=40.0, reach_max=CALIBRATED_REACH_MM,
-                     module_outer_radius=20.0)
+GEOM = REFERENCE_GEOMETRY
 CFG = PlannerConfig()
 TEE_NET = PipeNetwork((straight(160.0, 500.0), tee(160.0),
                        straight(160.0, 300.0)))
@@ -148,9 +146,8 @@ def test_criterion_6_reach_calibration():
                       "0.01 deg, failure probability 0.8045 +- 0.0005, "
                       "free margin 11.73 +- 0.1 deg"):
         reach = calibrate_reach_for_sector(160.0, 96.54)
-        geom = RobotGeometry(15.0, 60.0, 30.0, 40.0, reach, 20.0)
-        region = sweep_t_junction(160.0, geom,
-                                  tee_sweep_tilt_limit(160.0, 160.0), 64)
+        region = sweep_t_junction(160.0, reach,
+                                  tee_sweep_tilt_limit(160.0, 160.0))
         assert region.sector_measure_deg == pytest.approx(96.54, abs=0.01)
         assert failure_probability(region) == pytest.approx(0.8045,
                                                             abs=0.0005)

@@ -95,8 +95,18 @@ def test_degenerate_geometry_exits_3(capsys):
 
 
 def test_insufficient_reach_exits_4(capsys):
-    code, _, err = run_cli(capsys, "sector", "--d", "160", "--reach", "50")
-    assert code == 4 and "reach" in err.lower()
+    for reach in ("30", "50"):
+        code, _, err = run_cli(capsys, "sector", "--d", "160",
+                               "--reach", reach)
+        assert code == 4 and "reach" in err.lower()
+
+
+@pytest.mark.parametrize("reach", ["-5", "0", "nan", "inf"])
+def test_invalid_reach_exits_3(capsys, reach):
+    code, out, err = run_cli(capsys, "sector", "--d", "160",
+                             "--reach", reach)
+    assert code == 3 and "reach_max" in err
+    assert out == ""
 
 
 def test_failed_mission_exits_5(capsys, net_file, tmp_path):
@@ -183,6 +193,24 @@ def test_simulate_reruns_are_byte_identical(capsys, net_file, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_simulate_near_60_deg_alignment_roll_completes(capsys, tmp_path):
+    # the second elbow's alignment roll lands on the no-motion line close
+    # to 60 deg; the nudge off the line must not push it past 60 deg
+    elbows = [{"kind": "elbow", "D_mm": 160, "bend_radius_mm": 320,
+               "bend_angle_deg": 90, "turn_plane_roll_deg": roll}
+              for roll in (0, 60)]
+    run = {"kind": "straight", "D_mm": 160, "length_mm": 300}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(
+        {"segments": [run, elbows[0], run, elbows[1], run]}))
+    code, out, err = run_cli(capsys, "simulate", "--network", str(path),
+                             "--theta5", "37.4", "--out", str(tmp_path))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["success"] is True
+    assert doc["reason"] == "completed"
+
+
 def test_montecarlo_writes_stats(capsys, net_file, tmp_path):
     code, out, _ = run_cli(capsys, "montecarlo", "--network", str(net_file),
                            "--trials", "50", "--seed", "9",
@@ -225,12 +253,25 @@ def run_console_script(*argv) -> subprocess.CompletedProcess:
     assert entry.load() is main
     script = (f"import sys; from {entry.module} import {entry.attr} as main; "
               "sys.argv[0] = 'omnipipe'; sys.exit(main())")
+    return run_fresh_python(script, *argv)
+
+
+def run_fresh_python(script: str, *argv) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this ``omnipipe``."""
     package_root = str(Path(omnipipe.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, env=env)
+
+
+def test_import_does_not_load_scipy():
+    proc = run_fresh_python(
+        "import sys, omnipipe, omnipipe.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
 
 
 def test_console_script_is_installed():

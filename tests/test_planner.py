@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omnipipe import (CommandVector, MissionStep, PlanError, PlannerConfig,
-                      RatioMode, StepKind, drive_sign, elbow,
+from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionStep,
+                      PlanError, PlannerConfig, RatioMode, StepKind,
+                      drive_sign, elbow,
                       forward_kinematics, holonomic_rotate_step,
                       in_singularity, module_linear_velocities, plan_elbow,
                       plan_from_dict, plan_mission, plan_straight, plan_tee,
@@ -289,6 +292,44 @@ def test_mission_shifts_roll_reference_between_turns(cfg, geom):
     gaps = sorted(abs(iv.signed_delta(theta5, c, 120.0))
                   for c in (30.0, 90.0))
     assert gaps[0] < 1e-6  # lands on a free-gap center
+
+
+TURNS = st.one_of(
+    st.builds(lambda r, ang, roll: elbow(D, r, ang, roll),
+              st.floats(min_value=1.5 * D, max_value=4.0 * D),
+              st.floats(min_value=15.0, max_value=90.0),
+              st.floats(min_value=-180.0, max_value=180.0)),
+    st.builds(lambda roll, ex: tee(D, roll, ex),
+              st.floats(min_value=-180.0, max_value=180.0),
+              st.sampled_from(TeeExit)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TURNS, min_size=1, max_size=4),
+       st.floats(min_value=0.0, max_value=120.0))
+def test_planned_rolls_stay_within_60_deg(turns, theta5):
+    segments = [straight(D, 300.0)]
+    for turn in turns:
+        segments += [turn, straight(D, 300.0)]
+    steps = plan_mission(PipeNetwork(tuple(segments)), theta5,
+                         PlannerConfig(), REFERENCE_GEOMETRY)
+    for s in steps:
+        if s.kind is StepKind.HOLONOMIC_ROTATE:
+            assert abs(s.roll_delta_deg()) <= 60.0 + 1e-6
+
+
+@pytest.mark.parametrize("second_roll", [-60.0, 60.0])
+def test_rolls_nudged_off_no_motion_line_stay_within_60_deg(second_roll):
+    # a fine theta5 grid puts some second-elbow alignment rolls near
+    # +-60 deg with the module self-rotation on the no-motion line
+    net = PipeNetwork((straight(D, 300.0), elbow(D, 320.0, 90.0, 0.0),
+                       straight(D, 300.0),
+                       elbow(D, 320.0, 90.0, second_roll),
+                       straight(D, 300.0)))
+    for theta5 in np.arange(0.0, 120.0, 0.1):
+        steps = plan_mission(net, float(theta5), PlannerConfig(),
+                             REFERENCE_GEOMETRY)
+        assert all(abs(s.roll_delta_deg()) <= 60.0 + 1e-6 for s in steps)
 
 
 def test_mission_plan_survives_json_round_trip(cfg, geom, tee_net):

@@ -7,18 +7,23 @@ from hypothesis import strategies as st
 
 from omnipipe import (CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD,
                       EllipseSection, InsufficientReachError,
-                      InvalidSectionError, NoEscapeError, RobotGeometry,
-                      calibrate_reach_for_sector, contact_loss_arcs,
-                      cross_section_at, ellipse_radial_distance,
+                      InvalidGeometryError, InvalidSectionError,
+                      NoEscapeError, calibrate_reach_for_sector,
+                      contact_loss_arcs, cross_section_at,
+                      ellipse_radial_distance,
                       escape_rotation, failure_probability, in_singularity,
                       orientation_forbidden_set, preferred_orientations,
                       sweep_t_junction, tee_sweep_tilt_limit)
 from omnipipe import intervals as iv
 
 
-def geom_with_reach(reach: float) -> RobotGeometry:
-    return RobotGeometry(15.0, min(60.0, reach), 30.0, min(40.0, reach),
-                         reach, 20.0)
+def sampled_sweep(D: float, reach: float, phi_max: float, steps: int):
+    """Reference: union of contact-loss arcs over evenly spaced tilts."""
+    arcs = []
+    for i in range(steps):
+        section = cross_section_at(D, phi_max * i / (steps - 1))
+        arcs.extend(contact_loss_arcs(section, reach))
+    return orientation_forbidden_set(arcs)
 
 
 def worked_ellipse() -> EllipseSection:
@@ -197,31 +202,57 @@ def test_escape_impossible_when_everything_forbidden():
 # -- sweeping and calibration -------------------------------------------------
 
 def test_sweep_is_union_over_sections():
-    geom = geom_with_reach(CALIBRATED_REACH_MM)
-    few = sweep_t_junction(160.0, geom, DEFAULT_PHI_MAX_RAD, 2)
-    many = sweep_t_junction(160.0, geom, DEFAULT_PHI_MAX_RAD, 128)
+    few = sampled_sweep(160.0, CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD, 2)
+    many = sampled_sweep(160.0, CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD, 128)
     # the most tilted section dominates, so refining the sweep is stable
     assert many.sector_measure_deg == pytest.approx(few.sector_measure_deg,
                                                     abs=1e-9)
+    closed = sweep_t_junction(160.0, CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD)
+    assert closed == many
 
 
 def test_sweep_monotone_in_tilt_limit():
-    geom = geom_with_reach(95.0)
-    sectors = [sweep_t_junction(160.0, geom, phi, 32).sector_measure_deg
+    sectors = [sweep_t_junction(160.0, 95.0, phi).sector_measure_deg
                for phi in np.radians([20.0, 30.0, 40.0, 45.0])]
     assert sectors == sorted(sectors)
 
 
-def test_sweep_rejects_single_section():
-    with pytest.raises(ValueError):
-        sweep_t_junction(160.0, geom_with_reach(100.0),
-                         DEFAULT_PHI_MAX_RAD, 1)
-
-
 def test_sweep_propagates_insufficient_reach():
     with pytest.raises(InsufficientReachError):
-        sweep_t_junction(160.0, geom_with_reach(70.0),
-                         DEFAULT_PHI_MAX_RAD, 8)
+        sweep_t_junction(160.0, 70.0, DEFAULT_PHI_MAX_RAD)
+
+
+@pytest.mark.parametrize("reach", [-5.0, 0.0, math.nan, math.inf])
+def test_sweep_rejects_non_positive_or_non_finite_reach(reach):
+    # NaN would otherwise pass every comparison and fold to 120 deg
+    with pytest.raises(InvalidGeometryError):
+        contact_loss_arcs(worked_ellipse(), reach)
+    with pytest.raises(InvalidGeometryError):
+        sweep_t_junction(160.0, reach, DEFAULT_PHI_MAX_RAD)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=80.0, max_value=400.0),
+       st.floats(min_value=1e-6, max_value=1.3),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_sweep_matches_dense_sampled_sweep(D, phi_max, reach_frac):
+    b = D / 2.0
+    a = b / math.cos(phi_max)
+    reach = b + reach_frac * (1.1 * a - b)
+    closed = sweep_t_junction(D, reach, phi_max)
+    sampled = sampled_sweep(D, reach, phi_max, 256)
+    assert closed.sector_measure_deg == pytest.approx(
+        sampled.sector_measure_deg, abs=1e-9)
+    pairs = [(closed.orientation_forbidden_set,
+              sampled.orientation_forbidden_set)]
+    # within 1e-8 of D/2 the wall half-width sits near 90 deg, where asin
+    # turns one rounding error into ~1e-6 deg; there the arcs fold to the
+    # full period anyway, so only the orientation set is compared
+    if reach >= b * (1.0 + 1e-8):
+        pairs.append((closed.forbidden_arcs, sampled.forbidden_arcs))
+    for got, want in pairs:
+        assert len(got) == len(want)
+        assert np.ravel(got) == pytest.approx(np.ravel(want), abs=1e-9)
 
 
 def test_tilt_limit_for_equal_bores_is_45_deg():
@@ -232,10 +263,58 @@ def test_tilt_limit_for_equal_bores_is_45_deg():
 
 def test_calibration_reproduces_shipped_reach():
     reach = calibrate_reach_for_sector(160.0, 96.54)
-    assert reach == pytest.approx(CALIBRATED_REACH_MM, abs=1e-6)
-    region = sweep_t_junction(160.0, geom_with_reach(reach),
-                              DEFAULT_PHI_MAX_RAD, 32)
+    assert reach == CALIBRATED_REACH_MM
+    region = sweep_t_junction(160.0, reach, DEFAULT_PHI_MAX_RAD)
     assert region.sector_measure_deg == pytest.approx(96.54, abs=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=80.0, max_value=400.0),
+       st.floats(min_value=0.05, max_value=120.0, exclude_max=True))
+def test_calibration_round_trips_sector(D, target):
+    # below ~0.02 deg the sector's slope in reach is too steep for 1e-9
+    reach = calibrate_reach_for_sector(D, target)
+    region = sweep_t_junction(D, reach, DEFAULT_PHI_MAX_RAD)
+    assert region.sector_measure_deg == pytest.approx(target, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=80.0, max_value=400.0),
+       st.floats(min_value=1e-3, max_value=1.3),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                 exclude_max=True))
+def test_calibration_inverts_sweep_in_reach(D, phi_max, frac):
+    b = D / 2.0
+    a = b / math.cos(phi_max)
+    full = calibrate_reach_for_sector(D, 120.0, phi_max)
+    reach = full + frac * (a - full)
+    sector = sweep_t_junction(D, reach, phi_max).sector_measure_deg
+    assert calibrate_reach_for_sector(D, sector, phi_max) == pytest.approx(
+        reach, rel=1e-9)
+
+
+def test_calibration_at_full_period_is_largest_full_cover_reach():
+    reach = calibrate_reach_for_sector(160.0, 120.0)
+    assert reach == pytest.approx(101.19288512538813, rel=1e-12)
+    full = sweep_t_junction(160.0, reach, DEFAULT_PHI_MAX_RAD)
+    assert full.sector_measure_deg == pytest.approx(120.0, abs=1e-9)
+    wider = sweep_t_junction(160.0, reach * (1.0 + 1e-9),
+                             DEFAULT_PHI_MAX_RAD)
+    assert wider.sector_measure_deg < 120.0
+    assert calibrate_reach_for_sector(160.0, 0.0) == pytest.approx(
+        80.0 * math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("target", [130.0, -1.0, math.nan, math.inf])
+def test_calibration_rejects_target_outside_period(target):
+    with pytest.raises(ValueError):
+        calibrate_reach_for_sector(160.0, target)
+
+
+@pytest.mark.parametrize("D", [0.0, -160.0])
+def test_calibration_rejects_non_positive_bore(D):
+    with pytest.raises(InvalidSectionError):
+        calibrate_reach_for_sector(D, 96.54)
 
 
 def test_failure_probability_is_sector_fraction():
