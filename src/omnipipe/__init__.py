@@ -11,7 +11,8 @@ models pipe networks (pipenet), schedules missions (planner), and
 integrates them deterministically (sim), with a CLI on top.
 """
 
-from .drive import drive_sign, rolling_gain, self_rotation_rate
+from .drive import (drive_sign, roll, rolling_gain, shift_reference,
+                    signed_drive)
 from .errors import (InsufficientReachError, InvalidGeometryError,
                      InvalidSectionError, NetworkValidationError,
                      NoEscapeError, OmnipipeError, PlanError,

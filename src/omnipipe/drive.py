@@ -1,4 +1,4 @@
-"""Crawler drive-direction model.
+"""Crawler drive-direction model and the robot's roll bookkeeping.
 
 Each module translates by running a crawler chain whose lugs give it a
 circular cross-section.  When the whole robot rolls about the pipe axis
@@ -6,21 +6,25 @@ the modules counter-rotate about their own axes; once a module has turned
 past 90 deg its upper and lower chain runs cancel and it stops driving,
 and past that its drive direction reverses.  This module captures that as
 a pure sign function of the accumulated self-rotation alpha, plus the
-rolling ratio that couples robot roll to module self-rotation.
+rules that move the roll state (theta5, alpha) along a network, which the
+planner predicts with and the simulator integrates with.
 """
 
 from __future__ import annotations
 
 import math
 
-from .kinematics import RobotGeometry
+from .intervals import wrap
+from .kinematics import CommandVector, RobotGeometry
+from .pipenet import PipeNetwork
 
 # alpha on the no-motion line within +-deadband produces no translation
 MAX_DEADBAND_RAD = math.radians(10.0)
-DEFAULT_DEADBAND_RAD = math.radians(1.0)
+DEFAULT_DEADBAND_DEG = 1.0
 
 
-def drive_sign(alpha: float, deadband: float = DEFAULT_DEADBAND_RAD) -> int:
+def drive_sign(alpha: float,
+               deadband: float = math.radians(DEFAULT_DEADBAND_DEG)) -> int:
     """Direction a module translates for positive chain drive.
 
     ``alpha`` is the module's cumulative self-rotation (rad); ``deadband``
@@ -36,6 +40,14 @@ def drive_sign(alpha: float, deadband: float = DEFAULT_DEADBAND_RAD) -> int:
     return 1 if math.cos(alpha) > 0.0 else -1
 
 
+def signed_drive(cmd: CommandVector, signs: tuple[int, ...]) -> CommandVector:
+    """``cmd`` with each chain rate times its module's sign; theta_dot_4
+    (module spin, not chain drive) passes through."""
+    return CommandVector(cmd.theta_dot_1 * signs[0],
+                         cmd.theta_dot_2 * signs[1],
+                         cmd.theta_dot_3 * signs[2], cmd.theta_dot_4)
+
+
 def rolling_gain(d_mm: float, geom: RobotGeometry) -> float:
     """Module self-rotation per unit robot roll, rolling without slip.
 
@@ -46,7 +58,17 @@ def rolling_gain(d_mm: float, geom: RobotGeometry) -> float:
     return (d_mm / 2.0) / geom.module_outer_radius
 
 
-def self_rotation_rate(theta_dot_4: float, d_mm: float,
-                       geom: RobotGeometry) -> float:
-    """alpha rate (rad/s) induced by robot roll rate theta_dot_4."""
-    return -theta_dot_4 * rolling_gain(d_mm, geom)
+def roll(theta5_deg: float, alpha_rad: tuple[float, ...], roll_rad: float,
+         d_mm: float, geom: RobotGeometry
+         ) -> tuple[float, tuple[float, ...]]:
+    """(theta5, alpha) after a roll: each module turns -gain * roll_rad."""
+    gain = rolling_gain(d_mm, geom)
+    return (wrap(theta5_deg + math.degrees(roll_rad), 360.0),
+            tuple(a - roll_rad * gain for a in alpha_rad))
+
+
+def shift_reference(theta5_deg: float, net: PipeNetwork, from_index: int,
+                    to_index: int) -> float:
+    """theta5 on crossing from segment from_index into to_index."""
+    refs = net.roll_references
+    return wrap(theta5_deg + refs[from_index] - refs[to_index], 360.0)

@@ -18,6 +18,12 @@ Interval = tuple[float, float]
 _EPS = 1e-9
 
 
+def wrap(angle: float, period: float) -> float:
+    """``angle`` reduced into [0, period)."""
+    out = math.fmod(angle, period)
+    return out + period if out < 0.0 else out
+
+
 def normalize(intervals: list[Interval], period: float) -> list[Interval]:
     """Canonicalize raw intervals: wrap into [0, period), split, merge."""
     pieces: list[Interval] = []
@@ -29,9 +35,7 @@ def normalize(intervals: list[Interval], period: float) -> list[Interval]:
             continue
         if width >= period:
             return [(0.0, period)]
-        lo = math.fmod(lo, period)
-        if lo < 0.0:
-            lo += period
+        lo = wrap(lo, period)
         hi = lo + width
         if hi <= period:
             pieces.append((lo, hi))
@@ -66,9 +70,7 @@ def measure(intervals: list[Interval]) -> float:
 
 def contains(intervals: list[Interval], angle: float, period: float) -> bool:
     """True if ``angle`` (mod period) lies in the canonical set (closed)."""
-    a = math.fmod(angle, period)
-    if a < 0.0:
-        a += period
+    a = wrap(angle, period)
     for lo, hi in intervals:
         if lo - _EPS <= a <= hi + _EPS:
             return True
@@ -101,8 +103,7 @@ def complement(intervals: list[Interval], period: float) -> list[Interval]:
 
 def center(interval: Interval, period: float) -> float:
     """Midpoint of an interval, reduced into [0, period)."""
-    mid = math.fmod((interval[0] + interval[1]) / 2.0, period)
-    return mid + period if mid < 0.0 else mid
+    return wrap((interval[0] + interval[1]) / 2.0, period)
 
 
 def signed_delta(from_angle: float, to_angle: float, period: float) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,6 +155,8 @@ def tee(d_mm: float, branch_roll_deg: float = 0.0,
 @dataclass(frozen=True)
 class PipeNetwork:
     segments: tuple[PipeSegment, ...]
+    roll_references: tuple[float, ...] = field(  # reference_rolls(self)
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -166,6 +168,8 @@ class PipeNetwork:
                     f"{self.segments[i - 1].d_mm} -> {self.segments[i].d_mm}; "
                     f"reducers are not supported",
                     segment_index=i, field="D_mm")
+        object.__setattr__(self, "roll_references",
+                           tuple(reference_rolls(self)))
 
     def total_length(self) -> float:
         return sum(seg.arc_length() for seg in self.segments)

@@ -12,9 +12,9 @@ the tee's equivalent bend radius, and an exit run.
 
 Holonomic rolling counter-rotates the modules about their own axes; once
 the accumulated self-rotation passes 90 deg their drive direction flips
-(see the drive module).  The planner tracks predicted self-rotation and
-pre-flips subsequent drive commands so the realized motion stays forward;
-steps whose rotation crosses the 90 deg line carry a hazard flag.
+(see the drive module).  The planner tracks (theta5, alpha) by the drive
+module's rules, as the simulator does, and pre-flips drive commands so
+the robot keeps advancing; rolls crossing the 90 deg line are flagged.
 
 theta5 throughout is the robot roll in degrees, measured from the plane
 of the next upcoming turn (see pipenet.reference_rolls).
@@ -30,13 +30,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .drive import drive_sign, rolling_gain
+from .drive import (DEFAULT_DEADBAND_DEG, drive_sign, roll, rolling_gain,
+                    shift_reference, signed_drive)
 from .errors import PlanError
-from .intervals import signed_delta
+from .intervals import signed_delta, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          inverse_kinematics, jacobian)
 from .pipenet import (PipeNetwork, PipeSegment, RatioMode, SegmentKind,
-                      TeeExit, module_path_radii, reference_rolls)
+                      TeeExit, module_path_radii)
 from .singularity import (CALIBRATED_REACH_MM, SingularityRegion,
                           escape_rotation, in_singularity, sweep_t_junction,
                           tee_sweep_tilt_limit)
@@ -141,7 +142,7 @@ class PlannerConfig:
     straight_speed: float = 100.0        # mm/s
     tee_trigger_fraction: float = 0.25   # of D, head depth starting the turn
     ratio_mode: RatioMode = RatioMode.GENERALIZED
-    wobble_deadband_deg: float = 1.0
+    wobble_deadband_deg: float = DEFAULT_DEADBAND_DEG
     rotate_rate_rad_s: float = 0.5
     sweep_phi_max_deg: float | None = None  # None: equal-bore tilt limit
     align_elbow: bool = True
@@ -185,37 +186,38 @@ def _jacobian_inverse(geom: RobotGeometry) -> np.ndarray:
     return np.linalg.inv(jacobian(geom))
 
 
-def _drive_factor(alpha_rad: float, deadband_rad: float) -> int:
-    s = drive_sign(alpha_rad, deadband_rad)
-    return s if s != 0 else 1
+def _preflip_signs(alpha_rad: tuple[float, ...],
+                   cfg: PlannerConfig) -> tuple[int, ...]:
+    """Drive signs at alpha, which cancel the simulator's; 0 becomes 1."""
+    return tuple(drive_sign(a, cfg.deadband_rad) or 1 for a in alpha_rad)
 
 
-def _scaled_drive(cmd: CommandVector, factor: int) -> CommandVector:
-    if factor == 1:
-        return cmd
-    return CommandVector(factor * cmd.theta_dot_1, factor * cmd.theta_dot_2,
-                         factor * cmd.theta_dot_3, cmd.theta_dot_4)
+def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
+           d_mm: float, cfg: PlannerConfig, geom: RobotGeometry
+           ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
+    """Roll by ``delta_deg``; return the steps and the roll state after.
 
-
-def _avoid_no_motion(delta_deg: float, alpha0_rad: float, gain: float,
-                     deadband_rad: float) -> float:
-    """Nudge a roll delta whose end state would sit on the no-motion line.
-
-    Landing the module self-rotation inside the deadband would stall every
+    Landing a module's self-rotation inside the deadband would stall every
     later drive command, so widen the roll just past the band, or shorten
     it where widening would pass +-60 deg.  The nudge is a fraction of a
     degree of roll and does not matter against the free-gap margin.
     """
-    bump_deg = math.degrees(2.0 * deadband_rad + 1e-6) / gain
-    for _ in range(4):
-        alpha = alpha0_rad - math.radians(delta_deg) * gain
-        if drive_sign(alpha, deadband_rad) != 0:
-            return delta_deg
-        bump = bump_deg if delta_deg >= 0 else -bump_deg
-        if abs(delta_deg + bump) > 60.0:
-            bump = -bump
-        delta_deg += bump
-    return delta_deg
+    _, alpha = roll(theta5_deg, alpha_rad, math.radians(delta_deg), d_mm,
+                    geom)
+    if not all(drive_sign(a, cfg.deadband_rad) for a in alpha):
+        # alpha moves by just over the band's width, which clears it
+        bump = (math.degrees(2.0 * cfg.deadband_rad + 1e-6)
+                / rolling_gain(d_mm, geom))
+        bump = bump if delta_deg >= 0 else -bump
+        delta_deg += bump if abs(delta_deg + bump) <= 60.0 else -bump
+    step = holonomic_rotate_step(delta_deg, cfg.rotate_rate_rad_s, geom, d_mm,
+                                 alpha_rad)
+    if step is None:
+        return [], theta5_deg, alpha_rad
+    theta5, alpha = roll(theta5_deg, alpha_rad,
+                         step.command.theta_dot_4 * step.duration_s, d_mm,
+                         geom)
+    return [step], theta5, alpha
 
 
 def plan_straight(length_mm: float, cfg: PlannerConfig,
@@ -230,14 +232,15 @@ def plan_straight(length_mm: float, cfg: PlannerConfig,
 
 
 def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
-                          geom: RobotGeometry,
-                          d_mm: float) -> MissionStep | None:
+                          geom: RobotGeometry, d_mm: float,
+                          alpha_rad: tuple[float, ...] = (0.0,) * 3
+                          ) -> MissionStep | None:
     """In-place roll by a signed delta (deg) at |theta_dot_4| = rate.
 
     Returns None for a zero delta.  |delta| must not exceed 60 deg: any
     orientation goal is within 60 deg thanks to the 120 deg module
     symmetry.  The hazard flag marks rotations whose accumulated module
-    self-rotation crosses the 90 deg drive-direction line.
+    self-rotation, from ``alpha_rad``, crosses a 90 deg drive line.
     """
     if rate_rad_s <= 0:
         raise PlanError(f"rotate rate must be > 0, got {rate_rad_s}")
@@ -246,57 +249,48 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
                         f"{delta_deg}")
     if abs(delta_deg) <= _TOL_DEG:
         return None
-    self_rotation_deg = abs(delta_deg) * rolling_gain(d_mm, geom)
+    rate = math.copysign(rate_rad_s, delta_deg)
+    duration = math.radians(abs(delta_deg)) / rate_rad_s
+    _, alpha = roll(0.0, alpha_rad, rate * duration, d_mm, geom)
+    # a module's self-rotation reaches a line at 90 deg + k * 180 deg
+    hazard = any(math.floor((max(a, b) - math.pi / 2.0) / math.pi)
+                 >= math.ceil((min(a, b) - math.pi / 2.0) / math.pi)
+                 for a, b in zip(alpha_rad, alpha))
     return MissionStep(
         kind=StepKind.HOLONOMIC_ROTATE,
-        command=CommandVector(0.0, 0.0, 0.0,
-                              math.copysign(rate_rad_s, delta_deg)),
-        duration_s=math.radians(abs(delta_deg)) / rate_rad_s,
-        hazard_self_rotation=self_rotation_deg >= 90.0,
-        note=f"roll {delta_deg:+.3f} deg")
-
-
-def _rotate_and_track(delta_deg: float, cfg: PlannerConfig,
-                      geom: RobotGeometry, d_mm: float, alpha0_rad: float):
-    """Emit an optional rotate step; return (steps, theta5 delta, alpha)."""
-    gain = rolling_gain(d_mm, geom)
-    delta_deg = _avoid_no_motion(delta_deg, alpha0_rad, gain,
-                                 cfg.deadband_rad)
-    step = holonomic_rotate_step(delta_deg, cfg.rotate_rate_rad_s, geom, d_mm)
-    if step is None:
-        return [], 0.0, alpha0_rad
-    alpha = alpha0_rad - math.radians(step.roll_delta_deg()) * gain
-    return [step], step.roll_delta_deg(), alpha
+        command=CommandVector(0.0, 0.0, 0.0, rate), duration_s=duration,
+        hazard_self_rotation=hazard, note=f"roll {delta_deg:+.3f} deg")
 
 
 def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
-               geom: RobotGeometry,
-               alpha0_rad: float = 0.0) -> list[MissionStep]:
+               geom: RobotGeometry, alpha_rad: tuple[float, ...] = (0.0,) * 3
+               ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
     """Roll a module onto the innermost curve, then drive at radii ratios.
 
     The two-modules-inner pose stalls against the outer wall, so the
     target is always the single-inner-module grid (theta5 = 0 mod 120);
     speeds come out proportional to module_path_radii and are normalized
-    so their mean is cfg.straight_speed.
+    so their mean is cfg.straight_speed.  Returns the steps and the
+    (theta5, alpha) they end in.
     """
     if segment.kind is not SegmentKind.ELBOW:
         raise PlanError("plan_elbow requires an elbow segment")
     delta = (signed_delta(theta5_deg, _ELBOW_TARGET_DEG, 120.0)
              if cfg.align_elbow else 0.0)
-    steps, applied, alpha = _rotate_and_track(delta, cfg, geom,
-                                              segment.d_mm, alpha0_rad)
-    radii = module_path_radii(segment, theta5_deg + applied, cfg.ratio_mode)
+    steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, segment.d_mm,
+                                  cfg, geom)
+    radii = module_path_radii(segment, theta5, cfg.ratio_mode)
     mean_radius = sum(radii) / 3.0
     if mean_radius <= 0:
         raise PlanError(f"bend radii degenerate: {radii}")
     speeds = [cfg.straight_speed * r / mean_radius for r in radii]
-    factor = _drive_factor(alpha, cfg.deadband_rad)
-    command = _scaled_drive(
-        CommandVector(*(v / geom.lug_radius_r for v in speeds), 0.0), factor)
+    command = signed_drive(
+        CommandVector(*(v / geom.lug_radius_r for v in speeds), 0.0),
+        _preflip_signs(alpha, cfg))
     steps.append(MissionStep(
         kind=StepKind.TURN_ELBOW, command=command,
         duration_s=segment.arc_length() / cfg.straight_speed))
-    return steps
+    return steps, theta5, alpha
 
 
 def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
@@ -333,7 +327,8 @@ def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
 def plan_tee(segment: PipeSegment, theta5_deg: float,
              region: SingularityRegion, cfg: PlannerConfig,
              geom: RobotGeometry, with_holonomic: bool = True,
-             alpha0_rad: float = 0.0) -> list[MissionStep]:
+             alpha_rad: tuple[float, ...] = (0.0,) * 3
+             ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
     """Negotiate a tee: roll clear of the singularity, approach, turn, exit.
 
     For the branch exit the roll centers the robot in the nearest free gap
@@ -342,7 +337,8 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     collected).  The differential turn holds v_cz = cfg.straight_speed and
     sets the twist so the curvature radius equals the tee's equivalent
     radius.  For the through exit the roll straddles the branch mouth with
-    two modules and the robot drives straight across.
+    two modules and the robot drives straight across.  Returns the steps
+    and the (theta5, alpha) they end in.
     """
     if segment.kind is not SegmentKind.TEE:
         raise PlanError("plan_tee requires a tee segment")
@@ -353,27 +349,24 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     if segment.exit is TeeExit.THROUGH:
         delta = (signed_delta(theta5_deg, _THROUGH_TARGET_DEG, 120.0)
                  if with_holonomic and cfg.align_tee else 0.0)
-        steps, _, alpha = _rotate_and_track(delta, cfg, geom, d, alpha0_rad)
-        factor = _drive_factor(alpha, cfg.deadband_rad)
-        steps.append(MissionStep(
-            kind=StepKind.DRIVE,
-            command=_scaled_drive(CommandVector(rate, rate, rate, 0.0),
-                                  factor),
-            duration_s=segment.arc_length() / speed, note="cross junction"))
-        return steps
-
-    delta = 0.0
-    if with_holonomic and (cfg.align_tee or in_singularity(theta5_deg,
-                                                           region)):
+    elif with_holonomic and (cfg.align_tee or in_singularity(theta5_deg,
+                                                             region)):
         delta = escape_rotation(theta5_deg, region)
-    steps, applied, alpha = _rotate_and_track(delta, cfg, geom, d, alpha0_rad)
-    theta5 = theta5_deg + applied
-    factor = _drive_factor(alpha, cfg.deadband_rad)
+    else:
+        delta = 0.0
+    steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, d, cfg, geom)
+    signs = _preflip_signs(alpha, cfg)
+    drive = signed_drive(CommandVector(rate, rate, rate, 0.0), signs)
+
+    if segment.exit is TeeExit.THROUGH:
+        steps.append(MissionStep(
+            kind=StepKind.DRIVE, command=drive,
+            duration_s=segment.arc_length() / speed, note="cross junction"))
+        return steps, theta5, alpha
 
     approach = cfg.tee_trigger_fraction * d
     steps.append(MissionStep(
-        kind=StepKind.DRIVE,
-        command=_scaled_drive(CommandVector(rate, rate, rate, 0.0), factor),
+        kind=StepKind.DRIVE, command=drive,
         duration_s=approach / speed, note="approach junction"))
 
     axis = (-math.sin(math.radians(theta5)), math.cos(math.radians(theta5)))
@@ -382,7 +375,7 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     twist = TwistVector(omega * axis[0], omega * axis[1], 0.0, speed)
     steps.append(MissionStep(
         kind=StepKind.TURN_TEE,
-        command=_scaled_drive(inverse_kinematics(twist, geom), factor),
+        command=signed_drive(inverse_kinematics(twist, geom), signs),
         duration_s=(math.pi / 2.0) / omega,
         trigger="head_fraction", trigger_fraction=cfg.tee_trigger_fraction,
         note="turn into branch"))
@@ -391,11 +384,9 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
                  - speed * (math.pi / 2.0) / omega)
     if remainder > 1e-9:
         steps.append(MissionStep(
-            kind=StepKind.DRIVE,
-            command=_scaled_drive(CommandVector(rate, rate, rate, 0.0),
-                                  factor),
+            kind=StepKind.DRIVE, command=drive,
             duration_s=remainder / speed, note="exit junction"))
-    return steps
+    return steps, theta5, alpha
 
 
 def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
@@ -404,33 +395,22 @@ def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
     """Schedule covering the whole network in order.
 
     ``theta5_deg`` is the initial roll relative to the first upcoming
-    turn's plane; the planner applies the same reference shifts at segment
-    boundaries the simulator does, so its predicted roll matches the
-    simulated one exactly.
+    turn's plane; one (theta5, alpha) passes through the segments.
     """
-    refs = reference_rolls(net)
-    theta5 = theta5_deg
-    alpha = 0.0
+    theta5, alpha = wrap(theta5_deg, 360.0), (0.0,) * 3
     steps: list[MissionStep] = []
     for i, segment in enumerate(net.segments):
         if i > 0:
-            theta5 += refs[i - 1] - refs[i]
+            theta5 = shift_reference(theta5, net, i - 1, i)
         if segment.kind is SegmentKind.STRAIGHT:
             step = plan_straight(segment.length_mm, cfg, geom)
-            factor = _drive_factor(alpha, cfg.deadband_rad)
-            new = [replace(step,
-                           command=_scaled_drive(step.command, factor))]
+            new = [replace(step, command=signed_drive(
+                step.command, _preflip_signs(alpha, cfg)))]
         elif segment.kind is SegmentKind.ELBOW:
-            new = plan_elbow(segment, theta5, cfg, geom, alpha0_rad=alpha)
+            new, theta5, alpha = plan_elbow(segment, theta5, cfg, geom, alpha)
         else:
             region = region_for_tee(segment, cfg, geom)
-            new = plan_tee(segment, theta5, region, cfg, geom,
-                           with_holonomic=with_holonomic, alpha0_rad=alpha)
-        gain = rolling_gain(segment.d_mm, geom)
-        for step in new:
-            roll = step.roll_delta_deg()
-            if roll != 0.0:
-                theta5 += roll
-                alpha -= math.radians(roll) * gain
+            new, theta5, alpha = plan_tee(segment, theta5, region, cfg, geom,
+                                          with_holonomic, alpha)
         steps.extend(replace(s, segment_index=i) for s in new)
     return steps

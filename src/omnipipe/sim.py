@@ -4,8 +4,9 @@ Pose is tracked intrinsically as (segment index, arc length s, roll
 theta5): the robot is wall-pressed and centered, so the centerline plus a
 roll angle is the whole configuration.  Commands map to twists through
 the kinematics Jacobian after each module's drive rate is multiplied by
-its drive sign (see the drive module): rolling the robot counter-rotates
-the modules, and modules past 90 deg of self-rotation stop or reverse.
+its drive sign (see the drive module, whose rules also move theta5 and
+alpha): rolling the robot counter-rotates the modules, and modules past
+90 deg of self-rotation stop or reverse.
 
 Integration is explicit Euler, which is exact here: planner schedules are
 piecewise constant, so within a step every state rate is constant.
@@ -14,25 +15,25 @@ final partial substep and lands on step boundaries exactly; results are
 independent of dt down to float rounding, and Monte-Carlo runs may use
 one substep per step without loss.
 
-theta5 is degrees relative to the next upcoming turn's plane and is
-shifted at segment boundaries per pipenet.reference_rolls; alpha (module
-self-rotation) is radians, accumulated without wrapping.
+theta5 is degrees in [0, 360) relative to the next upcoming turn's plane
+and is shifted at segment boundaries per pipenet.reference_rolls; alpha
+(module self-rotation) is radians, accumulated without wrapping.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .drive import drive_sign, self_rotation_rate
+from .drive import drive_sign, roll, shift_reference, signed_drive
 from .errors import SimulationError
+from .intervals import wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          forward_kinematics)
-from .pipenet import PipeNetwork, SegmentKind, reference_rolls
+from .pipenet import PipeNetwork, PipeSegment, SegmentKind
 from .planner import (MissionStep, PlannerConfig, StepKind, plan_mission,
                       region_for_tee)
 from .singularity import in_singularity
@@ -45,6 +46,8 @@ __all__ = [
 
 _END_TOL_MM = 1e-6
 _ZERO_TOL = 1e-12
+# run_mission keeps every substep record in memory
+MAX_SUBSTEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -98,55 +101,35 @@ class MonteCarloResult:
                 "with_holonomic": self.with_holonomic}
 
 
-def _norm360(angle_deg: float) -> float:
-    out = math.fmod(angle_deg, 360.0)
-    return out + 360.0 if out < 0.0 else out
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_refs(net: PipeNetwork) -> tuple[float, ...]:
-    return tuple(reference_rolls(net))
-
-
-def _segment_singular(net: PipeNetwork, index: int, theta5_deg: float,
-                      geom: RobotGeometry, cfg: PlannerConfig) -> bool:
-    seg = net.segments[index]
-    if seg.kind is not SegmentKind.TEE:
-        return False
-    return in_singularity(theta5_deg, region_for_tee(seg, cfg, geom))
+def _tee_singular(segment: PipeSegment, theta5_deg: float,
+                  cfg: PlannerConfig, geom: RobotGeometry) -> bool:
+    """True when the robot is on a tee at a roll inside its region."""
+    return (segment.kind is SegmentKind.TEE
+            and in_singularity(theta5_deg, region_for_tee(segment, cfg, geom)))
 
 
 def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
-         geom: RobotGeometry, deadband_rad: float = math.radians(1.0),
-         cfg: PlannerConfig | None = None
+         geom: RobotGeometry, cfg: PlannerConfig | None = None
          ) -> tuple[SimState, TrajectoryRecord]:
     """Advance one interval of constant command.
 
-    Drive rates are multiplied by each module's drive sign before the
-    forward map; theta_dot_4 passes through unsigned (module spin, not
-    chain drive).  s follows v_cz along the centerline with segment
-    carry-over in both directions; crossing a boundary shifts theta5 to
-    the next segment's turn reference.  Exact for constant commands at
-    any dt > 0.
+    Drive rates are multiplied by each module's drive sign (deadband
+    from ``cfg``, default PlannerConfig()) before the forward map.  s
+    follows v_cz along the centerline with segment carry-over in both
+    directions; crossing a boundary shifts theta5 to the next segment's
+    turn reference.  Exact for constant commands at any dt > 0.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise SimulationError(f"dt must be > 0, got {dt}")
     if cfg is None:
         cfg = PlannerConfig()
-    refs = _cached_refs(net)
-    signs = tuple(drive_sign(a, deadband_rad) for a in state.alpha_rad)
-    effective = CommandVector(cmd.theta_dot_1 * signs[0],
-                              cmd.theta_dot_2 * signs[1],
-                              cmd.theta_dot_3 * signs[2],
-                              cmd.theta_dot_4)
-    twist = forward_kinematics(effective, geom)
+    signs = tuple(drive_sign(a, cfg.deadband_rad) for a in state.alpha_rad)
+    twist = forward_kinematics(signed_drive(cmd, signs), geom)
 
     index = state.segment_index
-    d_mm = net.segments[index].d_mm
     s = state.s_mm + twist.v_cz * dt
-    theta5 = _norm360(state.theta5_deg + math.degrees(cmd.theta_dot_4 * dt))
-    d_alpha = self_rotation_rate(cmd.theta_dot_4, d_mm, geom) * dt
-    alpha = tuple(a + d_alpha for a in state.alpha_rad)
+    theta5, alpha = roll(state.theta5_deg, state.alpha_rad,
+                         cmd.theta_dot_4 * dt, net.segments[index].d_mm, geom)
 
     event = ""
     while s > net.segments[index].arc_length() + _ZERO_TOL:
@@ -156,14 +139,14 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
             break
         s -= net.segments[index].arc_length()
         index += 1
-        theta5 = _norm360(theta5 + refs[index - 1] - refs[index])
+        theta5 = shift_reference(theta5, net, index - 1, index)
     while s < -_ZERO_TOL:
         if index == 0:
             s = 0.0
             event = "start_of_network"
             break
         index -= 1
-        theta5 = _norm360(theta5 + refs[index + 1] - refs[index])
+        theta5 = shift_reference(theta5, net, index + 1, index)
         s += net.segments[index].arc_length()
 
     new_state = SimState(segment_index=index, s_mm=s, theta5_deg=theta5,
@@ -171,7 +154,7 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
     record = TrajectoryRecord(
         time_s=new_state.time_s, segment_index=index, s_mm=s,
         theta5_deg=theta5, command=cmd, twist=twist, drive_signs=signs,
-        singular=_segment_singular(net, index, theta5, geom, cfg),
+        singular=_tee_singular(net.segments[index], theta5, cfg, geom),
         event=event)
     return new_state, record
 
@@ -192,22 +175,30 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
     mission fails there.  Mid-turn violations (possible only if the turn
     reference shifts under the robot) are recorded as singular_mid_turn
     events without aborting, since the physical outcome is not modeled.
-    dt=None integrates each step in a single exact substep.
+    dt=None integrates each step in a single exact substep.  Plans
+    needing more than MAX_SUBSTEPS substeps in all raise SimulationError
+    before any integration.
     """
     for item in plan:
         if not isinstance(item, MissionStep):
             raise SimulationError(f"plan contains a non-step entry: {item!r}")
-    state = SimState(theta5_deg=_norm360(theta5_deg))
+    if dt is not None and not (dt > 0 and math.isfinite(dt)):
+        raise SimulationError(f"dt must be > 0, got {dt}")
+    # counted before integrating; min() keeps ceil() from overflowing
+    substeps = [1 if dt is None else max(1, math.ceil(
+        min(mstep.duration_s / dt, MAX_SUBSTEPS + 1) - 1e-12))
+        for mstep in plan]
+    if sum(substeps) > MAX_SUBSTEPS:
+        raise SimulationError(f"dt={dt} needs over {MAX_SUBSTEPS} substeps")
+    state = SimState(theta5_deg=wrap(theta5_deg, 360.0))
     records: list[TrajectoryRecord] = []
     events: list[str] = []
     failure: str | None = None
 
-    for mstep in plan:
-        current = net.segments[state.segment_index]
+    for mstep, n in zip(plan, substeps):
         if (mstep.kind is StepKind.TURN_TEE
-                and current.kind is SegmentKind.TEE
-                and in_singularity(state.theta5_deg,
-                                   region_for_tee(current, cfg, geom))):
+                and _tee_singular(net.segments[state.segment_index],
+                                  state.theta5_deg, cfg, geom)):
             events.append("singularity_at_turn_onset")
             records.append(TrajectoryRecord(
                 time_s=state.time_s, segment_index=state.segment_index,
@@ -219,15 +210,13 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
             break
 
         duration = mstep.duration_s
-        n = 1 if dt is None else max(1, math.ceil(duration / dt - 1e-12))
         h_regular = duration if dt is None else dt
         done = False
         for k in range(n):
             h = h_regular if k < n - 1 else duration - h_regular * (n - 1)
             if h <= 1e-15:
                 continue
-            state, record = step(state, mstep.command, h, net, geom,
-                                 deadband_rad=cfg.deadband_rad, cfg=cfg)
+            state, record = step(state, mstep.command, h, net, geom, cfg)
             if (k == 0 and mstep.kind is not StepKind.HOLONOMIC_ROTATE
                     and abs(record.twist.v_cz) < _ZERO_TOL
                     and max(abs(mstep.command.theta_dot_1),

@@ -121,6 +121,18 @@ def test_failed_mission_exits_5(capsys, net_file, tmp_path):
     assert saved == doc
 
 
+@pytest.mark.parametrize("dt", ["1e-320", "1e-9", "0", "-0.01"])
+def test_simulate_rejects_unbounded_substeps_exits_5(capsys, net_file,
+                                                     tmp_path, dt):
+    # the substep count is checked before integration, so no record of
+    # the 10^10 (or, for 1e-320, overflowing) substeps is ever allocated
+    code, out, err = run_cli(capsys, "simulate", "--network", str(net_file),
+                             "--dt", dt, "--out", str(tmp_path / "run"))
+    assert code == 5
+    assert err.startswith("error: dt") and out == ""
+    assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+
 def test_invalid_network_document_exits_2(capsys, tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps({"segments": [

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionStep,
                       PlanError, PlannerConfig, RatioMode, StepKind,
-                      drive_sign, elbow,
+                      drive_sign, elbow, escape_rotation,
                       forward_kinematics, holonomic_rotate_step,
                       in_singularity, module_linear_velocities, plan_elbow,
                       plan_from_dict, plan_mission, plan_straight, plan_tee,
                       plan_to_dict, plan_to_json, radius_of_curvature,
-                      region_for_tee, rolling_gain, straight, tee)
+                      region_for_tee, rolling_gain, run_mission, straight,
+                      tee)
 from omnipipe import PipeNetwork, TeeExit
 from omnipipe import intervals as iv
 
@@ -74,13 +75,29 @@ def test_rotate_hazard_marks_drive_line_crossings(geom):
     assert holonomic_rotate_step(22.5, 0.5, geom, D).hazard_self_rotation
     assert holonomic_rotate_step(30.0, 0.5, geom, D).hazard_self_rotation
     assert not holonomic_rotate_step(22.0, 0.5, geom, D).hazard_self_rotation
+    # the flag follows the accumulated self-rotation, not the roll alone
+    assert holonomic_rotate_step(-20.0, 0.5, geom, D,
+                                 (math.radians(12.0),) * 3
+                                 ).hazard_self_rotation
+    assert not holonomic_rotate_step(30.0, 0.5, geom, D,
+                                     (math.radians(-100.0),) * 3
+                                     ).hazard_self_rotation
+    # the first elbow's -3 deg roll takes alpha to 12 deg, and the second
+    # elbow's -20 deg roll from 12 to 92 deg
+    net = PipeNetwork((straight(D, 300.0), elbow(D, 320.0, 90.0, 0.0),
+                       straight(D, 300.0), elbow(D, 320.0, 90.0, -140.0),
+                       straight(D, 300.0)))
+    rolls = [s for s in plan_mission(net, 3.0, PlannerConfig(), geom)
+             if s.kind is StepKind.HOLONOMIC_ROTATE]
+    assert [s.roll_delta_deg() for s in rolls] == pytest.approx([-3.0, -20.0])
+    assert [s.hazard_self_rotation for s in rolls] == [False, True]
 
 
 # -- elbows ----------------------------------------------------------------------
 
 def test_elbow_plan_when_already_aligned(cfg, geom):
     seg = elbow(D, 240.0, 90.0)
-    steps = plan_elbow(seg, 0.0, cfg, geom)
+    steps, _, _ = plan_elbow(seg, 0.0, cfg, geom)
     assert [s.kind for s in steps] == [StepKind.TURN_ELBOW]
     cmd = steps[0].command
     speeds = [15.0 * v for v in (cmd.theta_dot_1, cmd.theta_dot_2,
@@ -95,7 +112,7 @@ def test_elbow_plan_when_already_aligned(cfg, geom):
 
 def test_elbow_plan_rotates_onto_inner_module_grid(cfg, geom):
     seg = elbow(D, 240.0, 90.0)
-    steps = plan_elbow(seg, 60.0, cfg, geom)
+    steps, _, _ = plan_elbow(seg, 60.0, cfg, geom)
     assert [s.kind for s in steps] == [StepKind.HOLONOMIC_ROTATE,
                                        StepKind.TURN_ELBOW]
     assert steps[0].roll_delta_deg() == pytest.approx(-60.0)
@@ -112,7 +129,7 @@ def test_elbow_speed_mean_holds_across_roll_grid(cfg, geom):
     seg = elbow(D, 240.0, 90.0)
     local = PlannerConfig(align_elbow=False)
     for theta5 in np.arange(2.0, 120.0, 7.0):
-        steps = plan_elbow(seg, float(theta5), local, geom)
+        steps, _, _ = plan_elbow(seg, float(theta5), local, geom)
         cmd = steps[-1].command
         mean = 15.0 * (cmd.theta_dot_1 + cmd.theta_dot_2
                        + cmd.theta_dot_3) / 3.0
@@ -122,10 +139,10 @@ def test_elbow_speed_mean_holds_across_roll_grid(cfg, geom):
 def test_elbow_ratio_mode_flows_through(geom):
     seg = elbow(D, 300.0, 90.0)
     gen = plan_elbow(seg, 0.0, PlannerConfig(ratio_mode=RatioMode.GENERALIZED),
-                     geom)[-1].command
+                     geom)[0][-1].command
     fixed = plan_elbow(seg, 0.0,
                         PlannerConfig(ratio_mode=RatioMode.FIXED_RATIO),
-                        geom)[-1].command
+                        geom)[0][-1].command
     assert gen.theta_dot_2 / gen.theta_dot_1 == pytest.approx(340.0 / 220.0,
                                                               rel=1e-12)
     assert fixed.theta_dot_2 / fixed.theta_dot_1 == pytest.approx(
@@ -140,7 +157,7 @@ def test_elbow_rejects_other_segments(cfg, geom):
 def test_alignment_dodges_the_no_motion_line(cfg, geom):
     # a -22.5 deg roll would park the wheels exactly on the 90 deg line;
     # the planner nudges the target so drive authority survives
-    steps = plan_elbow(elbow(D, 240.0, 90.0), 22.5, cfg, geom)
+    steps, _, _ = plan_elbow(elbow(D, 240.0, 90.0), 22.5, cfg, geom)
     assert steps[0].kind is StepKind.HOLONOMIC_ROTATE
     applied = steps[0].roll_delta_deg()
     assert applied != pytest.approx(-22.5, abs=1e-6)
@@ -155,7 +172,7 @@ def test_alignment_dodges_the_no_motion_line(cfg, geom):
 
 def test_tee_branch_plan_from_gap_center(cfg, geom):
     region = tee_region(cfg, geom)
-    steps = plan_tee(tee(D), 30.0, region, cfg, geom)
+    steps, _, _ = plan_tee(tee(D), 30.0, region, cfg, geom)
     assert [s.kind for s in steps] == [StepKind.DRIVE, StepKind.TURN_TEE,
                                        StepKind.DRIVE]
     approach, turn, exit_ = steps
@@ -178,7 +195,7 @@ def test_tee_branch_plan_from_gap_center(cfg, geom):
 def test_tee_turn_axis_follows_roll(cfg, geom):
     region = tee_region(cfg, geom)
     for theta5 in (30.0, 90.0):
-        turn = [s for s in plan_tee(tee(D), theta5, region, cfg, geom)
+        turn = [s for s in plan_tee(tee(D), theta5, region, cfg, geom)[0]
                 if s.kind is StepKind.TURN_TEE][0]
         twist = forward_kinematics(turn.command, geom)
         expect = (-math.sin(math.radians(theta5)),
@@ -190,7 +207,7 @@ def test_tee_turn_axis_follows_roll(cfg, geom):
 
 def test_tee_plan_escapes_singular_start(cfg, geom):
     region = tee_region(cfg, geom)
-    steps = plan_tee(tee(D), 0.0, region, cfg, geom)
+    steps, _, _ = plan_tee(tee(D), 0.0, region, cfg, geom)
     assert steps[0].kind is StepKind.HOLONOMIC_ROTATE
     assert steps[0].roll_delta_deg() == pytest.approx(30.0)
     assert steps[0].hazard_self_rotation
@@ -199,7 +216,7 @@ def test_tee_plan_escapes_singular_start(cfg, geom):
 def test_tee_plan_without_holonomic_never_rotates(cfg, geom):
     region = tee_region(cfg, geom)
     for theta5 in (0.0, 30.0, 58.0, 117.0):
-        steps = plan_tee(tee(D), theta5, region, cfg, geom,
+        steps, _, _ = plan_tee(tee(D), theta5, region, cfg, geom,
                          with_holonomic=False)
         assert all(s.kind is not StepKind.HOLONOMIC_ROTATE for s in steps)
 
@@ -207,7 +224,7 @@ def test_tee_plan_without_holonomic_never_rotates(cfg, geom):
 def test_tee_turn_onset_clears_singularity_for_any_start(cfg, geom):
     region = tee_region(cfg, geom)
     for theta5 in np.arange(0.0, 120.0, 1.0):
-        steps = plan_tee(tee(D), float(theta5), region, cfg, geom)
+        steps, _, _ = plan_tee(tee(D), float(theta5), region, cfg, geom)
         applied = sum(s.roll_delta_deg() for s in steps)
         assert not in_singularity(float(theta5) + applied, region)
 
@@ -215,10 +232,10 @@ def test_tee_turn_onset_clears_singularity_for_any_start(cfg, geom):
 def test_tee_through_plan_straddles_branch(cfg, geom):
     region = tee_region(cfg, geom)
     seg = tee(D, exit=TeeExit.THROUGH)
-    aligned = plan_tee(seg, 60.0, region, cfg, geom)
+    aligned, _, _ = plan_tee(seg, 60.0, region, cfg, geom)
     assert [s.kind for s in aligned] == [StepKind.DRIVE]
     assert aligned[0].duration_s == pytest.approx(D / 100.0)
-    offset = plan_tee(seg, 40.0, region, cfg, geom)
+    offset, _, _ = plan_tee(seg, 40.0, region, cfg, geom)
     assert offset[0].kind is StepKind.HOLONOMIC_ROTATE
     assert offset[0].roll_delta_deg() == pytest.approx(20.0)
 
@@ -232,7 +249,7 @@ def test_tee_unreachable_equivalent_radius(cfg, geom):
 def test_tee_trigger_fraction_is_configurable(geom):
     cfg = PlannerConfig(tee_trigger_fraction=0.4)
     region = tee_region(cfg, geom)
-    steps = plan_tee(tee(D), 30.0, region, cfg, geom)
+    steps, _, _ = plan_tee(tee(D), 30.0, region, cfg, geom)
     approach = steps[0]
     turn = [s for s in steps if s.kind is StepKind.TURN_TEE][0]
     assert approach.duration_s == pytest.approx(0.4 * D / 100.0)
@@ -311,11 +328,34 @@ def test_planned_rolls_stay_within_60_deg(turns, theta5):
     segments = [straight(D, 300.0)]
     for turn in turns:
         segments += [turn, straight(D, 300.0)]
-    steps = plan_mission(PipeNetwork(tuple(segments)), theta5,
-                         PlannerConfig(), REFERENCE_GEOMETRY)
+    net = PipeNetwork(tuple(segments))
+    cfg = PlannerConfig()
+    steps = plan_mission(net, theta5, cfg, REFERENCE_GEOMETRY)
     for s in steps:
         if s.kind is StepKind.HOLONOMIC_ROTATE:
             assert abs(s.roll_delta_deg()) <= 60.0 + 1e-6
+    # the simulator agrees with the roll state the planner predicted
+    outcome, records = run_mission(net, steps, cfg, REFERENCE_GEOMETRY,
+                                   theta5_deg=theta5, dt=None)
+    assert outcome.reason == "completed", outcome
+    assert len(records) == len(steps)
+    for i, (s, rec) in enumerate(zip(steps, records)):
+        if s.kind is not StepKind.HOLONOMIC_ROTATE:
+            # pre-flipped by the predicted signs, so it advances
+            assert rec.twist.v_cz > 0.0
+        if s.kind is StepKind.TURN_TEE:
+            onset = records[i - 1]
+            region = region_for_tee(net.segments[onset.segment_index], cfg,
+                                    REFERENCE_GEOMETRY)
+            escape = escape_rotation(onset.theta5_deg, region)
+            if escape != 0.0:
+                # only a roll nudged off the no-motion line ends off the
+                # gap center: rolling back by the rest parks the modules
+                gain = rolling_gain(D, REFERENCE_GEOMETRY)
+                alpha = -gain * math.radians(
+                    sum(x.roll_delta_deg() for x in steps[:i]))
+                assert drive_sign(alpha - math.radians(escape) * gain,
+                                  cfg.deadband_rad) == 0
 
 
 @pytest.mark.parametrize("second_roll", [-60.0, 60.0])

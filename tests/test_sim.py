@@ -1,15 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnipipe import (CommandVector, MissionStep, PipeNetwork, SimState,
                       SimulationError, StepKind, TRAJECTORY_CSV_HEADER,
-                      drive_sign, elbow, monte_carlo_tee, outcome_to_json,
-                      plan_mission, rolling_gain, run_mission,
-                      self_rotation_rate, step, straight, tee,
+                      drive_sign, elbow, in_singularity, monte_carlo_tee,
+                      outcome_to_json, plan_mission, region_for_tee, roll,
+                      rolling_gain, run_mission, step, straight, tee,
                       write_trajectory_csv)
 
 D = 160.0
@@ -58,8 +59,10 @@ def test_drive_sign_periodic_and_even(alpha):
 
 def test_rolling_gain_and_self_rotation(geom):
     assert rolling_gain(D, geom) == pytest.approx(4.0)
-    assert self_rotation_rate(0.5, D, geom) == pytest.approx(-2.0)
-    assert self_rotation_rate(0.0, D, geom) == 0.0
+    theta5, alpha = roll(10.0, (0.0, 1.0), 0.5, D, geom)
+    assert theta5 == pytest.approx(10.0 + math.degrees(0.5))
+    assert alpha == pytest.approx((-2.0, -1.0))
+    assert roll(10.0, (0.0,), 0.0, D, geom) == (10.0, (0.0,))
 
 
 # -- single integration steps ----------------------------------------------------
@@ -272,6 +275,18 @@ def test_monte_carlo_seed_reproducibility(cfg, geom, tee_net):
     assert 0.10 < a.success_rate < 0.30  # near the geometric sector share
     assert not a.with_holonomic
     assert a.seed == 11
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_monte_carlo_counts_each_seeded_draw(cfg, geom, tee_net, seed):
+    # without the escape a trial succeeds exactly when its drawn roll is
+    # outside the region, so the count must match draw for draw
+    region = region_for_tee(tee_net.segments[1], cfg, geom)
+    draws = np.random.default_rng(seed).uniform(0.0, 120.0, size=400)
+    expected = sum(not in_singularity(float(t), region) for t in draws)
+    res = monte_carlo_tee(tee_net, cfg, geom, 400, seed=seed,
+                          with_holonomic=False)
+    assert res.successes == expected
 
 
 # -- trajectory output ----------------------------------------------------------------
