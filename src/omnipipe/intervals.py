@@ -21,7 +21,11 @@ _EPS = 1e-9
 def wrap(angle: float, period: float) -> float:
     """``angle`` reduced into [0, period)."""
     out = math.fmod(angle, period)
-    return out + period if out < 0.0 else out
+    if out < 0.0:
+        out += period
+        if out == period:  # a tiny negative remainder rounds up to period
+            return 0.0
+    return out
 
 
 def normalize(intervals: list[Interval], period: float) -> list[Interval]:

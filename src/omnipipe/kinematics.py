@@ -61,8 +61,9 @@ class RobotGeometry:
         for name in ("lug_radius_r", "arm_length_l", "a_offset",
                      "reach_min", "reach_max", "module_outer_radius"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0):
+            if (isinstance(value, bool)
+                    or not (isinstance(value, (int, float))
+                            and math.isfinite(value) and value > 0)):
                 raise InvalidGeometryError(f"{name} must be finite and > 0, got {value!r}")
         if not (self.reach_min <= self.arm_length_l <= self.reach_max):
             raise InvalidGeometryError(

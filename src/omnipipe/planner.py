@@ -324,6 +324,18 @@ def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
     return omega
 
 
+def forward_turn_radius(geom: RobotGeometry) -> float:
+    """Turn radius (mm) above which no module reverses, whatever the axis.
+
+    In ``_turn_rate_for_radius`` a module's speed is speed + omega * w_i,
+    with w_i linear in the unit turn axis and at least -|row i| of the
+    scaled inverse Jacobian.  A radius above the largest row norm keeps
+    every module driving forward, so omega is speed / R at every roll.
+    """
+    rows = geom.lug_radius_r * _jacobian_inverse(geom)[:3, :2]
+    return float(np.max(np.hypot(rows[:, 0], rows[:, 1])))
+
+
 def plan_tee(segment: PipeSegment, theta5_deg: float,
              region: SingularityRegion, cfg: PlannerConfig,
              geom: RobotGeometry, with_holonomic: bool = True,

@@ -18,11 +18,21 @@ one substep per step without loss.
 theta5 is degrees in [0, 360) relative to the next upcoming turn's plane
 and is shifted at segment boundaries per pipenet.reference_rolls; alpha
 (module self-rotation) is radians, accumulated without wrapping.
+
+A mission that plans no roll (no holonomic escape, and no elbow or no
+elbow alignment) keeps theta5 a fixed shift of the initial roll, so its
+outcome is decided at the branch-tee onsets alone: success_set gives the
+initial rolls that complete as an interval set over [0, 120), and
+monte_carlo_tee counts its draws in that set instead of planning and
+simulating each one.  The scalar plan_mission + run_mission path stays
+the reference, and decides every other mission and every draw near an
+endpoint of the set.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -30,24 +40,33 @@ import numpy as np
 
 from .drive import drive_sign, roll, shift_reference, signed_drive
 from .errors import SimulationError
-from .intervals import wrap
+from .intervals import Interval, complement, normalize, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          forward_kinematics)
-from .pipenet import PipeNetwork, PipeSegment, SegmentKind
-from .planner import (MissionStep, PlannerConfig, StepKind, plan_mission,
-                      region_for_tee)
-from .singularity import in_singularity
+from .pipenet import (PipeNetwork, PipeSegment, SegmentKind, TeeExit,
+                      module_path_radii)
+from .planner import (MissionStep, PlannerConfig, StepKind,
+                      forward_turn_radius, plan_mission, region_for_tee)
+from .singularity import ORIENTATION_PERIOD_DEG, in_singularity
 
 __all__ = [
     "SimState", "TrajectoryRecord", "MissionOutcome", "MonteCarloResult",
-    "drive_sign", "step", "run_mission", "monte_carlo_tee",
+    "drive_sign", "step", "run_mission", "success_set", "monte_carlo_tee",
     "write_trajectory_csv", "TRAJECTORY_CSV_HEADER",
 ]
+
+_log = logging.getLogger(__name__)
 
 _END_TOL_MM = 1e-6
 _ZERO_TOL = 1e-12
 # run_mission keeps every substep record in memory
 MAX_SUBSTEPS = 1_000_000
+# Monte Carlo draws per chunk, so memory does not grow with the trials
+_CHUNK = 4096
+# draws this close to an endpoint of the success set (deg) take the scalar
+# path: the band covers intervals.contains' 1e-9 slack and the rounding of
+# the reference-shift chain
+_GUARD_DEG = 1e-6
 
 
 @dataclass(frozen=True)
@@ -252,28 +271,150 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
     return outcome, records
 
 
+def _completes(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
+               geom: RobotGeometry, with_holonomic: bool) -> bool:
+    """One scalar trial: plan and simulate from this initial roll."""
+    plan = plan_mission(net, theta5_deg, cfg, geom,
+                        with_holonomic=with_holonomic)
+    outcome, _ = run_mission(net, plan, cfg, geom, theta5_deg=theta5_deg,
+                             dt=None)
+    return outcome.success
+
+
+def _branch_tee(segment: PipeSegment) -> bool:
+    return segment.kind is SegmentKind.TEE and segment.exit is TeeExit.BRANCH
+
+
+def _uncovered(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
+               with_holonomic: bool) -> str | None:
+    """Why success_set cannot derive this mission's set; None if it can."""
+    if with_holonomic:
+        return "the holonomic escape is enabled"
+    for segment in net.segments:
+        if segment.kind is SegmentKind.ELBOW:
+            if cfg.align_elbow:
+                return "an elbow is aligned by a roll"
+            if min(module_path_radii(segment, 0.0, cfg.ratio_mode)) <= 0.0:
+                return "an elbow is tighter than its bore"
+        elif _branch_tee(segment):
+            radius = segment.tee_equivalent_radius
+            if radius <= forward_turn_radius(geom) + 1e-9:
+                return "a tee turn can reverse a module"
+            if cfg.tee_trigger_fraction > 0.5:
+                return "a tee turn can run past its junction"
+    return None
+
+
+def success_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
+                with_holonomic: bool) -> list[Interval] | None:
+    """Initial rolls in [0, 120) deg whose mission completes, or None.
+
+    Covers every mission that plans no roll: ``with_holonomic`` is false
+    and the network has no elbow or ``cfg.align_elbow`` is false.  Then
+    theta5 at each branch-tee onset is the initial roll plus C_i, the
+    drive.shift_reference chain evaluated from 0, and the mission fails
+    exactly when some onset lies in that tee's orientation_forbidden_set.
+    The result is the complement of the union of those sets shifted by
+    -C_i, as a canonical interval set; measure(set) / 120 is the exact
+    success probability.
+
+    Returns None for missions that roll (after a roll theta5 no longer
+    follows the initial roll), for turns whose plan depends on the roll
+    (an elbow tighter than its bore, a tee turn that can reverse a module
+    or that can run past its junction), and when a scalar trial in the
+    widest piece on either side disagrees with the set.  Those trials
+    also raise any error the planner raises for every roll.  The reason
+    for None is logged at DEBUG.
+    """
+    reason = _uncovered(net, cfg, geom, with_holonomic)
+    if reason is None:
+        forbidden: list[Interval] = []
+        shift = 0.0
+        for i, segment in enumerate(net.segments):
+            if i > 0:
+                shift = shift_reference(shift, net, i - 1, i)
+            if _branch_tee(segment):
+                region = region_for_tee(segment, cfg, geom)
+                forbidden += [(lo - shift, hi - shift)
+                              for lo, hi in region.orientation_forbidden_set]
+        failing = normalize(forbidden, ORIENTATION_PERIOD_DEG)
+        succeeding = normalize(complement(failing, ORIENTATION_PERIOD_DEG),
+                               ORIENTATION_PERIOD_DEG)
+        for pieces, completes in ((succeeding, True), (failing, False)):
+            if pieces:
+                lo, hi = max(pieces, key=lambda piece: piece[1] - piece[0])
+                if _completes(net, (lo + hi) / 2.0, cfg, geom,
+                              False) is not completes:
+                    reason = "a scalar trial disagrees with the derived set"
+    if reason is not None:
+        _log.debug("no success set: %s", reason)
+        return None
+    return succeeding
+
+
+def _count_successes(net: PipeNetwork, thetas: np.ndarray,
+                     succeeding: list[Interval] | None, cfg: PlannerConfig,
+                     geom: RobotGeometry, with_holonomic: bool
+                     ) -> tuple[int, int]:
+    """(successes, draws run through the scalar path) among ``thetas``.
+
+    With a success set, one searchsorted over its endpoints, padded with
+    a neighbour across the 0/120 seam on each side, gives each draw in
+    [0, 120) its parity and its two nearest endpoints; only draws within
+    the guard band of an endpoint run the scalar trial.
+    """
+    if succeeding == []:
+        return 0, 0
+    successes = 0
+    if succeeding is not None:
+        ends = np.asarray(succeeding, dtype=float).ravel()
+        padded = np.concatenate(([ends[-1] - ORIENTATION_PERIOD_DEG], ends,
+                                 [ends[0] + ORIENTATION_PERIOD_DEG]))
+        j = np.searchsorted(padded, thetas, side="right")
+        near = np.minimum(thetas - padded[j - 1],
+                          padded[j] - thetas) < _GUARD_DEG
+        # j - 1 endpoints lie at or below a draw; an odd count is inside
+        successes = int(np.count_nonzero((j % 2 == 0) & ~near))
+        thetas = thetas[near]
+    for theta5 in thetas:
+        successes += _completes(net, float(theta5), cfg, geom,
+                                with_holonomic)
+    return successes, len(thetas)
+
+
 def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
                     geom: RobotGeometry, trials: int, seed: int,
                     with_holonomic: bool) -> MonteCarloResult:
     """Success statistics over uniformly random initial rolls.
 
-    Each trial draws theta5 from [0, 120) deg (the roll symmetry period),
-    plans the mission with or without the holonomic escape, and simulates
-    it; the rate comes with a 95% normal-approximation binomial interval.
-    Trials use a single exact substep per step, so the count is cheap and
-    the result identical to any finer dt.
+    Each trial draws theta5 from [0, 120) deg (the roll symmetry period);
+    the rate comes with a 95% normal-approximation binomial interval.
+    Draws come in chunks of 4096 from one generator, the same stream as
+    a single draw, so memory stays flat in ``trials``.
+
+    Where success_set covers the mission (no roll planned), a draw counts
+    as a success when it lies in the set, found by one searchsorted per
+    chunk; draws within 1e-6 deg of an endpoint still plan and simulate.
+    Elsewhere every trial plans the mission, with or without the
+    holonomic escape, and simulates it in a single exact substep per
+    step.  Both give the same count draw for draw.  The split between
+    the two paths is logged at DEBUG.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0.0, 120.0, size=trials)
-    successes = 0
-    for theta5 in thetas:
-        plan = plan_mission(net, float(theta5), cfg, geom,
-                            with_holonomic=with_holonomic)
-        outcome, _ = run_mission(net, plan, cfg, geom,
-                                 theta5_deg=float(theta5), dt=None)
-        successes += outcome.success
+    succeeding = success_set(net, cfg, geom, with_holonomic)
+    successes = scalar = 0
+    for start in range(0, trials, _CHUNK):
+        thetas = rng.uniform(0.0, ORIENTATION_PERIOD_DEG,
+                             size=min(_CHUNK, trials - start))
+        hits, ran = _count_successes(net, thetas, succeeding, cfg, geom,
+                                     with_holonomic)
+        successes += hits
+        scalar += ran
+    _log.debug("monte_carlo_tee: %d of %d draws decided by the success set, "
+               "%d by plan_mission + run_mission", trials - scalar, trials,
+               scalar)
     p = successes / trials
     sigma = math.sqrt(p * (1.0 - p) / trials)
     return MonteCarloResult(

@@ -80,6 +80,16 @@ def test_geometry_file_rejects_unknown_field(capsys, tmp_path):
     assert "lug_radius" in err
 
 
+def test_geometry_file_rejects_boolean_values(capsys, tmp_path):
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps({"lug_radius_r": True}))
+    code, out, err = run_cli(capsys, "fk", "--cmd", "1,1,1,0",
+                             "--geometry", str(path))
+    assert code == 3
+    assert out == ""
+    assert "lug_radius_r" in err
+
+
 # -- exit codes -------------------------------------------------------------------
 
 def test_malformed_command_vector_exits_2(capsys):
@@ -243,6 +253,17 @@ def test_montecarlo_seed_env_fallback(capsys, net_file, tmp_path,
                            "--trials", "20", "--out", str(tmp_path))
     assert code == 0
     assert json.loads(out)["seed"] == 123
+
+
+def test_montecarlo_writes_nothing_to_stderr_by_default(net_file, tmp_path):
+    # the success-set path logs at DEBUG only; a plain run stays silent
+    for extra in (["--no-holonomic"], []):
+        proc = run_fresh_python(
+            "import sys; from omnipipe.cli import main; sys.exit(main())",
+            "montecarlo", "--network", str(net_file), "--trials", "50",
+            "--out", str(tmp_path), *extra)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr == b""
 
 
 def _declared_console_script() -> str:

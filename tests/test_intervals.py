@@ -85,3 +85,18 @@ def test_signed_delta_lands_on_target(a, b):
     assert abs(d) <= 180.0 + 1e-9
     residue = abs(math.fmod((a + d) - b, 360.0))
     assert min(residue, 360.0 - residue) < 1e-6
+
+
+def test_wrap_never_returns_the_period():
+    assert iv.wrap(-1e-15, 360.0) == 0.0
+    assert iv.wrap(-1e-15, 120.0) == 0.0
+    assert iv.wrap(-5.0, 360.0) == 355.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.floats(min_value=-1e-12, max_value=0.0)),
+       st.one_of(st.sampled_from([120.0, 360.0]),
+                 st.floats(min_value=1e-3, max_value=1e6)))
+def test_wrap_lands_in_half_open_period(angle, period):
+    assert 0.0 <= iv.wrap(angle, period) < period

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
@@ -6,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnipipe import (CommandVector, MissionStep, PipeNetwork, SimState,
-                      SimulationError, StepKind, TRAJECTORY_CSV_HEADER,
-                      drive_sign, elbow, in_singularity, monte_carlo_tee,
-                      outcome_to_json, plan_mission, region_for_tee, roll,
-                      rolling_gain, run_mission, step, straight, tee,
-                      write_trajectory_csv)
+from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionStep,
+                      PipeNetwork, PlannerConfig, SimState, SimulationError,
+                      StepKind, TeeExit, TRAJECTORY_CSV_HEADER, drive_sign,
+                      elbow, failure_probability, in_singularity,
+                      monte_carlo_tee, outcome_to_json, plan_mission,
+                      region_for_tee, roll, rolling_gain, run_mission, step,
+                      straight, success_set, tee, write_trajectory_csv)
+from omnipipe.intervals import measure, wrap
+from omnipipe.sim import _CHUNK, _count_successes
 
 D = 160.0
 RATE = 100.0 / 15.0
@@ -287,6 +292,165 @@ def test_monte_carlo_counts_each_seeded_draw(cfg, geom, tee_net, seed):
     res = monte_carlo_tee(tee_net, cfg, geom, 400, seed=seed,
                           with_holonomic=False)
     assert res.successes == expected
+
+
+def test_monte_carlo_draws_in_chunks_from_one_stream(cfg, geom, tee_net):
+    trials = _CHUNK + 3
+    region = region_for_tee(tee_net.segments[1], cfg, geom)
+    draws = np.random.default_rng(5).uniform(0.0, 120.0, size=trials)
+    expected = sum(not in_singularity(float(t), region) for t in draws)
+    res = monte_carlo_tee(tee_net, cfg, geom, trials, seed=5,
+                          with_holonomic=False)
+    assert res.successes == expected
+
+
+def test_monte_carlo_logs_the_split_at_debug(cfg, geom, tee_net, caplog):
+    caplog.set_level(logging.DEBUG, logger="omnipipe.sim")
+    monte_carlo_tee(tee_net, cfg, geom, 200, seed=1, with_holonomic=False)
+    assert ("200 of 200 draws decided by the success set, 0 by "
+            "plan_mission + run_mission") in caplog.text
+    caplog.clear()
+    monte_carlo_tee(tee_net, cfg, geom, 20, seed=1, with_holonomic=True)
+    assert "no success set: the holonomic escape is enabled" in caplog.text
+    assert ("0 of 20 draws decided by the success set, 20 by "
+            "plan_mission + run_mission") in caplog.text
+    caplog.clear()
+    monte_carlo_tee(turn_net(), cfg, geom, 5, seed=1, with_holonomic=False)
+    assert "no success set: an elbow is aligned by a roll" in caplog.text
+
+
+# -- exact success set -------------------------------------------------------------
+
+def scalar_completes(net, theta5, cfg, geom, with_holonomic=False):
+    """The reference trial: plan and simulate from one initial roll."""
+    plan = plan_mission(net, theta5, cfg, geom, with_holonomic=with_holonomic)
+    outcome, _ = run_mission(net, plan, cfg, geom, theta5_deg=theta5,
+                             dt=None)
+    return outcome.success
+
+
+def assert_draws_match_scalar(net, draws, cfg, geom, with_holonomic=False):
+    """Monte Carlo's counting decides every draw as the scalar path does."""
+    succeeding = success_set(net, cfg, geom, with_holonomic)
+    for theta5 in draws:
+        counted, _ = _count_successes(net, np.array([theta5]), succeeding,
+                                      cfg, geom, with_holonomic)
+        assert counted == scalar_completes(net, float(theta5), cfg, geom,
+                                           with_holonomic), theta5
+    return succeeding
+
+
+def endpoint_draws(succeeding):
+    """Each endpoint of the set and the rolls 1e-9 deg to either side."""
+    return [wrap(end + d, 120.0) for piece in succeeding for end in piece
+            for d in (-1e-9, 0.0, 1e-9)]
+
+
+def test_success_set_on_the_acceptance_tee(cfg, geom, tee_net):
+    got = success_set(tee_net, cfg, geom, with_holonomic=False)
+    assert len(got) == 2
+    for piece, gap in zip(got, [(24.135, 35.865), (84.135, 95.865)]):
+        assert piece == pytest.approx(gap, abs=1e-9)
+    region = region_for_tee(tee_net.segments[1], cfg, geom)
+    assert measure(got) / 120.0 == pytest.approx(
+        1.0 - failure_probability(region), abs=1e-12)
+    assert success_set(tee_net, cfg, geom, with_holonomic=True) is None
+    no_branch = PipeNetwork((straight(D, 200.0),
+                             tee(D, 30.0, exit=TeeExit.THROUGH),
+                             straight(D, 200.0)))
+    assert success_set(no_branch, cfg, geom, False) == [(0.0, 120.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_success_set_path_matches_scalar_path_on_acceptance_draws(
+        cfg, geom, tee_net, seed):
+    # the head of the criterion-7 draw stream for this seed
+    draws = np.random.default_rng(seed).uniform(0.0, 120.0, size=2000)
+    succeeding = assert_draws_match_scalar(tee_net, draws, cfg, geom)
+    assert_draws_match_scalar(tee_net, endpoint_draws(succeeding), cfg, geom)
+    res = monte_carlo_tee(tee_net, cfg, geom, 2000, seed=seed,
+                          with_holonomic=False)
+    assert res.successes == sum(scalar_completes(tee_net, float(t), cfg, geom)
+                                for t in draws)
+
+
+def test_success_set_path_matches_scalar_path_across_reference_shifts(geom):
+    # an unaligned elbow shifts the two tee onsets by 25 and 18 deg: not
+    # multiples of the region's 60 deg symmetry, and close enough for the
+    # two tees' free gaps to overlap
+    net = PipeNetwork((straight(D, 300.0), elbow(D, 320.0, 90.0, 25.0),
+                       straight(D, 200.0), tee(D, 0.0), straight(D, 200.0),
+                       tee(D, 7.0), straight(D, 200.0)))
+    cfg = PlannerConfig(align_elbow=False)
+    draws = np.random.default_rng(3).uniform(0.0, 120.0, size=1000)
+    succeeding = assert_draws_match_scalar(net, draws, cfg, geom)
+    assert len(succeeding) == 2
+    assert_draws_match_scalar(net, endpoint_draws(succeeding), cfg, geom)
+
+
+@st.composite
+def roll_free_networks(draw):
+    d = draw(st.sampled_from([140.0, 160.0, 180.0, 200.0]))
+    turn_roll = st.floats(min_value=-180.0, max_value=180.0)
+    segments = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["straight", "elbow", "branch",
+                                     "through"]))
+        if kind == "straight":
+            segments.append(straight(d, draw(st.floats(50.0, 600.0))))
+        elif kind == "elbow":
+            segments.append(elbow(d, draw(st.floats(d, 4.0 * d)),
+                                  draw(st.floats(15.0, 180.0)),
+                                  draw(turn_roll)))
+        else:
+            segments.append(tee(d, draw(turn_roll), exit=TeeExit(kind)))
+    return PipeNetwork(tuple(segments))
+
+
+@settings(max_examples=40, deadline=None)
+@given(roll_free_networks(),
+       st.lists(st.floats(0.0, 120.0, exclude_max=True), min_size=1,
+                max_size=10))
+def test_success_set_path_matches_scalar_path_on_roll_free_networks(
+        net, draws):
+    cfg = PlannerConfig(align_elbow=False)
+    succeeding = assert_draws_match_scalar(net, draws, cfg,
+                                           REFERENCE_GEOMETRY)
+    assert succeeding is not None
+    assert_draws_match_scalar(net, endpoint_draws(succeeding), cfg,
+                              REFERENCE_GEOMETRY)
+
+
+@pytest.mark.parametrize("case", ["escape", "aligned elbow", "escape elbow",
+                                  "reversing turn", "late trigger",
+                                  "stalled drive"])
+def test_monte_carlo_without_a_success_set_counts_as_before(cfg, geom,
+                                                           tee_net, case):
+    net, with_holonomic = {
+        "escape": (tee_net, True),
+        "aligned elbow": (turn_net(), False),
+        "escape elbow": (turn_net(), True),
+        "reversing turn": (PipeNetwork((straight(D, 300.0),
+                                        tee(D, equivalent_radius_mm=55.0),
+                                        straight(D, 300.0))), False),
+        "late trigger": (turn_net(), False),
+        "stalled drive": (tee_net, False),
+    }[case]
+    if case == "late trigger":
+        cfg = PlannerConfig(align_elbow=False, tee_trigger_fraction=0.75)
+    if case == "stalled drive":
+        # v_cz below the simulator's 1e-12 zero tolerance while the chain
+        # rates are above it: every trial stops with no forward progress,
+        # which the scalar check inside success_set notices
+        cfg = PlannerConfig(straight_speed=1e-13)
+        geom = dataclasses.replace(geom, lug_radius_r=0.01)
+    assert success_set(net, cfg, geom, with_holonomic) is None
+    draws = np.random.default_rng(5).uniform(0.0, 120.0, size=60)
+    res = monte_carlo_tee(net, cfg, geom, 60, seed=5,
+                          with_holonomic=with_holonomic)
+    assert res.successes == sum(
+        scalar_completes(net, float(t), cfg, geom, with_holonomic)
+        for t in draws)
 
 
 # -- trajectory output ----------------------------------------------------------------
