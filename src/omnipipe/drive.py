@@ -62,9 +62,11 @@ def roll(theta5_deg: float, alpha_rad: tuple[float, ...], roll_rad: float,
          d_mm: float, geom: RobotGeometry
          ) -> tuple[float, tuple[float, ...]]:
     """(theta5, alpha) after a roll: each module turns -gain * roll_rad."""
+    theta5 = wrap(theta5_deg + math.degrees(roll_rad), 360.0)
+    if not roll_rad:
+        return theta5, alpha_rad
     gain = rolling_gain(d_mm, geom)
-    return (wrap(theta5_deg + math.degrees(roll_rad), 360.0),
-            tuple(a - roll_rad * gain for a in alpha_rad))
+    return theta5, tuple(a - roll_rad * gain for a in alpha_rad)
 
 
 def shift_reference(theta5_deg: float, net: PipeNetwork, from_index: int,

@@ -26,7 +26,7 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,8 +158,10 @@ class PlannerConfig:
         if not 0.0 <= self.wobble_deadband_deg <= 10.0:
             raise PlanError(f"wobble_deadband_deg must lie in [0, 10], got "
                             f"{self.wobble_deadband_deg}")
-        if self.rotate_rate_rad_s <= 0:
-            raise PlanError("rotate_rate_rad_s must be > 0")
+        if not (math.isfinite(self.rotate_rate_rad_s)
+                and self.rotate_rate_rad_s > 0):
+            raise PlanError(f"rotate_rate_rad_s must be finite and > 0, got "
+                            f"{self.rotate_rate_rad_s}")
 
     @property
     def deadband_rad(self) -> float:
@@ -193,7 +195,8 @@ def _preflip_signs(alpha_rad: tuple[float, ...],
 
 
 def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
-           d_mm: float, cfg: PlannerConfig, geom: RobotGeometry
+           d_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
+           segment_index: int | None
            ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
     """Roll by ``delta_deg``; return the steps and the roll state after.
 
@@ -211,7 +214,7 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
         bump = bump if delta_deg >= 0 else -bump
         delta_deg += bump if abs(delta_deg + bump) <= 60.0 else -bump
     step = holonomic_rotate_step(delta_deg, cfg.rotate_rate_rad_s, geom, d_mm,
-                                 alpha_rad)
+                                 alpha_rad, segment_index)
     if step is None:
         return [], theta5_deg, alpha_rad
     theta5, alpha = roll(theta5_deg, alpha_rad,
@@ -220,20 +223,26 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
     return [step], theta5, alpha
 
 
-def plan_straight(length_mm: float, cfg: PlannerConfig,
-                  geom: RobotGeometry) -> MissionStep:
-    """Equal-speed drive covering a straight run at cfg.straight_speed."""
+def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
+                  alpha_rad: tuple[float, ...] = (0.0,) * 3,
+                  segment_index: int | None = None) -> MissionStep:
+    """Equal-speed drive covering a straight run at cfg.straight_speed,
+    pre-flipped for the modules' self-rotation ``alpha_rad``."""
     if not (math.isfinite(length_mm) and length_mm > 0):
         raise PlanError(f"length must be > 0, got {length_mm}")
     rate = cfg.straight_speed / geom.lug_radius_r
     return MissionStep(kind=StepKind.DRIVE,
-                       command=CommandVector(rate, rate, rate, 0.0),
-                       duration_s=length_mm / cfg.straight_speed)
+                       command=signed_drive(
+                           CommandVector(rate, rate, rate, 0.0),
+                           _preflip_signs(alpha_rad, cfg)),
+                       duration_s=length_mm / cfg.straight_speed,
+                       segment_index=segment_index)
 
 
 def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
                           geom: RobotGeometry, d_mm: float,
-                          alpha_rad: tuple[float, ...] = (0.0,) * 3
+                          alpha_rad: tuple[float, ...] = (0.0,) * 3,
+                          segment_index: int | None = None
                           ) -> MissionStep | None:
     """In-place roll by a signed delta (deg) at |theta_dot_4| = rate.
 
@@ -242,8 +251,9 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
     symmetry.  The hazard flag marks rotations whose accumulated module
     self-rotation, from ``alpha_rad``, crosses a 90 deg drive line.
     """
-    if rate_rad_s <= 0:
-        raise PlanError(f"rotate rate must be > 0, got {rate_rad_s}")
+    if not (math.isfinite(rate_rad_s) and rate_rad_s > 0):
+        raise PlanError(f"rotate rate must be finite and > 0, got "
+                        f"{rate_rad_s}")
     if abs(delta_deg) > 60.0 + 1e-6:
         raise PlanError(f"roll delta must lie within +-60 deg, got "
                         f"{delta_deg}")
@@ -259,11 +269,13 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
     return MissionStep(
         kind=StepKind.HOLONOMIC_ROTATE,
         command=CommandVector(0.0, 0.0, 0.0, rate), duration_s=duration,
-        hazard_self_rotation=hazard, note=f"roll {delta_deg:+.3f} deg")
+        hazard_self_rotation=hazard, segment_index=segment_index,
+        note=f"roll {delta_deg:+.3f} deg")
 
 
 def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
-               geom: RobotGeometry, alpha_rad: tuple[float, ...] = (0.0,) * 3
+               geom: RobotGeometry, alpha_rad: tuple[float, ...] = (0.0,) * 3,
+               segment_index: int | None = None
                ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
     """Roll a module onto the innermost curve, then drive at radii ratios.
 
@@ -278,7 +290,7 @@ def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
     delta = (signed_delta(theta5_deg, _ELBOW_TARGET_DEG, 120.0)
              if cfg.align_elbow else 0.0)
     steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, segment.d_mm,
-                                  cfg, geom)
+                                  cfg, geom, segment_index)
     radii = module_path_radii(segment, theta5, cfg.ratio_mode)
     mean_radius = sum(radii) / 3.0
     if mean_radius <= 0:
@@ -289,7 +301,8 @@ def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
         _preflip_signs(alpha, cfg))
     steps.append(MissionStep(
         kind=StepKind.TURN_ELBOW, command=command,
-        duration_s=segment.arc_length() / cfg.straight_speed))
+        duration_s=segment.arc_length() / cfg.straight_speed,
+        segment_index=segment_index))
     return steps, theta5, alpha
 
 
@@ -339,7 +352,8 @@ def forward_turn_radius(geom: RobotGeometry) -> float:
 def plan_tee(segment: PipeSegment, theta5_deg: float,
              region: SingularityRegion, cfg: PlannerConfig,
              geom: RobotGeometry, with_holonomic: bool = True,
-             alpha_rad: tuple[float, ...] = (0.0,) * 3
+             alpha_rad: tuple[float, ...] = (0.0,) * 3,
+             segment_index: int | None = None
              ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
     """Negotiate a tee: roll clear of the singularity, approach, turn, exit.
 
@@ -366,20 +380,23 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
         delta = escape_rotation(theta5_deg, region)
     else:
         delta = 0.0
-    steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, d, cfg, geom)
+    steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, d, cfg, geom,
+                                  segment_index)
     signs = _preflip_signs(alpha, cfg)
     drive = signed_drive(CommandVector(rate, rate, rate, 0.0), signs)
 
     if segment.exit is TeeExit.THROUGH:
         steps.append(MissionStep(
             kind=StepKind.DRIVE, command=drive,
-            duration_s=segment.arc_length() / speed, note="cross junction"))
+            duration_s=segment.arc_length() / speed,
+            segment_index=segment_index, note="cross junction"))
         return steps, theta5, alpha
 
     approach = cfg.tee_trigger_fraction * d
     steps.append(MissionStep(
         kind=StepKind.DRIVE, command=drive,
-        duration_s=approach / speed, note="approach junction"))
+        duration_s=approach / speed, segment_index=segment_index,
+        note="approach junction"))
 
     axis = (-math.sin(math.radians(theta5)), math.cos(math.radians(theta5)))
     omega = _turn_rate_for_radius(speed, axis, segment.tee_equivalent_radius,
@@ -390,14 +407,15 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
         command=signed_drive(inverse_kinematics(twist, geom), signs),
         duration_s=(math.pi / 2.0) / omega,
         trigger="head_fraction", trigger_fraction=cfg.tee_trigger_fraction,
-        note="turn into branch"))
+        segment_index=segment_index, note="turn into branch"))
 
     remainder = (segment.arc_length() - approach
                  - speed * (math.pi / 2.0) / omega)
     if remainder > 1e-9:
         steps.append(MissionStep(
             kind=StepKind.DRIVE, command=drive,
-            duration_s=remainder / speed, note="exit junction"))
+            duration_s=remainder / speed, segment_index=segment_index,
+            note="exit junction"))
     return steps, theta5, alpha
 
 
@@ -407,22 +425,24 @@ def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
     """Schedule covering the whole network in order.
 
     ``theta5_deg`` is the initial roll relative to the first upcoming
-    turn's plane; one (theta5, alpha) passes through the segments.
+    turn's plane and must be finite; one (theta5, alpha) passes through
+    the segments, and each step carries the index of its segment.
     """
+    if not math.isfinite(theta5_deg):
+        raise PlanError(f"theta5_deg must be finite, got {theta5_deg}")
     theta5, alpha = wrap(theta5_deg, 360.0), (0.0,) * 3
     steps: list[MissionStep] = []
     for i, segment in enumerate(net.segments):
         if i > 0:
             theta5 = shift_reference(theta5, net, i - 1, i)
         if segment.kind is SegmentKind.STRAIGHT:
-            step = plan_straight(segment.length_mm, cfg, geom)
-            new = [replace(step, command=signed_drive(
-                step.command, _preflip_signs(alpha, cfg)))]
+            new = [plan_straight(segment.length_mm, cfg, geom, alpha, i)]
         elif segment.kind is SegmentKind.ELBOW:
-            new, theta5, alpha = plan_elbow(segment, theta5, cfg, geom, alpha)
+            new, theta5, alpha = plan_elbow(segment, theta5, cfg, geom, alpha,
+                                            i)
         else:
             region = region_for_tee(segment, cfg, geom)
             new, theta5, alpha = plan_tee(segment, theta5, region, cfg, geom,
-                                          with_holonomic, alpha)
-        steps.extend(replace(s, segment_index=i) for s in new)
+                                          with_holonomic, alpha, i)
+        steps.extend(new)
     return steps

@@ -15,6 +15,17 @@ final partial substep and lands on step boundaries exactly; results are
 independent of dt down to float rounding, and Monte-Carlo runs may use
 one substep per step without loss.
 
+run_mission works per mission step, not per substep.  On a step that does
+not roll (theta_dot_4 == 0) alpha is fixed, so the drive signs and the
+twist are computed once before the substeps, and the tee check again
+only after a segment boundary; the substeps advance s, time and theta5
+alone.  A roll step recomputes the signs each substep and the twist once
+per distinct sign tuple.  The records of one step share its command and
+twist objects, which write_trajectory_csv formats once per run of
+records.  step is the public one-interval API; it and run_mission share
+one helper for the roll update and the segment-boundary crossing, so
+both follow the same arithmetic.
+
 theta5 is degrees in [0, 360) relative to the next upcoming turn's plane
 and is shifted at segment boundaries per pipenet.reference_rolls; alpha
 (module self-rotation) is radians, accumulated without wrapping.
@@ -34,12 +45,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .drive import drive_sign, roll, shift_reference, signed_drive
-from .errors import SimulationError
+from .errors import PlanError, SimulationError
 from .intervals import Interval, complement, normalize, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          forward_kinematics)
@@ -52,7 +63,7 @@ from .singularity import ORIENTATION_PERIOD_DEG, in_singularity
 __all__ = [
     "SimState", "TrajectoryRecord", "MissionOutcome", "MonteCarloResult",
     "drive_sign", "step", "run_mission", "success_set", "monte_carlo_tee",
-    "write_trajectory_csv", "TRAJECTORY_CSV_HEADER",
+    "wilson_interval", "write_trajectory_csv", "TRAJECTORY_CSV_HEADER",
 ]
 
 _log = logging.getLogger(__name__)
@@ -67,6 +78,8 @@ _CHUNK = 4096
 # path: the band covers intervals.contains' 1e-9 slack and the rounding of
 # the reference-shift chain
 _GUARD_DEG = 1e-6
+# two-sided 95% normal quantile
+_Z95 = 1.96
 
 
 @dataclass(frozen=True)
@@ -127,29 +140,18 @@ def _tee_singular(segment: PipeSegment, theta5_deg: float,
             and in_singularity(theta5_deg, region_for_tee(segment, cfg, geom)))
 
 
-def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
-         geom: RobotGeometry, cfg: PlannerConfig | None = None
-         ) -> tuple[SimState, TrajectoryRecord]:
-    """Advance one interval of constant command.
+def _advance(net: PipeNetwork, geom: RobotGeometry, index: int, s: float,
+             theta5: float, alpha: tuple[float, ...], roll_rad: float
+             ) -> tuple[int, float, float, tuple[float, ...], str]:
+    """Roll by ``roll_rad`` on segment ``index``, then carry the advanced
+    arc length ``s`` across segment boundaries in either direction.
 
-    Drive rates are multiplied by each module's drive sign (deadband
-    from ``cfg``, default PlannerConfig()) before the forward map.  s
-    follows v_cz along the centerline with segment carry-over in both
-    directions; crossing a boundary shifts theta5 to the next segment's
-    turn reference.  Exact for constant commands at any dt > 0.
+    Crossing a boundary shifts theta5 to the next segment's turn
+    reference.  Returns (index, s, theta5, alpha, event), where event
+    is "end_of_network" or "start_of_network" when s was clamped there.
     """
-    if not (dt > 0 and math.isfinite(dt)):
-        raise SimulationError(f"dt must be > 0, got {dt}")
-    if cfg is None:
-        cfg = PlannerConfig()
-    signs = tuple(drive_sign(a, cfg.deadband_rad) for a in state.alpha_rad)
-    twist = forward_kinematics(signed_drive(cmd, signs), geom)
-
-    index = state.segment_index
-    s = state.s_mm + twist.v_cz * dt
-    theta5, alpha = roll(state.theta5_deg, state.alpha_rad,
-                         cmd.theta_dot_4 * dt, net.segments[index].d_mm, geom)
-
+    theta5, alpha = roll(theta5, alpha, roll_rad, net.segments[index].d_mm,
+                         geom)
     event = ""
     while s > net.segments[index].arc_length() + _ZERO_TOL:
         if index + 1 >= len(net.segments):
@@ -167,7 +169,29 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
         index -= 1
         theta5 = shift_reference(theta5, net, index + 1, index)
         s += net.segments[index].arc_length()
+    return index, s, theta5, alpha, event
 
+
+def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
+         geom: RobotGeometry, cfg: PlannerConfig | None = None
+         ) -> tuple[SimState, TrajectoryRecord]:
+    """Advance one interval of constant command.
+
+    Drive rates are multiplied by each module's drive sign (deadband
+    from ``cfg``, default PlannerConfig()) before the forward map.  s
+    follows v_cz along the centerline with segment carry-over in both
+    directions; crossing a boundary shifts theta5 to the next segment's
+    turn reference.  Exact for constant commands at any dt > 0.
+    """
+    if not (dt > 0 and math.isfinite(dt)):
+        raise SimulationError(f"dt must be > 0, got {dt}")
+    if cfg is None:
+        cfg = PlannerConfig()
+    signs = tuple(drive_sign(a, cfg.deadband_rad) for a in state.alpha_rad)
+    twist = forward_kinematics(signed_drive(cmd, signs), geom)
+    index, s, theta5, alpha, event = _advance(
+        net, geom, state.segment_index, state.s_mm + twist.v_cz * dt,
+        state.theta5_deg, state.alpha_rad, cmd.theta_dot_4 * dt)
     new_state = SimState(segment_index=index, s_mm=s, theta5_deg=theta5,
                          alpha_rad=alpha, time_s=state.time_s + dt)
     record = TrajectoryRecord(
@@ -176,11 +200,6 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
         singular=_tee_singular(net.segments[index], theta5, cfg, geom),
         event=event)
     return new_state, record
-
-
-def _at_network_end(state: SimState, net: PipeNetwork) -> bool:
-    return (state.segment_index == len(net.segments) - 1
-            and state.s_mm >= net.segments[-1].arc_length() - _END_TOL_MM)
 
 
 def run_mission(net: PipeNetwork, plan: list[MissionStep],
@@ -196,78 +215,99 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
     events without aborting, since the physical outcome is not modeled.
     dt=None integrates each step in a single exact substep.  Plans
     needing more than MAX_SUBSTEPS substeps in all raise SimulationError
-    before any integration.
+    before any integration, and a non-finite ``theta5_deg`` raises
+    PlanError.
     """
     for item in plan:
         if not isinstance(item, MissionStep):
             raise SimulationError(f"plan contains a non-step entry: {item!r}")
     if dt is not None and not (dt > 0 and math.isfinite(dt)):
         raise SimulationError(f"dt must be > 0, got {dt}")
+    if not math.isfinite(theta5_deg):
+        raise PlanError(f"theta5_deg must be finite, got {theta5_deg}")
     # counted before integrating; min() keeps ceil() from overflowing
     substeps = [1 if dt is None else max(1, math.ceil(
         min(mstep.duration_s / dt, MAX_SUBSTEPS + 1) - 1e-12))
         for mstep in plan]
     if sum(substeps) > MAX_SUBSTEPS:
         raise SimulationError(f"dt={dt} needs over {MAX_SUBSTEPS} substeps")
-    state = SimState(theta5_deg=wrap(theta5_deg, 360.0))
+    index, s, theta5 = 0, 0.0, wrap(theta5_deg, 360.0)
+    alpha, t = (0.0, 0.0, 0.0), 0.0
     records: list[TrajectoryRecord] = []
     events: list[str] = []
     failure: str | None = None
+    done = False
 
     for mstep, n in zip(plan, substeps):
+        cmd = mstep.command
         if (mstep.kind is StepKind.TURN_TEE
-                and _tee_singular(net.segments[state.segment_index],
-                                  state.theta5_deg, cfg, geom)):
+                and _tee_singular(net.segments[index], theta5, cfg, geom)):
             events.append("singularity_at_turn_onset")
             records.append(TrajectoryRecord(
-                time_s=state.time_s, segment_index=state.segment_index,
-                s_mm=state.s_mm, theta5_deg=state.theta5_deg,
-                command=mstep.command, twist=TwistVector(0.0, 0.0, 0.0, 0.0),
+                time_s=t, segment_index=index, s_mm=s, theta5_deg=theta5,
+                command=cmd, twist=TwistVector(0.0, 0.0, 0.0, 0.0),
                 drive_signs=(0, 0, 0), singular=True,
                 event="singularity_at_turn_onset"))
             failure = "singularity"
             break
 
+        # alpha moves only while the robot rolls; elsewhere the signs, the
+        # twist and, between boundary crossings, the tee check hold
+        rolling = cmd.theta_dot_4 != 0.0
+        stall_check = (mstep.kind is not StepKind.HOLONOMIC_ROTATE
+                       and max(abs(cmd.theta_dot_1), abs(cmd.theta_dot_2),
+                               abs(cmd.theta_dot_3)) > _ZERO_TOL)
+        twists: dict[tuple[int, ...], TwistVector] = {}
+        twist = checked_index = None
         duration = mstep.duration_s
         h_regular = duration if dt is None else dt
-        done = False
         for k in range(n):
             h = h_regular if k < n - 1 else duration - h_regular * (n - 1)
             if h <= 1e-15:
                 continue
-            state, record = step(state, mstep.command, h, net, geom, cfg)
-            if (k == 0 and mstep.kind is not StepKind.HOLONOMIC_ROTATE
-                    and abs(record.twist.v_cz) < _ZERO_TOL
-                    and max(abs(mstep.command.theta_dot_1),
-                            abs(mstep.command.theta_dot_2),
-                            abs(mstep.command.theta_dot_3)) > _ZERO_TOL):
-                record = replace(record, event="no_forward_progress")
-                records.append(record)
+            if rolling or twist is None:
+                signs = tuple(drive_sign(a, cfg.deadband_rad) for a in alpha)
+                if signs not in twists:
+                    # a step that drives while it rolls changes its twist
+                    # whenever a module crosses a 90 deg drive line
+                    twists[signs] = forward_kinematics(
+                        signed_drive(cmd, signs), geom)
+                twist = twists[signs]
+                v_cz = float(twist.v_cz)
+            index, s, theta5, alpha, event = _advance(
+                net, geom, index, s + v_cz * h, theta5, alpha,
+                cmd.theta_dot_4 * h)
+            t = t + h
+            if rolling or index != checked_index:
+                singular = _tee_singular(net.segments[index], theta5, cfg,
+                                         geom)
+                checked_index = index
+            if k == 0 and stall_check and abs(v_cz) < _ZERO_TOL:
+                records.append(TrajectoryRecord(
+                    t, index, s, theta5, cmd, twist, signs, singular,
+                    "no_forward_progress"))
                 events.append("no_forward_progress")
                 failure = "no_forward_progress"
-                done = True
                 break
-            if mstep.kind is StepKind.TURN_TEE and record.singular:
-                record = replace(record, event="singular_mid_turn")
-                if "singular_mid_turn" not in events:
-                    events.append("singular_mid_turn")
-            if record.event and record.event not in events:
-                events.append(record.event)
-            records.append(record)
-            if record.event == "end_of_network":
+            if mstep.kind is StepKind.TURN_TEE and singular:
+                event = "singular_mid_turn"
+            if event and event not in events:
+                events.append(event)
+            records.append(TrajectoryRecord(t, index, s, theta5, cmd, twist,
+                                            signs, singular, event))
+            if event == "end_of_network":
                 done = True
                 break
         if failure is not None or done:
             break
 
     if failure is not None:
-        outcome = MissionOutcome(False, failure, state.time_s, tuple(events))
-    elif _at_network_end(state, net):
-        outcome = MissionOutcome(True, "completed", state.time_s,
-                                 tuple(events))
+        outcome = MissionOutcome(False, failure, t, tuple(events))
+    elif (index == len(net.segments) - 1
+          and s >= net.segments[-1].arc_length() - _END_TOL_MM):
+        outcome = MissionOutcome(True, "completed", t, tuple(events))
     else:
-        outcome = MissionOutcome(False, "incomplete", state.time_s,
-                                 tuple(events))
+        outcome = MissionOutcome(False, "incomplete", t, tuple(events))
     return outcome, records
 
 
@@ -388,7 +428,7 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
     """Success statistics over uniformly random initial rolls.
 
     Each trial draws theta5 from [0, 120) deg (the roll symmetry period);
-    the rate comes with a 95% normal-approximation binomial interval.
+    the rate comes with a 95% Wilson score interval (wilson_interval).
     Draws come in chunks of 4096 from one generator, the same stream as
     a single draw, so memory stays flat in ``trials``.
 
@@ -415,14 +455,32 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
     _log.debug("monte_carlo_tee: %d of %d draws decided by the success set, "
                "%d by plan_mission + run_mission", trials - scalar, trials,
                scalar)
-    p = successes / trials
-    sigma = math.sqrt(p * (1.0 - p) / trials)
+    ci_low, ci_high = wilson_interval(successes, trials)
     return MonteCarloResult(
-        success_rate=p,
-        ci_low=max(0.0, p - 1.96 * sigma),
-        ci_high=min(1.0, p + 1.96 * sigma),
+        success_rate=successes / trials, ci_low=ci_low, ci_high=ci_high,
         trials=trials, successes=successes, seed=seed,
         with_holonomic=with_holonomic)
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial rate.
+
+    Brown, Cai & DasGupta (2001).  Unlike the normal approximation it
+    keeps a positive width at 0 and at ``trials`` successes.  The upper
+    bound is one minus the lower bound of the failures, so the interval
+    is symmetric under swapping successes and failures and reaches 0 and
+    1 exactly.
+    """
+    z2n = _Z95 * _Z95 / trials
+
+    def lower(k: int) -> float:
+        if k == 0:
+            return 0.0
+        p = k / trials
+        return ((p + z2n / 2.0 - _Z95 * math.sqrt(
+            p * (1.0 - p) / trials + z2n / (4.0 * trials))) / (1.0 + z2n))
+
+    return lower(successes), 1.0 - lower(trials - successes)
 
 
 TRAJECTORY_CSV_HEADER = ("time_s,segment,s_mm,theta5_deg,th1,th2,th3,th4,"
@@ -433,21 +491,28 @@ def write_trajectory_csv(records: list[TrajectoryRecord], path) -> None:
     """Write records as CSV, one row per integration substep.
 
     Floats are repr-rounded (shortest round-trip form), so identical runs
-    produce byte-identical files.
+    produce byte-identical files.  The command, twist and sign columns
+    are formatted once per run of records sharing those objects, as the
+    records of one mission step do; rows stream to the file.
     """
     with open(path, "w", newline="") as f:
         f.write(TRAJECTORY_CSV_HEADER + "\n")
+        last = middle = None
         for r in records:
-            c, t = r.command, r.twist
-            row = [repr(float(r.time_s)), str(r.segment_index),
-                   repr(float(r.s_mm)), repr(float(r.theta5_deg)),
-                   repr(float(c.theta_dot_1)), repr(float(c.theta_dot_2)),
-                   repr(float(c.theta_dot_3)), repr(float(c.theta_dot_4)),
-                   repr(float(t.omega_x)), repr(float(t.omega_y)),
-                   repr(float(t.omega_z)), repr(float(t.v_cz)),
-                   str(r.drive_signs[0]), str(r.drive_signs[1]),
-                   str(r.drive_signs[2]), str(int(r.singular)), r.event]
-            f.write(",".join(row) + "\n")
+            c, t, signs = r.command, r.twist, r.drive_signs
+            # by identity: an equal twist may differ in the sign of a zero
+            if last is None or not (c is last[0] and t is last[1]
+                                    and signs == last[2]):
+                last = (c, t, signs)
+                middle = ",".join(
+                    [repr(float(x)) for x in (
+                        c.theta_dot_1, c.theta_dot_2, c.theta_dot_3,
+                        c.theta_dot_4, t.omega_x, t.omega_y, t.omega_z,
+                        t.v_cz)]
+                    + [str(sign) for sign in signs])
+            f.write(f"{float(r.time_s)!r},{r.segment_index},"
+                    f"{float(r.s_mm)!r},{float(r.theta5_deg)!r},{middle},"
+                    f"{int(r.singular)},{r.event}\n")
 
 
 def outcome_to_json(outcome: MissionOutcome) -> str:

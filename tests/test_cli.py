@@ -143,6 +143,21 @@ def test_simulate_rejects_unbounded_substeps_exits_5(capsys, net_file,
     assert not (tmp_path / "run" / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize("flags, name", [
+    (["--theta5=inf"], "theta5_deg"), (["--theta5=-inf"], "theta5_deg"),
+    (["--theta5", "nan"], "theta5_deg"),
+    (["--theta5", "0", "--rotate-rate", "nan"], "rotate_rate_rad_s"),
+    (["--theta5", "0", "--rotate-rate", "inf"], "rotate_rate_rad_s")])
+def test_non_finite_planner_input_exits_3(capsys, net_file, tmp_path,
+                                          command, flags, name):
+    code, out, err = run_cli(capsys, command, "--network", str(net_file),
+                             *flags, "--out", str(tmp_path / "run"))
+    assert code == 3
+    assert err.startswith(f"error: {name} must be finite") and out == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_invalid_network_document_exits_2(capsys, tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps({"segments": [

@@ -38,6 +38,16 @@ def test_plan_straight_speed_and_duration(cfg, geom):
     assert twist.angular_norm() < 1e-15
 
 
+def test_plan_straight_pre_flips_and_tags_its_segment(cfg, geom):
+    step = plan_straight(1000.0, cfg, geom,
+                         alpha_rad=(math.pi, 0.0, math.pi / 2.0),
+                         segment_index=4)
+    rate = 100.0 / 15.0
+    # a module in the deadband keeps its sign: 0 pre-flips as 1
+    assert step.command == CommandVector(-rate, rate, rate, 0.0)
+    assert step.segment_index == 4
+
+
 def test_plan_straight_rejects_zero_length(cfg, geom):
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(PlanError):
@@ -262,6 +272,7 @@ def test_mission_tags_segments_and_tracks_roll(cfg, geom, tee_net):
     steps = plan_mission(tee_net, 0.0, cfg, geom)
     assert steps[0].segment_index == 0
     assert steps[-1].segment_index == 2
+    assert all(s.segment_index is not None for s in steps)
     kinds = [s.kind for s in steps]
     assert StepKind.TURN_TEE in kinds
     assert kinds[0] is StepKind.DRIVE
@@ -386,6 +397,17 @@ def test_mission_plan_is_deterministic(cfg, geom, tee_net):
 
 
 # -- step validation ---------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+def test_planner_rejects_non_finite_inputs(geom, tee_net, bad):
+    with pytest.raises(PlanError, match="rotate_rate_rad_s"):
+        PlannerConfig(rotate_rate_rad_s=bad)
+    with pytest.raises(PlanError, match="rotate rate"):
+        holonomic_rotate_step(10.0, bad, geom, D)
+    if bad != 0.0:
+        with pytest.raises(PlanError, match="theta5_deg must be finite"):
+            plan_mission(tee_net, bad, PlannerConfig(), geom)
+
 
 def test_mission_step_validates_fields():
     cmd = CommandVector(1.0, 1.0, 1.0, 0.0)

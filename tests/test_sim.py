@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionStep,
-                      PipeNetwork, PlannerConfig, SimState, SimulationError,
-                      StepKind, TeeExit, TRAJECTORY_CSV_HEADER, drive_sign,
-                      elbow, failure_probability, in_singularity,
-                      monte_carlo_tee, outcome_to_json, plan_mission,
-                      region_for_tee, roll, rolling_gain, run_mission, step,
-                      straight, success_set, tee, write_trajectory_csv)
+from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
+                      MissionStep, NoEscapeError, PipeNetwork, PlanError,
+                      PlannerConfig, SegmentKind, SimState, SimulationError,
+                      StepKind, TeeExit, TrajectoryRecord,
+                      TRAJECTORY_CSV_HEADER, TwistVector, drive_sign, elbow,
+                      failure_probability, in_singularity, monte_carlo_tee,
+                      outcome_to_json, plan_mission, region_for_tee, roll,
+                      rolling_gain, run_mission, step, straight, success_set,
+                      tee, write_trajectory_csv)
 from omnipipe.intervals import measure, wrap
-from omnipipe.sim import _CHUNK, _count_successes
+from omnipipe.sim import (_CHUNK, MAX_SUBSTEPS, _count_successes,
+                          wilson_interval)
 
 D = 160.0
 RATE = 100.0 / 15.0
@@ -256,6 +259,22 @@ def test_run_mission_incomplete_when_plan_stops_short(cfg, geom):
     assert outcome.reason == "incomplete"
 
 
+@pytest.mark.parametrize("theta5", [math.inf, -math.inf, math.nan])
+def test_run_mission_rejects_non_finite_roll(cfg, geom, tee_net, theta5):
+    plan = plan_mission(tee_net, 30.0, cfg, geom)
+    with pytest.raises(PlanError, match="theta5_deg must be finite"):
+        run_mission(tee_net, plan, cfg, geom, theta5_deg=theta5)
+
+
+def test_run_mission_records_of_a_step_share_command_and_twist(cfg, geom,
+                                                              tee_net):
+    plan = plan_mission(tee_net, 30.0, cfg, geom)
+    _, records = run_mission(tee_net, plan, cfg, geom, theta5_deg=30.0)
+    drive = [r for r in records if r.command is plan[0].command]
+    assert len(drive) > 100
+    assert all(r.twist is drive[0].twist for r in drive)
+
+
 # -- statistics ---------------------------------------------------------------------
 
 def test_monte_carlo_validates_trials(cfg, geom, tee_net):
@@ -268,6 +287,36 @@ def test_monte_carlo_holonomic_always_succeeds(cfg, geom, tee_net):
                           with_holonomic=True)
     assert res.success_rate == 1.0
     assert res.successes == res.trials == 64
+    # the Wilson interval keeps a positive width at 64 of 64
+    assert (res.ci_low, res.ci_high) == wilson_interval(64, 64)
+    assert res.ci_low < res.ci_high == 1.0
+
+
+@pytest.mark.parametrize("trials", [1, 7, 100, 10**5])
+def test_wilson_interval_keeps_positive_width_at_the_extremes(trials):
+    low, high = wilson_interval(0, trials)
+    assert low == 0.0 < high < 1.0
+    low, high = wilson_interval(trials, trials)
+    assert 0.0 < low < high == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6), st.floats(0.0, 1.0))
+def test_wilson_interval_contains_the_rate(trials, share):
+    successes = round(share * trials)
+    low, high = wilson_interval(successes, trials)
+    assert 0.0 <= low <= successes / trials <= high <= 1.0
+    assert low < high
+
+
+def test_wilson_interval_matches_hand_computed_values():
+    # 5 of 10: center 0.5, half-width 1.96 / (1 + 0.38416) *
+    # sqrt(0.025 + 0.009604) = 0.263410
+    assert wilson_interval(5, 10) == pytest.approx((0.236590, 0.763410),
+                                                   abs=1e-6)
+    # 0 of 100: the upper bound is z^2 / (n + z^2)
+    assert wilson_interval(0, 100)[1] == pytest.approx(3.8416 / 103.8416,
+                                                       rel=1e-12)
 
 
 def test_monte_carlo_seed_reproducibility(cfg, geom, tee_net):
@@ -389,11 +438,12 @@ def test_success_set_path_matches_scalar_path_across_reference_shifts(geom):
 
 
 @st.composite
-def roll_free_networks(draw):
+def roll_free_networks(draw, max_segments=6):
     d = draw(st.sampled_from([140.0, 160.0, 180.0, 200.0]))
     turn_roll = st.floats(min_value=-180.0, max_value=180.0)
     segments = []
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+    for _ in range(draw(st.integers(min_value=1,
+                                    max_value=max_segments))):
         kind = draw(st.sampled_from(["straight", "elbow", "branch",
                                      "through"]))
         if kind == "straight":
@@ -488,6 +538,18 @@ def test_csv_output_is_byte_identical_across_runs(cfg, geom, tee_net,
     assert blobs[0] == blobs[1]
 
 
+def test_csv_formats_equal_twists_that_differ_in_a_signed_zero(tmp_path):
+    rec = TrajectoryRecord(0.1, 0, 1.0, 0.0, DRIVE,
+                           TwistVector(0.0, 0.0, 0.0, 100.0), (1, 1, 1),
+                           False)
+    neg = dataclasses.replace(rec, time_s=0.2,
+                              twist=TwistVector(-0.0, 0.0, 0.0, 100.0))
+    assert neg.twist == rec.twist
+    write_trajectory_csv([rec, neg, rec], tmp_path / "t.csv")
+    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[8] for row in rows] == ["0.0", "-0.0", "0.0"]
+
+
 def test_outcome_json_round_trip(cfg, geom):
     net = PipeNetwork((straight(D, 500.0),))
     plan = plan_mission(net, 0.0, cfg, geom)
@@ -496,3 +558,164 @@ def test_outcome_json_round_trip(cfg, geom):
     assert doc["success"] is True
     assert doc["reason"] == "completed"
     assert doc["time_s"] == pytest.approx(5.0)
+
+
+# -- per-step integration against the per-substep reference ---------------------------
+
+def stepwise_run(net, plan, cfg, geom, theta5_deg=0.0, dt=0.01):
+    """Reference run_mission: one public step() call per substep."""
+    state = SimState(theta5_deg=wrap(theta5_deg, 360.0))
+    records, events, failure, done = [], [], None, False
+    for mstep in plan:
+        segment = net.segments[state.segment_index]
+        if (mstep.kind is StepKind.TURN_TEE
+                and segment.kind is SegmentKind.TEE
+                and in_singularity(state.theta5_deg,
+                                   region_for_tee(segment, cfg, geom))):
+            events.append("singularity_at_turn_onset")
+            records.append(TrajectoryRecord(
+                state.time_s, state.segment_index, state.s_mm,
+                state.theta5_deg, mstep.command,
+                TwistVector(0.0, 0.0, 0.0, 0.0), (0, 0, 0), True,
+                "singularity_at_turn_onset"))
+            failure = "singularity"
+            break
+        n = 1 if dt is None else max(1, math.ceil(
+            min(mstep.duration_s / dt, MAX_SUBSTEPS + 1) - 1e-12))
+        h_regular = mstep.duration_s if dt is None else dt
+        for k in range(n):
+            h = (h_regular if k < n - 1
+                 else mstep.duration_s - h_regular * (n - 1))
+            if h <= 1e-15:
+                continue
+            state, record = step(state, mstep.command, h, net, geom, cfg)
+            c = mstep.command
+            if (k == 0 and mstep.kind is not StepKind.HOLONOMIC_ROTATE
+                    and abs(record.twist.v_cz) < 1e-12
+                    and max(abs(c.theta_dot_1), abs(c.theta_dot_2),
+                            abs(c.theta_dot_3)) > 1e-12):
+                records.append(dataclasses.replace(
+                    record, event="no_forward_progress"))
+                events.append("no_forward_progress")
+                failure = "no_forward_progress"
+                break
+            if mstep.kind is StepKind.TURN_TEE and record.singular:
+                record = dataclasses.replace(record,
+                                             event="singular_mid_turn")
+            if record.event and record.event not in events:
+                events.append(record.event)
+            records.append(record)
+            if record.event == "end_of_network":
+                done = True
+                break
+        if failure is not None or done:
+            break
+    if failure is not None:
+        return MissionOutcome(False, failure, state.time_s,
+                              tuple(events)), records
+    if (state.segment_index == len(net.segments) - 1
+            and state.s_mm >= net.segments[-1].arc_length() - 1e-6):
+        return MissionOutcome(True, "completed", state.time_s,
+                              tuple(events)), records
+    return MissionOutcome(False, "incomplete", state.time_s,
+                          tuple(events)), records
+
+
+def assert_matches_stepwise(net, plan, cfg, geom, theta5, dt, tmp_dir):
+    """run_mission's outcome and CSV bytes equal the per-substep loop's."""
+    outcome, records = run_mission(net, plan, cfg, geom, theta5_deg=theta5,
+                                   dt=dt)
+    ref_outcome, ref_records = stepwise_run(net, plan, cfg, geom, theta5, dt)
+    assert outcome == ref_outcome
+    write_trajectory_csv(records, tmp_dir / "fast.csv")
+    write_trajectory_csv(ref_records, tmp_dir / "ref.csv")
+    assert ((tmp_dir / "fast.csv").read_bytes()
+            == (tmp_dir / "ref.csv").read_bytes())
+    return outcome
+
+
+DTS = [0.01, None, 0.037]
+
+
+def acceptance_rolls(cfg, geom, tee_net):
+    """-0.0, 0.0, a free roll and the endpoints of the tee's free gaps."""
+    ends = [end for piece in success_set(tee_net, cfg, geom, False)
+            for end in piece]
+    return [-0.0, 0.0, 30.0, *ends]
+
+
+@pytest.mark.parametrize("dt", DTS)
+@pytest.mark.parametrize("with_holonomic", [True, False])
+def test_run_mission_matches_stepwise_on_the_acceptance_tee(
+        cfg, geom, tee_net, tmp_path, dt, with_holonomic):
+    reasons = set()
+    for theta5 in acceptance_rolls(cfg, geom, tee_net):
+        plan = plan_mission(tee_net, theta5, cfg, geom,
+                            with_holonomic=with_holonomic)
+        reasons.add(assert_matches_stepwise(tee_net, plan, cfg, geom, theta5,
+                                            dt, tmp_path).reason)
+    assert reasons == ({"completed"} if with_holonomic
+                       else {"completed", "singularity"})
+
+
+@pytest.mark.parametrize("dt", DTS)
+@pytest.mark.parametrize("case", ["no forward progress", "end of network",
+                                  "start of network", "sign change"])
+def test_run_mission_matches_stepwise_at_mission_ends(cfg, geom, tmp_path,
+                                                     dt, case):
+    net = PipeNetwork((straight(D, 150.0),))
+    if case == "no forward progress":
+        # park the modules on the 90 deg no-motion line, then drive
+        plan = [MissionStep(kind=StepKind.HOLONOMIC_ROTATE,
+                            command=CommandVector(0.0, 0.0, 0.0, 0.5),
+                            duration_s=math.radians(22.5) / 0.5),
+                MissionStep(kind=StepKind.DRIVE, command=DRIVE,
+                            duration_s=1.0)]
+    elif case == "end of network":
+        plan = plan_mission(net, 0.0, cfg, geom) * 2
+    elif case == "start of network":
+        back = CommandVector(-RATE, -RATE, -RATE, 0.0)
+        plan = [MissionStep(kind=StepKind.DRIVE, command=back,
+                            duration_s=0.5)]
+    else:
+        # driving while rolling -40 deg turns each module past 90 deg, so
+        # the drive signs go from 1 through 0 to -1 within the step and
+        # the robot stops, then backs up
+        plan = [MissionStep(kind=StepKind.DRIVE,
+                            command=CommandVector(RATE, RATE, RATE, -0.5),
+                            duration_s=math.radians(40.0) / 0.5)]
+    outcome = assert_matches_stepwise(net, plan, cfg, geom, 30.0, dt,
+                                      tmp_path)
+    expected = {"no forward progress": "no_forward_progress",
+                "end of network": "end_of_network",
+                "start of network": "start_of_network",
+                "sign change": "incomplete"}[case]
+    assert expected in (outcome.reason, *outcome.events)
+
+
+def test_run_mission_matches_stepwise_on_a_stalled_plan(geom, tee_net,
+                                                        tmp_path):
+    # v_cz below the 1e-12 zero tolerance while the chain rates are not;
+    # at this speed only whole-step substeps stay under MAX_SUBSTEPS
+    cfg = PlannerConfig(straight_speed=1e-13)
+    geom = dataclasses.replace(geom, lug_radius_r=0.01)
+    plan = plan_mission(tee_net, 30.0, cfg, geom)
+    outcome = assert_matches_stepwise(tee_net, plan, cfg, geom, 30.0, None,
+                                      tmp_path)
+    assert outcome.reason == "no_forward_progress"
+
+
+@settings(max_examples=30, deadline=None)
+@given(roll_free_networks(max_segments=4),
+       st.floats(-360.0, 360.0) | st.sampled_from([-0.0, 0.0]),
+       st.booleans(), st.booleans(), st.sampled_from(DTS))
+def test_run_mission_matches_stepwise_on_generated_networks(
+        tmp_path_factory, net, theta5, align_elbow, with_holonomic, dt):
+    cfg = PlannerConfig(align_elbow=align_elbow)
+    try:
+        plan = plan_mission(net, theta5, cfg, REFERENCE_GEOMETRY,
+                            with_holonomic=with_holonomic)
+    except (PlanError, NoEscapeError):
+        return  # a turn the robot cannot take
+    assert_matches_stepwise(net, plan, cfg, REFERENCE_GEOMETRY, theta5, dt,
+                            tmp_path_factory.mktemp("csv"))
