@@ -33,7 +33,7 @@ from .planner import (REFERENCE_GEOMETRY, MissionStep, PlannerConfig,
                       plan_from_dict, plan_mission, plan_straight, plan_tee,
                       plan_to_dict, plan_to_json, region_for_tee)
 from .sim import (TRAJECTORY_CSV_HEADER, MissionOutcome, MonteCarloResult,
-                  SimState, TrajectoryRecord, monte_carlo_tee,
+                  SimState, Trajectory, TrajectoryRecord, monte_carlo_tee,
                   outcome_to_json, run_mission, step, success_set,
                   write_trajectory_csv)
 from .singularity import (CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD,

@@ -26,6 +26,14 @@ records.  step is the public one-interval API; it and run_mission share
 one helper for the roll update and the segment-boundary crossing, so
 both follow the same arithmetic.
 
+run_mission returns its records as a Trajectory, stored by column: per
+substep, plain numbers and strings plus a reference to the step's shared
+(command, twist, signs) tuple.  A mission therefore keeps no object per
+substep for the cyclic garbage collector; kept as objects, thousands of
+live records per mission reach its oldest generation and set off a full
+collection every few missions.  Records are built on indexing or
+iteration.
+
 theta5 is degrees in [0, 360) relative to the next upcoming turn's plane
 and is shifted at segment boundaries per pipenet.reference_rolls; alpha
 (module self-rotation) is radians, accumulated without wrapping.
@@ -45,6 +53,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +70,10 @@ from .planner import (MissionStep, PlannerConfig, StepKind,
 from .singularity import ORIENTATION_PERIOD_DEG, in_singularity
 
 __all__ = [
-    "SimState", "TrajectoryRecord", "MissionOutcome", "MonteCarloResult",
-    "drive_sign", "step", "run_mission", "success_set", "monte_carlo_tee",
-    "wilson_interval", "write_trajectory_csv", "TRAJECTORY_CSV_HEADER",
+    "SimState", "TrajectoryRecord", "Trajectory", "MissionOutcome",
+    "MonteCarloResult", "drive_sign", "step", "run_mission", "success_set",
+    "monte_carlo_tee", "wilson_interval", "write_trajectory_csv",
+    "TRAJECTORY_CSV_HEADER",
 ]
 
 _log = logging.getLogger(__name__)
@@ -102,6 +112,62 @@ class TrajectoryRecord:
     drive_signs: tuple[int, int, int]
     singular: bool
     event: str = ""
+
+
+class Trajectory(Sequence):
+    """run_mission's records, one per substep, stored by column.
+
+    The state columns hold plain numbers and strings; each row refers to
+    its step's shared (command, twist, drive signs) tuple.  No object is
+    kept per row, so a long trajectory gives the cyclic garbage collector
+    nothing to scan or promote while a mission runs.  Indexing and
+    iteration build TrajectoryRecord values on demand.
+    """
+
+    def __init__(self):
+        self._time_s: list[float] = []
+        self._segment_index: list[int] = []
+        self._s_mm: list[float] = []
+        self._theta5_deg: list[float] = []
+        self._drive: list[tuple] = []
+        self._singular: list[bool] = []
+        self._event: list[str] = []
+
+    def append(self, time_s: float, segment_index: int, s_mm: float,
+               theta5_deg: float, drive: tuple, singular: bool,
+               event: str) -> None:
+        self._time_s.append(time_s)
+        self._segment_index.append(segment_index)
+        self._s_mm.append(s_mm)
+        self._theta5_deg.append(theta5_deg)
+        self._drive.append(drive)
+        self._singular.append(singular)
+        self._event.append(event)
+
+    def rows(self):
+        """(time_s, segment_index, s_mm, theta5_deg, (command, twist,
+        drive_signs), singular, event) per record, without building it."""
+        return zip(self._time_s, self._segment_index, self._s_mm,
+                   self._theta5_deg, self._drive, self._singular,
+                   self._event)
+
+    def __len__(self) -> int:
+        return len(self._time_s)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        cmd, twist, signs = self._drive[i]
+        return TrajectoryRecord(
+            self._time_s[i], self._segment_index[i], self._s_mm[i],
+            self._theta5_deg[i], cmd, twist, signs, self._singular[i],
+            self._event[i])
+
+    def __iter__(self):
+        for t, index, s, theta5, (cmd, twist, signs), singular, event \
+                in self.rows():
+            yield TrajectoryRecord(t, index, s, theta5, cmd, twist, signs,
+                                   singular, event)
 
 
 @dataclass(frozen=True)
@@ -205,7 +271,7 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
 def run_mission(net: PipeNetwork, plan: list[MissionStep],
                 cfg: PlannerConfig, geom: RobotGeometry,
                 theta5_deg: float = 0.0, dt: float | None = 0.01
-                ) -> tuple[MissionOutcome, list[TrajectoryRecord]]:
+                ) -> tuple[MissionOutcome, Trajectory]:
     """Execute a step schedule along the network.
 
     At each tee-turn onset the singularity predicate decides survival: a
@@ -233,7 +299,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
         raise SimulationError(f"dt={dt} needs over {MAX_SUBSTEPS} substeps")
     index, s, theta5 = 0, 0.0, wrap(theta5_deg, 360.0)
     alpha, t = (0.0, 0.0, 0.0), 0.0
-    records: list[TrajectoryRecord] = []
+    records = Trajectory()
     events: list[str] = []
     failure: str | None = None
     done = False
@@ -243,11 +309,9 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
         if (mstep.kind is StepKind.TURN_TEE
                 and _tee_singular(net.segments[index], theta5, cfg, geom)):
             events.append("singularity_at_turn_onset")
-            records.append(TrajectoryRecord(
-                time_s=t, segment_index=index, s_mm=s, theta5_deg=theta5,
-                command=cmd, twist=TwistVector(0.0, 0.0, 0.0, 0.0),
-                drive_signs=(0, 0, 0), singular=True,
-                event="singularity_at_turn_onset"))
+            records.append(t, index, s, theta5,
+                           (cmd, TwistVector(0.0, 0.0, 0.0, 0.0), (0, 0, 0)),
+                           True, "singularity_at_turn_onset")
             failure = "singularity"
             break
 
@@ -257,23 +321,23 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
         stall_check = (mstep.kind is not StepKind.HOLONOMIC_ROTATE
                        and max(abs(cmd.theta_dot_1), abs(cmd.theta_dot_2),
                                abs(cmd.theta_dot_3)) > _ZERO_TOL)
-        twists: dict[tuple[int, ...], TwistVector] = {}
-        twist = checked_index = None
+        drives: dict[tuple[int, ...], tuple] = {}
+        drive = checked_index = None
         duration = mstep.duration_s
         h_regular = duration if dt is None else dt
         for k in range(n):
             h = h_regular if k < n - 1 else duration - h_regular * (n - 1)
             if h <= 1e-15:
                 continue
-            if rolling or twist is None:
+            if rolling or drive is None:
                 signs = tuple(drive_sign(a, cfg.deadband_rad) for a in alpha)
-                if signs not in twists:
+                if signs not in drives:
                     # a step that drives while it rolls changes its twist
                     # whenever a module crosses a 90 deg drive line
-                    twists[signs] = forward_kinematics(
-                        signed_drive(cmd, signs), geom)
-                twist = twists[signs]
-                v_cz = float(twist.v_cz)
+                    drives[signs] = (cmd, forward_kinematics(
+                        signed_drive(cmd, signs), geom), signs)
+                drive = drives[signs]
+                v_cz = float(drive[1].v_cz)
             index, s, theta5, alpha, event = _advance(
                 net, geom, index, s + v_cz * h, theta5, alpha,
                 cmd.theta_dot_4 * h)
@@ -283,9 +347,8 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
                                          geom)
                 checked_index = index
             if k == 0 and stall_check and abs(v_cz) < _ZERO_TOL:
-                records.append(TrajectoryRecord(
-                    t, index, s, theta5, cmd, twist, signs, singular,
-                    "no_forward_progress"))
+                records.append(t, index, s, theta5, drive, singular,
+                               "no_forward_progress")
                 events.append("no_forward_progress")
                 failure = "no_forward_progress"
                 break
@@ -293,8 +356,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
                 event = "singular_mid_turn"
             if event and event not in events:
                 events.append(event)
-            records.append(TrajectoryRecord(t, index, s, theta5, cmd, twist,
-                                            signs, singular, event))
+            records.append(t, index, s, theta5, drive, singular, event)
             if event == "end_of_network":
                 done = True
                 break
@@ -487,32 +549,36 @@ TRAJECTORY_CSV_HEADER = ("time_s,segment,s_mm,theta5_deg,th1,th2,th3,th4,"
                          "wx,wy,wz,vcz,sign1,sign2,sign3,singular,event")
 
 
-def write_trajectory_csv(records: list[TrajectoryRecord], path) -> None:
+def write_trajectory_csv(records: Iterable[TrajectoryRecord], path) -> None:
     """Write records as CSV, one row per integration substep.
 
     Floats are repr-rounded (shortest round-trip form), so identical runs
     produce byte-identical files.  The command, twist and sign columns
     are formatted once per run of records sharing those objects, as the
-    records of one mission step do; rows stream to the file.
+    records of one mission step do; rows stream to the file.  A
+    Trajectory is read by column, without building its records.
     """
+    rows = (records.rows() if isinstance(records, Trajectory) else
+            ((r.time_s, r.segment_index, r.s_mm, r.theta5_deg,
+              (r.command, r.twist, r.drive_signs), r.singular, r.event)
+             for r in records))
     with open(path, "w", newline="") as f:
         f.write(TRAJECTORY_CSV_HEADER + "\n")
         last = middle = None
-        for r in records:
-            c, t, signs = r.command, r.twist, r.drive_signs
+        for time_s, index, s, theta5, drive, singular, event in rows:
+            c, t, signs = drive
             # by identity: an equal twist may differ in the sign of a zero
             if last is None or not (c is last[0] and t is last[1]
                                     and signs == last[2]):
-                last = (c, t, signs)
+                last = drive
                 middle = ",".join(
                     [repr(float(x)) for x in (
                         c.theta_dot_1, c.theta_dot_2, c.theta_dot_3,
                         c.theta_dot_4, t.omega_x, t.omega_y, t.omega_z,
                         t.v_cz)]
                     + [str(sign) for sign in signs])
-            f.write(f"{float(r.time_s)!r},{r.segment_index},"
-                    f"{float(r.s_mm)!r},{float(r.theta5_deg)!r},{middle},"
-                    f"{int(r.singular)},{r.event}\n")
+            f.write(f"{float(time_s)!r},{index},{float(s)!r},"
+                    f"{float(theta5)!r},{middle},{int(singular)},{event}\n")
 
 
 def outcome_to_json(outcome: MissionOutcome) -> str:

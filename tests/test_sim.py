@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
                       MissionStep, NoEscapeError, PipeNetwork, PlanError,
                       PlannerConfig, SegmentKind, SimState, SimulationError,
-                      StepKind, TeeExit, TrajectoryRecord,
+                      StepKind, TeeExit, Trajectory, TrajectoryRecord,
                       TRAJECTORY_CSV_HEADER, TwistVector, drive_sign, elbow,
                       failure_probability, in_singularity, monte_carlo_tee,
                       outcome_to_json, plan_mission, region_for_tee, roll,
@@ -536,6 +537,40 @@ def test_csv_output_is_byte_identical_across_runs(cfg, geom, tee_net,
         write_trajectory_csv(records, path)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_trajectory_is_a_sequence_of_records(cfg, geom, tee_net, tmp_path):
+    # theta5 = 0 takes the escape, so a roll step's signs vary by row
+    plan = plan_mission(tee_net, 0.0, cfg, geom)
+    _, records = run_mission(tee_net, plan, cfg, geom, theta5_deg=0.0)
+    assert isinstance(records, Trajectory)
+    built = list(records)
+    assert len(built) == len(records) > 1000
+    assert all(isinstance(r, TrajectoryRecord) for r in built)
+    assert [records[i] for i in range(len(records))] == built
+    assert records[-1] == built[-1] and records[-3:] == built[-3:]
+    assert len({r.drive_signs for r in built}) > 1
+    write_trajectory_csv(records, tmp_path / "columns.csv")
+    write_trajectory_csv(built, tmp_path / "records.csv")
+    assert ((tmp_path / "columns.csv").read_bytes()
+            == (tmp_path / "records.csv").read_bytes())
+
+
+def test_run_mission_keeps_no_collector_object_per_record(cfg, geom,
+                                                          tee_net):
+    # records held as objects would reach the old generations on every
+    # long mission and make full collections periodic
+    plan = plan_mission(tee_net, 0.0, cfg, geom)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        _, records = run_mission(tee_net, plan, cfg, geom, theta5_deg=0.0)
+        kept = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(records) > 1000
+    assert kept < 100
 
 
 def test_csv_formats_equal_twists_that_differ_in_a_signed_zero(tmp_path):
