@@ -223,6 +223,16 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
     return [step], theta5, alpha
 
 
+def _timed(duration_s: float, speed: float) -> float:
+    """A step duration derived from straight_speed ``speed``; PlanError
+    when it is not finite and positive, e.g. an extreme speed that made
+    it overflow or underflow."""
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise PlanError(f"straight_speed {speed} mm/s is out of range: it "
+                        f"gives a step duration of {duration_s} s")
+    return duration_s
+
+
 def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
                   alpha_rad: tuple[float, ...] = (0.0,) * 3,
                   segment_index: int | None = None) -> MissionStep:
@@ -235,7 +245,8 @@ def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
                        command=signed_drive(
                            CommandVector(rate, rate, rate, 0.0),
                            _preflip_signs(alpha_rad, cfg)),
-                       duration_s=length_mm / cfg.straight_speed,
+                       duration_s=_timed(length_mm / cfg.straight_speed,
+                                         cfg.straight_speed),
                        segment_index=segment_index)
 
 
@@ -301,7 +312,8 @@ def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
         _preflip_signs(alpha, cfg))
     steps.append(MissionStep(
         kind=StepKind.TURN_ELBOW, command=command,
-        duration_s=segment.arc_length() / cfg.straight_speed,
+        duration_s=_timed(segment.arc_length() / cfg.straight_speed,
+                          cfg.straight_speed),
         segment_index=segment_index))
     return steps, theta5, alpha
 
@@ -327,13 +339,18 @@ def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
             f"differential turn bottoms out at {bound} mm")
     signs = np.ones(3)
     omega = speed / equivalent_radius
-    for _ in range(4):
-        omega = (speed * float(np.sum(signs))
-                 / (3.0 * equivalent_radius - float(signs @ w)))
-        new_signs = np.where(speed + omega * w >= 0.0, 1.0, -1.0)
-        if np.array_equal(new_signs, signs):
-            return omega
-        signs = new_signs
+    # an extreme speed may overflow here; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(4):
+            omega = (speed * float(np.sum(signs))
+                     / (3.0 * equivalent_radius - float(signs @ w)))
+            new_signs = np.where(speed + omega * w >= 0.0, 1.0, -1.0)
+            if np.array_equal(new_signs, signs):
+                break
+            signs = new_signs
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise PlanError(f"straight_speed {speed} mm/s is out of range: it "
+                        f"gives a turn rate of {omega} rad/s")
     return omega
 
 
@@ -388,14 +405,15 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     if segment.exit is TeeExit.THROUGH:
         steps.append(MissionStep(
             kind=StepKind.DRIVE, command=drive,
-            duration_s=segment.arc_length() / speed,
+            duration_s=_timed(segment.arc_length() / speed, speed),
             segment_index=segment_index, note="cross junction"))
         return steps, theta5, alpha
 
     approach = cfg.tee_trigger_fraction * d
     steps.append(MissionStep(
         kind=StepKind.DRIVE, command=drive,
-        duration_s=approach / speed, segment_index=segment_index,
+        duration_s=_timed(approach / speed, speed),
+        segment_index=segment_index,
         note="approach junction"))
 
     axis = (-math.sin(math.radians(theta5)), math.cos(math.radians(theta5)))
@@ -405,7 +423,7 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     steps.append(MissionStep(
         kind=StepKind.TURN_TEE,
         command=signed_drive(inverse_kinematics(twist, geom), signs),
-        duration_s=(math.pi / 2.0) / omega,
+        duration_s=_timed((math.pi / 2.0) / omega, speed),
         trigger="head_fraction", trigger_fraction=cfg.tee_trigger_fraction,
         segment_index=segment_index, note="turn into branch"))
 
@@ -414,7 +432,8 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     if remainder > 1e-9:
         steps.append(MissionStep(
             kind=StepKind.DRIVE, command=drive,
-            duration_s=remainder / speed, segment_index=segment_index,
+            duration_s=_timed(remainder / speed, speed),
+            segment_index=segment_index,
             note="exit junction"))
     return steps, theta5, alpha
 

@@ -18,21 +18,29 @@ one substep per step without loss.
 run_mission works per mission step, not per substep.  On a step that does
 not roll (theta_dot_4 == 0) alpha is fixed, so the drive signs and the
 twist are computed once before the substeps, and the tee check again
-only after a segment boundary; the substeps advance s, time and theta5
-alone.  A roll step recomputes the signs each substep and the twist once
-per distinct sign tuple.  The records of one step share its command and
-twist objects, which write_trajectory_csv formats once per run of
-records.  step is the public one-interval API; it and run_mission share
-one helper for the roll update and the segment-boundary crossing, so
-both follow the same arithmetic.
+only after a segment boundary.  Between two boundary crossings such a
+step's whole substeps differ only in time and s: they form a block,
+built in one pass with itertools.accumulate, whose sums are the scalar
+path's own additions in its order, so every value is bit-identical to
+it.  bisect finds the substep that crosses the next boundary; that
+substep, the step's first and its last (partial) substep go through the
+scalar path, which keeps the stall check and the boundary crossing.  A
+roll step takes the scalar path throughout, recomputing the signs each
+substep and the twist once per distinct sign tuple.  step is the public
+one-interval API; it and the scalar path share one helper for the roll
+update and the segment-boundary crossing, so both follow the same
+arithmetic.
 
-run_mission returns its records as a Trajectory, stored by column: per
-substep, plain numbers and strings plus a reference to the step's shared
-(command, twist, signs) tuple.  A mission therefore keeps no object per
-substep for the cyclic garbage collector; kept as objects, thousands of
-live records per mission reach its oldest generation and set off a full
-collection every few missions.  Records are built on indexing or
-iteration.
+run_mission returns its records as a Trajectory, stored in blocks: each
+block keeps segment, theta5, the step's shared (command, twist, signs)
+tuple, singular and event once, and its rows' times and arc lengths in
+two flat columns (a scalar row is a block of one).  A mission therefore
+keeps no object per substep for the cyclic garbage collector; kept as
+objects, thousands of live records per mission reach its oldest
+generation and set off a full collection every few missions.  Records
+are built on indexing or iteration.  write_trajectory_csv formats a
+block's constant columns once and each of its rows with two float
+reprs.
 
 theta5 is degrees in [0, 360) relative to the next upcoming turn's plane
 and is shifted at segment boundaries per pipenet.reference_rolls; alpha
@@ -53,8 +61,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import neg
 
 import numpy as np
 
@@ -115,41 +126,58 @@ class TrajectoryRecord:
 
 
 class Trajectory(Sequence):
-    """run_mission's records, one per substep, stored by column.
+    """run_mission's records, one per substep, stored in blocks.
 
-    The state columns hold plain numbers and strings; each row refers to
-    its step's shared (command, twist, drive signs) tuple.  No object is
-    kept per row, so a long trajectory gives the cyclic garbage collector
-    nothing to scan or promote while a mission runs.  Indexing and
-    iteration build TrajectoryRecord values on demand.
+    A block is a run of rows that differ only in time_s and s_mm: it
+    keeps segment, theta5, the shared (command, twist, drive signs)
+    tuple, singular and event once, and its rows' times and arc lengths
+    in two flat columns.  No object is kept per row or per block, so a
+    long trajectory gives the cyclic garbage collector nothing to scan
+    or promote while a mission runs.  Indexing and iteration build
+    TrajectoryRecord values on demand.
     """
 
     def __init__(self):
-        self._time_s: list[float] = []
+        # per block: its first row and its constant columns
+        self._start: list[int] = []
         self._segment_index: list[int] = []
-        self._s_mm: list[float] = []
         self._theta5_deg: list[float] = []
         self._drive: list[tuple] = []
         self._singular: list[bool] = []
         self._event: list[str] = []
+        # per row
+        self._time_s: list[float] = []
+        self._s_mm: list[float] = []
 
     def append(self, time_s: float, segment_index: int, s_mm: float,
                theta5_deg: float, drive: tuple, singular: bool,
                event: str) -> None:
-        self._time_s.append(time_s)
+        """Add one row, as a block of its own."""
+        self.extend([time_s], segment_index, [s_mm], theta5_deg, drive,
+                    singular, event)
+
+    def extend(self, times: list[float], segment_index: int,
+               s_mm: list[float], theta5_deg: float, drive: tuple,
+               singular: bool, event: str) -> None:
+        """Add a block: one row per entry of ``times`` and ``s_mm``."""
+        self._start.append(len(self._time_s))
         self._segment_index.append(segment_index)
-        self._s_mm.append(s_mm)
         self._theta5_deg.append(theta5_deg)
         self._drive.append(drive)
         self._singular.append(singular)
         self._event.append(event)
+        self._time_s += times
+        self._s_mm += s_mm
 
-    def rows(self):
-        """(time_s, segment_index, s_mm, theta5_deg, (command, twist,
-        drive_signs), singular, event) per record, without building it."""
-        return zip(self._time_s, self._segment_index, self._s_mm,
-                   self._theta5_deg, self._drive, self._singular,
-                   self._event)
+    def blocks(self):
+        """(segment_index, theta5_deg, (command, twist, drive_signs),
+        singular, event, time_s list, s_mm list) per block."""
+        ends = self._start[1:] + [len(self._time_s)]
+        for start, end, index, theta5, drive, singular, event in zip(
+                self._start, ends, self._segment_index, self._theta5_deg,
+                self._drive, self._singular, self._event):
+            yield (index, theta5, drive, singular, event,
+                   self._time_s[start:end], self._s_mm[start:end])
 
     def __len__(self) -> int:
         return len(self._time_s)
@@ -157,17 +185,20 @@ class Trajectory(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        cmd, twist, signs = self._drive[i]
+        i = range(len(self))[i]
+        b = bisect_right(self._start, i) - 1
+        cmd, twist, signs = self._drive[b]
         return TrajectoryRecord(
-            self._time_s[i], self._segment_index[i], self._s_mm[i],
-            self._theta5_deg[i], cmd, twist, signs, self._singular[i],
-            self._event[i])
+            self._time_s[i], self._segment_index[b], self._s_mm[i],
+            self._theta5_deg[b], cmd, twist, signs, self._singular[b],
+            self._event[b])
 
     def __iter__(self):
-        for t, index, s, theta5, (cmd, twist, signs), singular, event \
-                in self.rows():
-            yield TrajectoryRecord(t, index, s, theta5, cmd, twist, signs,
-                                   singular, event)
+        for index, theta5, (cmd, twist, signs), singular, event, times, \
+                ss in self.blocks():
+            for t, s in zip(times, ss):
+                yield TrajectoryRecord(t, index, s, theta5, cmd, twist,
+                                       signs, singular, event)
 
 
 @dataclass(frozen=True)
@@ -236,6 +267,33 @@ def _advance(net: PipeNetwork, geom: RobotGeometry, index: int, s: float,
         theta5 = shift_reference(theta5, net, index + 1, index)
         s += net.segments[index].arc_length()
     return index, s, theta5, alpha, event
+
+
+def _stay_on_segment(s: float, ds: float, m: int, length: float
+                     ) -> list[float]:
+    """s after each of up to ``m`` substeps of travel ``ds``, cut before
+    the first that leaves the segment [0, length] beyond _ZERO_TOL.
+
+    The sums are the scalar path's own additions in its order, so each
+    value is bit-identical to it; the substep that crosses a boundary is
+    left to _advance.  Only about as many sums as the distance to the
+    boundary allows are formed; bisect finds the exact cut in them.
+    """
+    if ds > 0.0:
+        room = (length + _ZERO_TOL - s) / ds
+    elif ds < 0.0:
+        room = (-_ZERO_TOL - s) / ds
+    else:
+        room = math.inf
+    take = m if not room < m else min(m, int(room) + 2)
+    ss = list(accumulate(repeat(ds, take), initial=s))
+    if ds > 0.0:
+        cut = bisect_right(ss, length + _ZERO_TOL, 1)
+    elif ds < 0.0:
+        cut = bisect_right(ss, _ZERO_TOL, 1, key=neg)
+    else:
+        cut = len(ss)
+    return ss[1:cut]
 
 
 def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
@@ -325,8 +383,35 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
         drive = checked_index = None
         duration = mstep.duration_s
         h_regular = duration if dt is None else dt
-        for k in range(n):
+        k = 0
+        while k < n:
+            if drive is not None and not rolling and k < n - 1:
+                # the whole substeps up to the next boundary crossing form
+                # one block: only time and s change along it
+                ss = _stay_on_segment(float(s), float(v_cz * h_regular),
+                                      n - 1 - k,
+                                      net.segments[index].arc_length())
+                if ss:
+                    # theta5 and alpha hold: the step's first substep has
+                    # made its zero roll, and a crossing shifts theta5
+                    # only to values that roll leaves as they are
+                    times = list(accumulate(repeat(float(h_regular),
+                                                   len(ss)),
+                                            initial=float(t)))
+                    del times[0]
+                    t, s = times[-1], ss[-1]
+                    event = ("singular_mid_turn"
+                             if mstep.kind is StepKind.TURN_TEE and singular
+                             else "")
+                    if event and event not in events:
+                        events.append(event)
+                    records.extend(times, index, ss, theta5, drive, singular,
+                                   event)
+                    k += len(ss)
+                    continue
             h = h_regular if k < n - 1 else duration - h_regular * (n - 1)
+            first = k == 0
+            k += 1
             if h <= 1e-15:
                 continue
             if rolling or drive is None:
@@ -346,7 +431,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
                 singular = _tee_singular(net.segments[index], theta5, cfg,
                                          geom)
                 checked_index = index
-            if k == 0 and stall_check and abs(v_cz) < _ZERO_TOL:
+            if first and stall_check and abs(v_cz) < _ZERO_TOL:
                 records.append(t, index, s, theta5, drive, singular,
                                "no_forward_progress")
                 events.append("no_forward_progress")
@@ -553,19 +638,22 @@ def write_trajectory_csv(records: Iterable[TrajectoryRecord], path) -> None:
     """Write records as CSV, one row per integration substep.
 
     Floats are repr-rounded (shortest round-trip form), so identical runs
-    produce byte-identical files.  The command, twist and sign columns
-    are formatted once per run of records sharing those objects, as the
-    records of one mission step do; rows stream to the file.  A
-    Trajectory is read by column, without building its records.
+    produce byte-identical files.  A Trajectory is written block by
+    block, without building its records: the columns a block holds once
+    are formatted once into a row template, each row adds the reprs of
+    its time and arc length, and the block goes out in one write.  The
+    command, twist and sign columns are formatted once per run of blocks
+    sharing those objects, as the blocks of one mission step do.  Other
+    records are written one row per block.
     """
-    rows = (records.rows() if isinstance(records, Trajectory) else
-            ((r.time_s, r.segment_index, r.s_mm, r.theta5_deg,
-              (r.command, r.twist, r.drive_signs), r.singular, r.event)
-             for r in records))
+    blocks = (records.blocks() if isinstance(records, Trajectory) else
+              ((r.segment_index, r.theta5_deg,
+                (r.command, r.twist, r.drive_signs), r.singular, r.event,
+                (r.time_s,), (r.s_mm,)) for r in records))
     with open(path, "w", newline="") as f:
         f.write(TRAJECTORY_CSV_HEADER + "\n")
         last = middle = None
-        for time_s, index, s, theta5, drive, singular, event in rows:
+        for index, theta5, drive, singular, event, times, ss in blocks:
             c, t, signs = drive
             # by identity: an equal twist may differ in the sign of a zero
             if last is None or not (c is last[0] and t is last[1]
@@ -577,8 +665,12 @@ def write_trajectory_csv(records: Iterable[TrajectoryRecord], path) -> None:
                         c.theta_dot_4, t.omega_x, t.omega_y, t.omega_z,
                         t.v_cz)]
                     + [str(sign) for sign in signs])
-            f.write(f"{float(time_s)!r},{index},{float(s)!r},"
-                    f"{float(theta5)!r},{middle},{int(singular)},{event}\n")
+            # an f-string row template formats faster than str.format
+            head = f",{index},"
+            tail = f",{float(theta5)!r},{middle},{int(singular)},{event}\n"
+            f.write("".join([f"{time_s!r}{head}{s_mm!r}{tail}"
+                             for time_s, s_mm in zip(map(float, times),
+                                                     map(float, ss))]))
 
 
 def outcome_to_json(outcome: MissionOutcome) -> str:

@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omnipipe
-from omnipipe import (CommandVector, forward_kinematics, network_to_json)
+from omnipipe import (CommandVector, PipeNetwork, forward_kinematics,
+                      network_to_json, straight, tee)
 from omnipipe.cli import main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -158,6 +161,23 @@ def test_non_finite_planner_input_exits_3(capsys, net_file, tmp_path,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["plan", "simulate", "montecarlo"])
+@pytest.mark.parametrize("speed", ["1e308", "1e-320"])
+def test_out_of_range_speed_exits_3_naming_straight_speed(
+        capsys, net_file, tmp_path, command, speed):
+    # 1e308 overflows the tee turn rate, 1e-320 makes a drive step last
+    # forever; both are valid floats that PlannerConfig accepts
+    extra = (["--trials", "20"] if command == "montecarlo"
+             else ["--theta5", "76.435"])
+    code, out, err = run_cli(capsys, command, "--network", str(net_file),
+                             "--speed", speed, *extra,
+                             "--out", str(tmp_path / "run"))
+    assert code == 3
+    assert err.startswith(f"error: straight_speed {float(speed)!r} mm/s is "
+                          f"out of range") and out == ""
+    assert not (tmp_path / "run").exists()
+
+
 def test_invalid_network_document_exits_2(capsys, tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps({"segments": [
@@ -279,6 +299,78 @@ def test_montecarlo_writes_nothing_to_stderr_by_default(net_file, tmp_path):
             "--out", str(tmp_path), *extra)
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stderr == b""
+
+
+def test_main_carries_no_state_between_calls(capsys, net_file, tmp_path):
+    args = ("simulate", "--network", str(net_file), "--theta5", "30")
+    code, _, _ = run_cli(capsys, *args, "--dt", "0.02",
+                         "--out", str(tmp_path / "dt"))
+    assert code == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main([*args, "--bogus"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: omnipipe")
+    assert "unrecognized arguments: --bogus" in err
+    code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "default"))
+    assert code == 0
+    # each call wrote what a fresh process writes for the same arguments
+    for name, flags in (("dt", ("--dt", "0.02")), ("default", ())):
+        proc = run_console_script(*args, *flags,
+                                  "--out", str(tmp_path / f"fresh-{name}"))
+        assert proc.returncode == 0, proc.stderr.decode()
+        for output in ("trajectory.csv", "outcome.json"):
+            assert ((tmp_path / name / output).read_bytes()
+                    == (tmp_path / f"fresh-{name}" / output).read_bytes())
+
+
+_EXTREMES = ["0", "-0", "inf", "-inf", "nan", "1e308", "-1e308", "1e-308",
+             "-1e-308", "1e-320", "-1e-320", "-1", "-45.5"]
+_FLAGS = {
+    "plan": ["--speed", "--trigger-fraction", "--deadband", "--rotate-rate",
+             "--theta5"],
+    "simulate": ["--speed", "--trigger-fraction", "--deadband",
+                 "--rotate-rate", "--theta5", "--dt"],
+    "montecarlo": ["--speed", "--trigger-fraction", "--deadband",
+                   "--rotate-rate"],
+    "sector": ["--d", "--reach"],
+}
+
+
+@st.composite
+def extreme_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    value = st.sampled_from(_EXTREMES) | st.floats().map(repr)
+    argv = [command]
+    for flag in _FLAGS[command]:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(value)}")
+    if command == "montecarlo":
+        # trial counts stay small; the draws are not what is under test
+        argv.append(f"--trials={draw(st.integers(-1, 1000))}")
+    if command != "sector" and draw(st.booleans()):
+        argv.append("--no-holonomic")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(extreme_argv())
+def test_cli_ends_in_a_documented_exit_code_on_extreme_values(
+        tmp_path_factory, argv):
+    # every call ends in a documented exit code, never a traceback
+    base = tmp_path_factory.getbasetemp() / "extreme-values"
+    net = base / "net.json"
+    if not net.exists():
+        base.mkdir(exist_ok=True)
+        net.write_text(network_to_json(PipeNetwork((
+            straight(160.0, 500.0), tee(160.0), straight(160.0, 300.0)))))
+    if argv[0] != "sector":
+        argv += ["--network", str(net), "--out", str(base / "out")]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code in (0, 2, 3, 4, 5)
 
 
 def _declared_console_script() -> str:

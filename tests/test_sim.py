@@ -19,8 +19,8 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
                       rolling_gain, run_mission, step, straight, success_set,
                       tee, write_trajectory_csv)
 from omnipipe.intervals import measure, wrap
-from omnipipe.sim import (_CHUNK, MAX_SUBSTEPS, _count_successes,
-                          wilson_interval)
+from omnipipe.sim import (_CHUNK, _ZERO_TOL, MAX_SUBSTEPS, _count_successes,
+                          _stay_on_segment, wilson_interval)
 
 D = 160.0
 RATE = 100.0 / 15.0
@@ -663,9 +663,11 @@ def assert_matches_stepwise(net, plan, cfg, geom, theta5, dt, tmp_dir):
     ref_outcome, ref_records = stepwise_run(net, plan, cfg, geom, theta5, dt)
     assert outcome == ref_outcome
     write_trajectory_csv(records, tmp_dir / "fast.csv")
+    write_trajectory_csv(list(records), tmp_dir / "built.csv")
     write_trajectory_csv(ref_records, tmp_dir / "ref.csv")
-    assert ((tmp_dir / "fast.csv").read_bytes()
-            == (tmp_dir / "ref.csv").read_bytes())
+    ref = (tmp_dir / "ref.csv").read_bytes()
+    assert (tmp_dir / "fast.csv").read_bytes() == ref
+    assert (tmp_dir / "built.csv").read_bytes() == ref
     return outcome
 
 
@@ -752,5 +754,121 @@ def test_run_mission_matches_stepwise_on_generated_networks(
                             with_holonomic=with_holonomic)
     except (PlanError, NoEscapeError):
         return  # a turn the robot cannot take
+    assert_matches_stepwise(net, plan, cfg, REFERENCE_GEOMETRY, theta5, dt,
+                            tmp_path_factory.mktemp("csv"))
+
+
+# -- step blocks: whole substeps between boundary crossings ---------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 50.0), st.floats(-7.0, 7.0) | st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300]), st.integers(0, 60),
+       st.floats(0.01, 50.0))
+def test_stay_on_segment_cuts_where_the_scalar_loop_crosses(s, ds, m,
+                                                            length):
+    s = min(s, length)
+    expected = []
+    for _ in range(m):
+        s_next = (expected[-1] if expected else s) + ds
+        if s_next > length + _ZERO_TOL or s_next < -_ZERO_TOL:
+            break
+        expected.append(s_next)
+    got = _stay_on_segment(s, ds, m, length)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+def short_straights_net():
+    """Straights shorter than one substep's travel (1 mm at dt 0.01, 3.7
+    mm at 0.037) between a branch tee and a through tee."""
+    return PipeNetwork((straight(D, 20.0), straight(D, 0.4),
+                        straight(D, 0.3), straight(D, 2.5), tee(D, 30.0),
+                        straight(D, 0.7),
+                        tee(D, 75.0, exit=TeeExit.THROUGH),
+                        straight(D, 40.0)))
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.037])
+@pytest.mark.parametrize("case", ["several crossings", "end mid-block",
+                                  "start on a reversing block",
+                                  "singular mid-turn"])
+def test_run_mission_matches_stepwise_across_crossings_inside_a_step(
+        cfg, geom, tmp_path, dt, case):
+    net = short_straights_net()
+    across = net.total_length() / 100.0  # seconds at 100 mm/s
+    back = CommandVector(-RATE, -RATE, -RATE, 0.0)
+    plan, expected = {
+        "several crossings": (
+            [MissionStep(kind=StepKind.DRIVE, command=DRIVE,
+                         duration_s=across - 0.05)], "incomplete"),
+        "end mid-block": (
+            [MissionStep(kind=StepKind.DRIVE, command=DRIVE,
+                         duration_s=2.0 * across)], "end_of_network"),
+        "start on a reversing block": (
+            [MissionStep(kind=StepKind.DRIVE, command=DRIVE,
+                         duration_s=0.6),
+             MissionStep(kind=StepKind.DRIVE, command=back,
+                         duration_s=1.5)], "start_of_network"),
+        # a turn step that starts on a straight passes the onset check and
+        # then runs inside the tee's region: its block rows carry the event
+        "singular mid-turn": (
+            [MissionStep(kind=StepKind.TURN_TEE, command=DRIVE,
+                         duration_s=1.0)], "singular_mid_turn"),
+    }[case]
+    outcome = assert_matches_stepwise(net, plan, cfg, geom, 0.0, dt,
+                                      tmp_path)
+    assert expected in (outcome.reason, *outcome.events)
+    _, records = run_mission(net, plan, cfg, geom, theta5_deg=0.0, dt=dt)
+    # the step crosses the three short straights into the branch tee
+    assert max(r.segment_index for r in records) >= 4
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3])
+@pytest.mark.parametrize("last", ["whole", "partial"])
+def test_run_mission_matches_stepwise_on_steps_of_few_substeps(
+        cfg, geom, tmp_path, substeps, last):
+    dt = 0.037
+    duration = dt * (substeps - (0.0 if last == "whole" else 0.5))
+    plan = [MissionStep(kind=StepKind.DRIVE, command=DRIVE,
+                        duration_s=duration)] * 80
+    outcome = assert_matches_stepwise(short_straights_net(), plan, cfg, geom,
+                                      30.0, dt, tmp_path)
+    assert outcome.reason in ("completed", "incomplete")
+
+
+@pytest.mark.parametrize("dt", DTS)
+@pytest.mark.parametrize("theta_dot_4", [0.0, -0.0])
+def test_run_mission_matches_stepwise_from_a_negative_zero_roll(
+        cfg, geom, tee_net, tmp_path, dt, theta_dot_4):
+    # the first substep turns theta5 = -0.0 into 0.0 when theta_dot_4 is
+    # 0.0 and keeps -0.0 when it is -0.0; the block after it must agree
+    plan = [MissionStep(kind=StepKind.DRIVE,
+                        command=CommandVector(RATE, RATE, RATE, theta_dot_4),
+                        duration_s=5.5)]
+    assert_matches_stepwise(tee_net, plan, cfg, geom, -0.0, dt, tmp_path)
+    _, records = run_mission(tee_net, plan, cfg, geom, theta5_deg=-0.0,
+                             dt=dt)
+    on_straight = [math.copysign(1.0, r.theta5_deg) for r in records
+                   if r.segment_index == 0]
+    assert on_straight == [math.copysign(1.0, theta_dot_4)] * len(on_straight)
+    assert (len(on_straight) > 100) is (dt is not None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(roll_free_networks(max_segments=4),
+       st.floats(-360.0, 360.0) | st.sampled_from([-0.0, 0.0]),
+       st.booleans(), st.integers(0, 40),
+       st.sampled_from([1.0 - 1e-9, 0.5 - 1e-9, 0.34]))
+def test_run_mission_matches_stepwise_at_a_dt_near_a_step_duration(
+        tmp_path_factory, net, theta5, with_holonomic, pick, share):
+    # a dt just below a step's duration (or its half or third) gives that
+    # step two to four substeps, so blocks of zero and one row occur
+    cfg = PlannerConfig()
+    try:
+        plan = plan_mission(net, theta5, cfg, REFERENCE_GEOMETRY,
+                            with_holonomic=with_holonomic)
+    except (PlanError, NoEscapeError):
+        return  # a turn the robot cannot take
+    total = sum(mstep.duration_s for mstep in plan)
+    dt = max(plan[pick % len(plan)].duration_s * share, total / 3000.0)
     assert_matches_stepwise(net, plan, cfg, REFERENCE_GEOMETRY, theta5, dt,
                             tmp_path_factory.mktemp("csv"))
