@@ -20,18 +20,17 @@ from .errors import (InsufficientReachError, InvalidGeometryError,
 from .kinematics import (ANGULAR_SPEED_EPS, CommandVector, ModuleVelocities,
                          RobotGeometry, TwistVector, center_velocity,
                          coriolis_transform, forward_kinematics,
-                         inverse_kinematics, jacobian,
+                         inverse_kinematics, jacobian, jacobian_inverse,
                          module_linear_velocities, module_positions,
                          radius_of_curvature, with_nominal_arms)
-from .pipenet import (Frame, PipeNetwork, PipeSegment, RatioMode,
-                      SegmentKind, TeeExit, centerline_pose, elbow,
-                      load_network, module_path_radii, network_from_dict,
-                      network_to_dict, network_to_json, reference_rolls,
-                      segment_frames, straight, tee)
+from .pipenet import (PipeNetwork, PipeSegment, RatioMode, SegmentKind,
+                      TeeExit, elbow, load_network, module_path_radii,
+                      network_from_dict, network_to_dict, network_to_json,
+                      reference_rolls, straight, tee)
 from .planner import (REFERENCE_GEOMETRY, MissionStep, PlannerConfig,
                       StepKind, holonomic_rotate_step, plan_elbow,
-                      plan_from_dict, plan_mission, plan_straight, plan_tee,
-                      plan_to_dict, plan_to_json, region_for_tee)
+                      plan_mission, plan_straight, plan_tee, plan_to_dict,
+                      plan_to_json, region_for_tee)
 from .sim import (TRAJECTORY_CSV_HEADER, MissionOutcome, MonteCarloResult,
                   SimState, Trajectory, TrajectoryRecord, monte_carlo_tee,
                   outcome_to_json, run_mission, step, success_set,

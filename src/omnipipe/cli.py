@@ -82,7 +82,7 @@ def _geometry_from_args(args) -> RobotGeometry:
     if args.geometry:
         try:
             loaded = json.loads(Path(args.geometry).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, json.JSONDecodeError, RecursionError) as e:
             raise ValueError(f"cannot read geometry file: {e}") from None
         if not isinstance(loaded, dict):
             raise ValueError("geometry file must hold a JSON object")
@@ -99,7 +99,9 @@ def _geometry_from_args(args) -> RobotGeometry:
         if val is not None:
             values[key] = val
     if values["a_offset"] is None:
-        values["a_offset"] = values["arm_length_l"] / 2.0
+        # l / 2, taken once RobotGeometry has checked l
+        geom = RobotGeometry(**{**values, "a_offset": values["arm_length_l"]})
+        return dataclasses.replace(geom, a_offset=geom.arm_length_l / 2.0)
     return RobotGeometry(**values)
 
 

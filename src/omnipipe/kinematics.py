@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,9 +62,10 @@ class RobotGeometry:
         for name in ("lug_radius_r", "arm_length_l", "a_offset",
                      "reach_min", "reach_max", "module_outer_radius"):
             value = getattr(self, name)
+            # the upper bound rejects inf, and ints past the float range
             if (isinstance(value, bool)
                     or not (isinstance(value, (int, float))
-                            and math.isfinite(value) and value > 0)):
+                            and 0 < value <= sys.float_info.max)):
                 raise InvalidGeometryError(f"{name} must be finite and > 0, got {value!r}")
         if not (self.reach_min <= self.arm_length_l <= self.reach_max):
             raise InvalidGeometryError(
@@ -229,6 +231,34 @@ def _cached_jacobian(geom: RobotGeometry) -> np.ndarray:
     return J
 
 
+@functools.lru_cache(maxsize=32)
+def jacobian_inverse(geom: RobotGeometry) -> np.ndarray:
+    """Closed-form inverse of ``jacobian(geom)``, shared and read-only.
+
+    With lever L = a + l: th1 = (v - 2 L wy / 3) / r,
+    th2,3 = (v + L wy / 3 -+ L wx / sqrt 3) / r and th4 = wz.  The
+    determinant, 2 sqrt(3) r^3 / (9 l^2) for the symmetric geometry, is
+    nonzero for every valid geometry.  Raises InvalidGeometryError where
+    L / r or 1 / r overflows a float (e.g. a + l above 1.8e308 mm).
+    """
+    r = geom.lug_radius_r
+    lever = geom.a_offset + geom.arm_length_l
+    x = lever / (math.sqrt(3.0) * r)
+    y = lever / (3.0 * r)
+    J_inv = np.array([
+        [0.0, -2.0 * y, 0.0, 1.0 / r],
+        [-x,   y,       0.0, 1.0 / r],
+        [x,    y,       0.0, 1.0 / r],
+        [0.0,  0.0,     1.0, 0.0],
+    ])
+    if not np.isfinite(J_inv).all():
+        raise InvalidGeometryError(
+            f"the Jacobian has no finite inverse: lever a + l = {lever} mm "
+            f"against lug radius r = {r} mm")
+    J_inv.setflags(write=False)
+    return J_inv
+
+
 def jacobian(geom: RobotGeometry) -> np.ndarray:
     """The 4x4 matrix mapping (th1., th2., th3., th4.) to (wx, wy, wz, v_cz).
 
@@ -246,19 +276,12 @@ def forward_kinematics(cmd: CommandVector, geom: RobotGeometry) -> TwistVector:
 
 
 def inverse_kinematics(twist: TwistVector, geom: RobotGeometry) -> CommandVector:
-    """Motor rates realizing a desired twist.
-
-    The Jacobian determinant is 2*sqrt(3) r^3 / (9 l^2) for the symmetric
-    geometry, nonzero whenever r, l > 0, so the map always inverts for a
-    valid geometry.  Raises InvalidGeometryError if the matrix is singular
-    anyway (defensive; cannot happen for a validated RobotGeometry).
-    """
-    try:
-        sol = np.linalg.solve(_cached_jacobian(geom), twist.as_array())
-    except np.linalg.LinAlgError as exc:
-        raise InvalidGeometryError(f"Jacobian is singular: {exc}") from exc
-    return CommandVector(theta_dot_1=sol[0], theta_dot_2=sol[1],
-                         theta_dot_3=sol[2], theta_dot_4=sol[3])
+    """Motor rates realizing a desired twist: ``omega_a = J^-1 @ V_a``."""
+    # CommandVector rejects the rates an extreme twist overflows to
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = jacobian_inverse(geom) @ twist.as_array()
+    return CommandVector(theta_dot_1=out[0], theta_dot_2=out[1],
+                         theta_dot_3=out[2], theta_dot_4=out[3])
 
 
 def radius_of_curvature(mv: ModuleVelocities, twist: TwistVector) -> float:

@@ -1,19 +1,15 @@
-"""Pipe network data model, JSON ingestion and centerline geometry.
+"""Pipe network data model and JSON ingestion.
 
 A network is an ordered list of segments (straight, elbow, tee); missions
 traverse the list in order, so no graph search is involved.  Segments
 carry everything the planner and simulator need: bore diameter, arc
 lengths, and the roll of each turn's plane.
 
-Conventions.  The first segment starts at the world origin with tangent
-+z, roll reference normals +x/+y.  An elbow with turn_plane_roll 0 bends
-toward +x of its local frame; frames transport through bends by rotating
-about the turn binormal, which introduces no roll twist.  The tee branch
-exit is modeled as a straight run of D/2 to the junction center followed
-by a 90 deg arc of configurable equivalent radius (default D/2); the
-through exit is a straight run of length D across the junction body.
-Path shape at tees is bookkeeping only, turn feasibility is judged by the
-singularity predicate.
+The tee branch exit is modeled as a straight run of D/2 to the junction
+center followed by a 90 deg arc of configurable equivalent radius
+(default D/2); the through exit is a straight run of length D across the
+junction body.  Path shape at tees is bookkeeping only, turn feasibility
+is judged by the singularity predicate.
 
 Robot roll theta5 is measured relative to the plane of the next upcoming
 turn; reference_rolls() gives each segment's reference so callers can
@@ -25,9 +21,8 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import NetworkValidationError
 
@@ -56,7 +51,7 @@ class RatioMode(enum.Enum):
 def _require_positive(value, name: str, *, finite_only: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise NetworkValidationError(f"{name} must be a number", field=name)
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # also an int past float range
         raise NetworkValidationError(f"{name} must be finite", field=name)
     if not finite_only and value <= 0:
         raise NetworkValidationError(f"{name} must be > 0, got {value}",
@@ -215,7 +210,7 @@ def _segment_from_dict(data: dict, index: int) -> PipeSegment:
         raise NetworkValidationError(f"segment {index} must be an object",
                                      segment_index=index)
     kind = data.get("kind")
-    if kind not in _FIELDS:
+    if not isinstance(kind, str) or kind not in _FIELDS:
         raise NetworkValidationError(
             f"segment {index}: kind must be one of "
             f"{sorted(_FIELDS)}, got {kind!r}",
@@ -268,7 +263,7 @@ def load_network(document: str) -> PipeNetwork:
     """Parse and validate a JSON network document."""
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise NetworkValidationError(f"invalid JSON: {e}") from None
     return network_from_dict(data)
 
@@ -296,104 +291,6 @@ def network_to_dict(net: PipeNetwork) -> dict:
 
 def network_to_json(net: PipeNetwork) -> str:
     return json.dumps(network_to_dict(net), sort_keys=True, indent=2)
-
-
-# -- Centerline geometry ----------------------------------------------------
-
-@dataclass(frozen=True)
-class Frame:
-    """Position plus right-handed orthonormal (tangent, n1, n2) triad."""
-    position: tuple[float, float, float]
-    tangent: tuple[float, float, float]
-    normal1: tuple[float, float, float]
-    normal2: tuple[float, float, float]
-
-    def arrays(self):
-        return (np.array(self.position), np.array(self.tangent),
-                np.array(self.normal1), np.array(self.normal2))
-
-
-_START = Frame((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
-               (0.0, 1.0, 0.0))
-
-
-def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    # Rodrigues rotation; axis must be unit length
-    return (v * math.cos(angle) + np.cross(axis, v) * math.sin(angle)
-            + axis * float(axis @ v) * (1.0 - math.cos(angle)))
-
-
-def _advance_straight(f: Frame, length: float) -> Frame:
-    p, t, n1, n2 = f.arrays()
-    return Frame(tuple(p + t * length), f.tangent, f.normal1, f.normal2)
-
-
-def _advance_arc(f: Frame, radius: float, angle: float,
-                 roll_deg: float) -> Frame:
-    """Advance through a circular bend toward the rolled turn direction."""
-    p, t, n1, n2 = f.arrays()
-    roll = math.radians(roll_deg)
-    d = n1 * math.cos(roll) + n2 * math.sin(roll)
-    w = np.cross(t, d)  # turn binormal, unit by construction
-    pos = p + radius * (d * (1.0 - math.cos(angle)) + t * math.sin(angle))
-    return Frame(tuple(pos),
-                 tuple(_rotate_about(t, w, angle)),
-                 tuple(_rotate_about(n1, w, angle)),
-                 tuple(_rotate_about(n2, w, angle)))
-
-
-def _advance_segment(f: Frame, seg: PipeSegment) -> Frame:
-    if seg.kind is SegmentKind.STRAIGHT:
-        return _advance_straight(f, seg.length_mm)
-    if seg.kind is SegmentKind.ELBOW:
-        return _advance_arc(f, seg.bend_radius_mm,
-                            math.radians(seg.bend_angle_deg),
-                            seg.turn_plane_roll_deg)
-    if seg.exit is TeeExit.THROUGH:
-        return _advance_straight(f, seg.d_mm)
-    f = _advance_straight(f, seg.d_mm / 2.0)
-    return _advance_arc(f, seg.tee_equivalent_radius, math.pi / 2.0,
-                        seg.branch_roll_deg)
-
-
-def segment_frames(net: PipeNetwork) -> list[Frame]:
-    """Start frame of every segment, first at the world origin along +z."""
-    frames = [_START]
-    for seg in net.segments[:-1]:
-        frames.append(_advance_segment(frames[-1], seg))
-    return frames
-
-
-def centerline_pose(net: PipeNetwork, segment_index: int, s: float) -> Frame:
-    """Frame of the centerline at arc length s into the given segment.
-
-    Position and tangent are continuous across segment boundaries.  Raises
-    ValueError when s lies outside [0, segment length] or the index is out
-    of range.
-    """
-    if not 0 <= segment_index < len(net.segments):
-        raise ValueError(f"segment index {segment_index} out of range")
-    seg = net.segments[segment_index]
-    length = seg.arc_length()
-    if not -1e-9 <= s <= length + 1e-9:
-        raise ValueError(
-            f"s={s} outside segment {segment_index} of length {length}")
-    s = min(max(s, 0.0), length)
-    f = segment_frames(net)[segment_index]
-    if seg.kind is SegmentKind.STRAIGHT:
-        return _advance_straight(f, s)
-    if seg.kind is SegmentKind.ELBOW:
-        return _advance_arc(f, seg.bend_radius_mm, s / seg.bend_radius_mm,
-                            seg.turn_plane_roll_deg)
-    if seg.exit is TeeExit.THROUGH:
-        return _advance_straight(f, s)
-    run = seg.d_mm / 2.0
-    if s <= run:
-        return _advance_straight(f, s)
-    f = _advance_straight(f, run)
-    return _advance_arc(f, seg.tee_equivalent_radius,
-                        (s - run) / seg.tee_equivalent_radius,
-                        seg.branch_roll_deg)
 
 
 # -- Module path radii through a bend (speed-ratio source) -------------------

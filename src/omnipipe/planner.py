@@ -35,11 +35,11 @@ from .drive import (DEFAULT_DEADBAND_DEG, drive_sign, roll, rolling_gain,
 from .errors import PlanError
 from .intervals import signed_delta, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
-                         inverse_kinematics, jacobian)
+                         inverse_kinematics, jacobian_inverse)
 from .pipenet import (PipeNetwork, PipeSegment, RatioMode, SegmentKind,
                       TeeExit, module_path_radii)
 from .singularity import (CALIBRATED_REACH_MM, SingularityRegion,
-                          escape_rotation, in_singularity, sweep_t_junction,
+                          escape_rotation, sweep_t_junction,
                           tee_sweep_tilt_limit)
 
 _TOL_DEG = 1e-9
@@ -70,8 +70,6 @@ class MissionStep:
     kind: StepKind
     command: CommandVector
     duration_s: float
-    trigger: str = "immediate"  # or "head_fraction"
-    trigger_fraction: float | None = None
     hazard_self_rotation: bool = False
     segment_index: int | None = None
     note: str = ""
@@ -79,14 +77,6 @@ class MissionStep:
     def __post_init__(self):
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise PlanError(f"duration must be > 0, got {self.duration_s}")
-        if self.trigger not in ("immediate", "head_fraction"):
-            raise PlanError(f"unknown trigger {self.trigger!r}")
-        if self.trigger == "head_fraction":
-            if self.trigger_fraction is None or not (
-                    0.0 < self.trigger_fraction <= 1.0):
-                raise PlanError(
-                    f"trigger fraction must lie in (0, 1], got "
-                    f"{self.trigger_fraction}")
 
     def roll_delta_deg(self) -> float:
         """theta5 change this step produces (nonzero only for rotations)."""
@@ -99,38 +89,14 @@ class MissionStep:
             "kind": self.kind.value,
             "command": list(self.command.as_array()),
             "duration_s": self.duration_s,
-            "trigger": self.trigger,
-            "trigger_fraction": self.trigger_fraction,
             "hazard_self_rotation": self.hazard_self_rotation,
             "segment_index": self.segment_index,
             "note": self.note,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MissionStep":
-        try:
-            th = [float(x) for x in data["command"]]
-            return cls(kind=StepKind(data["kind"]),
-                       command=CommandVector(*th),
-                       duration_s=float(data["duration_s"]),
-                       trigger=data.get("trigger", "immediate"),
-                       trigger_fraction=data.get("trigger_fraction"),
-                       hazard_self_rotation=bool(
-                           data.get("hazard_self_rotation", False)),
-                       segment_index=data.get("segment_index"),
-                       note=data.get("note", ""))
-        except (KeyError, TypeError, ValueError) as e:
-            raise PlanError(f"malformed step record: {e}") from None
-
 
 def plan_to_dict(steps: list[MissionStep]) -> dict:
     return {"steps": [s.to_dict() for s in steps]}
-
-
-def plan_from_dict(data: dict) -> list[MissionStep]:
-    if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
-        raise PlanError("plan document needs a 'steps' list")
-    return [MissionStep.from_dict(s) for s in data["steps"]]
 
 
 def plan_to_json(steps: list[MissionStep]) -> str:
@@ -146,7 +112,6 @@ class PlannerConfig:
     rotate_rate_rad_s: float = 0.5
     sweep_phi_max_deg: float | None = None  # None: equal-bore tilt limit
     align_elbow: bool = True
-    align_tee: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.straight_speed) and self.straight_speed > 0):
@@ -181,11 +146,6 @@ def region_for_tee(segment: PipeSegment, cfg: PlannerConfig,
                if cfg.sweep_phi_max_deg is not None
                else tee_sweep_tilt_limit(segment.d_mm, segment.d_mm))
     return _cached_region(segment.d_mm, geom.reach_max, phi_max)
-
-
-@functools.lru_cache(maxsize=16)
-def _jacobian_inverse(geom: RobotGeometry) -> np.ndarray:
-    return np.linalg.inv(jacobian(geom))
 
 
 def _preflip_signs(alpha_rad: tuple[float, ...],
@@ -330,7 +290,7 @@ def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
     unreachable.
     """
     w = geom.lug_radius_r * (
-        _jacobian_inverse(geom) @ np.array([axis_xy[0], axis_xy[1], 0.0, 0.0])
+        jacobian_inverse(geom) @ np.array([axis_xy[0], axis_xy[1], 0.0, 0.0])
     )[:3]
     bound = float(np.sum(np.abs(w))) / 3.0
     if equivalent_radius <= bound + 1e-9:
@@ -362,7 +322,7 @@ def forward_turn_radius(geom: RobotGeometry) -> float:
     scaled inverse Jacobian.  A radius above the largest row norm keeps
     every module driving forward, so omega is speed / R at every roll.
     """
-    rows = geom.lug_radius_r * _jacobian_inverse(geom)[:3, :2]
+    rows = geom.lug_radius_r * jacobian_inverse(geom)[:3, :2]
     return float(np.max(np.hypot(rows[:, 0], rows[:, 1])))
 
 
@@ -389,14 +349,12 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     speed = cfg.straight_speed
     rate = speed / geom.lug_radius_r
 
-    if segment.exit is TeeExit.THROUGH:
-        delta = (signed_delta(theta5_deg, _THROUGH_TARGET_DEG, 120.0)
-                 if with_holonomic and cfg.align_tee else 0.0)
-    elif with_holonomic and (cfg.align_tee or in_singularity(theta5_deg,
-                                                             region)):
-        delta = escape_rotation(theta5_deg, region)
-    else:
+    if not with_holonomic:
         delta = 0.0
+    elif segment.exit is TeeExit.THROUGH:
+        delta = signed_delta(theta5_deg, _THROUGH_TARGET_DEG, 120.0)
+    else:
+        delta = escape_rotation(theta5_deg, region)
     steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, d, cfg, geom,
                                   segment_index)
     signs = _preflip_signs(alpha, cfg)
@@ -424,7 +382,6 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
         kind=StepKind.TURN_TEE,
         command=signed_drive(inverse_kinematics(twist, geom), signs),
         duration_s=_timed((math.pi / 2.0) / omega, speed),
-        trigger="head_fraction", trigger_fraction=cfg.tee_trigger_fraction,
         segment_index=segment_index, note="turn into branch"))
 
     remainder = (segment.arc_length() - approach

@@ -412,8 +412,8 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
             h = h_regular if k < n - 1 else duration - h_regular * (n - 1)
             first = k == 0
             k += 1
-            if h <= 1e-15:
-                continue
+            if n > 1 and k == n and h <= 1e-15:
+                continue  # the rounding remainder of a multi-substep step
             if rolling or drive is None:
                 signs = tuple(drive_sign(a, cfg.deadband_rad) for a in alpha)
                 if signs not in drives:

@@ -1,5 +1,7 @@
+import copy
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -7,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omnipipe
@@ -176,6 +178,17 @@ def test_out_of_range_speed_exits_3_naming_straight_speed(
     assert err.startswith(f"error: straight_speed {float(speed)!r} mm/s is "
                           f"out of range") and out == ""
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("dt", ["0.01", "1e-3"])
+def test_simulate_integrates_steps_shorter_than_a_femtosecond(
+        capsys, net_file, tmp_path, dt):
+    # at 1e300 mm/s every drive and turn step lasts ~1e-298 s, one substep
+    code, out, _ = run_cli(capsys, "simulate", "--network", str(net_file),
+                           "--speed", "1e300", "--dt", dt,
+                           "--out", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["reason"] == "completed"
 
 
 def test_invalid_network_document_exits_2(capsys, tmp_path):
@@ -371,6 +384,154 @@ def test_cli_ends_in_a_documented_exit_code_on_extreme_values(
     except SystemExit as e:
         code = e.code
     assert code in (0, 2, 3, 4, 5)
+
+
+# what a JSON input file may hold where a number belongs: extremes,
+# plain numbers, wrong types and nesting
+_ODD_VALUES = (
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308,
+                     1e-320, -1e-320, 0, -0.0, -1, 10 ** 400, True, None,
+                     "", "160", [], {}, [160.0], {"D_mm": 160.0},
+                     [[[[160.0]]]]]).map(copy.deepcopy)
+    | st.floats(min_value=-1e4, max_value=1e4))
+_SEGMENT_KEYS = ("kind", "D_mm", "length_mm", "bend_radius_mm",
+                 "bend_angle_deg", "turn_plane_roll_deg", "branch_roll_deg",
+                 "exit", "equivalent_radius_mm", "radius_mm")
+_ANGLES = st.floats(min_value=-360.0, max_value=360.0)
+
+
+def _root(draw, doc: dict):
+    """Mostly ``doc`` itself, at times wrapped in a list or replaced."""
+    shape = draw(st.integers(0, 7))
+    return doc if shape < 6 else [doc] if shape == 6 else draw(_ODD_VALUES)
+
+
+def _valid_segment(draw, kind: str, d: float) -> dict:
+    if kind == "straight":
+        return {"kind": kind, "D_mm": d,
+                "length_mm": draw(st.floats(min_value=1.0, max_value=1e3))}
+    if kind == "elbow":
+        return {"kind": kind, "D_mm": d,
+                "bend_radius_mm": draw(st.floats(min_value=0.5 * d,
+                                                 max_value=4.0 * d)),
+                "bend_angle_deg": draw(st.floats(min_value=1.0,
+                                                 max_value=180.0)),
+                "turn_plane_roll_deg": draw(_ANGLES)}
+    return {"kind": kind, "D_mm": d, "branch_roll_deg": draw(_ANGLES),
+            "exit": draw(st.sampled_from(["branch", "through"]))}
+
+
+@st.composite
+def network_documents(draw):
+    """A valid network with up to three edits that may break it."""
+    d = draw(st.sampled_from([80.0, 160.0, 400.0]))
+    kinds = st.sampled_from(["straight", "elbow", "tee"])
+    segments = [_valid_segment(draw, kind, d)
+                for kind in draw(st.lists(kinds, min_size=1, max_size=4))]
+    doc = {"segments": segments}
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["set", "set", "drop", "segment",
+                                     "top-level"]))
+        i = draw(st.integers(0, len(segments) - 1))
+        segment = segments[i]
+        if edit == "set" and isinstance(segment, dict):
+            key = draw(st.sampled_from(_SEGMENT_KEYS))
+            segment[key] = draw(
+                st.sampled_from(["straight", "elbow", "tee", "bend",
+                                 ["straight"], "branch", "up"])
+                if key in ("kind", "exit") else _ODD_VALUES)
+        elif edit == "drop" and isinstance(segment, dict) and segment:
+            del segment[draw(st.sampled_from(sorted(segment)))]
+        elif edit == "segment":
+            segments[i] = draw(_ODD_VALUES)
+        else:
+            doc[draw(st.sampled_from(["notes", "segments"]))] = draw(
+                _ODD_VALUES)
+    return _root(draw, doc)
+
+
+@st.composite
+def geometry_documents(draw):
+    """Some reference geometry fields, up to two of them replaced."""
+    reference = {"lug_radius_r": 15.0, "arm_length_l": 60.0,
+                 "a_offset": 30.0, "reach_min": 40.0, "reach_max": 90.0,
+                 "module_outer_radius": 20.0}
+    doc = {key: value for key, value in reference.items()
+           if draw(st.booleans())}
+    keys = st.sampled_from(sorted(reference) + ["lug_radius"])
+    for _ in range(draw(st.integers(0, 2))):
+        doc[draw(keys)] = draw(_ODD_VALUES)
+    return _root(draw, doc)
+
+
+def run_on_file(tmp_path_factory, name: str, text: str, argv: list) -> int:
+    base = tmp_path_factory.getbasetemp() / "input-files"
+    base.mkdir(exist_ok=True)
+    (base / name).write_text(text)
+    try:
+        return main([*argv, str(base / name)])
+    except SystemExit as e:
+        return e.code
+
+
+_DEEP = "[" * 100_000
+_LIST_KIND = json.dumps({"segments": [
+    {"kind": ["straight"], "D_mm": 160.0, "length_mm": 500.0}]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["plan", "simulate", "montecarlo"]), st.booleans(),
+       network_documents().map(json.dumps))
+@example("simulate", False, _LIST_KIND)
+@example("simulate", False, _DEEP)
+@example("montecarlo", True, _DEEP)
+def test_cli_ends_in_a_documented_exit_code_on_any_network_file(
+        tmp_path_factory, command, no_holonomic, text):
+    # a coarse dt and few trials keep the work per example small
+    argv = [command, "--out",
+            str(tmp_path_factory.getbasetemp() / "input-files-out")]
+    argv += {"plan": [], "simulate": ["--dt", "0.5"],
+             "montecarlo": ["--trials", "20"]}[command]
+    if no_holonomic:
+        argv.append("--no-holonomic")
+    code = run_on_file(tmp_path_factory, "net.json", text,
+                       [*argv, "--network"])
+    assert code in (0, 2, 3, 4, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([["fk", "--cmd", "1,2,3,0.5"], ["sector"]]),
+       geometry_documents().map(json.dumps))
+@example(["fk", "--cmd", "1,2,3,0.5"], _DEEP)
+@example(["sector"], _DEEP)
+def test_cli_ends_in_a_documented_exit_code_on_any_geometry_file(
+        tmp_path_factory, argv, text):
+    code = run_on_file(tmp_path_factory, "geom.json", text,
+                       [*argv, "--geometry"])
+    assert code in (0, 2, 3, 4, 5)
+
+
+_SIMULATE = ["simulate", "--out", "out", "--network"]
+_FK = ["fk", "--cmd", "1,1,1,0", "--geometry"]
+
+
+@pytest.mark.parametrize("argv, name, text, exit_code", [
+    (_SIMULATE, "net.json", _LIST_KIND, 2),
+    (_SIMULATE, "net.json", _DEEP, 2),
+    (_FK, "geom.json", _DEEP, 2),
+    (_SIMULATE, "net.json", json.dumps({"segments": [
+        {"kind": "straight", "D_mm": 10 ** 400, "length_mm": 5.0}]}), 2),
+    (_FK, "geom.json", json.dumps({"lug_radius_r": 10 ** 400}), 3),
+    (_FK, "geom.json", json.dumps({"arm_length_l": "60"}), 3),
+], ids=["list-kind", "deep-network", "deep-geometry", "huge-int-network",
+        "huge-int-geometry", "string-arm-length"])
+def test_malformed_input_file_ends_in_a_typed_error(
+        capsys, tmp_path, monkeypatch, argv, name, text, exit_code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, *argv, name)
+    assert code == exit_code and out == ""
+    assert err.startswith("error: ")
 
 
 def _declared_console_script() -> str:

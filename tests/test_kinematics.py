@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from omnipipe import (CommandVector, InvalidGeometryError, ModuleVelocities,
                       RobotGeometry, TwistVector, UndefinedCurvatureError,
                       center_velocity, coriolis_transform, forward_kinematics,
-                      inverse_kinematics, jacobian, module_linear_velocities,
+                      inverse_kinematics, jacobian, jacobian_inverse,
+                      module_linear_velocities,
                       module_positions, radius_of_curvature,
                       with_nominal_arms)
 
@@ -108,6 +109,40 @@ def test_inverse_of_pure_translation():
     for rate in (cmd.theta_dot_1, cmd.theta_dot_2, cmd.theta_dot_3):
         assert rate == pytest.approx(2.0, rel=1e-12)
     assert cmd.theta_dot_4 == pytest.approx(0.0, abs=1e-12)
+
+
+@st.composite
+def geometries(draw):
+    """Valid geometries, the offset a free of the symmetric l / 2."""
+    length = st.floats(min_value=1.0, max_value=1000.0)
+    arm = draw(length)
+    return RobotGeometry(
+        lug_radius_r=draw(length), arm_length_l=arm,
+        a_offset=draw(st.floats(min_value=0.01, max_value=10.0)) * arm,
+        reach_min=arm, reach_max=arm, module_outer_radius=draw(length))
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometries(), RATES, RATES, RATES, RATES)
+def test_closed_form_inverse_matches_a_numerical_solve(geom, wx, wy, wz, v):
+    J = jacobian(geom)
+    assert np.max(np.abs(jacobian_inverse(geom) @ J - np.eye(4))) <= 1e-15
+    twist = TwistVector(wx, wy, wz, v)
+    reference = np.linalg.solve(J, twist.as_array())
+    got = inverse_kinematics(twist, geom).as_array()
+    assert (np.max(np.abs(got - reference))
+            <= 1e-12 * np.max(np.abs(reference)))
+    with pytest.raises(ValueError):
+        jacobian_inverse(geom)[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("r, arm", [(15.0, 1e308), (1e-308, 60.0),
+                                    (1e-310, 1e-310)])
+def test_inverse_rejects_a_lever_to_radius_ratio_past_the_float_range(
+        r, arm):
+    geom = RobotGeometry(r, arm, arm, arm, arm, 20.0)
+    with pytest.raises(InvalidGeometryError, match="no finite inverse"):
+        inverse_kinematics(TwistVector(0.0, 0.5, 0.0, 100.0), geom)
 
 
 @settings(max_examples=200, deadline=None)

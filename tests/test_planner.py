@@ -11,10 +11,9 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionStep,
                       drive_sign, elbow, escape_rotation,
                       forward_kinematics, holonomic_rotate_step,
                       in_singularity, module_linear_velocities, plan_elbow,
-                      plan_from_dict, plan_mission, plan_straight, plan_tee,
-                      plan_to_dict, plan_to_json, radius_of_curvature,
-                      region_for_tee, rolling_gain, run_mission, straight,
-                      tee)
+                      plan_mission, plan_straight, plan_tee, plan_to_dict,
+                      plan_to_json, radius_of_curvature, region_for_tee,
+                      rolling_gain, run_mission, straight, tee)
 from omnipipe import PipeNetwork, TeeExit
 from omnipipe import intervals as iv
 
@@ -187,6 +186,8 @@ def test_tee_branch_plan_from_gap_center(cfg, geom):
                                        StepKind.DRIVE]
     approach, turn, exit_ = steps
     assert approach.duration_s == pytest.approx(0.25 * D / 100.0)
+    assert (forward_kinematics(approach.command, geom).v_cz
+            * approach.duration_s) == pytest.approx(0.25 * D, rel=1e-12)
     twist = forward_kinematics(turn.command, geom)
     assert twist.v_cz == pytest.approx(100.0, rel=1e-12)
     mv = module_linear_velocities(turn.command, geom)
@@ -194,8 +195,6 @@ def test_tee_branch_plan_from_gap_center(cfg, geom):
     assert twist.omega_z == pytest.approx(0.0, abs=1e-12)
     assert turn.duration_s == pytest.approx((math.pi / 2.0)
                                             / (100.0 / 80.0), rel=1e-12)
-    assert turn.trigger == "head_fraction"
-    assert turn.trigger_fraction == 0.25
     # approach + turn arc + exit covers the whole segment
     total = 100.0 * (approach.duration_s + turn.duration_s
                      + exit_.duration_s)
@@ -260,10 +259,12 @@ def test_tee_trigger_fraction_is_configurable(geom):
     cfg = PlannerConfig(tee_trigger_fraction=0.4)
     region = tee_region(cfg, geom)
     steps, _, _ = plan_tee(tee(D), 30.0, region, cfg, geom)
-    approach = steps[0]
-    turn = [s for s in steps if s.kind is StepKind.TURN_TEE][0]
+    approach, turn = steps[0], steps[1]
+    assert approach.kind is StepKind.DRIVE
+    assert turn.kind is StepKind.TURN_TEE
     assert approach.duration_s == pytest.approx(0.4 * D / 100.0)
-    assert turn.trigger_fraction == 0.4
+    assert (forward_kinematics(approach.command, geom).v_cz
+            * approach.duration_s) == pytest.approx(0.4 * D, rel=1e-12)
 
 
 # -- whole missions ---------------------------------------------------------------
@@ -385,9 +386,17 @@ def test_rolls_nudged_off_no_motion_line_stay_within_60_deg(second_roll):
 
 def test_mission_plan_survives_json_round_trip(cfg, geom, tee_net):
     steps = plan_mission(tee_net, 15.0, cfg, geom)
-    doc = plan_to_dict(steps)
-    assert plan_from_dict(doc) == steps
-    assert json.loads(plan_to_json(steps)) == doc
+    assert json.loads(plan_to_json(steps)) == plan_to_dict(steps)
+
+
+def test_plan_steps_hold_exactly_the_documented_keys(cfg, geom, tee_net):
+    keys = {"kind", "command", "duration_s", "hazard_self_rotation",
+            "segment_index", "note"}
+    for theta5 in (0.0, 30.0):
+        steps = plan_mission(tee_net, theta5, cfg, geom)
+        assert StepKind.TURN_TEE in {s.kind for s in steps}
+        for doc in json.loads(plan_to_json(steps))["steps"]:
+            assert set(doc) == keys
 
 
 def test_mission_plan_is_deterministic(cfg, geom, tee_net):
@@ -411,11 +420,6 @@ def test_planner_rejects_non_finite_inputs(geom, tee_net, bad):
 
 def test_mission_step_validates_fields():
     cmd = CommandVector(1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(PlanError):
-        MissionStep(kind=StepKind.DRIVE, command=cmd, duration_s=0.0)
-    with pytest.raises(PlanError):
-        MissionStep(kind=StepKind.DRIVE, command=cmd, duration_s=1.0,
-                    trigger="whenever")
-    with pytest.raises(PlanError):
-        MissionStep(kind=StepKind.DRIVE, command=cmd, duration_s=1.0,
-                    trigger="head_fraction", trigger_fraction=1.5)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(PlanError):
+            MissionStep(kind=StepKind.DRIVE, command=cmd, duration_s=bad)

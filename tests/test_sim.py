@@ -621,7 +621,7 @@ def stepwise_run(net, plan, cfg, geom, theta5_deg=0.0, dt=0.01):
         for k in range(n):
             h = (h_regular if k < n - 1
                  else mstep.duration_s - h_regular * (n - 1))
-            if h <= 1e-15:
+            if n > 1 and k == n - 1 and h <= 1e-15:
                 continue
             state, record = step(state, mstep.command, h, net, geom, cfg)
             c = mstep.command
