@@ -207,8 +207,9 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(records, out / "trajectory.csv")
-    _write(out / "outcome.json", outcome_to_json(outcome))
-    print(outcome_to_json(outcome))
+    text = outcome_to_json(outcome)
+    _write(out / "outcome.json", text)
+    print(text)
     return 0 if outcome.success else _EXIT_SIM
 
 

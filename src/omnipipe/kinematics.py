@@ -17,6 +17,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
+from math import isfinite
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .errors import InvalidGeometryError, UndefinedCurvatureError
 
 # Angular-speed norm below this is treated as straight drive (infinite R).
 ANGULAR_SPEED_EPS = 1e-12
+
+# forward_kinematics takes its product unguarded below this bound
+_HALF_FLOAT_MAX = sys.float_info.max / 2.0
 
 # Unit direction of each module center in the local frame (module 1 on +x).
 _MODULE_ANGLES = (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0)
@@ -82,6 +86,13 @@ class RobotGeometry:
                    reach_max=reach_max, module_outer_radius=module_outer_radius)
 
 
+def _reject_non_finite(vector, names: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first of ``names`` that is not finite."""
+    for name in names:
+        if not isfinite(getattr(vector, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class CommandVector:
     """Motor-space input: three drive rates plus the holonomic spin rate.
@@ -97,9 +108,10 @@ class CommandVector:
     theta_dot_4: float
 
     def __post_init__(self):
-        for name in ("theta_dot_1", "theta_dot_2", "theta_dot_3", "theta_dot_4"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not (isfinite(self.theta_dot_1) and isfinite(self.theta_dot_2)
+                and isfinite(self.theta_dot_3) and isfinite(self.theta_dot_4)):
+            _reject_non_finite(self, ("theta_dot_1", "theta_dot_2",
+                                      "theta_dot_3", "theta_dot_4"))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.theta_dot_1, self.theta_dot_2,
@@ -116,9 +128,9 @@ class TwistVector:
     v_cz: float
 
     def __post_init__(self):
-        for name in ("omega_x", "omega_y", "omega_z", "v_cz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not (isfinite(self.omega_x) and isfinite(self.omega_y)
+                and isfinite(self.omega_z) and isfinite(self.v_cz)):
+            _reject_non_finite(self, ("omega_x", "omega_y", "omega_z", "v_cz"))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.omega_x, self.omega_y, self.omega_z, self.v_cz])
@@ -270,9 +282,27 @@ def jacobian(geom: RobotGeometry) -> np.ndarray:
 
 
 def forward_kinematics(cmd: CommandVector, geom: RobotGeometry) -> TwistVector:
-    """Map motor rates to the robot twist: ``V_a = J @ omega_a``."""
-    out = _cached_jacobian(geom) @ cmd.as_array()
-    return TwistVector(omega_x=out[0], omega_y=out[1], omega_z=out[2], v_cz=out[3])
+    """Map motor rates to the robot twist: ``V_a = J @ omega_a``.
+
+    The rows of J other than the spin row (which passes theta_dot_4
+    through) sum in absolute value to at most max(r, 2 r / (a + l)).
+    While that bound times the largest rate stays below half the float
+    range, no partial sum overflows.  Only a command past it takes the
+    product under np.errstate (which costs about a third of an FK call),
+    so numpy warns of nothing and TwistVector names the overflowed field.
+    """
+    rates = cmd.as_array()
+    r = geom.lug_radius_r
+    if (max(abs(cmd.theta_dot_1), abs(cmd.theta_dot_2), abs(cmd.theta_dot_3),
+            abs(cmd.theta_dot_4))
+            * max(r, 2.0 * r / (geom.a_offset + geom.arm_length_l))
+            < _HALF_FLOAT_MAX):
+        out = _cached_jacobian(geom) @ rates
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _cached_jacobian(geom) @ rates
+    omega_x, omega_y, omega_z, v_cz = out.tolist()
+    return TwistVector(omega_x, omega_y, omega_z, v_cz)
 
 
 def inverse_kinematics(twist: TwistVector, geom: RobotGeometry) -> CommandVector:

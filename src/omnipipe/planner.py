@@ -16,6 +16,18 @@ the accumulated self-rotation passes 90 deg their drive direction flips
 module's rules, as the simulator does, and pre-flips drive commands so
 the robot keeps advancing; rolls crossing the 90 deg line are flagged.
 
+A branch turn's rate and command depend only on the speed, the roll at
+turn onset, the equivalent radius, the geometry and the pre-flip signs.
+The escape rolls every mission to a free-gap centre first, so missions
+from many initial rolls start their turns at the same few rolls:
+_tee_turn memoises the solve (axis, turn rate, inverse kinematics) in a
+bounded lru_cache, as _cached_region does the tee sweep.  It is exact:
+the function is pure, and its key tells apart the one pair of equal
+arguments that could give other bits, theta5 = +-0.0.  Equal-rate
+drives come from _drive_command, one object per (rate, signs), so the
+simulator computes one twist for all the drives of a mission between
+two rolls.
+
 theta5 throughout is the robot roll in degrees, measured from the plane
 of the next upcoming turn (see pipenet.reference_rolls).
 """
@@ -154,6 +166,15 @@ def _preflip_signs(alpha_rad: tuple[float, ...],
     return tuple(drive_sign(a, cfg.deadband_rad) or 1 for a in alpha_rad)
 
 
+@functools.lru_cache(maxsize=64)
+def _drive_command(rate: float, signs: tuple[int, ...]) -> CommandVector:
+    """Equal-rate drive pre-flipped by ``signs``, one object per key, so
+    the straights, approaches and exits driven at one roll state share
+    it (and the simulator's twist for it).  rate = speed / r is never
+    -0.0, so the key is exact."""
+    return signed_drive(CommandVector(rate, rate, rate, 0.0), signs)
+
+
 def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
            d_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
            segment_index: int | None
@@ -200,10 +221,9 @@ def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
     pre-flipped for the modules' self-rotation ``alpha_rad``."""
     if not (math.isfinite(length_mm) and length_mm > 0):
         raise PlanError(f"length must be > 0, got {length_mm}")
-    rate = cfg.straight_speed / geom.lug_radius_r
     return MissionStep(kind=StepKind.DRIVE,
-                       command=signed_drive(
-                           CommandVector(rate, rate, rate, 0.0),
+                       command=_drive_command(
+                           cfg.straight_speed / geom.lug_radius_r,
                            _preflip_signs(alpha_rad, cfg)),
                        duration_s=_timed(length_mm / cfg.straight_speed,
                                          cfg.straight_speed),
@@ -314,6 +334,26 @@ def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
     return omega
 
 
+@functools.lru_cache(maxsize=256)
+def _tee_turn(speed: float, theta5_deg: float, theta5_sign: float,
+              equivalent_radius: float, geom: RobotGeometry,
+              signs: tuple[int, ...]) -> tuple[float, CommandVector]:
+    """Turn rate and pre-flipped command of a branch turn begun at theta5.
+
+    A pure function of its arguments, so the memo returns the bits a
+    fresh solve gives.  Its key is exact: speed and radius are positive,
+    and arguments that compare equal give equal floats, except theta5 =
+    +-0.0, whose sign reaches the command through the zero x component
+    of the turn axis; ``theta5_sign`` (copysign(1.0, theta5)) tells them
+    apart.  A PlanError is not stored, so it is raised on every call.
+    """
+    axis = (-math.sin(math.radians(theta5_deg)),
+            math.cos(math.radians(theta5_deg)))
+    omega = _turn_rate_for_radius(speed, axis, equivalent_radius, geom)
+    twist = TwistVector(omega * axis[0], omega * axis[1], 0.0, speed)
+    return omega, signed_drive(inverse_kinematics(twist, geom), signs)
+
+
 def forward_turn_radius(geom: RobotGeometry) -> float:
     """Turn radius (mm) above which no module reverses, whatever the axis.
 
@@ -347,7 +387,6 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
         raise PlanError("plan_tee requires a tee segment")
     d = segment.d_mm
     speed = cfg.straight_speed
-    rate = speed / geom.lug_radius_r
 
     if not with_holonomic:
         delta = 0.0
@@ -358,7 +397,7 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, d, cfg, geom,
                                   segment_index)
     signs = _preflip_signs(alpha, cfg)
-    drive = signed_drive(CommandVector(rate, rate, rate, 0.0), signs)
+    drive = _drive_command(speed / geom.lug_radius_r, signs)
 
     if segment.exit is TeeExit.THROUGH:
         steps.append(MissionStep(
@@ -374,13 +413,10 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
         segment_index=segment_index,
         note="approach junction"))
 
-    axis = (-math.sin(math.radians(theta5)), math.cos(math.radians(theta5)))
-    omega = _turn_rate_for_radius(speed, axis, segment.tee_equivalent_radius,
-                                  geom)
-    twist = TwistVector(omega * axis[0], omega * axis[1], 0.0, speed)
+    omega, command = _tee_turn(speed, theta5, math.copysign(1.0, theta5),
+                               segment.tee_equivalent_radius, geom, signs)
     steps.append(MissionStep(
-        kind=StepKind.TURN_TEE,
-        command=signed_drive(inverse_kinematics(twist, geom), signs),
+        kind=StepKind.TURN_TEE, command=command,
         duration_s=_timed((math.pi / 2.0) / omega, speed),
         segment_index=segment_index, note="turn into branch"))
 

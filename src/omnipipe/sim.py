@@ -15,9 +15,13 @@ final partial substep and lands on step boundaries exactly; results are
 independent of dt down to float rounding, and Monte-Carlo runs may use
 one substep per step without loss.
 
-run_mission works per mission step, not per substep.  On a step that does
-not roll (theta_dot_4 == 0) alpha is fixed, so the drive signs and the
-twist are computed once before the substeps, and the tee check again
+run_mission works per mission step, not per substep.  Only a roll moves
+alpha, so the drive signs are recomputed only after one, and the twist
+is computed once per distinct (command object, signs) pair of the
+mission: the planner hands every drive at one roll state the same
+command.  Commands are keyed by identity, not equality, because equal
+commands may differ in the sign of a zero, which the CSV shows.  On a
+step that does not roll (theta_dot_4 == 0) the tee check runs again
 only after a segment boundary.  Between two boundary crossings such a
 step's whole substeps differ only in time and s: they form a block,
 built in one pass with itertools.accumulate, whose sums are the scalar
@@ -26,10 +30,9 @@ it.  bisect finds the substep that crosses the next boundary; that
 substep, the step's first and its last (partial) substep go through the
 scalar path, which keeps the stall check and the boundary crossing.  A
 roll step takes the scalar path throughout, recomputing the signs each
-substep and the twist once per distinct sign tuple.  step is the public
-one-interval API; it and the scalar path share one helper for the roll
-update and the segment-boundary crossing, so both follow the same
-arithmetic.
+substep.  step is the public one-interval API; it and the scalar path
+share one helper for the roll update and the segment-boundary crossing,
+so both follow the same arithmetic.
 
 run_mission returns its records as a Trajectory, stored in blocks: each
 block keeps segment, theta5, the step's shared (command, twist, signs)
@@ -361,6 +364,11 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
     events: list[str] = []
     failure: str | None = None
     done = False
+    deadband = cfg.deadband_rad
+    # (id(command), signs) -> (command, twist, signs); the plan keeps every
+    # command alive, so an id stays unique
+    drives: dict[tuple, tuple] = {}
+    signs = signed_alpha = None
 
     for mstep, n in zip(plan, substeps):
         cmd = mstep.command
@@ -379,7 +387,6 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
         stall_check = (mstep.kind is not StepKind.HOLONOMIC_ROTATE
                        and max(abs(cmd.theta_dot_1), abs(cmd.theta_dot_2),
                                abs(cmd.theta_dot_3)) > _ZERO_TOL)
-        drives: dict[tuple[int, ...], tuple] = {}
         drive = checked_index = None
         duration = mstep.duration_s
         h_regular = duration if dt is None else dt
@@ -414,15 +421,22 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
             k += 1
             if n > 1 and k == n and h <= 1e-15:
                 continue  # the rounding remainder of a multi-substep step
-            if rolling or drive is None:
-                signs = tuple(drive_sign(a, cfg.deadband_rad) for a in alpha)
-                if signs not in drives:
-                    # a step that drives while it rolls changes its twist
-                    # whenever a module crosses a 90 deg drive line
-                    drives[signs] = (cmd, forward_kinematics(
+            if alpha is not signed_alpha:
+                # only a roll replaces alpha
+                signs = (drive_sign(alpha[0], deadband),
+                         drive_sign(alpha[1], deadband),
+                         drive_sign(alpha[2], deadband))
+                signed_alpha = alpha
+                drive = None
+            if drive is None:
+                # a step that drives while it rolls changes its twist
+                # whenever a module crosses a 90 deg drive line
+                key = (id(cmd), signs)
+                drive = drives.get(key)
+                if drive is None:
+                    drive = drives[key] = (cmd, forward_kinematics(
                         signed_drive(cmd, signs), geom), signs)
-                drive = drives[signs]
-                v_cz = float(drive[1].v_cz)
+                v_cz = drive[1].v_cz
             index, s, theta5, alpha, event = _advance(
                 net, geom, index, s + v_cz * h, theta5, alpha,
                 cmd.theta_dot_4 * h)

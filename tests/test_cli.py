@@ -44,6 +44,13 @@ def test_fk_matches_library(capsys, geom):
                    "wz": twist.omega_z, "vcz": twist.v_cz}
 
 
+def test_fk_overflow_prints_only_the_typed_error():
+    # numpy's overflow warnings would land on stderr before the error
+    proc = run_console_script("fk", "--cmd", "1e308,-1e308,1e308,0")
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: v_cz must be finite\n"
+
+
 def test_ik_round_trips_fk(capsys):
     code, out, _ = run_cli(capsys, "fk", "--cmd", "1.5,-2.0,0.25,0.1")
     twist = json.loads(out)

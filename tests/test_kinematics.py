@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnipipe import (CommandVector, InvalidGeometryError, ModuleVelocities,
@@ -143,6 +144,47 @@ def test_inverse_rejects_a_lever_to_radius_ratio_past_the_float_range(
     geom = RobotGeometry(r, arm, arm, arm, arm, 20.0)
     with pytest.raises(InvalidGeometryError, match="no finite inverse"):
         inverse_kinematics(TwistVector(0.0, 0.5, 0.0, 100.0), geom)
+
+
+@st.composite
+def rates_near_overflow(draw):
+    """A geometry from 1e-300 to 1e300 mm and a command whose largest rate
+    lies near the one at which the forward map's product overflows."""
+    size = st.floats(min_value=1e-300, max_value=1e300)
+    r, arm = draw(size), draw(size)
+    geom = RobotGeometry(r, arm, arm * draw(st.floats(0.01, 10.0)), arm,
+                         arm, 20.0)
+    scale = max(r, 2.0 * r / (geom.a_offset + geom.arm_length_l))
+    near = (min(sys.float_info.max / 2.0 / scale * draw(st.floats(0.25, 4.0)),
+                sys.float_info.max) * draw(st.sampled_from([1.0, -1.0])))
+    rate = st.just(near) | st.floats(allow_nan=False, allow_infinity=False)
+    return geom, CommandVector(draw(rate), draw(rate), draw(rate),
+                               draw(rate))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates_near_overflow())
+@example((ref_geom(), CommandVector(1e308, -1e308, 1e308, 0.0)))
+def test_forward_map_overflows_to_the_typed_error_without_a_warning(case):
+    # RuntimeWarnings are errors in this suite, so the unguarded product
+    # must never run where it overflows; where it does not, the twist is
+    # the plain product's bits
+    geom, cmd = case
+    with np.errstate(all="ignore"):
+        expected = jacobian(geom) @ cmd.as_array()
+    if np.isfinite(expected).all():
+        twist = forward_kinematics(cmd, geom)
+        assert twist.as_array().tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(ValueError, match="must be finite"):
+            forward_kinematics(cmd, geom)
+
+
+def test_vectors_name_their_first_non_finite_field():
+    with pytest.raises(ValueError, match="^theta_dot_2 must be finite$"):
+        CommandVector(1.0, math.inf, math.nan, 0.0)
+    with pytest.raises(ValueError, match="^v_cz must be finite$"):
+        TwistVector(0.0, -0.0, 1e308, math.nan)
 
 
 @settings(max_examples=200, deadline=None)

@@ -16,6 +16,7 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionStep,
                       rolling_gain, run_mission, straight, tee)
 from omnipipe import PipeNetwork, TeeExit
 from omnipipe import intervals as iv
+from omnipipe import planner
 
 D = 160.0
 
@@ -251,8 +252,29 @@ def test_tee_through_plan_straddles_branch(cfg, geom):
 
 def test_tee_unreachable_equivalent_radius(cfg, geom):
     region = tee_region(cfg, geom)
-    with pytest.raises(PlanError):
-        plan_tee(tee(D, equivalent_radius_mm=10.0), 30.0, region, cfg, geom)
+    for _ in range(2):  # the turn memo stores no error
+        with pytest.raises(PlanError):
+            plan_tee(tee(D, equivalent_radius_mm=10.0), 30.0, region, cfg,
+                     geom)
+
+
+def test_drives_at_one_roll_state_share_one_command(cfg, geom, tee_net):
+    plan = plan_mission(tee_net, 30.0, cfg, geom)
+    drives = [s for s in plan if s.kind is StepKind.DRIVE]
+    assert [s.note for s in drives] == ["", "approach junction",
+                                        "exit junction", ""]
+    assert all(s.command is drives[0].command for s in drives)
+
+
+def test_turn_and_drive_memos_are_bounded(cfg, geom):
+    # without the escape each initial roll starts the turn at its own roll
+    net = PipeNetwork((tee(D), straight(D, 300.0)))
+    turns = planner._tee_turn.cache_info().maxsize
+    for k in range(turns + 10):
+        plan_mission(net, k * 0.1, cfg, geom, with_holonomic=False)
+    assert planner._tee_turn.cache_info().currsize == turns
+    info = planner._drive_command.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_tee_trigger_fraction_is_configurable(geom):

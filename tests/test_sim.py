@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import json
@@ -6,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
@@ -15,9 +16,11 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
                       StepKind, TeeExit, Trajectory, TrajectoryRecord,
                       TRAJECTORY_CSV_HEADER, TwistVector, drive_sign, elbow,
                       failure_probability, in_singularity, monte_carlo_tee,
-                      outcome_to_json, plan_mission, region_for_tee, roll,
+                      outcome_to_json, plan_mission, plan_to_json,
+                      preferred_orientations, region_for_tee, roll,
                       rolling_gain, run_mission, step, straight, success_set,
                       tee, write_trajectory_csv)
+from omnipipe import planner, sim
 from omnipipe.intervals import measure, wrap
 from omnipipe.sim import (_CHUNK, _ZERO_TOL, MAX_SUBSTEPS, _count_successes,
                           _stay_on_segment, wilson_interval)
@@ -274,6 +277,37 @@ def test_run_mission_records_of_a_step_share_command_and_twist(cfg, geom,
     drive = [r for r in records if r.command is plan[0].command]
     assert len(drive) > 100
     assert all(r.twist is drive[0].twist for r in drive)
+
+
+def test_run_mission_computes_one_twist_per_command_and_signs(
+        cfg, geom, tee_net, monkeypatch):
+    # from the centre of a free gap the plan is straight, approach, turn,
+    # exit, straight; the four drives share one command and one twist
+    plan = plan_mission(tee_net, 30.0, cfg, geom)
+    assert [s.kind for s in plan].count(StepKind.DRIVE) == 4
+    calls, fk = [], sim.forward_kinematics
+    monkeypatch.setattr(sim, "forward_kinematics",
+                        lambda cmd, g: calls.append(cmd) or fk(cmd, g))
+    _, records = run_mission(tee_net, plan, cfg, geom, theta5_deg=30.0)
+    assert len(calls) == 2
+    drive = [r for r in records if r.command is plan[0].command]
+    assert {r.segment_index for r in drive} == {0, 1, 2}
+    assert all(r.twist is drive[0].twist for r in drive)
+
+
+def test_run_mission_keeps_equal_commands_apart_by_a_signed_zero(
+        cfg, geom, tee_net, tmp_path):
+    # the three commands compare equal, but each record carries its own,
+    # whose -0.0 spin the CSV writes as such
+    plan = [MissionStep(kind=StepKind.DRIVE,
+                        command=CommandVector(RATE, RATE, RATE, spin),
+                        duration_s=1.5) for spin in (0.0, -0.0, 0.0)]
+    assert plan[0].command == plan[1].command
+    assert_matches_stepwise(tee_net, plan, cfg, geom, 30.0, 0.5, tmp_path)
+    _, records = run_mission(tee_net, plan, cfg, geom, theta5_deg=30.0)
+    assert len(records) == 450
+    assert all(r.command is mstep.command
+               for r, mstep in zip(records[::150], plan))
 
 
 # -- statistics ---------------------------------------------------------------------
@@ -871,4 +905,90 @@ def test_run_mission_matches_stepwise_at_a_dt_near_a_step_duration(
     total = sum(mstep.duration_s for mstep in plan)
     dt = max(plan[pick % len(plan)].duration_s * share, total / 3000.0)
     assert_matches_stepwise(net, plan, cfg, REFERENCE_GEOMETRY, theta5, dt,
+                            tmp_path_factory.mktemp("csv"))
+
+
+# -- the planner's memos and the shared twists against uncached references ------
+
+@contextlib.contextmanager
+def uncached_planner():
+    """plan_mission with its tee-turn and drive-command memos bypassed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "_tee_turn", planner._tee_turn.__wrapped__)
+        mp.setattr(planner, "_drive_command",
+                   planner._drive_command.__wrapped__)
+        yield
+
+
+def assert_matches_uncached(net, theta5, cfg, geom, with_holonomic, dts,
+                            tmp_dir):
+    """The memoised plan and its run against an uncached plan run by one
+    step() call, and so one fresh twist, per substep: plan.json,
+    outcome.json and trajectory.csv bytes agree, and so does an error."""
+    try:
+        plan = plan_mission(net, theta5, cfg, geom,
+                            with_holonomic=with_holonomic)
+    except (PlanError, NoEscapeError) as e:
+        with uncached_planner(), pytest.raises(type(e)):
+            plan_mission(net, theta5, cfg, geom,
+                         with_holonomic=with_holonomic)
+        return set()
+    with uncached_planner():
+        ref_plan = plan_mission(net, theta5, cfg, geom,
+                                with_holonomic=with_holonomic)
+    assert plan_to_json(plan) == plan_to_json(ref_plan)
+    reasons = set()
+    for dt in dts:
+        outcome, records = run_mission(net, plan, cfg, geom,
+                                       theta5_deg=theta5, dt=dt)
+        ref_outcome, ref_records = stepwise_run(net, ref_plan, cfg, geom,
+                                                theta5, dt)
+        assert outcome_to_json(outcome) == outcome_to_json(ref_outcome)
+        write_trajectory_csv(records, tmp_dir / "memo.csv")
+        write_trajectory_csv(ref_records, tmp_dir / "ref.csv")
+        assert ((tmp_dir / "memo.csv").read_bytes()
+                == (tmp_dir / "ref.csv").read_bytes())
+        reasons.add(outcome.reason)
+    return reasons
+
+
+@pytest.mark.parametrize("with_holonomic", [True, False])
+def test_memoised_missions_match_uncached_ones_on_the_acceptance_tee(
+        cfg, geom, tee_net, tmp_path, with_holonomic):
+    # the grid runs first, so the special rolls meet a warm memo; the grid
+    # takes one substep per step, the special rolls every dt
+    region = region_for_tee(tee_net.segments[1], cfg, geom)
+    special = [-0.0, 0.0, *preferred_orientations(region)]
+    for lo, hi in success_set(tee_net, cfg, geom, False):
+        special += [lo - 1e-9, lo + 1e-9, hi - 1e-9, hi + 1e-9]
+    reasons = set()
+    for theta5 in range(360):
+        reasons |= assert_matches_uncached(tee_net, float(theta5), cfg, geom,
+                                           with_holonomic, [None], tmp_path)
+    for theta5 in special:
+        reasons |= assert_matches_uncached(tee_net, theta5, cfg, geom,
+                                           with_holonomic, DTS, tmp_path)
+    assert reasons == ({"completed"} if with_holonomic
+                       else {"completed", "singularity"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(roll_free_networks(max_segments=5),
+       st.floats(-360.0, 360.0) | st.sampled_from([-0.0, 0.0]),
+       st.booleans(), st.booleans(), st.sampled_from(DTS))
+@example(net=PipeNetwork((tee(D), straight(D, 300.0))), theta5=-0.0,
+         align_elbow=True, with_holonomic=False, dt=None)
+@example(net=PipeNetwork((tee(D), straight(D, 300.0))), theta5=0.0,
+         align_elbow=True, with_holonomic=False, dt=None)
+@example(net=PipeNetwork((tee(D, 40.0), elbow(D, 320.0, 90.0, 100.0),
+                          tee(D, 250.0), tee(D, 10.0, exit=TeeExit.THROUGH),
+                          straight(D, 200.0))),
+         theta5=12.5, align_elbow=True, with_holonomic=True, dt=0.037)
+def test_memoised_missions_match_uncached_ones_on_generated_networks(
+        tmp_path_factory, net, theta5, align_elbow, with_holonomic, dt):
+    # a tee first keeps an initial -0.0 roll up to its turn, where the
+    # axis's zero component takes the roll's sign
+    cfg = PlannerConfig(align_elbow=align_elbow)
+    assert_matches_uncached(net, theta5, cfg, REFERENCE_GEOMETRY,
+                            with_holonomic, [dt],
                             tmp_path_factory.mktemp("csv"))
