@@ -26,9 +26,6 @@ from .errors import InvalidGeometryError, UndefinedCurvatureError
 # Angular-speed norm below this is treated as straight drive (infinite R).
 ANGULAR_SPEED_EPS = 1e-12
 
-# forward_kinematics takes its product unguarded below this bound
-_HALF_FLOAT_MAX = sys.float_info.max / 2.0
-
 # Unit direction of each module center in the local frame (module 1 on +x).
 _MODULE_ANGLES = (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0)
 _MODULE_DIRS = tuple(
@@ -226,49 +223,28 @@ def center_velocity(mv: ModuleVelocities, theta_dot_4: float) -> np.ndarray:
     return total / 3.0
 
 
-@functools.lru_cache(maxsize=32)
-def _cached_jacobian(geom: RobotGeometry) -> np.ndarray:
-    r = geom.lug_radius_r
-    lever = geom.a_offset + geom.arm_length_l
-    cos30 = math.sqrt(3.0) / 2.0
-    sin30 = 0.5
-    k = r / lever
-    J = np.array([
-        [0.0,       -cos30 * k, cos30 * k, 0.0],
-        [-k,         sin30 * k, sin30 * k, 0.0],
-        [0.0,        0.0,       0.0,       1.0],
-        [r / 3.0,    r / 3.0,   r / 3.0,   0.0],
-    ])
-    J.setflags(write=False)
-    return J
+@functools.lru_cache(maxsize=64)
+def _map_scalars(geom: RobotGeometry, inverse: bool) -> tuple[float, ...]:
+    """The distinct entries of J (k = r / L, (sqrt 3 / 2) k, k / 2, r / 3)
+    or of J^-1 (L / (sqrt 3 r), L / (3 r), twice that, 1 / r), L = a + l.
 
-
-@functools.lru_cache(maxsize=32)
-def jacobian_inverse(geom: RobotGeometry) -> np.ndarray:
-    """Closed-form inverse of ``jacobian(geom)``, shared and read-only.
-
-    With lever L = a + l: th1 = (v - 2 L wy / 3) / r,
-    th2,3 = (v + L wy / 3 -+ L wx / sqrt 3) / r and th4 = wz.  The
-    determinant, 2 sqrt(3) r^3 / (9 l^2) for the symmetric geometry, is
-    nonzero for every valid geometry.  Raises InvalidGeometryError where
-    L / r or 1 / r overflows a float (e.g. a + l above 1.8e308 mm).
+    Raises InvalidGeometryError where one of them is not a finite float,
+    e.g. r / L for r = 1e300 mm and L = 1.5e-10 mm.
     """
     r = geom.lug_radius_r
     lever = geom.a_offset + geom.arm_length_l
-    x = lever / (math.sqrt(3.0) * r)
-    y = lever / (3.0 * r)
-    J_inv = np.array([
-        [0.0, -2.0 * y, 0.0, 1.0 / r],
-        [-x,   y,       0.0, 1.0 / r],
-        [x,    y,       0.0, 1.0 / r],
-        [0.0,  0.0,     1.0, 0.0],
-    ])
-    if not np.isfinite(J_inv).all():
+    if inverse:
+        y = lever / (3.0 * r)
+        scalars = (lever / (math.sqrt(3.0) * r), y, 2.0 * y, 1.0 / r)
+    else:
+        k = r / lever
+        scalars = (k, math.sqrt(3.0) / 2.0 * k, k / 2.0, r / 3.0)
+    if not all(map(isfinite, scalars)):
+        what = "has no finite inverse" if inverse else "is not finite"
         raise InvalidGeometryError(
-            f"the Jacobian has no finite inverse: lever a + l = {lever} mm "
-            f"against lug radius r = {r} mm")
-    J_inv.setflags(write=False)
-    return J_inv
+            f"the Jacobian {what}: lever a + l = {lever} mm against lug "
+            f"radius r = {r} mm")
+    return scalars
 
 
 def jacobian(geom: RobotGeometry) -> np.ndarray:
@@ -276,42 +252,68 @@ def jacobian(geom: RobotGeometry) -> np.ndarray:
 
     Built from the per-module rotation axes at lever arm ``a + l``; for the
     symmetric ``a = l / 2`` case the entries reduce to the familiar
-    +-sqrt(3) r / 3l and r / 3l pattern.
+    +-sqrt(3) r / 3l and r / 3l pattern.  An array view for the API.
     """
-    return _cached_jacobian(geom).copy()
+    k, s, h, t = _map_scalars(geom, False)
+    return np.array([
+        [0.0, -s,  s,  0.0],
+        [-k,   h,  h,  0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [t,    t,  t,  0.0],
+    ])
+
+
+@functools.lru_cache(maxsize=32)
+def jacobian_inverse(geom: RobotGeometry) -> np.ndarray:
+    """Closed-form inverse of ``jacobian(geom)``, shared and read-only; an
+    array view of inverse_kinematics for the API.  Its determinant,
+    2 sqrt(3) r^3 / (9 l^2) for the symmetric geometry, is nonzero for
+    every valid geometry.  Raises InvalidGeometryError where L / r or 1 / r
+    overflows a float (e.g. a + l above 1.8e308 mm).
+    """
+    x, y, y2, q = _map_scalars(geom, True)
+    J_inv = np.array([
+        [0.0, -y2, 0.0, q],
+        [-x,   y,  0.0, q],
+        [x,    y,  0.0, q],
+        [0.0, 0.0, 1.0, 0.0],
+    ])
+    J_inv.setflags(write=False)
+    return J_inv
 
 
 def forward_kinematics(cmd: CommandVector, geom: RobotGeometry) -> TwistVector:
-    """Map motor rates to the robot twist: ``V_a = J @ omega_a``.
+    """Map motor rates to the robot twist, ``V_a = J @ omega_a``.
 
-    The rows of J other than the spin row (which passes theta_dot_4
-    through) sum in absolute value to at most max(r, 2 r / (a + l)).
-    While that bound times the largest rate stays below half the float
-    range, no partial sum overflows.  Only a command past it takes the
-    product under np.errstate (which costs about a third of an FK call),
-    so numpy warns of nothing and TwistVector names the overflowed field.
+    Each component is the dot product of a row of J with the rates, in
+    Python floats, over the row's nonzero entries from +0.0 left to right:
+    wx = 0 - s th2 + s th3, wy = 0 - k th1 + h th2 + h th3, wz = 0 + th4,
+    v_cz = 0 + t th1 + t th2 + t th3 (k, s, h, t as in _map_scalars).
+    Each step is one correctly rounded IEEE operation, so the bits do not
+    depend on the host, a zero is +0.0 and equal drive rates give
+    wx = wy = 0.0 exactly while k th is a normal float.  TwistVector
+    names a component that overflows.
     """
-    rates = cmd.as_array()
-    r = geom.lug_radius_r
-    if (max(abs(cmd.theta_dot_1), abs(cmd.theta_dot_2), abs(cmd.theta_dot_3),
-            abs(cmd.theta_dot_4))
-            * max(r, 2.0 * r / (geom.a_offset + geom.arm_length_l))
-            < _HALF_FLOAT_MAX):
-        out = _cached_jacobian(geom) @ rates
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _cached_jacobian(geom) @ rates
-    omega_x, omega_y, omega_z, v_cz = out.tolist()
-    return TwistVector(omega_x, omega_y, omega_z, v_cz)
+    k, s, h, t = _map_scalars(geom, False)
+    th1, th2, th3 = cmd.theta_dot_1, cmd.theta_dot_2, cmd.theta_dot_3
+    return TwistVector(0.0 - s * th2 + s * th3,
+                       0.0 - k * th1 + h * th2 + h * th3,
+                       0.0 + cmd.theta_dot_4,
+                       0.0 + t * th1 + t * th2 + t * th3)
 
 
 def inverse_kinematics(twist: TwistVector, geom: RobotGeometry) -> CommandVector:
-    """Motor rates realizing a desired twist: ``omega_a = J^-1 @ V_a``."""
-    # CommandVector rejects the rates an extreme twist overflows to
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = jacobian_inverse(geom) @ twist.as_array()
-    return CommandVector(theta_dot_1=out[0], theta_dot_2=out[1],
-                         theta_dot_3=out[2], theta_dot_4=out[3])
+    """Motor rates realizing a desired twist, ``omega_a = J^-1 @ V_a``, in
+    forward_kinematics' order: th1 = 0 - y2 wy + q v,
+    th2,3 = 0 -+ x wx + y wy + q v, th4 = 0 + wz (x, y, y2, q as in
+    _map_scalars).  CommandVector names a rate that overflows.
+    """
+    x, y, y2, q = _map_scalars(geom, True)
+    wx, wy, v = twist.omega_x, twist.omega_y, twist.v_cz
+    return CommandVector(0.0 - y2 * wy + q * v,
+                         0.0 - x * wx + y * wy + q * v,
+                         0.0 + x * wx + y * wy + q * v,
+                         0.0 + twist.omega_z)
 
 
 def radius_of_curvature(mv: ModuleVelocities, twist: TwistVector) -> float:

@@ -22,8 +22,7 @@ The escape rolls every mission to a free-gap centre first, so missions
 from many initial rolls start their turns at the same few rolls:
 _tee_turn memoises the solve (axis, turn rate, inverse kinematics) in a
 bounded lru_cache, as _cached_region does the tee sweep.  It is exact:
-the function is pure, and its key tells apart the one pair of equal
-arguments that could give other bits, theta5 = +-0.0.  Equal-rate
+the function is pure, and equal arguments give equal bits.  Equal-rate
 drives come from _drive_command, one object per (rate, signs), so the
 simulator computes one twist for all the drives of a mission between
 two rolls.
@@ -38,16 +37,14 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import astuple, dataclass
 
 from .drive import (DEFAULT_DEADBAND_DEG, drive_sign, roll, rolling_gain,
                     shift_reference, signed_drive)
 from .errors import PlanError
 from .intervals import signed_delta, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
-                         inverse_kinematics, jacobian_inverse)
+                         inverse_kinematics)
 from .pipenet import (PipeNetwork, PipeSegment, RatioMode, SegmentKind,
                       TeeExit, module_path_radii)
 from .singularity import (CALIBRATED_REACH_MM, SingularityRegion,
@@ -99,7 +96,7 @@ class MissionStep:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,
-            "command": list(self.command.as_array()),
+            "command": list(astuple(self.command)),
             "duration_s": self.duration_s,
             "hazard_self_rotation": self.hazard_self_rotation,
             "segment_index": self.segment_index,
@@ -304,30 +301,30 @@ def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
     """Turn rate (rad/s) whose module speeds average to R * omega.
 
     Module speeds are affine in omega, V_i = speed + omega * w_i with
-    sum(w_i) = 0, so while all V_i stay positive the curvature radius is
-    speed/omega; once the inner module reverses the radius approaches
-    sum|w_i|/3 from above and radii at or below that bound are
-    unreachable.
+    w_i = r (row i of J^-1) . axis and sum(w_i) = 0, so while all V_i
+    stay positive the curvature radius is speed/omega; once the inner
+    module reverses the radius approaches sum|w_i|/3 from above and radii
+    at or below that bound, or within rounding of it, are unreachable.
     """
-    w = geom.lug_radius_r * (
-        jacobian_inverse(geom) @ np.array([axis_xy[0], axis_xy[1], 0.0, 0.0])
-    )[:3]
-    bound = float(np.sum(np.abs(w))) / 3.0
-    if equivalent_radius <= bound + 1e-9:
-        raise PlanError(
-            f"equivalent radius {equivalent_radius} mm unreachable; the "
-            f"differential turn bottoms out at {bound} mm")
-    signs = np.ones(3)
-    omega = speed / equivalent_radius
-    # an extreme speed may overflow here; the check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(4):
-            omega = (speed * float(np.sum(signs))
-                     / (3.0 * equivalent_radius - float(signs @ w)))
-            new_signs = np.where(speed + omega * w >= 0.0, 1.0, -1.0)
-            if np.array_equal(new_signs, signs):
-                break
-            signs = new_signs
+    r = geom.lug_radius_r
+    rates = inverse_kinematics(TwistVector(*axis_xy, 0.0, 0.0), geom)
+    w = (r * rates.theta_dot_1, r * rates.theta_dot_2, r * rates.theta_dot_3)
+    bound = (abs(w[0]) + abs(w[1]) + abs(w[2])) / 3.0
+    signs = (1.0, 1.0, 1.0)
+    for _ in range(4):
+        s1, s2, s3 = signs
+        denominator = (3.0 * equivalent_radius
+                       - (s1 * w[0] + s2 * w[1] + s3 * w[2]))
+        if equivalent_radius <= bound + 1e-9 or not denominator > 0.0:
+            raise PlanError(
+                f"equivalent radius {equivalent_radius} mm unreachable; the "
+                f"differential turn bottoms out at {bound} mm")
+        omega = speed * (s1 + s2 + s3) / denominator
+        new_signs = tuple(1.0 if speed + omega * wi >= 0.0 else -1.0
+                          for wi in w)
+        if new_signs == signs:
+            break
+        signs = new_signs
     if not (math.isfinite(omega) and omega > 0.0):
         raise PlanError(f"straight_speed {speed} mm/s is out of range: it "
                         f"gives a turn rate of {omega} rad/s")
@@ -335,17 +332,17 @@ def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
 
 
 @functools.lru_cache(maxsize=256)
-def _tee_turn(speed: float, theta5_deg: float, theta5_sign: float,
-              equivalent_radius: float, geom: RobotGeometry,
+def _tee_turn(speed: float, theta5_deg: float, equivalent_radius: float,
+              geom: RobotGeometry,
               signs: tuple[int, ...]) -> tuple[float, CommandVector]:
     """Turn rate and pre-flipped command of a branch turn begun at theta5.
 
     A pure function of its arguments, so the memo returns the bits a
-    fresh solve gives.  Its key is exact: speed and radius are positive,
-    and arguments that compare equal give equal floats, except theta5 =
-    +-0.0, whose sign reaches the command through the zero x component
-    of the turn axis; ``theta5_sign`` (copysign(1.0, theta5)) tells them
-    apart.  A PlanError is not stored, so it is raised on every call.
+    fresh solve gives.  Its key is exact: arguments that compare equal
+    give equal bits, theta5 = +-0.0 too, whose sign reaches only the
+    zero x component of the turn axis, a zero term of the Python-float
+    sums in inverse_kinematics.  A PlanError is not stored, so it is
+    raised on every call.
     """
     axis = (-math.sin(math.radians(theta5_deg)),
             math.cos(math.radians(theta5_deg)))
@@ -358,12 +355,12 @@ def forward_turn_radius(geom: RobotGeometry) -> float:
     """Turn radius (mm) above which no module reverses, whatever the axis.
 
     In ``_turn_rate_for_radius`` a module's speed is speed + omega * w_i,
-    with w_i linear in the unit turn axis and at least -|row i| of the
-    scaled inverse Jacobian.  A radius above the largest row norm keeps
-    every module driving forward, so omega is speed / R at every roll.
+    with w_i linear in the unit turn axis and at least -|row i| of
+    r J^-1[:3, :2].  Every such row, (0, -2L/3) and (-+L/sqrt 3, L/3),
+    has norm 2L/3 with lever L = a + l, so above that radius every
+    module drives forward and omega is speed / R at every roll.
     """
-    rows = geom.lug_radius_r * jacobian_inverse(geom)[:3, :2]
-    return float(np.max(np.hypot(rows[:, 0], rows[:, 1])))
+    return 2.0 * (geom.a_offset + geom.arm_length_l) / 3.0
 
 
 def plan_tee(segment: PipeSegment, theta5_deg: float,
@@ -413,8 +410,8 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
         segment_index=segment_index,
         note="approach junction"))
 
-    omega, command = _tee_turn(speed, theta5, math.copysign(1.0, theta5),
-                               segment.tee_equivalent_radius, geom, signs)
+    omega, command = _tee_turn(speed, theta5, segment.tee_equivalent_radius,
+                               geom, signs)
     steps.append(MissionStep(
         kind=StepKind.TURN_TEE, command=command,
         duration_s=_timed((math.pi / 2.0) / omega, speed),

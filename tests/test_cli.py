@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib.metadata
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,21 @@ def test_fk_overflow_prints_only_the_typed_error():
     proc = run_console_script("fk", "--cmd", "1e308,-1e308,1e308,0")
     assert proc.returncode == 2
     assert proc.stderr.decode() == "error: v_cz must be finite\n"
+
+
+_WIDE_LUGS = ["--r", "1e300", "--l", "1e-10", "--reach-min", "1e-10",
+              "--reach-max", "1"]
+
+
+def test_fk_rejects_a_geometry_whose_jacobian_overflows(capsys):
+    # r / (a + l) = 1e300 / 1.5e-10 mm is past the float range
+    code, out, err = run_cli(capsys, "fk", "--cmd", "1,1,1,0", *_WIDE_LUGS)
+    assert code == 3 and out == ""
+    assert err.startswith("error: the Jacobian is not finite")
+    # the inverse's scalars, (a + l) / r and 1 / r, are finite
+    code, out, _ = run_cli(capsys, "ik", "--twist", "1,1,1,0", *_WIDE_LUGS)
+    assert code == 0
+    assert json.loads(out)["th4"] == 1.0
 
 
 def test_ik_round_trips_fk(capsys):
@@ -268,6 +285,71 @@ def test_simulate_reruns_are_byte_identical(capsys, net_file, tmp_path):
         blobs.append(((out_dir / "trajectory.csv").read_bytes(),
                       (out_dir / "outcome.json").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+# SHA-256 of trajectory.csv from `simulate --dt 0.01` on the acceptance
+# tee.  Kinematics and planning run on Python floats, so the bits depend
+# on IEEE arithmetic and the C library's sin, cos, asin and atan only.
+_TEE_TRAJECTORY_SHA256 = {
+    "17": "42af5e63e29e0e3c85c79630f1c6693f5773d11f3837d3ff28edea84cd256b57",
+    "30": "91b9e5cb67a08a32584ab5be4c24e6fb2c6e2b9c13080341fc699e750d650b37",
+}
+
+
+@pytest.mark.parametrize("theta5", sorted(_TEE_TRAJECTORY_SHA256))
+def test_acceptance_tee_trajectory_has_the_pinned_bits(capsys, net_file,
+                                                       tmp_path, theta5):
+    code, _, _ = run_cli(capsys, "simulate", "--network", str(net_file),
+                         "--theta5", theta5, "--dt", "0.01",
+                         "--out", str(tmp_path))
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes())
+    assert digest.hexdigest() == _TEE_TRAJECTORY_SHA256[theta5]
+
+
+def _dynamic_arch_openblas() -> str | None:
+    """Why numpy's BLAS cannot switch kernels by environment, or None."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        return "numpy.show_config has no dicts mode before numpy 1.25"
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return (f"numpy's BLAS ({blas.get('name', 'unknown')}) is not an "
+                f"OpenBLAS built with DYNAMIC_ARCH")
+    return None
+
+
+_NO_KERNEL_SWITCH = _dynamic_arch_openblas()
+
+
+@pytest.mark.skipif(_NO_KERNEL_SWITCH is not None,
+                    reason=str(_NO_KERNEL_SWITCH))
+def test_outputs_do_not_depend_on_the_blas_kernel(net_file, tmp_path,
+                                                  monkeypatch):
+    # OPENBLAS_CORETYPE makes a DYNAMIC_ARCH OpenBLAS pick another CPU
+    # kernel for the whole process, as another host would
+    files = []
+    for coretype in (None, "Prescott"):
+        if coretype is None:
+            monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+        out = tmp_path / str(coretype)
+        argvs = [[command, "--network", str(net_file), "--theta5", theta5,
+                  "--out", str(out / theta5)]
+                 + (["--dt", "0.01"] if command == "simulate" else [])
+                 for theta5 in ("17", "30") for command in ("plan", "simulate")]
+        proc = run_fresh_python(
+            "import json, sys; from omnipipe.cli import main; "
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))",
+            json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr.decode()
+        files.append({path.relative_to(out): path.read_bytes()
+                      for path in sorted(out.glob("*/*"))
+                      if path.name in ("plan.json", "trajectory.csv")})
+    assert len(files[0]) == 4
+    assert files[0] == files[1]
 
 
 def test_simulate_near_60_deg_alignment_roll_completes(capsys, tmp_path):

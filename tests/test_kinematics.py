@@ -1,5 +1,7 @@
+import inspect
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -146,38 +148,142 @@ def test_inverse_rejects_a_lever_to_radius_ratio_past_the_float_range(
         inverse_kinematics(TwistVector(0.0, 0.5, 0.0, 100.0), geom)
 
 
+def bits(values) -> list[str]:
+    """Exact images of floats, signed zeros told apart."""
+    return [float(v).hex() for v in values]
+
+
+def forward_scalars(geom: RobotGeometry) -> tuple[float, ...]:
+    r = geom.lug_radius_r
+    k = r / (geom.a_offset + geom.arm_length_l)
+    return k, math.sqrt(3.0) / 2.0 * k, k / 2.0, r / 3.0
+
+
+def inverse_scalars(geom: RobotGeometry) -> tuple[float, ...]:
+    r = geom.lug_radius_r
+    lever = geom.a_offset + geom.arm_length_l
+    y = lever / (3.0 * r)
+    return lever / (math.sqrt(3.0) * r), y, 2.0 * y, 1.0 / r
+
+
+def forward_by_scalars(cmd: CommandVector, geom: RobotGeometry) -> tuple:
+    """The forward map as forward_kinematics documents it."""
+    k, s, h, t = forward_scalars(geom)
+    th1, th2, th3, th4 = astuple(cmd)
+    return (0.0 - s * th2 + s * th3, 0.0 - k * th1 + h * th2 + h * th3,
+            0.0 + th4, 0.0 + t * th1 + t * th2 + t * th3)
+
+
+def inverse_by_scalars(twist: TwistVector, geom: RobotGeometry) -> tuple:
+    """The inverse map as inverse_kinematics documents it."""
+    x, y, y2, q = inverse_scalars(geom)
+    wx, wy, wz, v = astuple(twist)
+    return (0.0 - y2 * wy + q * v, 0.0 - x * wx + y * wy + q * v,
+            0.0 + x * wx + y * wy + q * v, 0.0 + wz)
+
+
 @st.composite
-def rates_near_overflow(draw):
-    """A geometry from 1e-300 to 1e300 mm and a command whose largest rate
-    lies near the one at which the forward map's product overflows."""
+def near_overflow(draw, scale_of):
+    """A geometry from 1e-300 to 1e300 mm and four values whose largest
+    may lie near the one at which ``scale_of(geom)`` times it overflows."""
     size = st.floats(min_value=1e-300, max_value=1e300)
     r, arm = draw(size), draw(size)
     geom = RobotGeometry(r, arm, arm * draw(st.floats(0.01, 10.0)), arm,
                          arm, 20.0)
-    scale = max(r, 2.0 * r / (geom.a_offset + geom.arm_length_l))
-    near = (min(sys.float_info.max / 2.0 / scale * draw(st.floats(0.25, 4.0)),
-                sys.float_info.max) * draw(st.sampled_from([1.0, -1.0])))
-    rate = st.just(near) | st.floats(allow_nan=False, allow_infinity=False)
-    return geom, CommandVector(draw(rate), draw(rate), draw(rate),
-                               draw(rate))
+    near = (min(sys.float_info.max / 2.0 / scale_of(geom)
+                * draw(st.floats(0.25, 4.0)), sys.float_info.max)
+            * draw(st.sampled_from([1.0, -1.0])))
+    value = st.just(near) | st.floats(allow_nan=False, allow_infinity=False)
+    return geom, tuple(draw(value) for _ in range(4))
+
+
+def _forward_scale(geom: RobotGeometry) -> float:
+    r = geom.lug_radius_r
+    return max(r, 2.0 * r / (geom.a_offset + geom.arm_length_l))
+
+
+def _inverse_scale(geom: RobotGeometry) -> float:
+    r = geom.lug_radius_r
+    return max(1.0 / r, (geom.a_offset + geom.arm_length_l) / r)
 
 
 @settings(max_examples=300, deadline=None)
-@given(rates_near_overflow())
-@example((ref_geom(), CommandVector(1e308, -1e308, 1e308, 0.0)))
+@given(near_overflow(_forward_scale))
+@example((ref_geom(), (1e308, -1e308, 1e308, 0.0)))
+@example((ref_geom(), (-0.0, 0.0, -0.0, -0.0)))
+@example((RobotGeometry(1e300, 1e-10, 5e-11, 1e-10, 1.0, 20.0),
+          (1.0, 1.0, 1.0, 0.0)))
 def test_forward_map_overflows_to_the_typed_error_without_a_warning(case):
-    # RuntimeWarnings are errors in this suite, so the unguarded product
-    # must never run where it overflows; where it does not, the twist is
-    # the plain product's bits
-    geom, cmd = case
-    with np.errstate(all="ignore"):
-        expected = jacobian(geom) @ cmd.as_array()
-    if np.isfinite(expected).all():
-        twist = forward_kinematics(cmd, geom)
-        assert twist.as_array().tobytes() == expected.tobytes()
+    # RuntimeWarnings are errors in this suite.  Where the documented
+    # scalar expression is finite the twist holds exactly its bits
+    geom, rates = case
+    cmd = CommandVector(*rates)
+    if not all(map(math.isfinite, forward_scalars(geom))):
+        with pytest.raises(InvalidGeometryError, match="not finite"):
+            forward_kinematics(cmd, geom)
+        return
+    expected = forward_by_scalars(cmd, geom)
+    if all(map(math.isfinite, expected)):
+        assert bits(astuple(forward_kinematics(cmd, geom))) == bits(expected)
     else:
         with pytest.raises(ValueError, match="must be finite"):
             forward_kinematics(cmd, geom)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_overflow(_inverse_scale))
+@example((ref_geom(), (1e308, -1e308, 1e308, -0.0)))
+@example((ref_geom(), (0.0, -0.0, -0.0, -0.0)))
+def test_inverse_map_equals_its_scalar_expression(case):
+    geom, values = case
+    twist = TwistVector(*values)
+    if not all(map(math.isfinite, inverse_scalars(geom))):
+        with pytest.raises(InvalidGeometryError, match="no finite inverse"):
+            inverse_kinematics(twist, geom)
+        return
+    expected = inverse_by_scalars(twist, geom)
+    if all(map(math.isfinite, expected)):
+        assert bits(astuple(inverse_kinematics(twist, geom))) \
+            == bits(expected)
+    else:
+        with pytest.raises(ValueError, match="must be finite"):
+            inverse_kinematics(twist, geom)
+
+
+@settings(max_examples=200, deadline=None)
+@given(geometries(), st.floats(min_value=1e-300, max_value=1e300),
+       st.sampled_from([1.0, -1.0]))
+def test_equal_drive_rates_give_exactly_zero_wobble(geom, rate, sign):
+    # criterion 2 in the documented order, for rates whose products with
+    # the forward scalars stay normal floats
+    twist = forward_kinematics(CommandVector(*(sign * rate,) * 3, 0.0), geom)
+    assert bits((twist.omega_x, twist.omega_y, twist.omega_z)) \
+        == bits((0.0, 0.0, 0.0))
+
+
+def test_each_map_checks_only_its_own_scalars():
+    # r / (a + l) overflows, the inverse's scalars do not
+    wide = RobotGeometry(1e300, 1e-10, 5e-11, 1e-10, 1.0, 20.0)
+    with pytest.raises(InvalidGeometryError, match="not finite"):
+        jacobian(wide)
+    assert inverse_kinematics(TwistVector(1.0, 1.0, 1.0, 0.0), wide)
+    # (a + l) / r overflows, the forward scalars do not
+    long = RobotGeometry(15.0, 1e308, 1e308, 1e308, 1e308, 20.0)
+    with pytest.raises(InvalidGeometryError, match="no finite inverse"):
+        jacobian_inverse(long)
+    assert forward_kinematics(CommandVector(1.0, 1.0, 1.0, 0.0), long)
+
+
+def test_kinematics_and_planner_carry_no_numpy_overflow_guards():
+    # the closed forms run on Python floats, which overflow to inf or nan
+    # without a warning; the matrix products and their guards are gone
+    from omnipipe import kinematics, planner
+    assert not any(getattr(value, "__name__", "").split(".")[0] == "numpy"
+                   or type(value).__module__.split(".")[0] == "numpy"
+                   for value in vars(planner).values())
+    assert "numpy" not in inspect.getsource(planner)
+    source = inspect.getsource(kinematics)
+    assert "errstate" not in source and "_HALF_FLOAT_MAX" not in source
 
 
 def test_vectors_name_their_first_non_finite_field():

@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionStep,
@@ -14,7 +15,8 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionStep,
                       plan_mission, plan_straight, plan_tee, plan_to_dict,
                       plan_to_json, radius_of_curvature, region_for_tee,
                       rolling_gain, run_mission, straight, tee)
-from omnipipe import PipeNetwork, TeeExit
+from omnipipe import (PipeNetwork, RobotGeometry, TeeExit, TwistVector,
+                      inverse_kinematics)
 from omnipipe import intervals as iv
 from omnipipe import planner
 
@@ -258,12 +260,69 @@ def test_tee_unreachable_equivalent_radius(cfg, geom):
                      geom)
 
 
+def turn_weights(axis, geom):
+    """r (row i of J^-1) . axis, as the turn-rate solve forms them."""
+    rates = inverse_kinematics(TwistVector(axis[0], axis[1], 0.0, 0.0),
+                               geom)
+    r = geom.lug_radius_r
+    return (r * rates.theta_dot_1, r * rates.theta_dot_2,
+            r * rates.theta_dot_3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lever=st.floats(1e8, 1e300), r=st.floats(1e-3, 1e3),
+       theta5=st.floats(0.0, 360.0), ulps=st.integers(-3, 3),
+       speed=st.sampled_from([1e-300, 1e300]) | st.floats(1e-300, 1e300))
+@example(lever=6.1e13, r=1.0, theta5=118.0, ulps=1, speed=100.0)
+def test_turn_rate_near_its_bound_ends_in_plan_error(lever, r, theta5, ulps,
+                                                     speed):
+    # past 1e8 mm of lever the 1e-9 mm margin is below the bound's
+    # rounding, so R can pass the bound check and still round the fixed
+    # point's denominator 3R - s . w to zero (the example does)
+    geom = RobotGeometry(r, lever / 2.0, lever / 2.0, lever / 2.0,
+                         lever / 2.0, 20.0)
+    axis = (-math.sin(math.radians(theta5)), math.cos(math.radians(theta5)))
+    radius = sum(map(abs, turn_weights(axis, geom))) / 3.0
+    for _ in range(abs(ulps)):
+        radius = math.nextafter(radius, math.copysign(math.inf, ulps))
+    try:
+        omega = planner._turn_rate_for_radius(speed, axis, radius, geom)
+    except PlanError:
+        return
+    assert math.isfinite(omega) and omega > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.0, 1e6), st.floats(1.0, 1e6), st.floats(0.01, 10.0))
+def test_forward_turn_radius_is_the_row_norm_of_the_turn_weights(r, arm,
+                                                                 ratio):
+    geom = RobotGeometry(r, arm, ratio * arm, arm, arm, 20.0)
+    lever = geom.a_offset + geom.arm_length_l
+    assert planner.forward_turn_radius(geom) == 2.0 * lever / 3.0
+    # row i of r J^-1[:3, :2] holds module i's weights for the x and y axes
+    rows = zip(turn_weights((1.0, 0.0), geom), turn_weights((0.0, 1.0), geom))
+    for wx, wy in rows:
+        assert math.hypot(wx, wy) == pytest.approx(2.0 * lever / 3.0,
+                                                   rel=1e-15)
+
+
 def test_drives_at_one_roll_state_share_one_command(cfg, geom, tee_net):
     plan = plan_mission(tee_net, 30.0, cfg, geom)
     drives = [s for s in plan if s.kind is StepKind.DRIVE]
     assert [s.note for s in drives] == ["", "approach junction",
                                         "exit junction", ""]
     assert all(s.command is drives[0].command for s in drives)
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (-1, 1, -1)])
+def test_tee_turn_at_either_zero_roll_has_the_same_bits(geom, signs):
+    # so the turn memo may key theta5 = 0.0 and -0.0 alike
+    solve = planner._tee_turn.__wrapped__
+    turns = [solve(100.0, theta5, tee(D).tee_equivalent_radius, geom, signs)
+             for theta5 in (0.0, -0.0)]
+    images = [[x.hex() for x in (omega, *astuple(command))]
+              for omega, command in turns]
+    assert images[0] == images[1]
 
 
 def test_turn_and_drive_memos_are_bounded(cfg, geom):
