@@ -40,8 +40,7 @@ from .singularity import (CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD,
                           calibrate_reach_for_sector, contact_loss_arcs,
                           cross_section_at, ellipse_radial_distance,
                           escape_rotation, failure_probability,
-                          in_singularity, orientation_forbidden_set,
-                          preferred_orientations, sweep_t_junction,
-                          tee_sweep_tilt_limit)
+                          in_singularity, preferred_orientations,
+                          sweep_t_junction)
 
 __version__ = "0.1.0"

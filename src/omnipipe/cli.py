@@ -31,8 +31,8 @@ from .planner import (REFERENCE_GEOMETRY, PlannerConfig, plan_mission,
                       plan_to_json)
 from .sim import (monte_carlo_tee, outcome_to_json, run_mission,
                   write_trajectory_csv)
-from .singularity import (failure_probability, sweep_t_junction,
-                          tee_sweep_tilt_limit)
+from .singularity import (DEFAULT_PHI_MAX_RAD, failure_probability,
+                          sweep_t_junction)
 
 _EXIT_PARSE = 2
 _EXIT_GEOMETRY = 3
@@ -174,8 +174,7 @@ def _cmd_sector(args) -> int:
     geom = _geometry_from_args(args)
     reach = args.reach if args.reach is not None else geom.reach_max
     phi_max = (math.radians(args.phi_max_deg)
-               if args.phi_max_deg is not None
-               else tee_sweep_tilt_limit(args.d, args.d))
+               if args.phi_max_deg is not None else DEFAULT_PHI_MAX_RAD)
     region = sweep_t_junction(args.d, reach, phi_max)
     _emit({"sector_deg": region.sector_measure_deg,
            "free_margin_deg": region.free_margin_deg,

@@ -67,23 +67,6 @@ def normalize(intervals: list[Interval], period: float) -> list[Interval]:
     return merged
 
 
-def measure(intervals: list[Interval]) -> float:
-    """Total arc length of a canonical set (degrees)."""
-    return sum(hi - lo for lo, hi in intervals)
-
-
-def contains(intervals: list[Interval], angle: float, period: float) -> bool:
-    """True if ``angle`` (mod period) lies in the canonical set (closed)."""
-    a = wrap(angle, period)
-    for lo, hi in intervals:
-        if lo - _EPS <= a <= hi + _EPS:
-            return True
-        # closed arcs include the wrap point when hi touches the period
-        if hi >= period - _EPS and a <= (hi - period) + _EPS:
-            return True
-    return False
-
-
 def complement(intervals: list[Interval], period: float) -> list[Interval]:
     """Gaps of a canonical set within [0, period), as a canonical set."""
     if not intervals:
@@ -97,17 +80,12 @@ def complement(intervals: list[Interval], period: float) -> list[Interval]:
     if prev_hi < period - _EPS:
         gaps.append((prev_hi, period))
     # a leading gap and a trailing gap are the same gap on the circle;
-    # represent it as a single wrapped interval so centers come out right
+    # represent it as a single wrapped interval
     if len(gaps) >= 2 and gaps[0][0] <= _EPS and gaps[-1][1] >= period - _EPS:
         first = gaps.pop(0)
         lo, _ = gaps.pop()
         gaps.append((lo, period + first[1]))
     return gaps
-
-
-def center(interval: Interval, period: float) -> float:
-    """Midpoint of an interval, reduced into [0, period)."""
-    return wrap((interval[0] + interval[1]) / 2.0, period)
 
 
 def signed_delta(from_angle: float, to_angle: float, period: float) -> float:

@@ -8,7 +8,8 @@ innermost curve, then per-module speeds proportional to the path radii.
 Tees get a holonomic roll out of the singularity region (centered in the
 nearest free gap), an approach run until the head is a configured
 fraction of D into the junction, a differential turn whose twist realizes
-the tee's equivalent bend radius, and an exit run.
+the tee's equivalent bend radius, and an exit run.  Without the holonomic
+roll (``with_holonomic=False``) neither elbows nor tees roll.
 
 Holonomic rolling counter-rotates the modules about their own axes; once
 the accumulated self-rotation passes 90 deg their drive direction flips
@@ -39,19 +40,21 @@ import json
 import math
 from dataclasses import astuple, dataclass
 
-from .drive import (DEFAULT_DEADBAND_DEG, drive_sign, roll, rolling_gain,
-                    shift_reference, signed_drive)
+from .drive import (DEFAULT_DEADBAND_DEG, MAX_DEADBAND_RAD, drive_sign, roll,
+                    rolling_gain, shift_reference, signed_drive)
 from .errors import PlanError
 from .intervals import signed_delta, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          inverse_kinematics)
 from .pipenet import (PipeNetwork, PipeSegment, RatioMode, SegmentKind,
                       TeeExit, module_path_radii)
-from .singularity import (CALIBRATED_REACH_MM, SingularityRegion,
-                          escape_rotation, sweep_t_junction,
-                          tee_sweep_tilt_limit)
+from .singularity import (CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD,
+                          ORIENTATION_PERIOD_DEG, SingularityRegion,
+                          escape_rotation, sweep_t_junction)
 
 _TOL_DEG = 1e-9
+# any roll goal lies within half the roll period
+_MAX_ROLL_DEG = ORIENTATION_PERIOD_DEG / 2.0
 
 # preferred roll offsets, deg: a module on the turn plane for elbow and
 # branch turns, modules straddling the branch mouth when passing over it
@@ -120,7 +123,6 @@ class PlannerConfig:
     wobble_deadband_deg: float = DEFAULT_DEADBAND_DEG
     rotate_rate_rad_s: float = 0.5
     sweep_phi_max_deg: float | None = None  # None: equal-bore tilt limit
-    align_elbow: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.straight_speed) and self.straight_speed > 0):
@@ -129,9 +131,10 @@ class PlannerConfig:
         if not 0.0 < self.tee_trigger_fraction <= 1.0:
             raise PlanError(f"tee_trigger_fraction must lie in (0, 1], got "
                             f"{self.tee_trigger_fraction}")
-        if not 0.0 <= self.wobble_deadband_deg <= 10.0:
-            raise PlanError(f"wobble_deadband_deg must lie in [0, 10], got "
-                            f"{self.wobble_deadband_deg}")
+        limit = math.degrees(MAX_DEADBAND_RAD)
+        if not 0.0 <= self.wobble_deadband_deg <= limit:
+            raise PlanError(f"wobble_deadband_deg must lie in [0, {limit:g}], "
+                            f"got {self.wobble_deadband_deg}")
         if not (math.isfinite(self.rotate_rate_rad_s)
                 and self.rotate_rate_rad_s > 0):
             raise PlanError(f"rotate_rate_rad_s must be finite and > 0, got "
@@ -152,8 +155,7 @@ def region_for_tee(segment: PipeSegment, cfg: PlannerConfig,
                    geom: RobotGeometry) -> SingularityRegion:
     """Singularity region governing a branch turn through this tee."""
     phi_max = (math.radians(cfg.sweep_phi_max_deg)
-               if cfg.sweep_phi_max_deg is not None
-               else tee_sweep_tilt_limit(segment.d_mm, segment.d_mm))
+               if cfg.sweep_phi_max_deg is not None else DEFAULT_PHI_MAX_RAD)
     return _cached_region(segment.d_mm, geom.reach_max, phi_max)
 
 
@@ -180,8 +182,9 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
 
     Landing a module's self-rotation inside the deadband would stall every
     later drive command, so widen the roll just past the band, or shorten
-    it where widening would pass +-60 deg.  The nudge is a fraction of a
-    degree of roll and does not matter against the free-gap margin.
+    it where widening would pass +-60 deg, half the roll period.  The
+    nudge is a fraction of a degree of roll and does not matter against
+    the free-gap margin.
     """
     _, alpha = roll(theta5_deg, alpha_rad, math.radians(delta_deg), d_mm,
                     geom)
@@ -190,7 +193,7 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
         bump = (math.degrees(2.0 * cfg.deadband_rad + 1e-6)
                 / rolling_gain(d_mm, geom))
         bump = bump if delta_deg >= 0 else -bump
-        delta_deg += bump if abs(delta_deg + bump) <= 60.0 else -bump
+        delta_deg += bump if abs(delta_deg + bump) <= _MAX_ROLL_DEG else -bump
     step = holonomic_rotate_step(delta_deg, cfg.rotate_rate_rad_s, geom, d_mm,
                                  alpha_rad, segment_index)
     if step is None:
@@ -242,7 +245,7 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
     if not (math.isfinite(rate_rad_s) and rate_rad_s > 0):
         raise PlanError(f"rotate rate must be finite and > 0, got "
                         f"{rate_rad_s}")
-    if abs(delta_deg) > 60.0 + 1e-6:
+    if abs(delta_deg) > _MAX_ROLL_DEG + 1e-6:
         raise PlanError(f"roll delta must lie within +-60 deg, got "
                         f"{delta_deg}")
     if abs(delta_deg) <= _TOL_DEG:
@@ -262,21 +265,24 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
 
 
 def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
-               geom: RobotGeometry, alpha_rad: tuple[float, ...] = (0.0,) * 3,
+               geom: RobotGeometry, with_holonomic: bool = True,
+               alpha_rad: tuple[float, ...] = (0.0,) * 3,
                segment_index: int | None = None
                ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
     """Roll a module onto the innermost curve, then drive at radii ratios.
 
     The two-modules-inner pose stalls against the outer wall, so the
     target is always the single-inner-module grid (theta5 = 0 mod 120);
-    speeds come out proportional to module_path_radii and are normalized
-    so their mean is cfg.straight_speed.  Returns the steps and the
-    (theta5, alpha) they end in.
+    with_holonomic false skips the roll.  Speeds come out proportional to
+    module_path_radii and are normalized so their mean is
+    cfg.straight_speed.  Returns the steps and the (theta5, alpha) they
+    end in.
     """
     if segment.kind is not SegmentKind.ELBOW:
         raise PlanError("plan_elbow requires an elbow segment")
-    delta = (signed_delta(theta5_deg, _ELBOW_TARGET_DEG, 120.0)
-             if cfg.align_elbow else 0.0)
+    delta = (signed_delta(theta5_deg, _ELBOW_TARGET_DEG,
+                          ORIENTATION_PERIOD_DEG)
+             if with_holonomic else 0.0)
     steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, segment.d_mm,
                                   cfg, geom, segment_index)
     radii = module_path_radii(segment, theta5, cfg.ratio_mode)
@@ -388,7 +394,8 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     if not with_holonomic:
         delta = 0.0
     elif segment.exit is TeeExit.THROUGH:
-        delta = signed_delta(theta5_deg, _THROUGH_TARGET_DEG, 120.0)
+        delta = signed_delta(theta5_deg, _THROUGH_TARGET_DEG,
+                             ORIENTATION_PERIOD_DEG)
     else:
         delta = escape_rotation(theta5_deg, region)
     steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, d, cfg, geom,
@@ -447,8 +454,8 @@ def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
         if segment.kind is SegmentKind.STRAIGHT:
             new = [plan_straight(segment.length_mm, cfg, geom, alpha, i)]
         elif segment.kind is SegmentKind.ELBOW:
-            new, theta5, alpha = plan_elbow(segment, theta5, cfg, geom, alpha,
-                                            i)
+            new, theta5, alpha = plan_elbow(segment, theta5, cfg, geom,
+                                            with_holonomic, alpha, i)
         else:
             region = region_for_tee(segment, cfg, geom)
             new, theta5, alpha = plan_tee(segment, theta5, region, cfg, geom,

@@ -49,7 +49,7 @@ theta5 is degrees in [0, 360) relative to the next upcoming turn's plane
 and is shifted at segment boundaries per pipenet.reference_rolls; alpha
 (module self-rotation) is radians, accumulated without wrapping.
 
-A mission that plans no roll (no holonomic escape, and no elbow or no
+A mission that plans no roll (no holonomic escape, which also skips the
 elbow alignment) keeps theta5 a fixed shift of the initial roll, so its
 outcome is decided at the branch-tee onsets alone: success_set gives the
 initial rolls that complete as an interval set over [0, 120), and
@@ -99,7 +99,7 @@ MAX_SUBSTEPS = 1_000_000
 # Monte Carlo draws per chunk, so memory does not grow with the trials
 _CHUNK = 4096
 # draws this close to an endpoint of the success set (deg) take the scalar
-# path: the band covers intervals.contains' 1e-9 slack and the rounding of
+# path: the band covers in_singularity's 1e-9 slack and the rounding of
 # the reference-shift chain
 _GUARD_DEG = 1e-6
 # two-sided 95% normal quantile
@@ -493,8 +493,6 @@ def _uncovered(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
         return "the holonomic escape is enabled"
     for segment in net.segments:
         if segment.kind is SegmentKind.ELBOW:
-            if cfg.align_elbow:
-                return "an elbow is aligned by a roll"
             if min(module_path_radii(segment, 0.0, cfg.ratio_mode)) <= 0.0:
                 return "an elbow is tighter than its bore"
         elif _branch_tee(segment):
@@ -510,14 +508,14 @@ def success_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
                 with_holonomic: bool) -> list[Interval] | None:
     """Initial rolls in [0, 120) deg whose mission completes, or None.
 
-    Covers every mission that plans no roll: ``with_holonomic`` is false
-    and the network has no elbow or ``cfg.align_elbow`` is false.  Then
-    theta5 at each branch-tee onset is the initial roll plus C_i, the
-    drive.shift_reference chain evaluated from 0, and the mission fails
-    exactly when some onset lies in that tee's orientation_forbidden_set.
-    The result is the complement of the union of those sets shifted by
-    -C_i, as a canonical interval set; measure(set) / 120 is the exact
-    success probability.
+    Covers every mission that plans no roll, i.e. ``with_holonomic`` is
+    false.  Then theta5 at each branch-tee onset is the initial roll plus
+    C_i, the drive.shift_reference chain evaluated from 0, and the
+    mission fails exactly when some onset lies within that tee's
+    half-width h of a multiple of 60 deg: in the arc (-h, h) or
+    (60 - h, 60 + h) modulo 120.  The result is the complement of the
+    union of those arcs shifted by -C_i, as a canonical interval set; its
+    total length / 120 is the exact success probability.
 
     Returns None for missions that roll (after a roll theta5 no longer
     follows the initial roll), for turns whose plan depends on the roll
@@ -535,9 +533,10 @@ def success_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
             if i > 0:
                 shift = shift_reference(shift, net, i - 1, i)
             if _branch_tee(segment):
-                region = region_for_tee(segment, cfg, geom)
-                forbidden += [(lo - shift, hi - shift)
-                              for lo, hi in region.orientation_forbidden_set]
+                h = region_for_tee(segment, cfg, geom).half_width_deg
+                forbidden += [(centre - h - shift, centre + h - shift)
+                              for centre in (0.0,
+                                             ORIENTATION_PERIOD_DEG / 2.0)]
         failing = normalize(forbidden, ORIENTATION_PERIOD_DEG)
         succeeding = normalize(complement(failing, ORIENTATION_PERIOD_DEG),
                                ORIENTATION_PERIOD_DEG)

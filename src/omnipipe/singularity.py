@@ -8,11 +8,13 @@ of the major axis the wall lies farther out than a module can reach, so a
 module pointed there loses contact and the robot is left with two contact
 points and no usable traction.
 
-This module computes, analytically, the arcs of wall direction where
-contact is lost, projects them into the space of robot roll orientations
-(periodic in 120 deg because the three modules are interchangeable), and
-reduces the result to a sector measure, free margins and a failure
-probability for a robot that cannot re-orient itself.
+This module computes, analytically, the half-width h of the two arcs of
+wall direction where contact is lost, centred on the ends of the major
+axis.  Folded by the 120 deg module symmetry (the three modules are
+interchangeable), they forbid every robot roll within h of a multiple of
+60 deg.  The forbidden sector, the free gaps, the escape roll and the
+failure probability of a robot that cannot re-orient itself all follow
+from h in closed form.
 
 Angles inside region structures are degrees (fields carry a ``_deg``
 suffix); ellipse queries take radians like the kinematics layer.
@@ -21,16 +23,20 @@ suffix); ellipse queries take radians like the kinematics layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import intervals
 from .errors import (InsufficientReachError, InvalidGeometryError,
                      InvalidSectionError, NoEscapeError)
-from .intervals import Interval
+from .intervals import Interval, signed_delta, wrap
 
 # Robot orientations repeat every 120 deg (three identical modules).
 ORIENTATION_PERIOD_DEG = 120.0
 CIRCLE_DEG = 360.0
+# The two opposite arcs fold onto every multiple of half the period, and
+# the free gaps are centred between them.
+_HALF_PERIOD_DEG = ORIENTATION_PERIOD_DEG / 2.0
+_GAP_CENTRES_DEG = (30.0, 90.0)
+_TOL_DEG = 1e-9
 
 # Default sweep limit for an equal-bore tee: the cut plane tilts until it
 # reaches the branch mouth, 45 deg when branch and main diameters match.
@@ -69,20 +75,43 @@ class EllipseSection:
 
 @dataclass(frozen=True)
 class SingularityRegion:
-    """Forbidden wall arcs and the orientation set they induce.
+    """A tee's Motion Singularity Region, from its contact-loss half-width.
 
-    ``forbidden_arcs`` are wall-direction arcs on the cross-section circle
-    (degrees, measured from the major axis / turn plane).  The orientation
-    set lists forbidden robot rolls theta5 modulo 120 deg;
-    ``sector_measure_deg`` is its total measure and ``free_margin_deg`` is
-    the rotation available on either side of the preferred orientation,
-    ``(120 - sector) / 2``.
+    ``half_width_deg`` is the half-width h of each of the two wall arcs
+    where contact is lost, centred on the major-axis ends (0 and 180 deg
+    of wall direction); 0.0 when no contact is lost.  A roll theta5 is
+    forbidden iff it lies within h of a multiple of 60 deg, so the
+    forbidden sector measures min(4h, 120) deg and the free gaps are
+    centred on 30 and 90 deg.  Gaps at most 1e-9 deg wide, within
+    in_singularity's slack, count as closed: the sector is then 120 deg.
+    ``free_margin_deg``, (120 - sector) / 2, is the width of each free
+    gap: 11.73 deg for the reference robot, whose gap runs from 24.135 to
+    35.865 deg, 5.865 deg on either side of its centre.
     """
 
-    forbidden_arcs: list[Interval]
-    orientation_forbidden_set: list[Interval] = field(default_factory=list)
-    sector_measure_deg: float = 0.0
-    free_margin_deg: float = 60.0
+    half_width_deg: float
+
+    @property
+    def sector_measure_deg(self) -> float:
+        h = self.half_width_deg
+        if _HALF_PERIOD_DEG - h <= h + _TOL_DEG:
+            return ORIENTATION_PERIOD_DEG
+        return 4.0 * h
+
+    @property
+    def free_margin_deg(self) -> float:
+        return (ORIENTATION_PERIOD_DEG - self.sector_measure_deg) / 2.0
+
+    @property
+    def forbidden_arcs(self) -> list[Interval]:
+        """The wall arcs (deg from the major axis) as a canonical set."""
+        h = self.half_width_deg
+        if h == 0.0:
+            return []
+        if h >= 90.0:
+            return [(0.0, CIRCLE_DEG)]
+        return [(0.0, h), (180.0 - h, 180.0 + h),
+                (CIRCLE_DEG - h, CIRCLE_DEG)]
 
 
 def ellipse_radial_distance(e: EllipseSection, psi: float) -> float:
@@ -98,17 +127,36 @@ def ellipse_radial_distance(e: EllipseSection, psi: float) -> float:
 def cross_section_at(D: float, phi: float) -> EllipseSection:
     """Section of a bore of diameter D cut at tilt ``phi`` (rad).
 
-    Raises InvalidSectionError for phi outside [0, pi/2): at 90 deg the cut
-    plane is parallel to the pipe axis and no ellipse exists.
+    Raises InvalidSectionError for a non-finite or non-positive D, and
+    for phi outside [0, pi/2): at 90 deg the cut plane is parallel to the
+    pipe axis and no ellipse exists.
     """
-    if D <= 0:
-        raise InvalidSectionError(f"diameter must be > 0, got {D}")
+    if not (math.isfinite(D) and D > 0):
+        raise InvalidSectionError(
+            f"diameter must be finite and > 0, got {D!r}")
     if not (0.0 <= phi < math.pi / 2.0):
         raise InvalidSectionError(
             f"tilt must lie in [0, 90 deg), got {math.degrees(phi):.3f} deg")
     b = D / 2.0
     return EllipseSection(semi_major_a=b / math.cos(phi), semi_minor_b=b,
                           tilt_angle_phi=phi)
+
+
+def _lost_half_width(e: EllipseSection, reach_max: float) -> float:
+    """Half-width (deg) of each contact-loss arc; see contact_loss_arcs."""
+    if not (math.isfinite(reach_max) and reach_max > 0):
+        raise InvalidGeometryError(
+            f"reach_max must be finite and > 0, got {reach_max!r}")
+    a, b = e.semi_major_a, e.semi_minor_b
+    if reach_max < b:
+        raise InsufficientReachError(
+            f"reach_max={reach_max} mm is below the bore radius {b} mm")
+    if reach_max >= a:
+        return 0.0
+    # b^2 cos^2 + a^2 sin^2 = (ab/reach)^2, solved for sin^2 psi
+    sin2 = (b * b * (a * a - reach_max * reach_max)
+            / (reach_max * reach_max * (a * a - b * b)))
+    return math.degrees(math.asin(math.sqrt(min(1.0, sin2))))
 
 
 def contact_loss_arcs(e: EllipseSection, reach_max: float) -> list[Interval]:
@@ -122,43 +170,13 @@ def contact_loss_arcs(e: EllipseSection, reach_max: float) -> list[Interval]:
     and InsufficientReachError when ``reach_max`` is below the semi-minor
     axis: such a robot cannot press even a circular bore.
     """
-    if not (math.isfinite(reach_max) and reach_max > 0):
-        raise InvalidGeometryError(
-            f"reach_max must be finite and > 0, got {reach_max!r}")
-    a, b = e.semi_major_a, e.semi_minor_b
-    if reach_max < b:
-        raise InsufficientReachError(
-            f"reach_max={reach_max} mm is below the bore radius {b} mm")
-    if reach_max >= a:
-        return []
-    # b^2 cos^2 + a^2 sin^2 = (ab/reach)^2, solved for sin^2 psi
-    sin2 = (b * b * (a * a - reach_max * reach_max)
-            / (reach_max * reach_max * (a * a - b * b)))
-    half_width = math.degrees(math.asin(math.sqrt(min(1.0, sin2))))
+    half_width = _lost_half_width(e, reach_max)
     if half_width == 0.0:
         return []
     return [
         (CIRCLE_DEG - half_width, CIRCLE_DEG + half_width),  # arc about 0 deg
         (180.0 - half_width, 180.0 + half_width),
     ]
-
-
-def orientation_forbidden_set(arcs: list[Interval]) -> SingularityRegion:
-    """Project wall arcs into forbidden robot-roll orientations.
-
-    A roll theta5 is forbidden iff any of the three module directions
-    (theta5, theta5 +- 120 deg) points into any arc, which reduces to
-    folding each arc modulo 120 deg and taking the union.
-    """
-    canonical = intervals.normalize(arcs, CIRCLE_DEG)
-    folded = intervals.normalize(canonical, ORIENTATION_PERIOD_DEG)
-    sector = intervals.measure(folded)
-    return SingularityRegion(
-        forbidden_arcs=canonical,
-        orientation_forbidden_set=folded,
-        sector_measure_deg=sector,
-        free_margin_deg=(ORIENTATION_PERIOD_DEG - sector) / 2.0,
-    )
 
 
 def sweep_t_junction(D: float, reach_max: float,
@@ -169,61 +187,57 @@ def sweep_t_junction(D: float, reach_max: float,
     d/da [(a^2 - R^2) / (a^2 - b^2)] > 0, so the union is the single
     section at ``phi_max``.
     """
-    return orientation_forbidden_set(
-        contact_loss_arcs(cross_section_at(D, phi_max), reach_max))
+    return SingularityRegion(
+        _lost_half_width(cross_section_at(D, phi_max), reach_max))
 
 
 def in_singularity(theta5_deg: float, region: SingularityRegion) -> bool:
-    """True iff theta5 (degrees) folded into 120 deg is forbidden."""
-    return intervals.contains(region.orientation_forbidden_set, theta5_deg,
-                              ORIENTATION_PERIOD_DEG)
+    """True iff theta5 (degrees) lies within the half-width of a multiple
+    of 60 deg, closed, with 1e-9 deg of slack."""
+    h = region.half_width_deg
+    if h <= 0.0:
+        return False
+    d = wrap(theta5_deg, _HALF_PERIOD_DEG)
+    return min(d, _HALF_PERIOD_DEG - d) <= h + _TOL_DEG
 
 
 def preferred_orientations(region: SingularityRegion) -> list[float]:
     """Centers of the free gaps (degrees, within [0, 120)).
 
     These rolls maximize the margin before a module re-enters the
-    forbidden set.  Raises NoEscapeError when no free gap exists.
+    forbidden set: 30 and 90 deg, or 60 deg when no roll is forbidden.
+    Raises NoEscapeError when the gaps are at most 1e-9 deg wide.
     """
-    gaps = intervals.complement(region.orientation_forbidden_set,
-                                ORIENTATION_PERIOD_DEG)
-    if not gaps:
+    if region.half_width_deg == 0.0:
+        return [_HALF_PERIOD_DEG]
+    if region.sector_measure_deg == ORIENTATION_PERIOD_DEG:
         raise NoEscapeError("forbidden set covers every orientation")
-    return [intervals.center(g, ORIENTATION_PERIOD_DEG) for g in gaps]
+    return list(_GAP_CENTRES_DEG)
 
 
-def escape_rotation(theta5_deg: float, region: SingularityRegion,
-                    tol_deg: float = 1e-9) -> float:
+def escape_rotation(theta5_deg: float, region: SingularityRegion) -> float:
     """Smallest signed roll (degrees) to the nearest free-gap center.
 
     Centering in the gap maximizes margin on both sides.  Returns 0.0 when
-    already centered within ``tol_deg``; ties between a positive and a
+    already centered within 1e-9 deg; ties between a positive and a
     negative candidate resolve to the positive (counter-clockwise) one.
     Raises NoEscapeError when the free set is empty.
     """
     best = None
     for target in preferred_orientations(region):
-        d = intervals.signed_delta(theta5_deg, target, ORIENTATION_PERIOD_DEG)
-        if best is None or abs(d) < abs(best) - tol_deg:
+        d = signed_delta(theta5_deg, target, ORIENTATION_PERIOD_DEG)
+        if best is None or abs(d) < abs(best) - _TOL_DEG:
             best = d
-        elif abs(abs(d) - abs(best)) <= tol_deg and d > best:
+        elif abs(abs(d) - abs(best)) <= _TOL_DEG and d > best:
             best = d  # tie: prefer the positive rotation
-    if abs(best) <= tol_deg:
+    if abs(best) <= _TOL_DEG:
         return 0.0
     return best
 
 
 def failure_probability(region: SingularityRegion) -> float:
     """Chance a robot at uniform random roll sits in the forbidden set."""
-    p = region.sector_measure_deg / ORIENTATION_PERIOD_DEG
-    return min(1.0, max(0.0, p))
-
-
-def tee_sweep_tilt_limit(d_branch: float, d_main: float) -> float:
-    """Cut tilt (rad) at which the sweep reaches the branch mouth."""
-    if d_branch <= 0 or d_main <= 0:
-        raise InvalidSectionError("diameters must be > 0")
-    return math.atan(d_branch / d_main)
+    return region.sector_measure_deg / ORIENTATION_PERIOD_DEG
 
 
 def calibrate_reach_for_sector(D: float, target_sector_deg: float,
@@ -236,7 +250,7 @@ def calibrate_reach_for_sector(D: float, target_sector_deg: float,
     the largest reach that still forbids every roll (~101.19 mm at D=160).
 
     Raises ValueError for a non-finite target or one outside [0, 120], and
-    InvalidSectionError for D <= 0.
+    InvalidSectionError for a non-finite or non-positive D.
     """
     if not (math.isfinite(target_sector_deg)
             and 0.0 <= target_sector_deg <= ORIENTATION_PERIOD_DEG):

@@ -21,8 +21,8 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, EllipseSection,
                       module_linear_velocities, module_path_radii,
                       module_positions, monte_carlo_tee, plan_mission,
                       radius_of_curvature, run_mission, step, straight,
-                      sweep_t_junction, tee, tee_sweep_tilt_limit)
-from omnipipe import RatioMode, elbow
+                      sweep_t_junction, tee)
+from omnipipe import DEFAULT_PHI_MAX_RAD, RatioMode, elbow
 from omnipipe.cli import main as cli_main
 
 from conftest import criterion
@@ -146,8 +146,7 @@ def test_criterion_6_reach_calibration():
                       "0.01 deg, failure probability 0.8045 +- 0.0005, "
                       "free margin 11.73 +- 0.1 deg"):
         reach = calibrate_reach_for_sector(160.0, 96.54)
-        region = sweep_t_junction(160.0, reach,
-                                  tee_sweep_tilt_limit(160.0, 160.0))
+        region = sweep_t_junction(160.0, reach, DEFAULT_PHI_MAX_RAD)
         assert region.sector_measure_deg == pytest.approx(96.54, abs=0.01)
         assert failure_probability(region) == pytest.approx(0.8045,
                                                             abs=0.0005)

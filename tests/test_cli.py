@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omnipipe
-from omnipipe import (CommandVector, PipeNetwork, forward_kinematics,
+from omnipipe import (CommandVector, PipeNetwork, elbow, forward_kinematics,
                       network_to_json, straight, tee)
 from omnipipe.cli import main
 
@@ -248,6 +248,23 @@ def test_sector_report_shape(capsys):
     assert total == pytest.approx(doc["sector_deg"], abs=1e-9)
 
 
+def test_sector_without_contact_loss_reports_float_zero(capsys):
+    # at D = 80 the reference reach covers the whole tilted section
+    code, out, _ = run_cli(capsys, "sector", "--d", "80")
+    assert code == 0
+    assert '"sector_deg": 0.0\n' in out
+    assert json.loads(out) == {"arcs": [], "failure_probability": 0.0,
+                               "free_margin_deg": 60.0, "sector_deg": 0.0}
+
+
+@pytest.mark.parametrize("d", ["inf", "nan", "-inf"])
+def test_sector_rejects_a_non_finite_bore(capsys, d):
+    code, out, err = run_cli(capsys, "sector", f"--d={d}")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: diameter must be finite and > 0, got {d}\n"
+
+
 # -- file-producing commands ----------------------------------------------------------
 
 def test_plan_writes_valid_plan(capsys, net_file, tmp_path):
@@ -260,6 +277,22 @@ def test_plan_writes_valid_plan(capsys, net_file, tmp_path):
     steps = json.loads(on_disk)["steps"]
     assert steps and all("command" in s and "duration_s" in s
                          for s in steps)
+
+
+def test_plan_without_holonomic_does_not_roll_at_an_elbow(capsys, tmp_path):
+    net = tmp_path / "elbow.json"
+    net.write_text(network_to_json(PipeNetwork((
+        straight(160.0, 300.0), elbow(160.0, 240.0, 90.0),
+        straight(160.0, 300.0)))))
+    for flags, kinds in (([], ["drive", "holonomic_rotate", "turn_elbow",
+                                "drive"]),
+                         (["--no-holonomic"], ["drive", "turn_elbow",
+                                               "drive"])):
+        code, out, _ = run_cli(capsys, "plan", "--network", str(net),
+                               "--theta5", "40", "--out", str(tmp_path),
+                               *flags)
+        assert code == 0
+        assert [s["kind"] for s in json.loads(out)["steps"]] == kinds
 
 
 def test_simulate_writes_trajectory_and_outcome(capsys, net_file, tmp_path):

@@ -139,9 +139,9 @@ def test_elbow_plan_rotates_onto_inner_module_grid(cfg, geom):
 
 def test_elbow_speed_mean_holds_across_roll_grid(cfg, geom):
     seg = elbow(D, 240.0, 90.0)
-    local = PlannerConfig(align_elbow=False)
     for theta5 in np.arange(2.0, 120.0, 7.0):
-        steps, _, _ = plan_elbow(seg, float(theta5), local, geom)
+        steps, _, _ = plan_elbow(seg, float(theta5), cfg, geom,
+                                 with_holonomic=False)
         cmd = steps[-1].command
         mean = 15.0 * (cmd.theta_dot_1 + cmd.theta_dot_2
                        + cmd.theta_dot_3) / 3.0
@@ -412,6 +412,24 @@ TURNS = st.one_of(
     st.builds(lambda roll, ex: tee(D, roll, ex),
               st.floats(min_value=-180.0, max_value=180.0),
               st.sampled_from(TeeExit)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(TURNS, min_size=1, max_size=4),
+       st.floats(min_value=-360.0, max_value=360.0))
+@example(turns=[elbow(D, 240.0, 90.0)], theta5=40.0)
+def test_plans_without_holonomic_never_rotate(turns, theta5):
+    # elbows included: with_holonomic=False skips the alignment roll too
+    segments = [straight(D, 300.0)]
+    for turn in turns:
+        segments += [turn, straight(D, 300.0)]
+    try:
+        steps = plan_mission(PipeNetwork(tuple(segments)), theta5,
+                             PlannerConfig(), REFERENCE_GEOMETRY,
+                             with_holonomic=False)
+    except PlanError:
+        return  # a turn the robot cannot take
+    assert all(s.kind is not StepKind.HOLONOMIC_ROTATE for s in steps)
 
 
 @settings(max_examples=300, deadline=None)

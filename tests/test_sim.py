@@ -21,7 +21,7 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
                       rolling_gain, run_mission, step, straight, success_set,
                       tee, write_trajectory_csv)
 from omnipipe import planner, sim
-from omnipipe.intervals import measure, wrap
+from omnipipe.intervals import wrap
 from omnipipe.sim import (_CHUNK, _ZERO_TOL, MAX_SUBSTEPS, _count_successes,
                           _stay_on_segment, wilson_interval)
 
@@ -399,8 +399,11 @@ def test_monte_carlo_logs_the_split_at_debug(cfg, geom, tee_net, caplog):
     assert ("0 of 20 draws decided by the success set, 20 by "
             "plan_mission + run_mission") in caplog.text
     caplog.clear()
+    # without the escape the elbow does not roll either
     monte_carlo_tee(turn_net(), cfg, geom, 5, seed=1, with_holonomic=False)
-    assert "no success set: an elbow is aligned by a roll" in caplog.text
+    assert "no success set" not in caplog.text
+    assert ("5 of 5 draws decided by the success set, 0 by "
+            "plan_mission + run_mission") in caplog.text
 
 
 # -- exact success set -------------------------------------------------------------
@@ -436,7 +439,7 @@ def test_success_set_on_the_acceptance_tee(cfg, geom, tee_net):
     for piece, gap in zip(got, [(24.135, 35.865), (84.135, 95.865)]):
         assert piece == pytest.approx(gap, abs=1e-9)
     region = region_for_tee(tee_net.segments[1], cfg, geom)
-    assert measure(got) / 120.0 == pytest.approx(
+    assert sum(hi - lo for lo, hi in got) / 120.0 == pytest.approx(
         1.0 - failure_probability(region), abs=1e-12)
     assert success_set(tee_net, cfg, geom, with_holonomic=True) is None
     no_branch = PipeNetwork((straight(D, 200.0),
@@ -465,7 +468,7 @@ def test_success_set_path_matches_scalar_path_across_reference_shifts(geom):
     net = PipeNetwork((straight(D, 300.0), elbow(D, 320.0, 90.0, 25.0),
                        straight(D, 200.0), tee(D, 0.0), straight(D, 200.0),
                        tee(D, 7.0), straight(D, 200.0)))
-    cfg = PlannerConfig(align_elbow=False)
+    cfg = PlannerConfig()
     draws = np.random.default_rng(3).uniform(0.0, 120.0, size=1000)
     succeeding = assert_draws_match_scalar(net, draws, cfg, geom)
     assert len(succeeding) == 2
@@ -498,7 +501,7 @@ def roll_free_networks(draw, max_segments=6):
                 max_size=10))
 def test_success_set_path_matches_scalar_path_on_roll_free_networks(
         net, draws):
-    cfg = PlannerConfig(align_elbow=False)
+    cfg = PlannerConfig()
     succeeding = assert_draws_match_scalar(net, draws, cfg,
                                            REFERENCE_GEOMETRY)
     assert succeeding is not None
@@ -506,14 +509,13 @@ def test_success_set_path_matches_scalar_path_on_roll_free_networks(
                               REFERENCE_GEOMETRY)
 
 
-@pytest.mark.parametrize("case", ["escape", "aligned elbow", "escape elbow",
+@pytest.mark.parametrize("case", ["escape", "escape elbow",
                                   "reversing turn", "late trigger",
                                   "stalled drive"])
 def test_monte_carlo_without_a_success_set_counts_as_before(cfg, geom,
                                                            tee_net, case):
     net, with_holonomic = {
         "escape": (tee_net, True),
-        "aligned elbow": (turn_net(), False),
         "escape elbow": (turn_net(), True),
         "reversing turn": (PipeNetwork((straight(D, 300.0),
                                         tee(D, equivalent_radius_mm=55.0),
@@ -522,7 +524,7 @@ def test_monte_carlo_without_a_success_set_counts_as_before(cfg, geom,
         "stalled drive": (tee_net, False),
     }[case]
     if case == "late trigger":
-        cfg = PlannerConfig(align_elbow=False, tee_trigger_fraction=0.75)
+        cfg = PlannerConfig(tee_trigger_fraction=0.75)
     if case == "stalled drive":
         # v_cz below the simulator's 1e-12 zero tolerance while the chain
         # rates are above it: every trial stops with no forward progress,
@@ -779,10 +781,10 @@ def test_run_mission_matches_stepwise_on_a_stalled_plan(geom, tee_net,
 @settings(max_examples=30, deadline=None)
 @given(roll_free_networks(max_segments=4),
        st.floats(-360.0, 360.0) | st.sampled_from([-0.0, 0.0]),
-       st.booleans(), st.booleans(), st.sampled_from(DTS))
+       st.booleans(), st.sampled_from(DTS))
 def test_run_mission_matches_stepwise_on_generated_networks(
-        tmp_path_factory, net, theta5, align_elbow, with_holonomic, dt):
-    cfg = PlannerConfig(align_elbow=align_elbow)
+        tmp_path_factory, net, theta5, with_holonomic, dt):
+    cfg = PlannerConfig()
     try:
         plan = plan_mission(net, theta5, cfg, REFERENCE_GEOMETRY,
                             with_holonomic=with_holonomic)
@@ -975,20 +977,20 @@ def test_memoised_missions_match_uncached_ones_on_the_acceptance_tee(
 @settings(max_examples=40, deadline=None)
 @given(roll_free_networks(max_segments=5),
        st.floats(-360.0, 360.0) | st.sampled_from([-0.0, 0.0]),
-       st.booleans(), st.booleans(), st.sampled_from(DTS))
+       st.booleans(), st.sampled_from(DTS))
 @example(net=PipeNetwork((tee(D), straight(D, 300.0))), theta5=-0.0,
-         align_elbow=True, with_holonomic=False, dt=None)
+         with_holonomic=False, dt=None)
 @example(net=PipeNetwork((tee(D), straight(D, 300.0))), theta5=0.0,
-         align_elbow=True, with_holonomic=False, dt=None)
+         with_holonomic=False, dt=None)
 @example(net=PipeNetwork((tee(D, 40.0), elbow(D, 320.0, 90.0, 100.0),
                           tee(D, 250.0), tee(D, 10.0, exit=TeeExit.THROUGH),
                           straight(D, 200.0))),
-         theta5=12.5, align_elbow=True, with_holonomic=True, dt=0.037)
+         theta5=12.5, with_holonomic=True, dt=0.037)
 def test_memoised_missions_match_uncached_ones_on_generated_networks(
-        tmp_path_factory, net, theta5, align_elbow, with_holonomic, dt):
+        tmp_path_factory, net, theta5, with_holonomic, dt):
     # a tee first keeps an initial -0.0 roll up to its turn, where the
     # axis's zero component takes the roll's sign
-    cfg = PlannerConfig(align_elbow=align_elbow)
+    cfg = PlannerConfig()
     assert_matches_uncached(net, theta5, cfg, REFERENCE_GEOMETRY,
                             with_holonomic, [dt],
                             tmp_path_factory.mktemp("csv"))

@@ -8,26 +8,70 @@ from hypothesis import strategies as st
 from omnipipe import (CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD,
                       EllipseSection, InsufficientReachError,
                       InvalidGeometryError, InvalidSectionError,
-                      NoEscapeError, calibrate_reach_for_sector,
-                      contact_loss_arcs, cross_section_at,
-                      ellipse_radial_distance,
+                      NoEscapeError, SingularityRegion,
+                      calibrate_reach_for_sector, contact_loss_arcs,
+                      cross_section_at, ellipse_radial_distance,
                       escape_rotation, failure_probability, in_singularity,
-                      orientation_forbidden_set, preferred_orientations,
-                      sweep_t_junction, tee_sweep_tilt_limit)
+                      preferred_orientations, sweep_t_junction)
 from omnipipe import intervals as iv
+
+# -- reference: the interval fold the closed form replaced ---------------------
+
+_EPS = 1e-9
+
+
+def fold(arcs):
+    """Wall arcs folded modulo 120 deg into a canonical set of rolls: a
+    roll is forbidden iff a module direction (theta5 + k 120 deg) points
+    into an arc."""
+    return iv.normalize(iv.normalize(arcs, 360.0), 120.0)
+
+
+def measure(pieces) -> float:
+    return sum(hi - lo for lo, hi in pieces)
+
+
+def fold_contains(folded, theta: float) -> bool:
+    """Closed membership of theta (mod 120) with 1e-9 deg of slack."""
+    a = iv.wrap(theta, 120.0)
+    return any(lo - _EPS <= a <= hi + _EPS
+               or (hi >= 120.0 - _EPS and a <= hi - 120.0 + _EPS)
+               for lo, hi in folded)
+
+
+def fold_gap_centres(folded):
+    """Centres of the free gaps; NoEscapeError when there is none."""
+    gaps = iv.complement(folded, 120.0)
+    if not gaps:
+        raise NoEscapeError("no gap")
+    return [iv.wrap((lo + hi) / 2.0, 120.0) for lo, hi in gaps]
+
+
+def arc_contains(arcs, x: float) -> bool:
+    return any((x - lo) % 360.0 <= hi - lo for lo, hi in arcs)
 
 
 def sampled_sweep(D: float, reach: float, phi_max: float, steps: int):
-    """Reference: union of contact-loss arcs over evenly spaced tilts."""
+    """Reference: fold of the contact-loss arcs over evenly spaced tilts."""
     arcs = []
     for i in range(steps):
         section = cross_section_at(D, phi_max * i / (steps - 1))
         arcs.extend(contact_loss_arcs(section, reach))
-    return orientation_forbidden_set(arcs)
+    return arcs, fold(arcs)
 
 
 def worked_ellipse() -> EllipseSection:
     return EllipseSection(100.0, 80.0, math.acos(0.8))
+
+
+def worked_region(reach: float) -> SingularityRegion:
+    """The region of worked_ellipse(): D = 160 cut at acos(0.8)."""
+    return sweep_t_junction(160.0, reach, math.acos(0.8))
+
+
+def sample_region() -> SingularityRegion:
+    """The reference robot's region at D = 160."""
+    return sweep_t_junction(160.0, CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD)
 
 
 # -- ellipse geometry ---------------------------------------------------------
@@ -64,6 +108,18 @@ def test_cross_section_rejects_parallel_cut():
         cross_section_at(0.0, 0.3)
 
 
+@pytest.mark.parametrize("D", [math.inf, -math.inf, math.nan])
+def test_non_finite_bore_is_an_invalid_section(D):
+    # an infinite bore would give an infinite ellipse, and NaN passes
+    # every comparison
+    for call in (lambda: cross_section_at(D, math.pi / 4.0),
+                 lambda: calibrate_reach_for_sector(D, 90.0),
+                 lambda: sweep_t_junction(D, CALIBRATED_REACH_MM,
+                                          DEFAULT_PHI_MAX_RAD)):
+        with pytest.raises(InvalidSectionError, match="diameter"):
+            call()
+
+
 def test_section_invariants_enforced():
     with pytest.raises(InvalidSectionError):
         EllipseSection(70.0, 80.0, 0.5)  # major below minor
@@ -79,8 +135,10 @@ def test_arcs_worked_half_width():
     half_widths = [(hi - lo) / 2.0 for lo, hi in arcs]
     for hw in half_widths:
         assert hw == pytest.approx(40.22289219491939, rel=1e-9)
-    centers = sorted(iv.center(a, 360.0) for a in arcs)
+    centers = sorted(((lo + hi) / 2.0) % 360.0 for lo, hi in arcs)
     assert centers == pytest.approx([0.0, 180.0])
+    assert worked_region(90.0).half_width_deg == pytest.approx(
+        40.22289219491939, rel=1e-9)
 
 
 def test_arcs_empty_when_reach_covers_ellipse():
@@ -95,10 +153,12 @@ def test_arcs_error_below_minor_axis():
 
 def test_arcs_symmetric_under_reflection_and_half_turn():
     arcs = contact_loss_arcs(worked_ellipse(), 90.0)
+    derived = worked_region(90.0).forbidden_arcs
     for x in np.arange(0.5, 360.0, 1.0):  # offset grid avoids boundaries
-        here = iv.contains(arcs, float(x), 360.0)
-        assert iv.contains(arcs, float(-x), 360.0) == here
-        assert iv.contains(arcs, float(x + 180.0), 360.0) == here
+        here = arc_contains(arcs, float(x))
+        assert arc_contains(arcs, float(-x)) == here
+        assert arc_contains(arcs, float(x + 180.0)) == here
+        assert arc_contains(derived, float(x)) == here
 
 
 def test_arcs_match_dense_sampling():
@@ -108,11 +168,12 @@ def test_arcs_match_dense_sampling():
     a, b = e.semi_major_a, e.semi_minor_b
     rho = a * b / np.sqrt((b * np.cos(psi)) ** 2 + (a * np.sin(psi)) ** 2)
     lost = rho > reach
-    arcs = contact_loss_arcs(e, reach)
     grid_deg = 360.0 / len(psi)
-    for lo, hi in arcs:
-        for endpoint in (lo, hi):
-            k = int(round((endpoint % 360.0) / grid_deg)) % len(psi)
+    for arcs in (contact_loss_arcs(e, reach),
+                 worked_region(reach).forbidden_arcs):
+        # 0 deg only splits the canonical set's arc through it
+        for endpoint in {p % 360.0 for arc in arcs for p in arc} - {0.0}:
+            k = int(round(endpoint / grid_deg)) % len(psi)
             window = lost[[(k - 40) % len(psi), (k + 40) % len(psi)]]
             assert window[0] != window[1]  # a boundary crosses nearby
 
@@ -120,26 +181,40 @@ def test_arcs_match_dense_sampling():
 # -- orientation folding ------------------------------------------------------
 
 def test_fold_structure_of_two_opposite_arcs():
-    region = orientation_forbidden_set(contact_loss_arcs(
-        cross_section_at(160.0, DEFAULT_PHI_MAX_RAD), CALIBRATED_REACH_MM))
+    region = sample_region()
     w = 96.54 / 4.0
+    assert region.half_width_deg == pytest.approx(w, abs=1e-9)
     assert region.sector_measure_deg == pytest.approx(96.54, abs=1e-9)
+    # (120 - sector) / 2 is the width of each free gap, 24.135..35.865
     assert region.free_margin_deg == pytest.approx((120.0 - 96.54) / 2.0,
                                                    abs=1e-9)
-    folded = region.orientation_forbidden_set
-    assert iv.measure(folded) == pytest.approx(4.0 * w, abs=1e-9)
+    assert region.free_margin_deg == pytest.approx(
+        (60.0 - w) - w, abs=1e-9)
     for angle, expect in [(0.0, True), (w - 0.01, True), (w + 0.01, False),
                           (60.0, True), (60.0 - w - 0.01, False),
                           (60.0 + w + 0.01, False), (119.99, True),
-                          (30.0, False), (90.0, False)]:
-        assert iv.contains(folded, angle, 120.0) == expect, angle
+                          (30.0, False), (90.0, False), (w, True),
+                          (60.0 - w, True), (60.0 + w, True),
+                          (120.0 - w, True)]:
+        assert in_singularity(angle, region) == expect, angle
+
+
+def test_in_singularity_endpoints_closed():
+    region = sample_region()
+    h = region.half_width_deg
+    for edge in (h, 60.0 - h, 60.0 + h, 120.0 - h, -h, 360.0 + h):
+        assert in_singularity(edge, region), edge
+    for outside in (h + 1e-6, 60.0 - h - 1e-6, 60.0 + h + 1e-6,
+                    120.0 - h - 1e-6):
+        assert not in_singularity(outside, region), outside
+    assert not in_singularity(0.0, SingularityRegion(0.0))
 
 
 def test_orientation_set_from_sampled_rolls():
     # brute-force oracle: a roll is forbidden iff any module direction
     # falls in any arc
     arcs = contact_loss_arcs(worked_ellipse(), 92.0)
-    region = orientation_forbidden_set(arcs)
+    region = worked_region(92.0)
     rolls = np.arange(0.0, 120.0, 0.001)
     forbidden = np.zeros(len(rolls), dtype=bool)
     for offset in (0.0, 120.0, 240.0):
@@ -148,23 +223,17 @@ def test_orientation_set_from_sampled_rolls():
             forbidden |= x <= (hi - lo)
     mism = np.array([in_singularity(t, region) for t in rolls]) != forbidden
     assert mism.mean() < 1e-4  # only boundary-grid disagreements
-    assert iv.measure(region.orientation_forbidden_set) == pytest.approx(
+    assert region.sector_measure_deg == pytest.approx(
         forbidden.mean() * 120.0, abs=0.01)
 
 
 def test_in_singularity_reduces_modulo_period():
-    region = orientation_forbidden_set(contact_loss_arcs(worked_ellipse(),
-                                                         90.0))
+    region = worked_region(90.0)
     for theta in (0.0, 120.0, 240.0, 360.0, -120.0):
         assert in_singularity(theta, region) == in_singularity(0.0, region)
 
 
 # -- escape rotation ----------------------------------------------------------
-
-def sample_region():
-    return orientation_forbidden_set(contact_loss_arcs(
-        cross_section_at(160.0, DEFAULT_PHI_MAX_RAD), CALIBRATED_REACH_MM))
-
 
 def test_escape_targets_gap_centers():
     region = sample_region()
@@ -183,17 +252,28 @@ def test_escape_tie_prefers_positive():
 
 
 def test_escape_minimizes_rotation_against_brute_force():
+    # brute-force oracle: the runs of free rolls on a fine grid, sampled
+    # by in_singularity; the escape takes the shortest roll to the middle
+    # of a run
     region = sample_region()
-    centers = preferred_orientations(region)
+    grid = np.arange(0.0, 120.0, 0.001)
+    free = np.array([not in_singularity(float(t), region) for t in grid])
+    edges = np.flatnonzero(np.diff(free.astype(int)))  # 0 deg is forbidden
+    centres = [(grid[lo + 1] + grid[hi]) / 2.0
+               for lo, hi in zip(edges[::2], edges[1::2])]
+    targets = preferred_orientations(region)
+    assert centres == pytest.approx(targets, abs=1e-3)
     for theta in np.arange(0.0, 120.0, 0.25):
-        best = min((abs(iv.signed_delta(theta, c, 120.0)) for c in centers))
         got = escape_rotation(float(theta), region)
+        best = min(abs(iv.signed_delta(theta, c, 120.0)) for c in centres)
+        assert abs(got) == pytest.approx(best, abs=1e-3)
+        best = min(abs(iv.signed_delta(theta, c, 120.0)) for c in targets)
         assert abs(got) == pytest.approx(best, abs=1e-9)
+        assert not in_singularity(float(theta) + got, region)
 
 
 def test_escape_impossible_when_everything_forbidden():
-    region = orientation_forbidden_set(contact_loss_arcs(worked_ellipse(),
-                                                         80.0))
+    region = worked_region(80.0)
     assert region.sector_measure_deg == pytest.approx(120.0)
     with pytest.raises(NoEscapeError):
         escape_rotation(10.0, region)
@@ -202,13 +282,16 @@ def test_escape_impossible_when_everything_forbidden():
 # -- sweeping and calibration -------------------------------------------------
 
 def test_sweep_is_union_over_sections():
-    few = sampled_sweep(160.0, CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD, 2)
-    many = sampled_sweep(160.0, CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD, 128)
+    _, few = sampled_sweep(160.0, CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD, 2)
+    _, many = sampled_sweep(160.0, CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD,
+                            128)
     # the most tilted section dominates, so refining the sweep is stable
-    assert many.sector_measure_deg == pytest.approx(few.sector_measure_deg,
-                                                    abs=1e-9)
+    assert measure(many) == pytest.approx(measure(few), abs=1e-9)
     closed = sweep_t_junction(160.0, CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD)
-    assert closed == many
+    assert closed.sector_measure_deg == pytest.approx(measure(many),
+                                                      abs=1e-12)
+    assert np.ravel(fold(closed.forbidden_arcs)) == pytest.approx(
+        np.ravel(many), abs=1e-12)
 
 
 def test_sweep_monotone_in_tilt_limit():
@@ -240,25 +323,18 @@ def test_sweep_matches_dense_sampled_sweep(D, phi_max, reach_frac):
     a = b / math.cos(phi_max)
     reach = b + reach_frac * (1.1 * a - b)
     closed = sweep_t_junction(D, reach, phi_max)
-    sampled = sampled_sweep(D, reach, phi_max, 256)
-    assert closed.sector_measure_deg == pytest.approx(
-        sampled.sector_measure_deg, abs=1e-9)
-    pairs = [(closed.orientation_forbidden_set,
-              sampled.orientation_forbidden_set)]
+    arcs, folded = sampled_sweep(D, reach, phi_max, 256)
+    assert closed.sector_measure_deg == pytest.approx(measure(folded),
+                                                      abs=1e-9)
+    pairs = [(fold(closed.forbidden_arcs), folded)]
     # within 1e-8 of D/2 the wall half-width sits near 90 deg, where asin
     # turns one rounding error into ~1e-6 deg; there the arcs fold to the
     # full period anyway, so only the orientation set is compared
     if reach >= b * (1.0 + 1e-8):
-        pairs.append((closed.forbidden_arcs, sampled.forbidden_arcs))
+        pairs.append((closed.forbidden_arcs, iv.normalize(arcs, 360.0)))
     for got, want in pairs:
         assert len(got) == len(want)
         assert np.ravel(got) == pytest.approx(np.ravel(want), abs=1e-9)
-
-
-def test_tilt_limit_for_equal_bores_is_45_deg():
-    assert tee_sweep_tilt_limit(160.0, 160.0) == pytest.approx(math.pi / 4.0)
-    assert tee_sweep_tilt_limit(80.0, 160.0) == pytest.approx(
-        math.atan(0.5))
 
 
 def test_calibration_reproduces_shipped_reach():
@@ -321,8 +397,10 @@ def test_failure_probability_is_sector_fraction():
     region = sample_region()
     assert failure_probability(region) == pytest.approx(96.54 / 120.0,
                                                         abs=1e-9)
-    empty = orientation_forbidden_set([])
+    empty = worked_region(100.0)
+    assert empty == SingularityRegion(0.0)
     assert failure_probability(empty) == 0.0
+    assert preferred_orientations(empty) == [60.0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,7 +409,69 @@ def test_failure_probability_is_sector_fraction():
 def test_fold_measure_never_exceeds_period(phi_deg, reach_frac):
     e = cross_section_at(160.0, math.radians(phi_deg))
     reach = e.semi_minor_b + reach_frac * (e.semi_major_a - e.semi_minor_b)
-    region = orientation_forbidden_set(contact_loss_arcs(e, reach))
+    region = sweep_t_junction(160.0, reach, math.radians(phi_deg))
     assert 0.0 <= region.sector_measure_deg <= 120.0 + 1e-9
     assert region.free_margin_deg == pytest.approx(
         (120.0 - region.sector_measure_deg) / 2.0, abs=1e-9)
+
+
+# -- the closed form against the interval fold ---------------------------------
+
+@st.composite
+def tee_geometries(draw):
+    """(D, phi_max, reach) with reach in [D/2, a], at D/2, at or above a,
+    or at the largest reach that forbids every roll."""
+    D = draw(st.floats(min_value=20.0, max_value=1000.0))
+    phi = draw(st.floats(min_value=1e-4, max_value=1.4))
+    b = D / 2.0
+    a = b / math.cos(phi)
+    full = calibrate_reach_for_sector(D, 120.0, phi)
+    reach = draw(st.one_of(
+        st.floats(min_value=b, max_value=a),
+        st.just(b), st.just(full),
+        st.floats(min_value=a, max_value=2.0 * a)))
+    return D, phi, reach
+
+
+ROLLS = st.lists(st.floats(min_value=-720.0, max_value=720.0)
+                 | st.sampled_from([-0.0, 0.0, 30.0, 60.0, 90.0, 120.0]),
+                 min_size=1, max_size=50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tee_geometries(), ROLLS)
+def test_closed_form_matches_the_interval_fold(geometry, rolls):
+    D, phi, reach = geometry
+    region = sweep_t_junction(D, reach, phi)
+    folded = fold(contact_loss_arcs(cross_section_at(D, phi), reach))
+    assert region.sector_measure_deg == pytest.approx(measure(folded),
+                                                      abs=1e-12)
+    assert region.free_margin_deg == pytest.approx(
+        (120.0 - measure(folded)) / 2.0, abs=1e-12)
+    try:
+        want = fold_gap_centres(folded)
+    except NoEscapeError:
+        with pytest.raises(NoEscapeError):
+            preferred_orientations(region)
+    else:
+        assert preferred_orientations(region) == pytest.approx(want,
+                                                               abs=1e-12)
+    for theta in rolls:
+        assert in_singularity(theta, region) == fold_contains(folded,
+                                                              theta), theta
+
+
+def test_closed_form_edge_geometries():
+    # reach at D/2: every roll forbidden; reach at a: none; reach at the
+    # full-cover calibration: the gaps close
+    assert sweep_t_junction(160.0, 80.0, DEFAULT_PHI_MAX_RAD
+                            ).half_width_deg == 90.0
+    assert sweep_t_junction(160.0, 80.0, DEFAULT_PHI_MAX_RAD
+                            ).forbidden_arcs == [(0.0, 360.0)]
+    assert sweep_t_junction(160.0, 80.0 * math.sqrt(2.0),
+                            DEFAULT_PHI_MAX_RAD) == SingularityRegion(0.0)
+    full = sweep_t_junction(160.0, calibrate_reach_for_sector(160.0, 120.0),
+                            DEFAULT_PHI_MAX_RAD)
+    assert full.sector_measure_deg == pytest.approx(120.0, abs=1e-12)
+    with pytest.raises(NoEscapeError):
+        preferred_orientations(full)
