@@ -13,6 +13,7 @@ planner predicts with and the simulator integrates with.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
 
 from .intervals import wrap
 from .kinematics import CommandVector, RobotGeometry
@@ -67,6 +68,31 @@ def roll(theta5_deg: float, alpha_rad: tuple[float, ...], roll_rad: float,
         return theta5, alpha_rad
     gain = rolling_gain(d_mm, geom)
     return theta5, tuple(a - roll_rad * gain for a in alpha_rad)
+
+
+def roll_sums(theta5_deg: float, alpha_rad: tuple[float, ...],
+              roll_rad: float, d_mm: float, geom: RobotGeometry, m: int
+              ) -> tuple[list[float], tuple[list[float], ...]]:
+    """theta5 before its wrap, and each module's alpha, after each of
+    ``m`` rolls by a nonzero ``roll_rad``; entry 0 of each list is the
+    start.
+
+    The sums are roll's own additions in its order (x + (-c) has the bits
+    of x - c), so every alpha, and every theta5 that wrap leaves as it is
+    (one in [0, 360)), is bit-identical to m calls of roll.  Modules that
+    start at the same value share one list.
+    """
+    step = math.degrees(roll_rad)
+    turn = -(roll_rad * rolling_gain(d_mm, geom))
+    thetas = list(accumulate(repeat(step, m), initial=theta5_deg))
+    sums: dict[tuple[float, float], list[float]] = {}
+    alphas = []
+    for a in alpha_rad:
+        key = (a, math.copysign(1.0, a))  # 0.0 and -0.0 apart
+        if key not in sums:
+            sums[key] = list(accumulate(repeat(turn, m), initial=a))
+        alphas.append(sums[key])
+    return thetas, tuple(alphas)
 
 
 def shift_reference(theta5_deg: float, net: PipeNetwork, from_index: int,

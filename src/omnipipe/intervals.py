@@ -68,7 +68,8 @@ def normalize(intervals: list[Interval], period: float) -> list[Interval]:
 
 
 def complement(intervals: list[Interval], period: float) -> list[Interval]:
-    """Gaps of a canonical set within [0, period), as a canonical set."""
+    """Gaps of a canonical set within [0, period), as a canonical set; a
+    gap through 0 comes as its two pieces (0, lo) and (hi, period)."""
     if not intervals:
         return [(0.0, period)]
     gaps: list[Interval] = []
@@ -79,12 +80,6 @@ def complement(intervals: list[Interval], period: float) -> list[Interval]:
         prev_hi = max(prev_hi, hi)
     if prev_hi < period - _EPS:
         gaps.append((prev_hi, period))
-    # a leading gap and a trailing gap are the same gap on the circle;
-    # represent it as a single wrapped interval
-    if len(gaps) >= 2 and gaps[0][0] <= _EPS and gaps[-1][1] >= period - _EPS:
-        first = gaps.pop(0)
-        lo, _ = gaps.pop()
-        gaps.append((lo, period + first[1]))
     return gaps
 
 

@@ -29,14 +29,21 @@ path's own additions in its order, so every value is bit-identical to
 it.  bisect finds the substep that crosses the next boundary; that
 substep, the step's first and its last (partial) substep go through the
 scalar path, which keeps the stall check and the boundary crossing.  A
-roll step takes the scalar path throughout, recomputing the signs each
-substep.  step is the public one-interval API; it and the scalar path
-share one helper for the roll update and the segment-boundary crossing,
-so both follow the same arithmetic.
+pure roll step (no drive rate, theta_dot_4 != 0) keeps s, so its whole
+substeps differ only in time, theta5 and alpha, and form blocks the
+same way: drive.roll_sums forms the sums, and a block ends where theta5
+would wrap, where the tee check flips, and after a drive sign changes.
+Those cuts lie near known lines; bisect and the predicates themselves
+find them exactly, and the cut substep takes the scalar path.  A step
+that drives while it rolls takes the scalar path throughout,
+recomputing the signs each substep.  step is the public one-interval
+API; it and the scalar path share one helper for the roll update and
+the segment-boundary crossing, so both follow the same arithmetic.
 
 run_mission returns its records as a Trajectory, stored in blocks: each
-block keeps segment, theta5, the step's shared (command, twist, signs)
-tuple, singular and event once, and its rows' times and arc lengths in
+block keeps segment, the step's shared (command, twist, signs) tuple,
+singular and event once, plus theta5 on a drive block or s on a roll
+block, and its rows' times and their arc lengths or theta5 values in
 two flat columns (a scalar row is a block of one).  A mission therefore
 keeps no object per substep for the cyclic garbage collector; kept as
 objects, thousands of live records per mission reach its oldest
@@ -64,7 +71,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -72,7 +79,8 @@ from operator import neg
 
 import numpy as np
 
-from .drive import drive_sign, roll, shift_reference, signed_drive
+from .drive import (drive_sign, roll, roll_sums, rolling_gain,
+                    shift_reference, signed_drive)
 from .errors import PlanError, SimulationError
 from .intervals import Interval, complement, normalize, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
@@ -102,6 +110,15 @@ _CHUNK = 4096
 # path: the band covers in_singularity's 1e-9 slack and the rounding of
 # the reference-shift chain
 _GUARD_DEG = 1e-6
+# A drive sign can change only near a line (k + 1/2) pi +- deadband (rad)
+# and the tee check only near 60 k +- h (deg), k any integer.  Farther
+# than _LINE_MARGIN * (1 + |x|) from every line, each predicate returns
+# what exact arithmetic would (the margin also covers in_singularity's
+# 1e-9 deg of slack), so its value holds up to the next line.
+_LINE_MARGIN = 1e-8
+_TEE_LINES_DEG = ORIENTATION_PERIOD_DEG / 2.0
+# entries past that bound that the predicate itself checks, per block
+_WALK = 8
 # two-sided 95% normal quantile
 _Z95 = 1.96
 
@@ -131,26 +148,32 @@ class TrajectoryRecord:
 class Trajectory(Sequence):
     """run_mission's records, one per substep, stored in blocks.
 
-    A block is a run of rows that differ only in time_s and s_mm: it
-    keeps segment, theta5, the shared (command, twist, drive signs)
-    tuple, singular and event once, and its rows' times and arc lengths
-    in two flat columns.  No object is kept per row or per block, so a
-    long trajectory gives the cyclic garbage collector nothing to scan
-    or promote while a mission runs.  Indexing and iteration build
-    TrajectoryRecord values on demand.
+    A block is a run of rows that share segment, the (command, twist,
+    drive signs) tuple, singular and event, and differ in time_s and in
+    one of s_mm and theta5_deg.  A drive block keeps theta5 once and one
+    s per row; a roll block keeps s once and one theta5 per row.  Each
+    block keeps its constant columns once, and its rows' times and
+    varying values in two flat columns (a scalar row is a drive block of
+    one).  No object is kept per row or per block, so a long trajectory
+    gives the cyclic garbage collector nothing to scan or promote while a
+    mission runs.  Indexing and iteration build TrajectoryRecord values
+    on demand.
     """
 
     def __init__(self):
-        # per block: its first row and its constant columns
+        # per block: its first row, its kind and its constant columns;
+        # _fixed is theta5_deg on a drive block and s_mm on a roll block
         self._start: list[int] = []
+        self._rolls: list[bool] = []
         self._segment_index: list[int] = []
-        self._theta5_deg: list[float] = []
+        self._fixed: list[float] = []
         self._drive: list[tuple] = []
         self._singular: list[bool] = []
         self._event: list[str] = []
-        # per row
+        # per row: time_s, and s_mm on a drive block or theta5_deg on a
+        # roll block
         self._time_s: list[float] = []
-        self._s_mm: list[float] = []
+        self._varying: list[float] = []
 
     def append(self, time_s: float, segment_index: int, s_mm: float,
                theta5_deg: float, drive: tuple, singular: bool,
@@ -162,25 +185,42 @@ class Trajectory(Sequence):
     def extend(self, times: list[float], segment_index: int,
                s_mm: list[float], theta5_deg: float, drive: tuple,
                singular: bool, event: str) -> None:
-        """Add a block: one row per entry of ``times`` and ``s_mm``."""
+        """Add a drive block: one row per entry of ``times`` and
+        ``s_mm``."""
+        self._add(False, times, segment_index, s_mm, theta5_deg, drive,
+                  singular, event)
+
+    def extend_roll(self, times: list[float], segment_index: int,
+                    s_mm: float, theta5_deg: list[float], drive: tuple,
+                    singular: bool, event: str) -> None:
+        """Add a roll block: one row per entry of ``times`` and
+        ``theta5_deg``."""
+        self._add(True, times, segment_index, theta5_deg, s_mm, drive,
+                  singular, event)
+
+    def _add(self, rolls, times, segment_index, varying, fixed, drive,
+             singular, event) -> None:
         self._start.append(len(self._time_s))
+        self._rolls.append(rolls)
         self._segment_index.append(segment_index)
-        self._theta5_deg.append(theta5_deg)
+        self._fixed.append(fixed)
         self._drive.append(drive)
         self._singular.append(singular)
         self._event.append(event)
         self._time_s += times
-        self._s_mm += s_mm
+        self._varying += varying
 
     def blocks(self):
-        """(segment_index, theta5_deg, (command, twist, drive_signs),
-        singular, event, time_s list, s_mm list) per block."""
+        """(rolls, segment_index, fixed, (command, twist, drive_signs),
+        singular, event, time_s list, varying list) per block, where
+        fixed and varying are theta5_deg and s_mm on a drive block
+        (rolls False), and s_mm and theta5_deg on a roll block."""
         ends = self._start[1:] + [len(self._time_s)]
-        for start, end, index, theta5, drive, singular, event in zip(
-                self._start, ends, self._segment_index, self._theta5_deg,
-                self._drive, self._singular, self._event):
-            yield (index, theta5, drive, singular, event,
-                   self._time_s[start:end], self._s_mm[start:end])
+        for start, end, rolls, index, fixed, drive, singular, event in zip(
+                self._start, ends, self._rolls, self._segment_index,
+                self._fixed, self._drive, self._singular, self._event):
+            yield (rolls, index, fixed, drive, singular, event,
+                   self._time_s[start:end], self._varying[start:end])
 
     def __len__(self) -> int:
         return len(self._time_s)
@@ -191,15 +231,18 @@ class Trajectory(Sequence):
         i = range(len(self))[i]
         b = bisect_right(self._start, i) - 1
         cmd, twist, signs = self._drive[b]
+        s, theta5 = self._fixed[b], self._varying[i]
+        if not self._rolls[b]:
+            s, theta5 = theta5, s
         return TrajectoryRecord(
-            self._time_s[i], self._segment_index[b], self._s_mm[i],
-            self._theta5_deg[b], cmd, twist, signs, self._singular[b],
-            self._event[b])
+            self._time_s[i], self._segment_index[b], s, theta5, cmd, twist,
+            signs, self._singular[b], self._event[b])
 
     def __iter__(self):
-        for index, theta5, (cmd, twist, signs), singular, event, times, \
-                ss in self.blocks():
-            for t, s in zip(times, ss):
+        for rolls, index, fixed, (cmd, twist, signs), singular, event, \
+                times, varying in self.blocks():
+            for t, x in zip(times, varying):
+                s, theta5 = (fixed, x) if rolls else (x, fixed)
                 yield TrajectoryRecord(t, index, s, theta5, cmd, twist,
                                        signs, singular, event)
 
@@ -299,6 +342,109 @@ def _stay_on_segment(s: float, ds: float, m: int, length: float
     return ss[1:cut]
 
 
+def _line_ahead(y: float, period: float, offset: float, width: float
+                ) -> float:
+    """Least line period * k + offset +- width (k any integer, width <
+    period / 2) at or above ``y``; ``y`` itself if rounding finds none."""
+    k = math.floor((y - offset) / period)
+    return min((x for x in [period * (k + i) + offset + e
+                            for i in (-1, 0, 1, 2) for e in (-width, width)]
+                if x >= y), default=y)
+
+
+def _steps_to_line(x: float, step: float, period: float, offset: float,
+                   width: float) -> float:
+    """Estimated steps of ``step`` from ``x`` to the first line ahead."""
+    if not step:
+        return math.inf
+    b = x if step > 0.0 else -x
+    return (_line_ahead(b, period, offset, width) - b) / abs(step)
+
+
+def _held(xs: list[float], f, ref, period: float, offset: float,
+          width: float) -> int:
+    """Least j >= 1 for which f(xs[j]) == ref is not shown, else len(xs).
+
+    ``xs`` is monotone, f(xs[0]) == ref, and f can change only within
+    _LINE_MARGIN * (1 + |x|) of a line period * k + offset +- width, a
+    set symmetric about 0.  The entries short of the first line ahead by
+    that margin keep ref: bisect finds where they end, and f itself then
+    checks up to _WALK entries.
+    """
+    first, last = xs[0], xs[-1]
+    if first == last:
+        return len(xs)
+    j = 1
+    margin = _LINE_MARGIN * (1.0 + max(abs(first), abs(last)))
+    if math.isfinite(margin):
+        if last > first:
+            j = bisect_left(xs, _line_ahead(first - margin, period, offset,
+                                            width) - margin, 1)
+        else:
+            j = bisect_left(xs, _line_ahead(-first - margin, period, offset,
+                                            width) - margin, 1, key=neg)
+    end = min(j + _WALK, len(xs))
+    while j < end and f(xs[j]) == ref:
+        j += 1
+    return j
+
+
+def _roll_block(segment: PipeSegment, theta5: float,
+                alpha: tuple[float, ...], signs: tuple[int, ...],
+                singular: bool, roll_rad: float, most: int,
+                cfg: PlannerConfig, geom: RobotGeometry
+                ) -> tuple[list[float], tuple[float, ...]]:
+    """theta5 after each of up to ``most`` whole substeps of a pure roll
+    by ``roll_rad`` on ``segment``, and alpha after the last of them.
+
+    theta5 and alpha come from drive.roll_sums, bit-identical to the
+    scalar path.  The block stops before the first substep whose theta5
+    leaves [0, 360), where wrap acts, or flips the tee check, and after
+    the first that changes a module's drive sign (the next substep runs
+    with the new signs); the scalar path takes that substep.  A drive
+    sign can change only near a line (k + 1/2) pi +- deadband (rad), the
+    tee check only near 60 k +- h (deg): those lines bound the sums
+    formed, and _held finds the exact cut with bisect and the predicate.
+    """
+    deadband = cfg.deadband_rad
+    region = (region_for_tee(segment, cfg, geom)
+              if segment.kind is SegmentKind.TEE else None)
+    # the tee check is constant off a tee and unless 0 < h < 30 deg, the
+    # largest distance to a multiple of 60
+    if (region is not None
+            and not 0.0 < region.half_width_deg < _TEE_LINES_DEG / 2.0):
+        region = None
+    step = math.degrees(roll_rad)
+    turn = -roll_rad * rolling_gain(segment.d_mm, geom)
+    # a rough count of the substeps to the nearest cut
+    room = min([(360.0 - theta5) / step if step > 0.0 else theta5 / -step]
+               + [_steps_to_line(a, turn, math.pi, math.pi / 2.0, deadband)
+                  for a in set(alpha)])
+    if region is not None:
+        room = min(room, _steps_to_line(theta5, step, _TEE_LINES_DEG, 0.0,
+                                        region.half_width_deg))
+    take = most if not room < most else min(most, int(room) + 3)
+    thetas, alphas = roll_sums(theta5, alpha, roll_rad, segment.d_mm, geom,
+                               take)
+    if step > 0.0:
+        rows = bisect_left(thetas, 360.0, 1) - 1
+    else:
+        rows = bisect_right(thetas, 0.0, 1, key=neg) - 1
+    # the scalar path takes a cut first substep, and an alpha that
+    # overflows, so that drive_sign raises only where it would
+    if not rows or not all(math.isfinite(sums[-1]) for sums in alphas):
+        return [], alpha
+    for sums, sign in {id(s): (s, g) for s, g in zip(alphas, signs)
+                       }.values():
+        rows = min(rows, _held(sums, lambda a: drive_sign(a, deadband), sign,
+                               math.pi, math.pi / 2.0, deadband))
+    if region is not None:
+        rows = min(rows, _held(
+            thetas, lambda x: in_singularity(x, region), singular,
+            _TEE_LINES_DEG, 0.0, region.half_width_deg) - 1)
+    return thetas[1:rows + 1], tuple(sums[rows] for sums in alphas)
+
+
 def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
          geom: RobotGeometry, cfg: PlannerConfig | None = None
          ) -> tuple[SimState, TrajectoryRecord]:
@@ -390,37 +536,16 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
         drive = checked_index = None
         duration = mstep.duration_s
         h_regular = duration if dt is None else dt
+        roll_regular = cmd.theta_dot_4 * h_regular
+        # a pure roll keeps s, and so the segment, and moves theta5 and
+        # alpha by the same nonzero amounts every whole substep
+        pure_roll = (roll_regular != 0.0 and cmd.theta_dot_1
+                     == cmd.theta_dot_2 == cmd.theta_dot_3 == 0.0)
         k = 0
         while k < n:
-            if drive is not None and not rolling and k < n - 1:
-                # the whole substeps up to the next boundary crossing form
-                # one block: only time and s change along it
-                ss = _stay_on_segment(float(s), float(v_cz * h_regular),
-                                      n - 1 - k,
-                                      net.segments[index].arc_length())
-                if ss:
-                    # theta5 and alpha hold: the step's first substep has
-                    # made its zero roll, and a crossing shifts theta5
-                    # only to values that roll leaves as they are
-                    times = list(accumulate(repeat(float(h_regular),
-                                                   len(ss)),
-                                            initial=float(t)))
-                    del times[0]
-                    t, s = times[-1], ss[-1]
-                    event = ("singular_mid_turn"
-                             if mstep.kind is StepKind.TURN_TEE and singular
-                             else "")
-                    if event and event not in events:
-                        events.append(event)
-                    records.extend(times, index, ss, theta5, drive, singular,
-                                   event)
-                    k += len(ss)
-                    continue
             h = h_regular if k < n - 1 else duration - h_regular * (n - 1)
-            first = k == 0
-            k += 1
-            if n > 1 and k == n and h <= 1e-15:
-                continue  # the rounding remainder of a multi-substep step
+            if n > 1 and k == n - 1 and h <= 1e-15:
+                break  # the rounding remainder of a multi-substep step
             if alpha is not signed_alpha:
                 # only a roll replaces alpha
                 signs = (drive_sign(alpha[0], deadband),
@@ -437,6 +562,47 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
                     drive = drives[key] = (cmd, forward_kinematics(
                         signed_drive(cmd, signs), geom), signs)
                 v_cz = drive[1].v_cz
+            # after the step's first substep, its whole substeps form
+            # blocks; the scalar path below takes the rest
+            varying = None
+            if 0 < k < n - 1 and not rolling:
+                # up to the next boundary crossing only time and s change;
+                # theta5 and alpha hold, as the first substep has made its
+                # zero roll, and a crossing shifts theta5 only to values
+                # that roll leaves as they are
+                varying = _stay_on_segment(float(s), float(v_cz * h_regular),
+                                           n - 1 - k,
+                                           net.segments[index].arc_length())
+            elif 0 < k < n - 1 and pure_roll:
+                # up to the next wrap, drive sign change or tee-check flip
+                # only time, theta5 and alpha change; s holds, as the first
+                # substep has added its zero v_cz * h
+                varying, rolled = _roll_block(
+                    net.segments[index], theta5, alpha, signs, singular,
+                    roll_regular, n - 1 - k, cfg, geom)
+            if varying:
+                times = list(accumulate(repeat(float(h_regular),
+                                               len(varying)),
+                                        initial=float(t)))
+                del times[0]
+                event = ("singular_mid_turn"
+                         if mstep.kind is StepKind.TURN_TEE and singular
+                         else "")
+                if event and event not in events:
+                    events.append(event)
+                if rolling:
+                    records.extend_roll(times, index, s, varying, drive,
+                                        singular, event)
+                    theta5, alpha = varying[-1], rolled
+                else:
+                    records.extend(times, index, varying, theta5, drive,
+                                   singular, event)
+                    s = varying[-1]
+                t = times[-1]
+                k += len(varying)
+                continue
+            first = k == 0
+            k += 1
             index, s, theta5, alpha, event = _advance(
                 net, geom, index, s + v_cz * h, theta5, alpha,
                 cmd.theta_dot_4 * h)
@@ -538,8 +704,7 @@ def success_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
                               for centre in (0.0,
                                              ORIENTATION_PERIOD_DEG / 2.0)]
         failing = normalize(forbidden, ORIENTATION_PERIOD_DEG)
-        succeeding = normalize(complement(failing, ORIENTATION_PERIOD_DEG),
-                               ORIENTATION_PERIOD_DEG)
+        succeeding = complement(failing, ORIENTATION_PERIOD_DEG)
         for pieces, completes in ((succeeding, True), (failing, False)):
             if pieces:
                 lo, hi = max(pieces, key=lambda piece: piece[1] - piece[0])
@@ -654,19 +819,21 @@ def write_trajectory_csv(records: Iterable[TrajectoryRecord], path) -> None:
     produce byte-identical files.  A Trajectory is written block by
     block, without building its records: the columns a block holds once
     are formatted once into a row template, each row adds the reprs of
-    its time and arc length, and the block goes out in one write.  The
-    command, twist and sign columns are formatted once per run of blocks
-    sharing those objects, as the blocks of one mission step do.  Other
-    records are written one row per block.
+    its time and of its arc length (drive block) or theta5 (roll block),
+    and the block goes out in one write.  The command, twist and sign
+    columns are formatted once per run of blocks sharing those objects,
+    as the blocks of one mission step do.  Other records are written one
+    row per block.
     """
     blocks = (records.blocks() if isinstance(records, Trajectory) else
-              ((r.segment_index, r.theta5_deg,
+              ((False, r.segment_index, r.theta5_deg,
                 (r.command, r.twist, r.drive_signs), r.singular, r.event,
                 (r.time_s,), (r.s_mm,)) for r in records))
     with open(path, "w", newline="") as f:
         f.write(TRAJECTORY_CSV_HEADER + "\n")
         last = middle = None
-        for index, theta5, drive, singular, event, times, ss in blocks:
+        for rolls, index, fixed, drive, singular, event, times, varying \
+                in blocks:
             c, t, signs = drive
             # by identity: an equal twist may differ in the sign of a zero
             if last is None or not (c is last[0] and t is last[1]
@@ -679,11 +846,15 @@ def write_trajectory_csv(records: Iterable[TrajectoryRecord], path) -> None:
                         t.v_cz)]
                     + [str(sign) for sign in signs])
             # an f-string row template formats faster than str.format
-            head = f",{index},"
-            tail = f",{float(theta5)!r},{middle},{int(singular)},{event}\n"
-            f.write("".join([f"{time_s!r}{head}{s_mm!r}{tail}"
-                             for time_s, s_mm in zip(map(float, times),
-                                                     map(float, ss))]))
+            tail = f",{middle},{int(singular)},{event}\n"
+            if rolls:
+                head = f",{index},{float(fixed)!r},"
+            else:
+                head = f",{index},"
+                tail = f",{float(fixed)!r}{tail}"
+            f.write("".join([f"{time_s!r}{head}{x!r}{tail}"
+                             for time_s, x in zip(map(float, times),
+                                                  map(float, varying))]))
 
 
 def outcome_to_json(outcome: MissionOutcome) -> str:

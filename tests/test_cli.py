@@ -340,6 +340,29 @@ def test_acceptance_tee_trajectory_has_the_pinned_bits(capsys, net_file,
     assert digest.hexdigest() == _TEE_TRAJECTORY_SHA256[theta5]
 
 
+# SHA-256 of trajectory.csv from `simulate --theta5 17 --dt 0.01` on a
+# network with two elbows and a branch tee: with the escape the robot
+# rolls before each turn, and the rolls cross a drive line and wrap
+# theta5.
+_TWO_ELBOW_TRAJECTORY_SHA256 = (
+    "6a368e62f2349533e4415f0bd66f6c7a8e08e0016019b04dce63b546cb82704e")
+
+
+def test_two_elbow_trajectory_has_the_pinned_bits(capsys, tmp_path):
+    d = 160.0
+    net = PipeNetwork((straight(d, 400.0), elbow(d, 320.0, 90.0, 40.0),
+                       straight(d, 300.0), tee(d, 100.0), straight(d, 300.0),
+                       elbow(d, 400.0, 45.0, 200.0), straight(d, 300.0)))
+    path = tmp_path / "net.json"
+    path.write_text(network_to_json(net))
+    code, _, _ = run_cli(capsys, "simulate", "--network", str(path),
+                         "--theta5", "17", "--dt", "0.01",
+                         "--out", str(tmp_path))
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes())
+    assert digest.hexdigest() == _TWO_ELBOW_TRAJECTORY_SHA256
+
+
 def _dynamic_arch_openblas() -> str | None:
     """Why numpy's BLAS cannot switch kernels by environment, or None."""
     try:

@@ -37,12 +37,12 @@ def test_complement_of_empty_is_full():
     assert iv.complement([], 360.0) == [(0.0, 360.0)]
 
 
-def test_complement_merges_wrap_gap():
+def test_complement_keeps_the_wrap_gap_in_two_pieces():
     arcs = iv.normalize([(30.0, 60.0)], 360.0)
     gaps = iv.complement(arcs, 360.0)
-    # the gap through 0 is one piece
-    assert gaps == [(60.0, 390.0)]
-    assert iv.normalize(gaps, 360.0) == [(0.0, 30.0), (60.0, 360.0)]
+    # the gap through 0 comes canonical, as normalize gives it
+    assert gaps == [(0.0, 30.0), (60.0, 360.0)]
+    assert iv.normalize(gaps, 360.0) == gaps
 
 
 def test_signed_delta_basics():

@@ -4,6 +4,7 @@ import gc
 import json
 import logging
 import math
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
@@ -21,9 +22,12 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
                       rolling_gain, run_mission, step, straight, success_set,
                       tee, write_trajectory_csv)
 from omnipipe import planner, sim
-from omnipipe.intervals import wrap
-from omnipipe.sim import (_CHUNK, _ZERO_TOL, MAX_SUBSTEPS, _count_successes,
-                          _stay_on_segment, wilson_interval)
+from omnipipe.drive import roll_sums
+from omnipipe.intervals import normalize, wrap
+from omnipipe.sim import (_CHUNK, _WALK, _ZERO_TOL, MAX_SUBSTEPS,
+                          _count_successes, _held, _stay_on_segment,
+                          wilson_interval)
+from omnipipe.singularity import SingularityRegion
 
 D = 160.0
 RATE = 100.0 / 15.0
@@ -509,6 +513,51 @@ def test_success_set_path_matches_scalar_path_on_roll_free_networks(
                               REFERENCE_GEOMETRY)
 
 
+def old_success_set(net, cfg, geom):
+    """success_set's derivation before complement returned canonical sets:
+    a leading and a trailing gap merged into one wrapped gap, which a
+    second normalize split again."""
+    forbidden, shift = [], 0.0
+    for i, segment in enumerate(net.segments):
+        if i > 0:
+            shift = sim.shift_reference(shift, net, i - 1, i)
+        if segment.kind is SegmentKind.TEE and segment.exit is TeeExit.BRANCH:
+            h = region_for_tee(segment, cfg, geom).half_width_deg
+            forbidden += [(c - h - shift, c + h - shift) for c in (0.0, 60.0)]
+    failing = normalize(forbidden, 120.0)
+    gaps, prev_hi = [], 0.0
+    for lo, hi in failing:
+        if lo > prev_hi + 1e-9:
+            gaps.append((prev_hi, lo))
+        prev_hi = max(prev_hi, hi)
+    if not failing or prev_hi < 120.0 - 1e-9:
+        gaps.append((prev_hi, 120.0))
+    if len(gaps) >= 2 and gaps[0][0] <= 1e-9 and gaps[-1][1] >= 120.0 - 1e-9:
+        first = gaps.pop(0)
+        gaps.append((gaps.pop()[0], 120.0 + first[1]))
+    return normalize(gaps, 120.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(roll_free_networks(), st.integers(0, 2**32 - 1))
+def test_success_set_matches_the_old_complement_path(net, seed):
+    # the old path re-split the wrapped gap, which could round the first
+    # piece's upper end; a draw that close to an endpoint takes the
+    # scalar path either way, so every count is the same
+    cfg = PlannerConfig()
+    got = success_set(net, cfg, REFERENCE_GEOMETRY, False)
+    assert got is not None
+    old = old_success_set(net, cfg, REFERENCE_GEOMETRY)
+    assert len(got) == len(old)
+    for piece, old_piece in zip(got, old):
+        assert piece == pytest.approx(old_piece, abs=1e-12)
+    draws = np.random.default_rng(seed).uniform(0.0, 120.0, size=500)
+    draws = np.concatenate([draws, endpoint_draws(got)])
+    assert (_count_successes(net, draws, got, cfg, REFERENCE_GEOMETRY, False)
+            == _count_successes(net, draws, old, cfg, REFERENCE_GEOMETRY,
+                                False))
+
+
 @pytest.mark.parametrize("case", ["escape", "escape elbow",
                                   "reversing turn", "late trigger",
                                   "stalled drive"])
@@ -908,6 +957,245 @@ def test_run_mission_matches_stepwise_at_a_dt_near_a_step_duration(
     dt = max(plan[pick % len(plan)].duration_s * share, total / 3000.0)
     assert_matches_stepwise(net, plan, cfg, REFERENCE_GEOMETRY, theta5, dt,
                             tmp_path_factory.mktemp("csv"))
+
+
+# -- roll blocks: whole substeps of a pure roll -----------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 360.0, exclude_max=True) | st.sampled_from([-0.0, 0.0]),
+       st.floats(-1e4, 1e4) | st.sampled_from([0.0, -0.0]),
+       st.floats(-3.0, 3.0).filter(bool), st.integers(1, 80),
+       st.sampled_from([140.0, 160.0, 200.0]))
+def test_roll_sums_match_repeated_rolls(theta5, alpha, roll_rad, m, d_mm):
+    geom = REFERENCE_GEOMETRY
+    thetas, alphas = roll_sums(theta5, (alpha, -alpha, 1.0), roll_rad, d_mm,
+                               geom, m)
+    assert alphas[0] is not alphas[1] and len(thetas) == m + 1
+    state = (theta5, (alpha, -alpha, 1.0))
+    for j in range(1, m + 1):
+        state = roll(*state, roll_rad, d_mm, geom)
+        assert [a[j].hex() for a in alphas] == [a.hex() for a in state[1]]
+        if 0.0 <= thetas[j] < 360.0:
+            assert thetas[j].hex() == state[0].hex()
+        else:
+            assert wrap(thetas[j], 360.0) == state[0]
+            return
+
+
+def near_lines(period, offset, width):
+    """Floats on and one part in 1e12 off the lines period k + offset +-
+    width, k in -4..4, where a predicate may change."""
+    return st.builds(
+        lambda k, e, d: (period * k + offset + e) * (1.0 + d),
+        st.integers(-4, 4), st.sampled_from([-width, width]),
+        st.sampled_from([0.0, 1e-12, -1e-12]))
+
+
+def assert_held_like_a_scan(xs, f, period, offset, width):
+    """_held proves f constant on xs[1:j], and stops at the first change
+    unless its walk ran out."""
+    ref = f(xs[0])
+    j = _held(xs, f, ref, period, offset, width)
+    first_change = next((i for i in range(1, len(xs)) if f(xs[i]) != ref),
+                        len(xs))
+    assert 1 <= j <= first_change
+    assert j == first_change or j > _WALK
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-1e7, 1e7) | near_lines(math.pi, math.pi / 2.0,
+                                         math.radians(1.0)),
+       st.floats(-0.7, 0.7).filter(bool) | st.sampled_from([1e-13, -2e-9]),
+       st.integers(1, 300), st.sampled_from([0.0, 1.0, 10.0]))
+def test_held_finds_each_drive_sign_change(alpha, turn, m, deadband_deg):
+    xs = list(accumulate(repeat(turn, m), initial=alpha))
+    deadband = math.radians(deadband_deg)
+    assert_held_like_a_scan(xs, lambda a: drive_sign(a, deadband), math.pi,
+                            math.pi / 2.0, deadband)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 360.0) | near_lines(60.0, 0.0, 24.135),
+       st.floats(-5.0, 5.0).filter(bool), st.integers(1, 300),
+       st.floats(0.0, 29.9) | st.sampled_from([24.135, 1e-9]))
+def test_held_finds_each_tee_check_flip(theta5, step_deg, m, half_width):
+    xs = list(accumulate(repeat(step_deg, m), initial=theta5))
+    region = SingularityRegion(half_width)
+    assert_held_like_a_scan(xs, lambda x: in_singularity(x, region), 60.0,
+                            0.0, half_width)
+
+
+@st.composite
+def roll_plans(draw):
+    """(cfg, plan, theta5): optionally a drive onto the acceptance tee's
+    tee segment, then one to four pure rolls of either sign, some as tee
+    turns so that their singular rows carry the mid-turn event."""
+    cfg = PlannerConfig(wobble_deadband_deg=draw(st.sampled_from(
+        [0.0, 1.0, 10.0])))
+    plan = []
+    if draw(st.booleans()):
+        # 100 mm/s from s = 0 to 1-200 mm into the 205.7 mm tee
+        plan.append(MissionStep(kind=StepKind.DRIVE, command=DRIVE,
+                                duration_s=(500.0 + draw(st.floats(
+                                    1.0, 200.0))) / 100.0))
+    for _ in range(draw(st.integers(1, 4))):
+        rate = draw(st.floats(0.05, 3.0)) * draw(st.sampled_from([1, -1]))
+        plan.append(MissionStep(
+            kind=draw(st.sampled_from([StepKind.HOLONOMIC_ROTATE,
+                                       StepKind.TURN_TEE])),
+            command=CommandVector(0.0, 0.0, 0.0, rate),
+            duration_s=draw(st.floats(0.005, 2.5))))
+    theta5 = draw(st.floats(0.0, 360.0, exclude_max=True)
+                  | st.sampled_from([-0.0, 0.0, 0.05, 359.95, 24.1, 35.9]))
+    return cfg, plan, theta5
+
+
+def assert_indexes_like_iteration(records):
+    built = list(records)
+    n = len(built)
+    assert [records[i] for i in range(n)] == built
+    assert [records[-i] for i in range(1, n + 1)] == built[::-1]
+    for piece in (slice(None), slice(1, None, 3), slice(-5, None),
+                  slice(None, None, -7), slice(n // 3, -(n // 4) or None)):
+        assert records[piece] == built[piece]
+
+
+@settings(max_examples=150, deadline=None)
+@given(roll_plans(), st.sampled_from(DTS + [0.0123]))
+@example(case=(PlannerConfig(), [MissionStep(
+    kind=StepKind.HOLONOMIC_ROTATE, command=CommandVector(0.0, 0.0, 0.0, -0.5),
+    duration_s=2.0)], 0.3), dt=0.01)
+def test_run_mission_matches_stepwise_on_roll_plans(tmp_path_factory, case,
+                                                    dt):
+    cfg, plan, theta5 = case
+    tee_net = PipeNetwork((straight(D, 500.0), tee(D), straight(D, 300.0)))
+    assert_matches_stepwise(tee_net, plan, cfg, REFERENCE_GEOMETRY, theta5,
+                            dt, tmp_path_factory.mktemp("csv"))
+    _, records = run_mission(tee_net, plan, cfg, REFERENCE_GEOMETRY,
+                             theta5_deg=theta5, dt=dt)
+    assert_indexes_like_iteration(records)
+
+
+@pytest.mark.parametrize("dt", DTS + [0.0123])
+@pytest.mark.parametrize("case", ["wrap up", "wrap down", "deadband 0",
+                                  "deadband 10", "tee flips"])
+def test_run_mission_matches_stepwise_across_roll_cuts(tee_net, tmp_path, dt,
+                                                      case):
+    # each roll crosses what its name says at least once, inside the step
+    rate, duration, theta5, deadband, drive_s = {
+        "wrap up": (0.5, 1.0, 350.0, 1.0, 0.0),
+        "wrap down": (-0.5, 1.0, 10.0, 1.0, 0.0),
+        "deadband 0": (-1.3, 2.0, 100.0, 0.0, 0.0),
+        "deadband 10": (2.0, 2.0, 100.0, 10.0, 0.0),
+        "tee flips": (0.5, 2.5, 10.0, 1.0, 6.0),
+    }[case]
+    cfg = PlannerConfig(wobble_deadband_deg=deadband)
+    plan = [MissionStep(kind=StepKind.HOLONOMIC_ROTATE,
+                        command=CommandVector(0.0, 0.0, 0.0, rate),
+                        duration_s=duration)]
+    if drive_s:
+        plan.insert(0, MissionStep(kind=StepKind.DRIVE, command=DRIVE,
+                                   duration_s=drive_s))
+    assert_matches_stepwise(tee_net, plan, cfg, REFERENCE_GEOMETRY, theta5,
+                            dt, tmp_path)
+    _, records = run_mission(tee_net, plan, cfg, REFERENCE_GEOMETRY,
+                             theta5_deg=theta5, dt=dt)
+    assert_indexes_like_iteration(records)
+    rows = [r for r in records if r.command.theta_dot_4]
+    changes = {
+        "wrap": sum(abs(a.theta5_deg - b.theta5_deg) > 180.0
+                    for a, b in zip(rows, rows[1:])),
+        "sign": sum(a.drive_signs != b.drive_signs
+                    for a, b in zip(rows, rows[1:])),
+        "tee": sum(a.singular != b.singular for a, b in zip(rows, rows[1:])),
+    }
+    # with dt=None the step is a single row
+    assert (changes[case.split()[0].replace("deadband", "sign")] >= 1) is (
+        dt is not None)
+
+
+def test_run_mission_matches_stepwise_when_a_roll_overflows_alpha(cfg,
+                                                                  tmp_path):
+    # a module radius of 5e-307 mm makes each substep turn alpha by
+    # -6.4e304 rad, so alpha overflows on the step's last whole substep;
+    # the rounding remainder after it is skipped, so no drive sign is
+    # taken of the infinite alpha, and the mission ends without an error
+    geom = dataclasses.replace(REFERENCE_GEOMETRY,
+                               module_outer_radius=5e-307)
+    dt = 4e-4
+    turn = -(dt * rolling_gain(D, geom))
+    substeps = next(j for j, a in enumerate(accumulate(repeat(turn)))
+                    if math.isinf(a)) + 1
+    net = PipeNetwork((straight(D, 500.0),))
+    plan = [MissionStep(kind=StepKind.HOLONOMIC_ROTATE,
+                        command=CommandVector(0.0, 0.0, 0.0, 1.0),
+                        duration_s=dt * substeps + 8e-16)]
+    outcome = assert_matches_stepwise(net, plan, cfg, geom, 10.0, dt,
+                                      tmp_path)
+    assert outcome.reason == "incomplete"
+    _, records = run_mission(net, plan, cfg, geom, theta5_deg=10.0, dt=dt)
+    assert len(records) == substeps
+
+
+@st.composite
+def elbow_networks(draw):
+    """Straight, elbow, straight, branch tee, straight, elbow, straight:
+    with the escape the robot rolls to align each elbow and each tee."""
+    # the reference robot's tee half-width runs from 0 at D = 140 to
+    # 29.4 deg at D = 165; from D = 170 on its region covers every roll
+    d = draw(st.sampled_from([140.0, 150.0, 160.0, 165.0]))
+    roll_deg = st.floats(0.0, 360.0)
+    length = st.floats(50.0, 400.0)
+    return PipeNetwork((
+        straight(d, draw(length)),
+        elbow(d, draw(st.floats(1.5, 3.0)) * d,
+              draw(st.sampled_from([30.0, 45.0, 90.0])), draw(roll_deg)),
+        straight(d, draw(length)), tee(d, draw(roll_deg)),
+        straight(d, draw(length)),
+        elbow(d, draw(st.floats(1.5, 3.0)) * d,
+              draw(st.sampled_from([30.0, 45.0, 90.0])), draw(roll_deg)),
+        straight(d, draw(length))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(elbow_networks(), st.floats(0.0, 360.0, exclude_max=True),
+       st.sampled_from([0.01, 0.0123]))
+def test_run_mission_matches_stepwise_on_escape_networks_with_elbows(
+        tmp_path_factory, net, theta5, dt):
+    cfg = PlannerConfig()
+    plan = plan_mission(net, theta5, cfg, REFERENCE_GEOMETRY)
+    assert any(mstep.kind is StepKind.HOLONOMIC_ROTATE for mstep in plan)
+    outcome = assert_matches_stepwise(net, plan, cfg, REFERENCE_GEOMETRY,
+                                      theta5, dt,
+                                      tmp_path_factory.mktemp("csv"))
+    assert outcome.reason == "completed"
+
+
+def two_elbow_net():
+    return PipeNetwork((straight(D, 400.0), elbow(D, 320.0, 90.0, 40.0),
+                        straight(D, 300.0), tee(D, 100.0), straight(D, 300.0),
+                        elbow(D, 400.0, 45.0, 200.0), straight(D, 300.0)))
+
+
+@pytest.mark.parametrize("net", ["acceptance tee", "two elbows"])
+def test_roll_steps_add_blocks_per_cut_not_per_substep(cfg, geom, tee_net,
+                                                       net):
+    net = tee_net if net == "acceptance tee" else two_elbow_net()
+    plan = plan_mission(net, 17.0, cfg, geom)
+    _, records = run_mission(net, plan, cfg, geom, theta5_deg=17.0, dt=0.01)
+    rows = list(records)
+    cuts = sum(a.segment_index != b.segment_index
+               or a.drive_signs != b.drive_signs or a.singular != b.singular
+               or abs(a.theta5_deg - b.theta5_deg) > 180.0
+               for a, b in zip(rows, rows[1:]))
+    blocks = list(records.blocks())
+    roll_rows = sum(1 for r in rows if r.command.theta_dot_4)
+    roll_blocks = sum(1 for block in blocks if block[3][0].theta_dot_4)
+    assert roll_rows >= 40
+    # each step opens and closes with a scalar row, and each cut costs
+    # a scalar row and a new block
+    assert len(blocks) <= 3 * (len(plan) + cuts)
+    assert roll_blocks <= roll_rows // 5
 
 
 # -- the planner's memos and the shared twists against uncached references ------
