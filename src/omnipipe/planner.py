@@ -16,6 +16,9 @@ the accumulated self-rotation passes 90 deg their drive direction flips
 (see the drive module).  The planner tracks (theta5, alpha) by the drive
 module's rules, as the simulator does, and pre-flips drive commands so
 the robot keeps advancing; rolls crossing the 90 deg line are flagged.
+Only a roll moves alpha, so plan_mission carries the drive signs at
+alpha with it and computes them once per roll state: at the start and
+after each roll _align emits.
 
 A branch turn's rate and command depend only on the speed, the roll at
 turn onset, the equivalent radius, the geometry and the pre-flip signs.
@@ -159,10 +162,15 @@ def region_for_tee(segment: PipeSegment, cfg: PlannerConfig,
     return _cached_region(segment.d_mm, geom.reach_max, phi_max)
 
 
-def _preflip_signs(alpha_rad: tuple[float, ...],
-                   cfg: PlannerConfig) -> tuple[int, ...]:
-    """Drive signs at alpha, which cancel the simulator's; 0 becomes 1."""
-    return tuple(drive_sign(a, cfg.deadband_rad) or 1 for a in alpha_rad)
+def _drive_signs(alpha_rad: tuple[float, ...],
+                 cfg: PlannerConfig) -> tuple[int, ...]:
+    """The simulator's drive signs at alpha, 0 inside the deadband."""
+    return tuple(drive_sign(a, cfg.deadband_rad) for a in alpha_rad)
+
+
+def _preflip(signs: tuple[int, ...]) -> tuple[int, ...]:
+    """Pre-flip signs, which cancel the drive signs; 0 becomes 1."""
+    return tuple(sign or 1 for sign in signs)
 
 
 @functools.lru_cache(maxsize=64)
@@ -175,20 +183,25 @@ def _drive_command(rate: float, signs: tuple[int, ...]) -> CommandVector:
 
 
 def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
-           d_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
-           segment_index: int | None
-           ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
-    """Roll by ``delta_deg``; return the steps and the roll state after.
+           signs: tuple[int, ...], d_mm: float, cfg: PlannerConfig,
+           geom: RobotGeometry, segment_index: int | None
+           ) -> tuple[list[MissionStep], float, tuple[float, ...],
+                      tuple[int, ...]]:
+    """Roll by ``delta_deg`` from the roll state (theta5, alpha, drive
+    signs at alpha); return the steps and the roll state after.
 
     Landing a module's self-rotation inside the deadband would stall every
     later drive command, so widen the roll just past the band, or shorten
     it where widening would pass +-60 deg, half the roll period.  The
     nudge is a fraction of a degree of roll and does not matter against
-    the free-gap margin.
+    the free-gap margin.  Signs are computed only at an alpha that
+    differs from the one they are known at: drive_sign depends on the
+    value of alpha alone.
     """
     _, alpha = roll(theta5_deg, alpha_rad, math.radians(delta_deg), d_mm,
                     geom)
-    if not all(drive_sign(a, cfg.deadband_rad) for a in alpha):
+    checked = signs if alpha is alpha_rad else _drive_signs(alpha, cfg)
+    if not all(checked):
         # alpha moves by just over the band's width, which clears it
         bump = (math.degrees(2.0 * cfg.deadband_rad + 1e-6)
                 / rolling_gain(d_mm, geom))
@@ -197,11 +210,14 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
     step = holonomic_rotate_step(delta_deg, cfg.rotate_rate_rad_s, geom, d_mm,
                                  alpha_rad, segment_index)
     if step is None:
-        return [], theta5_deg, alpha_rad
-    theta5, alpha = roll(theta5_deg, alpha_rad,
-                         step.command.theta_dot_4 * step.duration_s, d_mm,
-                         geom)
-    return [step], theta5, alpha
+        return [], theta5_deg, alpha_rad, signs
+    theta5, rolled = roll(theta5_deg, alpha_rad,
+                          step.command.theta_dot_4 * step.duration_s, d_mm,
+                          geom)
+    if rolled != alpha:
+        # after a nudge, or where rate * duration rounds off the delta
+        checked = _drive_signs(rolled, cfg)
+    return [step], theta5, rolled, checked
 
 
 def _timed(duration_s: float, speed: float) -> float:
@@ -216,15 +232,19 @@ def _timed(duration_s: float, speed: float) -> float:
 
 def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
                   alpha_rad: tuple[float, ...] = (0.0,) * 3,
-                  segment_index: int | None = None) -> MissionStep:
+                  segment_index: int | None = None, *,
+                  signs: tuple[int, ...] | None = None) -> MissionStep:
     """Equal-speed drive covering a straight run at cfg.straight_speed,
-    pre-flipped for the modules' self-rotation ``alpha_rad``."""
+    pre-flipped for the modules' self-rotation ``alpha_rad``, whose drive
+    signs are ``signs`` (computed when None)."""
     if not (math.isfinite(length_mm) and length_mm > 0):
         raise PlanError(f"length must be > 0, got {length_mm}")
+    if signs is None:
+        signs = _drive_signs(alpha_rad, cfg)
     return MissionStep(kind=StepKind.DRIVE,
                        command=_drive_command(
                            cfg.straight_speed / geom.lug_radius_r,
-                           _preflip_signs(alpha_rad, cfg)),
+                           _preflip(signs)),
                        duration_s=_timed(length_mm / cfg.straight_speed,
                                          cfg.straight_speed),
                        segment_index=segment_index)
@@ -278,13 +298,27 @@ def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
     cfg.straight_speed.  Returns the steps and the (theta5, alpha) they
     end in.
     """
+    return _plan_elbow(segment, theta5_deg, cfg, geom, with_holonomic,
+                       alpha_rad, _drive_signs(alpha_rad, cfg),
+                       segment_index)[:3]
+
+
+def _plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
+                geom: RobotGeometry, with_holonomic: bool,
+                alpha_rad: tuple[float, ...], signs: tuple[int, ...],
+                segment_index: int | None
+                ) -> tuple[list[MissionStep], float, tuple[float, ...],
+                           tuple[int, ...]]:
+    """plan_elbow from the roll state (theta5, alpha, drive signs at
+    alpha); also returns the drive signs it ends in."""
     if segment.kind is not SegmentKind.ELBOW:
         raise PlanError("plan_elbow requires an elbow segment")
     delta = (signed_delta(theta5_deg, _ELBOW_TARGET_DEG,
                           ORIENTATION_PERIOD_DEG)
              if with_holonomic else 0.0)
-    steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, segment.d_mm,
-                                  cfg, geom, segment_index)
+    steps, theta5, alpha, signs = _align(delta, theta5_deg, alpha_rad, signs,
+                                         segment.d_mm, cfg, geom,
+                                         segment_index)
     radii = module_path_radii(segment, theta5, cfg.ratio_mode)
     mean_radius = sum(radii) / 3.0
     if mean_radius <= 0:
@@ -292,13 +326,13 @@ def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
     speeds = [cfg.straight_speed * r / mean_radius for r in radii]
     command = signed_drive(
         CommandVector(*(v / geom.lug_radius_r for v in speeds), 0.0),
-        _preflip_signs(alpha, cfg))
+        _preflip(signs))
     steps.append(MissionStep(
         kind=StepKind.TURN_ELBOW, command=command,
         duration_s=_timed(segment.arc_length() / cfg.straight_speed,
                           cfg.straight_speed),
         segment_index=segment_index))
-    return steps, theta5, alpha
+    return steps, theta5, alpha, signs
 
 
 def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
@@ -386,6 +420,20 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     two modules and the robot drives straight across.  Returns the steps
     and the (theta5, alpha) they end in.
     """
+    return _plan_tee(segment, theta5_deg, region, cfg, geom, with_holonomic,
+                     alpha_rad, _drive_signs(alpha_rad, cfg),
+                     segment_index)[:3]
+
+
+def _plan_tee(segment: PipeSegment, theta5_deg: float,
+              region: SingularityRegion, cfg: PlannerConfig,
+              geom: RobotGeometry, with_holonomic: bool,
+              alpha_rad: tuple[float, ...], signs: tuple[int, ...],
+              segment_index: int | None
+              ) -> tuple[list[MissionStep], float, tuple[float, ...],
+                         tuple[int, ...]]:
+    """plan_tee from the roll state (theta5, alpha, drive signs at
+    alpha); also returns the drive signs it ends in."""
     if segment.kind is not SegmentKind.TEE:
         raise PlanError("plan_tee requires a tee segment")
     d = segment.d_mm
@@ -398,17 +446,17 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
                              ORIENTATION_PERIOD_DEG)
     else:
         delta = escape_rotation(theta5_deg, region)
-    steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, d, cfg, geom,
-                                  segment_index)
-    signs = _preflip_signs(alpha, cfg)
-    drive = _drive_command(speed / geom.lug_radius_r, signs)
+    steps, theta5, alpha, signs = _align(delta, theta5_deg, alpha_rad, signs,
+                                         d, cfg, geom, segment_index)
+    preflip = _preflip(signs)
+    drive = _drive_command(speed / geom.lug_radius_r, preflip)
 
     if segment.exit is TeeExit.THROUGH:
         steps.append(MissionStep(
             kind=StepKind.DRIVE, command=drive,
             duration_s=_timed(segment.arc_length() / speed, speed),
             segment_index=segment_index, note="cross junction"))
-        return steps, theta5, alpha
+        return steps, theta5, alpha, signs
 
     approach = cfg.tee_trigger_fraction * d
     steps.append(MissionStep(
@@ -418,7 +466,7 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
         note="approach junction"))
 
     omega, command = _tee_turn(speed, theta5, segment.tee_equivalent_radius,
-                               geom, signs)
+                               geom, preflip)
     steps.append(MissionStep(
         kind=StepKind.TURN_TEE, command=command,
         duration_s=_timed((math.pi / 2.0) / omega, speed),
@@ -432,7 +480,7 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
             duration_s=_timed(remainder / speed, speed),
             segment_index=segment_index,
             note="exit junction"))
-    return steps, theta5, alpha
+    return steps, theta5, alpha, signs
 
 
 def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
@@ -442,23 +490,28 @@ def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
 
     ``theta5_deg`` is the initial roll relative to the first upcoming
     turn's plane and must be finite; one (theta5, alpha) passes through
-    the segments, and each step carries the index of its segment.
+    the segments, and each step carries the index of its segment.  The
+    drive signs at alpha pass along with it, computed once per roll
+    state: only a roll moves alpha.
     """
     if not math.isfinite(theta5_deg):
         raise PlanError(f"theta5_deg must be finite, got {theta5_deg}")
     theta5, alpha = wrap(theta5_deg, 360.0), (0.0,) * 3
+    signs = _drive_signs(alpha, cfg)
     steps: list[MissionStep] = []
     for i, segment in enumerate(net.segments):
         if i > 0:
             theta5 = shift_reference(theta5, net, i - 1, i)
         if segment.kind is SegmentKind.STRAIGHT:
-            new = [plan_straight(segment.length_mm, cfg, geom, alpha, i)]
+            new = [plan_straight(segment.length_mm, cfg, geom, alpha, i,
+                                 signs=signs)]
         elif segment.kind is SegmentKind.ELBOW:
-            new, theta5, alpha = plan_elbow(segment, theta5, cfg, geom,
-                                            with_holonomic, alpha, i)
+            new, theta5, alpha, signs = _plan_elbow(
+                segment, theta5, cfg, geom, with_holonomic, alpha, signs, i)
         else:
             region = region_for_tee(segment, cfg, geom)
-            new, theta5, alpha = plan_tee(segment, theta5, region, cfg, geom,
-                                          with_holonomic, alpha, i)
+            new, theta5, alpha, signs = _plan_tee(
+                segment, theta5, region, cfg, geom, with_holonomic, alpha,
+                signs, i)
         steps.extend(new)
     return steps

@@ -63,14 +63,18 @@ initial rolls that complete as an interval set over [0, 120), and
 monte_carlo_tee counts its draws in that set instead of planning and
 simulating each one.  The scalar plan_mission + run_mission path stays
 the reference, and decides every other mission and every draw near an
-endpoint of the set.
+endpoint of the set.  The set, with its two spot-check missions, is
+derived once per (net, cfg, geom, with_holonomic) and kept in a bounded
+lru_cache, so repeated Monte Carlo calls on one mission share it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -689,32 +693,60 @@ def success_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
     or that can run past its junction), and when a scalar trial in the
     widest piece on either side disagrees with the set.  Those trials
     also raise any error the planner raises for every roll.  The reason
-    for None is logged at DEBUG.
+    for None is logged at DEBUG on every call.  The derivation is
+    memoised (_derived_set); each call returns a fresh list.
     """
-    reason = _uncovered(net, cfg, geom, with_holonomic)
-    if reason is None:
-        forbidden: list[Interval] = []
-        shift = 0.0
-        for i, segment in enumerate(net.segments):
-            if i > 0:
-                shift = shift_reference(shift, net, i - 1, i)
-            if _branch_tee(segment):
-                h = region_for_tee(segment, cfg, geom).half_width_deg
-                forbidden += [(centre - h - shift, centre + h - shift)
-                              for centre in (0.0,
-                                             ORIENTATION_PERIOD_DEG / 2.0)]
-        failing = normalize(forbidden, ORIENTATION_PERIOD_DEG)
-        succeeding = complement(failing, ORIENTATION_PERIOD_DEG)
-        for pieces, completes in ((succeeding, True), (failing, False)):
-            if pieces:
-                lo, hi = max(pieces, key=lambda piece: piece[1] - piece[0])
-                if _completes(net, (lo + hi) / 2.0, cfg, geom,
-                              False) is not completes:
-                    reason = "a scalar trial disagrees with the derived set"
+    succeeding, reason = _derived_set(net, cfg, geom, with_holonomic)
     if reason is not None:
         _log.debug("no success set: %s", reason)
         return None
-    return succeeding
+    return list(succeeding)
+
+
+@functools.lru_cache(maxsize=64)
+def _derived_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
+                 with_holonomic: bool
+                 ) -> tuple[tuple[Interval, ...] | None, str | None]:
+    """success_set's derivation: (the set, None), or (None, the reason).
+
+    Memoised in a bounded lru_cache, as planner._cached_region and
+    planner._tee_turn are, so a run of Monte Carlo calls on one mission
+    derives its set, with the two spot-check missions, once.  All four
+    arguments are frozen and hashable, and the key is exact: the
+    derivation is pure, and arguments that compare equal give equal
+    bits (a network compares its segments; its roll_references follow
+    from them).  The only floats that compare equal with other bits are
+    +-0.0.  A zero roll field (branch_roll_deg, turn_plane_roll_deg) can
+    change only the sign of a zero reference shift C_i.  An arc endpoint
+    c - C_i, with c = 60 k +- h, then keeps its bits where c != 0; where
+    c = 0 the arc has zero width, which normalize drops, or spans the
+    period, which normalize returns as (0, 120).  A zero
+    sweep_phi_max_deg or wobble_deadband_deg reaches only comparisons
+    and the _cached_region key, which do not tell the zeros apart, and a
+    spot check returns a bool.  A PlanError is not stored, so it is
+    raised on every call.
+    """
+    reason = _uncovered(net, cfg, geom, with_holonomic)
+    if reason is not None:
+        return None, reason
+    forbidden: list[Interval] = []
+    shift = 0.0
+    for i, segment in enumerate(net.segments):
+        if i > 0:
+            shift = shift_reference(shift, net, i - 1, i)
+        if _branch_tee(segment):
+            h = region_for_tee(segment, cfg, geom).half_width_deg
+            forbidden += [(centre - h - shift, centre + h - shift)
+                          for centre in (0.0, ORIENTATION_PERIOD_DEG / 2.0)]
+    failing = normalize(forbidden, ORIENTATION_PERIOD_DEG)
+    succeeding = complement(failing, ORIENTATION_PERIOD_DEG)
+    for pieces, completes in ((succeeding, True), (failing, False)):
+        if pieces:
+            lo, hi = max(pieces, key=lambda piece: piece[1] - piece[0])
+            if _completes(net, (lo + hi) / 2.0, cfg, geom,
+                          False) is not completes:
+                return None, "a scalar trial disagrees with the derived set"
+    return tuple(succeeding), None
 
 
 def _count_successes(net: PipeNetwork, thetas: np.ndarray,
@@ -747,6 +779,14 @@ def _count_successes(net: PipeNetwork, thetas: np.ndarray,
     return successes, len(thetas)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; ValueError for a bool, TypeError for a
+    value that is not an integer."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return operator.index(value)
+
+
 def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
                     geom: RobotGeometry, trials: int, seed: int,
                     with_holonomic: bool) -> MonteCarloResult:
@@ -765,6 +805,7 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
     step.  Both give the same count draw for draw.  The split between
     the two paths is logged at DEBUG.
     """
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)

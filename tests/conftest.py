@@ -4,6 +4,9 @@ The acceptance tests register one line per criterion through the
 ``criterion`` context manager; pytest prints the collected table after
 the run so the pass/fail status of every criterion is visible in plain
 ``pytest -v`` output.
+
+Every test starts with omnipipe's memo caches empty, so no result
+depends on which tests ran before it.
 """
 
 from contextlib import contextmanager
@@ -11,7 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from omnipipe import (REFERENCE_GEOMETRY, PipeNetwork, PlannerConfig,
-                      RobotGeometry, straight, tee)
+                      RobotGeometry, kinematics, planner, sim, straight, tee)
 
 _RESULTS: list[tuple[int, str, bool]] = []
 
@@ -35,6 +38,17 @@ def pytest_terminal_summary(terminalreporter):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {number}: {status} - "
                                     f"{description}")
+
+
+MEMOS = (planner._cached_region, planner._tee_turn, planner._drive_command,
+         kinematics._map_scalars, kinematics.jacobian_inverse,
+         sim._derived_set)
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -15,10 +16,10 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionStep,
                       plan_mission, plan_straight, plan_tee, plan_to_dict,
                       plan_to_json, radius_of_curvature, region_for_tee,
                       rolling_gain, run_mission, straight, tee)
-from omnipipe import (PipeNetwork, RobotGeometry, TeeExit, TwistVector,
-                      inverse_kinematics)
+from omnipipe import (PipeNetwork, RobotGeometry, SegmentKind, TeeExit,
+                      TwistVector, inverse_kinematics, shift_reference)
 from omnipipe import intervals as iv
-from omnipipe import planner
+from omnipipe import planner, sim
 
 D = 160.0
 
@@ -502,6 +503,115 @@ def test_mission_plan_is_deterministic(cfg, geom, tee_net):
     a = plan_to_json(plan_mission(tee_net, 41.0, cfg, geom))
     b = plan_to_json(plan_mission(tee_net, 41.0, cfg, geom))
     assert a == b
+
+
+# -- drive signs per roll state -----------------------------------------------------
+
+def oracle_plan(net, theta5, cfg, geom, with_holonomic):
+    """plan_mission with the drive signs computed afresh from alpha at
+    every segment: each public planner derives them from its alpha."""
+    theta5, alpha = iv.wrap(theta5, 360.0), (0.0,) * 3
+    steps = []
+    for i, segment in enumerate(net.segments):
+        if i > 0:
+            theta5 = shift_reference(theta5, net, i - 1, i)
+        if segment.kind is SegmentKind.STRAIGHT:
+            steps.append(plan_straight(segment.length_mm, cfg, geom, alpha,
+                                       i))
+            continue
+        if segment.kind is SegmentKind.ELBOW:
+            new, theta5, alpha = plan_elbow(segment, theta5, cfg, geom,
+                                            with_holonomic, alpha, i)
+        else:
+            new, theta5, alpha = plan_tee(
+                segment, theta5, region_for_tee(segment, cfg, geom), cfg,
+                geom, with_holonomic, alpha, i)
+        steps += new
+    return steps
+
+
+@st.composite
+def sign_networks(draw):
+    """Elbows and tees of both exits between straights, with turn planes
+    on the roll grid (so some elbows need no alignment) or anywhere."""
+    d = draw(st.sampled_from([140.0, 160.0, 165.0]))
+    roll_deg = (st.sampled_from([0.0, -0.0, 60.0, 120.0, 240.0])
+                | st.floats(-360.0, 360.0))
+    segments = [straight(d, draw(st.floats(50.0, 400.0)))]
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            segments.append(elbow(d, draw(st.floats(1.5, 3.0)) * d,
+                                  draw(st.floats(15.0, 180.0)),
+                                  draw(roll_deg)))
+        else:
+            segments.append(tee(d, draw(roll_deg),
+                                exit=draw(st.sampled_from(TeeExit))))
+        segments.append(straight(d, draw(st.floats(50.0, 400.0))))
+    return PipeNetwork(tuple(segments))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sign_networks(),
+       st.sampled_from([0.0, -0.0, 60.0, 120.0]) | st.floats(-360.0, 360.0),
+       st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 10.0),
+       st.sampled_from([0.5, 0.37]) | st.floats(0.05, 5.0), st.booleans())
+def test_plan_matches_signs_recomputed_at_every_segment(
+        net, theta5, deadband_deg, rate, with_holonomic):
+    cfg = PlannerConfig(wobble_deadband_deg=deadband_deg,
+                        rotate_rate_rad_s=rate)
+    try:
+        expected = plan_to_json(oracle_plan(net, theta5, cfg,
+                                            REFERENCE_GEOMETRY,
+                                            with_holonomic))
+    except PlanError as error:
+        with pytest.raises(PlanError, match=re.escape(str(error))):
+            plan_mission(net, theta5, cfg, REFERENCE_GEOMETRY,
+                         with_holonomic)
+        return
+    assert plan_to_json(plan_mission(net, theta5, cfg, REFERENCE_GEOMETRY,
+                                     with_holonomic)) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-60.0, 60.0), st.floats(0.0, 360.0, exclude_max=True),
+       st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+       st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 10.0),
+       st.sampled_from([0.5, 0.37]) | st.floats(0.05, 5.0),
+       st.sampled_from([140.0, 160.0, 200.0]))
+@example(delta=22.5, theta5=0.0, alpha=(0.0,) * 3, deadband_deg=1.0,
+         rate=0.5, d_mm=D)  # lands on the no-motion line: nudged
+@example(delta=1e-12, theta5=0.0, alpha=(0.0,) * 3, deadband_deg=1.0,
+         rate=0.5, d_mm=D)  # too short to roll
+def test_align_hands_on_the_drive_signs_of_its_alpha(delta, theta5, alpha,
+                                                     deadband_deg, rate,
+                                                     d_mm):
+    cfg = PlannerConfig(wobble_deadband_deg=deadband_deg,
+                        rotate_rate_rad_s=rate)
+    signs = planner._drive_signs(alpha, cfg)
+    _, _, rolled, carried = planner._align(delta, theta5, alpha, signs, d_mm,
+                                           cfg, REFERENCE_GEOMETRY, None)
+    assert carried == planner._drive_signs(rolled, cfg)
+
+
+def test_escape_missions_compute_each_roll_states_signs_once(
+        cfg, geom, tee_net, monkeypatch):
+    calls = []
+
+    def counted(alpha, deadband):
+        calls.append(alpha)
+        return drive_sign(alpha, deadband)
+
+    monkeypatch.setattr(planner, "drive_sign", counted)
+    monkeypatch.setattr(sim, "drive_sign", counted)
+    for theta5 in range(120):
+        calls.clear()
+        plan = plan_mission(tee_net, float(theta5), cfg, geom)
+        outcome, _ = run_mission(tee_net, plan, cfg, geom,
+                                 theta5_deg=float(theta5), dt=None)
+        assert outcome.reason == "completed"
+        # three modules at two roll states, in the planner and in the
+        # simulator; computed per segment it was 18
+        assert len(calls) <= 12, theta5
 
 
 # -- step validation ---------------------------------------------------------------

@@ -403,6 +403,11 @@ def test_monte_carlo_logs_the_split_at_debug(cfg, geom, tee_net, caplog):
     assert ("0 of 20 draws decided by the success set, 20 by "
             "plan_mission + run_mission") in caplog.text
     caplog.clear()
+    # the memo answers the second call, which still gives its reason
+    monte_carlo_tee(tee_net, cfg, geom, 20, seed=1, with_holonomic=True)
+    assert sim._derived_set.cache_info().hits >= 1
+    assert "no success set: the holonomic escape is enabled" in caplog.text
+    caplog.clear()
     # without the escape the elbow does not roll either
     monte_carlo_tee(turn_net(), cfg, geom, 5, seed=1, with_holonomic=False)
     assert "no success set" not in caplog.text
@@ -587,6 +592,137 @@ def test_monte_carlo_without_a_success_set_counts_as_before(cfg, geom,
     assert res.successes == sum(
         scalar_completes(net, float(t), cfg, geom, with_holonomic)
         for t in draws)
+
+
+# -- success-set memo ----------------------------------------------------------------
+
+def hex_set(succeeding):
+    """An interval set's bits, so that 0.0 and -0.0 differ."""
+    return [(lo.hex(), hi.hex()) for lo, hi in succeeding]
+
+
+def derive_cold(net, cfg, geom):
+    """success_set's derivation without the memo."""
+    succeeding, _ = sim._derived_set.__wrapped__(net, cfg, geom, False)
+    return list(succeeding)
+
+
+def decide_each(net, draws, succeeding, cfg, geom):
+    """Each draw's outcome as Monte Carlo counts it from this set."""
+    return [_count_successes(net, np.array([theta5]), succeeding, cfg, geom,
+                             False)[0] for theta5 in draws]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_success_set_memo_gives_the_cold_results(cfg, geom, tee_net, seed):
+    cold_set = derive_cold(tee_net, cfg, geom)
+    sim._derived_set.cache_clear()
+    cold = monte_carlo_tee(tee_net, cfg, geom, 100_000, seed=seed,
+                           with_holonomic=False)
+    warm = monte_carlo_tee(tee_net, cfg, geom, 100_000, seed=seed,
+                           with_holonomic=False)
+    info = sim._derived_set.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert cold.to_dict() == warm.to_dict()
+    warm_set = success_set(tee_net, cfg, geom, False)
+    assert hex_set(warm_set) == hex_set(cold_set)
+    # the head of the criterion-7 draw stream for this seed
+    draws = np.random.default_rng(seed).uniform(0.0, 120.0, size=2000)
+    assert (decide_each(tee_net, draws, warm_set, cfg, geom)
+            == decide_each(tee_net, draws, cold_set, cfg, geom))
+
+
+@st.composite
+def zero_roll_networks(draw):
+    """A roll-free network and a copy whose turns' zero rolls, many of
+    them, have the other sign: the two compare equal."""
+    net = draw(roll_free_networks(max_segments=5))
+    signs = []
+    for segment in net.segments:
+        if segment.kind is not SegmentKind.STRAIGHT and draw(st.booleans()):
+            signs.append(draw(st.sampled_from([0.0, -0.0])))
+        else:
+            signs.append(None)
+
+    def build(flip):
+        segments = []
+        for segment, zero in zip(net.segments, signs):
+            if zero is not None:
+                zero = -zero if flip else zero
+                field = ("turn_plane_roll_deg"
+                         if segment.kind is SegmentKind.ELBOW
+                         else "branch_roll_deg")
+                segment = dataclasses.replace(segment, **{field: zero})
+            segments.append(segment)
+        return PipeNetwork(tuple(segments))
+
+    return build(False), build(True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_roll_networks(), st.integers(0, 2**32 - 1))
+def test_success_set_memo_is_exact_on_roll_free_networks(nets, seed):
+    net, flipped = nets
+    cfg = PlannerConfig()
+    assert net == flipped and hash(net) == hash(flipped)
+    # equal keys give equal bits, so either network may fill the memo
+    cold_set = derive_cold(net, cfg, REFERENCE_GEOMETRY)
+    assert (hex_set(derive_cold(flipped, cfg, REFERENCE_GEOMETRY))
+            == hex_set(cold_set))
+    sim._derived_set.cache_clear()
+    cold = monte_carlo_tee(net, cfg, REFERENCE_GEOMETRY, 300, seed=seed,
+                           with_holonomic=False)
+    warm = monte_carlo_tee(flipped, cfg, REFERENCE_GEOMETRY, 300, seed=seed,
+                           with_holonomic=False)
+    assert sim._derived_set.cache_info().hits == 1
+    assert cold.to_dict() == warm.to_dict()
+    warm_set = success_set(flipped, cfg, REFERENCE_GEOMETRY, False)
+    assert hex_set(warm_set) == hex_set(cold_set)
+    draws = np.random.default_rng(seed).uniform(0.0, 120.0, size=300)
+    draws = np.concatenate([draws, endpoint_draws(cold_set)])
+    assert (decide_each(net, draws, warm_set, cfg, REFERENCE_GEOMETRY)
+            == decide_each(net, draws, cold_set, cfg, REFERENCE_GEOMETRY))
+
+
+def test_success_set_returns_a_fresh_list(cfg, geom, tee_net):
+    first = success_set(tee_net, cfg, geom, False)
+    expected = list(first)
+    first.append((100.0, 110.0))
+    first[0] = (0.0, 1.0)
+    second = success_set(tee_net, cfg, geom, False)
+    assert second == expected and second is not first
+
+
+def test_success_set_raises_a_planner_error_on_every_call(geom, tee_net):
+    # every spot-check mission's straight lasts longer than a float holds
+    cfg = PlannerConfig(straight_speed=1e-320)
+    for _ in range(2):
+        with pytest.raises(PlanError, match="out of range"):
+            success_set(tee_net, cfg, geom, False)
+        with pytest.raises(PlanError, match="out of range"):
+            monte_carlo_tee(tee_net, cfg, geom, 10, seed=1,
+                            with_holonomic=False)
+    info = sim._derived_set.cache_info()
+    assert (info.hits, info.currsize) == (0, 0)
+
+
+@pytest.mark.parametrize("trials, seed", [(True, 1), (5, False), (5, True)])
+def test_monte_carlo_rejects_boolean_counts(cfg, geom, tee_net, trials,
+                                            seed):
+    with pytest.raises(ValueError, match="must be an integer"):
+        monte_carlo_tee(tee_net, cfg, geom, trials, seed=seed,
+                        with_holonomic=False)
+
+
+def test_monte_carlo_stores_python_ints(cfg, geom, tee_net):
+    res = monte_carlo_tee(tee_net, cfg, geom, np.int64(5), seed=np.uint8(3),
+                          with_holonomic=False)
+    assert type(res.trials) is int and type(res.seed) is int
+    assert (res.trials, res.seed) == (5, 3)
+    assert json.loads(json.dumps(res.to_dict()))["trials"] == 5
+    with pytest.raises(TypeError):
+        monte_carlo_tee(tee_net, cfg, geom, 5.0, seed=1,
+                        with_holonomic=False)
 
 
 # -- trajectory output ----------------------------------------------------------------
