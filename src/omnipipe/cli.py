@@ -6,6 +6,11 @@ the command line are degrees and all lengths millimeters; outputs are
 JSON or CSV with sorted keys and repr-rounded floats so identical
 invocations produce byte-identical bytes.
 
+Each call builds its parser afresh and keeps nothing between calls.
+When the first argument names a subcommand, only that subcommand's
+arguments are added (see build_parser); the usage, help and error
+messages are those of the full parser.
+
 Exit codes: 0 success, 2 argument/input parse error, 3 degenerate
 geometry or planning input, 4 insufficient reach / no escape, 5 simulated
 mission failure or simulation error.
@@ -225,51 +230,49 @@ def _cmd_montecarlo(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="omnipipe",
-        description="Kinematics, singularity analysis and mission "
-                    "simulation for a three-module in-pipe robot.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fk", help="forward kinematics: motor rates to twist")
+def _fk_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cmd", required=True,
                    help="th1,th2,th3,th4 motor rates (rad/s)")
     _add_geometry_args(p)
-    p.set_defaults(func=_cmd_fk)
 
-    p = sub.add_parser("ik", help="inverse kinematics: twist to motor rates")
+
+def _ik_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--twist", required=True,
                    help="wx,wy,wz (rad/s), vcz (mm/s)")
     _add_geometry_args(p)
-    p.set_defaults(func=_cmd_ik)
 
-    p = sub.add_parser("sector",
-                       help="singularity sector report for a tee")
+
+def _sector_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=float, default=160.0,
                    help="bore diameter, mm")
     p.add_argument("--reach", type=float, default=None,
                    help="module reach, mm (default: geometry reach_max)")
     p.add_argument("--phi-max-deg", type=float, default=None)
     _add_geometry_args(p)
-    p.set_defaults(func=_cmd_sector)
 
-    for name, helptext in (("plan", "write a mission plan for a network"),
-                           ("simulate", "plan and simulate a mission")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--network", required=True, metavar="FILE")
-        p.add_argument("--theta5", type=float, default=0.0,
-                       help="initial roll relative to the first turn, deg")
-        p.add_argument("--out", default=".", help="output directory")
-        if name == "simulate":
-            p.add_argument("--dt", type=float, default=0.01,
-                           help="integration substep, s")
-        _add_geometry_args(p)
-        _add_planner_args(p)
-        p.set_defaults(func=_cmd_plan if name == "plan" else _cmd_simulate)
 
-    p = sub.add_parser("montecarlo",
-                       help="success statistics over random initial rolls")
+def _mission_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--network", required=True, metavar="FILE")
+    p.add_argument("--theta5", type=float, default=0.0,
+                   help="initial roll relative to the first turn, deg")
+    p.add_argument("--out", default=".", help="output directory")
+
+
+def _plan_args(p: argparse.ArgumentParser) -> None:
+    _mission_args(p)
+    _add_geometry_args(p)
+    _add_planner_args(p)
+
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
+    _mission_args(p)
+    p.add_argument("--dt", type=float, default=0.01,
+                   help="integration substep, s")
+    _add_geometry_args(p)
+    _add_planner_args(p)
+
+
+def _montecarlo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--network", required=True, metavar="FILE")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=None,
@@ -277,14 +280,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     _add_geometry_args(p)
     _add_planner_args(p)
-    p.set_defaults(func=_cmd_montecarlo)
 
+
+# name -> (help, arguments, command), in the order usage lists them
+_SUBCOMMANDS = {
+    "fk": ("forward kinematics: motor rates to twist", _fk_args, _cmd_fk),
+    "ik": ("inverse kinematics: twist to motor rates", _ik_args, _cmd_ik),
+    "sector": ("singularity sector report for a tee", _sector_args,
+               _cmd_sector),
+    "plan": ("write a mission plan for a network", _plan_args, _cmd_plan),
+    "simulate": ("plan and simulate a mission", _simulate_args,
+                 _cmd_simulate),
+    "montecarlo": ("success statistics over random initial rolls",
+                   _montecarlo_args, _cmd_montecarlo),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``omnipipe`` parser, every subparser's arguments added unless
+    ``command`` names a subcommand: then only that subparser gets them.
+
+    argparse hands the arguments after a subcommand name to that
+    subparser alone, and the top-level usage, help and errors read only
+    the subcommands' names and help strings, so parsing an argv that
+    starts with ``command`` gives the same result and the same messages
+    with either tree.
+    """
+    parser = argparse.ArgumentParser(
+        prog="omnipipe",
+        description="Kinematics, singularity analysis and mission "
+                    "simulation for a three-module in-pipe robot.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    populate_all = command not in _SUBCOMMANDS
+    for name, (helptext, add_arguments, func) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=helptext)
+        if populate_all or name == command:
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, NetworkValidationError) as e:

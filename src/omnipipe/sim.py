@@ -108,6 +108,9 @@ _END_TOL_MM = 1e-6
 _ZERO_TOL = 1e-12
 # run_mission keeps every substep record in memory
 MAX_SUBSTEPS = 1_000_000
+# monte_carlo_tee's trial limit, 1000 times the 10^5 trials of acceptance
+# criterion 7; the trials of a mission that rolls take ~0.4 ms each
+MAX_TRIALS = 10 ** 8
 # Monte Carlo draws per chunk, so memory does not grow with the trials
 _CHUNK = 4096
 # draws this close to an endpoint of the success set (deg) take the scalar
@@ -795,7 +798,8 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
     Each trial draws theta5 from [0, 120) deg (the roll symmetry period);
     the rate comes with a 95% Wilson score interval (wilson_interval).
     Draws come in chunks of 4096 from one generator, the same stream as
-    a single draw, so memory stays flat in ``trials``.
+    a single draw, so memory stays flat in ``trials``.  A ``trials``
+    outside [1, MAX_TRIALS] raises ValueError before the first draw.
 
     Where success_set covers the mission (no roll planned), a draw counts
     as a success when it lies in the set, found by one searchsorted per
@@ -808,6 +812,9 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= MAX_TRIALS = {MAX_TRIALS}, "
+                         f"got {trials}")
     rng = np.random.default_rng(seed)
     succeeding = success_set(net, cfg, geom, with_holonomic)
     successes = scalar = 0

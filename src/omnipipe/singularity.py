@@ -62,10 +62,10 @@ class EllipseSection:
     tilt_angle_phi: float
 
     def __post_init__(self):
-        if not (self.semi_major_a >= self.semi_minor_b > 0):
+        if not (math.inf > self.semi_major_a >= self.semi_minor_b > 0):
             raise InvalidSectionError(
-                f"need semi_major >= semi_minor > 0, got a={self.semi_major_a}, "
-                f"b={self.semi_minor_b}")
+                f"need a finite semi_major >= semi_minor > 0, got "
+                f"a={self.semi_major_a}, b={self.semi_minor_b}")
         expected = self.semi_minor_b / math.cos(self.tilt_angle_phi)
         if not math.isclose(self.semi_major_a, expected, rel_tol=1e-9):
             raise InvalidSectionError(
@@ -129,7 +129,8 @@ def cross_section_at(D: float, phi: float) -> EllipseSection:
 
     Raises InvalidSectionError for a non-finite or non-positive D, and
     for phi outside [0, pi/2): at 90 deg the cut plane is parallel to the
-    pipe axis and no ellipse exists.
+    pipe axis and no ellipse exists.  It is also raised where D/2
+    underflows to 0 or the semi-major axis overflows the float range.
     """
     if not (math.isfinite(D) and D > 0):
         raise InvalidSectionError(
@@ -153,9 +154,13 @@ def _lost_half_width(e: EllipseSection, reach_max: float) -> float:
             f"reach_max={reach_max} mm is below the bore radius {b} mm")
     if reach_max >= a:
         return 0.0
-    # b^2 cos^2 + a^2 sin^2 = (ab/reach)^2, solved for sin^2 psi
-    sin2 = (b * b * (a * a - reach_max * reach_max)
-            / (reach_max * reach_max * (a * a - b * b)))
+    # b^2 cos^2 + a^2 sin^2 = (ab/reach)^2, solved for sin^2 psi, on the
+    # section scaled by 2^-k so that a lies in [1/2, 1): the squares then
+    # neither underflow nor overflow.  Where the unscaled squares were
+    # normal floats, the scaling is exact and sin^2 psi keeps its bits.
+    k = math.frexp(a)[1]
+    a, b, r = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(reach_max, -k)
+    sin2 = b * b * (a * a - r * r) / (r * r * (a * a - b * b))
     return math.degrees(math.asin(math.sqrt(min(1.0, sin2))))
 
 
@@ -257,6 +262,9 @@ def calibrate_reach_for_sector(D: float, target_sector_deg: float,
         raise ValueError(f"target sector must lie in [0, 120] deg, got "
                          f"{target_sector_deg!r}")
     section = cross_section_at(D, phi_max)
-    a, b = section.semi_major_a, section.semi_minor_b
+    # scaled as in _lost_half_width, and the reach scaled back
+    k = math.frexp(section.semi_major_a)[1]
+    a = math.ldexp(section.semi_major_a, -k)
+    b = math.ldexp(section.semi_minor_b, -k)
     s = math.sin(math.radians(target_sector_deg / 4.0))
-    return a * b / math.sqrt(b * b + s * s * (a * a - b * b))
+    return math.ldexp(a * b / math.sqrt(b * b + s * s * (a * a - b * b)), k)

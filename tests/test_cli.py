@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import importlib.metadata
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 import omnipipe
 from omnipipe import (CommandVector, PipeNetwork, elbow, forward_kinematics,
                       network_to_json, straight, tee)
+from omnipipe import cli
 from omnipipe.cli import main
+from omnipipe.sim import MAX_TRIALS
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -448,6 +451,17 @@ def test_montecarlo_seed_env_fallback(capsys, net_file, tmp_path,
     assert json.loads(out)["seed"] == 123
 
 
+@pytest.mark.parametrize("trials", [str(MAX_TRIALS + 1), "1" + "0" * 30])
+def test_montecarlo_rejects_trials_above_the_limit_exits_2(
+        capsys, net_file, tmp_path, trials):
+    code, out, err = run_cli(capsys, "montecarlo", "--network", str(net_file),
+                             "--trials", trials, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == (f"error: trials must be <= MAX_TRIALS = {MAX_TRIALS}, "
+                   f"got {trials}\n")
+    assert not (tmp_path / "stats.json").exists()
+
+
 def test_montecarlo_writes_nothing_to_stderr_by_default(net_file, tmp_path):
     # the success-set path logs at DEBUG only; a plain run stays silent
     for extra in (["--no-holonomic"], []):
@@ -482,6 +496,79 @@ def test_main_carries_no_state_between_calls(capsys, net_file, tmp_path):
                     == (tmp_path / f"fresh-{name}" / output).read_bytes())
 
 
+# -- the per-call parser ------------------------------------------------------
+
+_SUBCOMMAND_NAMES = ("fk", "ik", "sector", "plan", "simulate", "montecarlo")
+_PARSE_CASES = [[name, "-h"] for name in _SUBCOMMAND_NAMES] + [
+    ["-h"], ["--help"], [], ["bogus"], ["--", "sector"], ["-h", "sector"],
+    ["simulate"], ["sector", "--bogus"], ["sector", "--d", "abc"],
+    ["sector", "--di", "3"], ["simulate", "--d", "1"], ["plan", "--network"],
+    ["montecarlo", "--trials", "1.5", "--network", "absent.json"],
+    ["fk", "--cmd", "1,1,1,0", "extra"], ["fk", "--cmd", "1,1,1,0"],
+    ["sector", "--d", "200", "--phi-max-deg", "30"],
+]
+
+
+def _exit_and_output(capsys, argv) -> tuple:
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+def test_per_call_parser_prints_what_the_full_parser_prints(
+        capsys, monkeypatch, argv):
+    got = _exit_and_output(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert _exit_and_output(capsys, argv) == got
+
+
+def _subparser(parser: argparse.ArgumentParser,
+               name: str) -> argparse.ArgumentParser:
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+                ).choices[name]
+
+
+def test_main_adds_only_the_invoked_subcommands_arguments(capsys,
+                                                          monkeypatch):
+    sector = _subparser(cli.build_parser(), "sector")
+    want = sorted(action.option_strings for action in sector._actions)
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(list(args))
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    code, out, _ = run_cli(capsys, "sector", "--d", "200")
+    assert code == 0 and json.loads(out)["sector_deg"] > 0.0
+    # every parser adds its own -h: the top parser and six subparsers
+    helps = [args for args in added if args[0] == "-h"]
+    assert len(helps) == 1 + len(_SUBCOMMAND_NAMES)
+    assert sorted(args for args in added if args[0] != "-h") == [
+        args for args in want if args[0] != "-h"]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["sector", "--d", "200"]
+    want = run_cli(capsys, *argv)
+    commands = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None:
+                        commands.append(command) or build(command))
+    monkeypatch.setattr(sys, "argv", ["omnipipe", *argv])
+    code = main()
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == want
+    assert commands == ["sector"]
+
+
 _EXTREMES = ["0", "-0", "inf", "-inf", "nan", "1e308", "-1e308", "1e-308",
              "-1e-308", "1e-320", "-1e-320", "-1", "-45.5"]
 _FLAGS = {
@@ -491,7 +578,7 @@ _FLAGS = {
                  "--rotate-rate", "--theta5", "--dt"],
     "montecarlo": ["--speed", "--trigger-fraction", "--deadband",
                    "--rotate-rate"],
-    "sector": ["--d", "--reach"],
+    "sector": ["--d", "--reach", "--phi-max-deg"],
 }
 
 
@@ -513,6 +600,9 @@ def extreme_argv(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(extreme_argv())
+@example(["sector", "--d=1e-300", "--phi-max-deg=89.999999",
+          "--reach=1e-300"])
+@example(["sector", "--d=1e308", "--phi-max-deg=89"])
 def test_cli_ends_in_a_documented_exit_code_on_extreme_values(
         tmp_path_factory, argv):
     # every call ends in a documented exit code, never a traceback

@@ -25,8 +25,8 @@ from omnipipe import planner, sim
 from omnipipe.drive import roll_sums
 from omnipipe.intervals import normalize, wrap
 from omnipipe.sim import (_CHUNK, _WALK, _ZERO_TOL, MAX_SUBSTEPS,
-                          _count_successes, _held, _stay_on_segment,
-                          wilson_interval)
+                          MAX_TRIALS, _count_successes, _held,
+                          _stay_on_segment, wilson_interval)
 from omnipipe.singularity import SingularityRegion
 
 D = 160.0
@@ -319,6 +319,20 @@ def test_run_mission_keeps_equal_commands_apart_by_a_signed_zero(
 def test_monte_carlo_validates_trials(cfg, geom, tee_net):
     with pytest.raises(ValueError):
         monte_carlo_tee(tee_net, cfg, geom, 0, seed=1, with_holonomic=True)
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10 ** 30])
+def test_monte_carlo_rejects_trials_above_the_limit_before_drawing(
+        cfg, geom, tee_net, monkeypatch, trials):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("monte_carlo_tee started on its draws")
+
+    monkeypatch.setattr(sim, "success_set", no_draws)
+    monkeypatch.setattr(sim, "_count_successes", no_draws)
+    with pytest.raises(ValueError, match=f"trials must be <= MAX_TRIALS = "
+                                         f"{MAX_TRIALS}, got {trials}"):
+        monte_carlo_tee(tee_net, cfg, geom, trials, seed=1,
+                        with_holonomic=True)
 
 
 def test_monte_carlo_holonomic_always_succeeds(cfg, geom, tee_net):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -475,3 +476,133 @@ def test_closed_form_edge_geometries():
     assert full.sector_measure_deg == pytest.approx(120.0, abs=1e-12)
     with pytest.raises(NoEscapeError):
         preferred_orientations(full)
+
+
+# -- the closed forms at every float scale -------------------------------------
+
+def _unscaled_half_width(e: EllipseSection, reach: float) -> float:
+    """The half-width as computed on the unscaled section, for reach in
+    [b, a): the bits that normal-range sections must keep."""
+    a, b = e.semi_major_a, e.semi_minor_b
+    sin2 = (b * b * (a * a - reach * reach)
+            / (reach * reach * (a * a - b * b)))
+    return math.degrees(math.asin(math.sqrt(min(1.0, sin2))))
+
+
+def _unscaled_reach(D: float, target: float, phi: float) -> float:
+    e = cross_section_at(D, phi)
+    a, b = e.semi_major_a, e.semi_minor_b
+    s = math.sin(math.radians(target / 4.0))
+    return a * b / math.sqrt(b * b + s * s * (a * a - b * b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=80.0, max_value=400.0),
+       st.floats(min_value=1e-4, max_value=1.4),
+       st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       st.floats(min_value=0.0, max_value=120.0))
+def test_normal_range_sections_keep_the_unscaled_bits(D, phi, frac, target):
+    e = cross_section_at(D, phi)
+    b = e.semi_minor_b
+    reach = min(b + frac * (e.semi_major_a - b),
+                math.nextafter(e.semi_major_a, 0.0))
+    region = sweep_t_junction(D, reach, phi)
+    assert region.half_width_deg == _unscaled_half_width(e, reach)
+    assert (calibrate_reach_for_sector(D, target, phi)
+            == _unscaled_reach(D, target, phi))
+
+
+def _float_at_any_scale():
+    """A positive finite float with its exponent drawn uniformly, so that
+    subnormals and values near the float maximum come up as often as
+    millimetres."""
+    return st.builds(math.ldexp, st.floats(min_value=0.5, max_value=1.0,
+                                           exclude_max=True),
+                     st.integers(-1073, 1024)).filter(math.isfinite)
+
+
+_TILTS = st.floats(min_value=0.0, max_value=math.pi / 2.0, exclude_max=True)
+_U = 2.0 ** -53
+
+
+def _half_width_deg(sin2: float) -> float:
+    return math.degrees(math.asin(math.sqrt(min(1.0, max(0.0, sin2)))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_float_at_any_scale(), _TILTS,
+       st.floats(min_value=0.0, max_value=1.0))
+def test_half_width_matches_exact_arithmetic_at_every_scale(D, phi, frac):
+    try:
+        e = cross_section_at(D, phi)
+    except InvalidSectionError:
+        # D/2 underflows to 0 or a = b / cos(phi) overflows
+        assert D / 2.0 == 0.0 or math.isinf(D / 2.0 / math.cos(phi))
+        return
+    a, b = e.semi_major_a, e.semi_minor_b
+    reach = min(max(b, b + frac * (a - b)), a)
+    h = sweep_t_junction(D, reach, phi).half_width_deg
+    if reach >= a:
+        assert h == 0.0
+        return
+    A, B, R = (Fraction(x) ** 2 for x in (a, b, reach))
+    sin2 = B * (A - R) / (R * (A - B))
+    # one rounding of each square and operation moves sin^2 psi by at
+    # most kappa units in the last place: the formula's own conditioning,
+    # large only where reach nears a or a nears b, and the same at every
+    # scale
+    kappa = float((A + R) / (A - R) + (A + B) / (A - B)) + 8.0
+    lo, hi = (float(sin2) * (1.0 + sign * 2.0 * kappa * _U)
+              for sign in (-1.0, 1.0))
+    assert _half_width_deg(lo) - 1e-9 <= h <= _half_width_deg(hi) + 1e-9
+
+
+@settings(max_examples=500, deadline=None)
+@given(_float_at_any_scale(), _TILTS,
+       st.floats(min_value=0.0, max_value=120.0))
+def test_calibrated_reach_matches_exact_arithmetic_at_every_scale(D, phi,
+                                                                  target):
+    try:
+        e = cross_section_at(D, phi)
+    except InvalidSectionError:
+        with pytest.raises(InvalidSectionError):
+            calibrate_reach_for_sector(D, target, phi)
+        return
+    reach = calibrate_reach_for_sector(D, target, phi)
+    a, b = e.semi_major_a, e.semi_minor_b
+    A, B = Fraction(a) ** 2, Fraction(b) ** 2
+    S = Fraction(math.sin(math.radians(target / 4.0))) ** 2
+    squared = A * B / (B + S * (A - B))
+    # exact reach^2 scaled by 4^-k into the normal range, and back
+    k = math.frexp(a)[1]
+    exact = math.ldexp(math.sqrt(float(squared / Fraction(4) ** k)), k)
+    # a subnormal reach keeps only its rounding to 2^-1074
+    assert reach == pytest.approx(exact, rel=1e-12, abs=2.0 ** -1074)
+
+
+@pytest.mark.parametrize("D, phi_deg, reach, want", [
+    # formerly ZeroDivisionError: the squares underflowed to 0
+    (1e-300, 89.999999, 1e-300, 30.0),
+    # formerly 90.0: a*a overflowed and min(1.0, nan) gave 1.0; reach is
+    # (a + b) / 2, and want the exact half-width
+    (1.24e224, 89.98, 8.883946004877446e+226, 0.034624901692660116),
+])
+def test_extreme_bores_give_the_exact_half_width(D, phi_deg, reach, want):
+    region = sweep_t_junction(D, reach, math.radians(phi_deg))
+    assert region.half_width_deg == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("D", [1e-200, 1e-160, 1e160, 1e300])
+def test_extreme_bores_calibrate_to_the_scaled_reach(D):
+    # every length scales with D, so the reach does too, by D / 160 mm
+    for target in (5.0, 96.54, 120.0):
+        reach = calibrate_reach_for_sector(D, target)
+        assert reach == pytest.approx(
+            calibrate_reach_for_sector(160.0, target) * D / 160.0, rel=1e-12)
+        region = sweep_t_junction(D, reach, DEFAULT_PHI_MAX_RAD)
+        assert region.sector_measure_deg == pytest.approx(target, abs=1e-9)
+
+
+def test_a_section_whose_major_axis_overflows_is_invalid():
+    with pytest.raises(InvalidSectionError, match="finite semi_major"):
+        cross_section_at(1e308, math.radians(89.0))
