@@ -291,15 +291,27 @@ def forward_kinematics(cmd: CommandVector, geom: RobotGeometry) -> TwistVector:
     v_cz = 0 + t th1 + t th2 + t th3 (k, s, h, t as in _map_scalars).
     Each step is one correctly rounded IEEE operation, so the bits do not
     depend on the host, a zero is +0.0 and equal drive rates give
-    wx = wy = 0.0 exactly while k th is a normal float.  TwistVector
-    names a component that overflows.
+    wx = wy = 0.0 exactly unless k / 2 is subnormal.  A product below
+    the normal range would round on its own and break that zero, so
+    where the largest drive rate times min(h, t) is below 2^-1022, the
+    three drive rates are scaled by 2^e, e = -1020 less the math.frexp
+    exponents of both factors, and wx, wy and v_cz by 2^-e after.  This
+    leaves normal-range bits alone.  TwistVector names a component that
+    overflows.
     """
     k, s, h, t = _map_scalars(geom, False)
     th1, th2, th3 = cmd.theta_dot_1, cmd.theta_dot_2, cmd.theta_dot_3
-    return TwistVector(0.0 - s * th2 + s * th3,
-                       0.0 - k * th1 + h * th2 + h * th3,
+    top, low = max(abs(th1), abs(th2), abs(th3)), min(h, t)
+    e = 0
+    if top * low < sys.float_info.min and top:
+        # top * low * 2^e lies in [2^-1022, 2^-1020), so no product
+        # overflows
+        e = -1020 - math.frexp(top)[1] - math.frexp(low)[1]
+        th1, th2, th3 = (math.ldexp(th, e) for th in (th1, th2, th3))
+    return TwistVector(math.ldexp(0.0 - s * th2 + s * th3, -e),
+                       math.ldexp(0.0 - k * th1 + h * th2 + h * th3, -e),
                        0.0 + cmd.theta_dot_4,
-                       0.0 + t * th1 + t * th2 + t * th3)
+                       math.ldexp(0.0 + t * th1 + t * th2 + t * th3, -e))
 
 
 def inverse_kinematics(twist: TwistVector, geom: RobotGeometry) -> CommandVector:

@@ -20,25 +20,24 @@ alpha, so the drive signs are recomputed only after one, and the twist
 is computed once per distinct (command object, signs) pair of the
 mission: the planner hands every drive at one roll state the same
 command.  Commands are keyed by identity, not equality, because equal
-commands may differ in the sign of a zero, which the CSV shows.  On a
-step that does not roll (theta_dot_4 == 0) the tee check runs again
-only after a segment boundary.  Between two boundary crossings such a
-step's whole substeps differ only in time and s: they form a block,
-built in one pass with itertools.accumulate, whose sums are the scalar
-path's own additions in its order, so every value is bit-identical to
-it.  bisect finds the substep that crosses the next boundary; that
-substep, the step's first and its last (partial) substep go through the
-scalar path, which keeps the stall check and the boundary crossing.  A
-pure roll step (no drive rate, theta_dot_4 != 0) keeps s, so its whole
-substeps differ only in time, theta5 and alpha, and form blocks the
-same way: drive.roll_sums forms the sums, and a block ends where theta5
-would wrap, where the tee check flips, and after a drive sign changes.
-Those cuts lie near known lines; bisect and the predicates themselves
-find them exactly, and the cut substep takes the scalar path.  A step
-that drives while it rolls takes the scalar path throughout,
-recomputing the signs each substep.  step is the public one-interval
-API; it and the scalar path share one helper for the roll update and
-the segment-boundary crossing, so both follow the same arithmetic.
+commands may differ in the sign of a zero, which the CSV shows.  After
+a step's first substep, its whole substeps that move s or roll, not
+both, come from one block builder, _block: within a block only time and
+either s or theta5 and alpha change, each formed in one pass with
+itertools.accumulate (drive.roll_sums on a roll) from the scalar path's
+own additions in its order, so every value is bit-identical to it.  A
+block ends before the first of four cuts: a segment-boundary crossing,
+a theta5 wrap, a tee-check flip and a drive-sign change.  Each lies
+near a known line: -tol and length + tol in s, 360 k and 60 k +- h in
+theta5, (k + 1/2) pi +- deadband in alpha.  The nearest line bounds the
+sums formed, bisect finds the entries short of it, and the predicate
+itself checks at most a few more.  The cut substep, the step's first
+and its last (partial) substep take the scalar path, which keeps the
+stall check and the boundary crossing; so does every substep of a step
+that drives while it rolls (the planner emits none).  step is the
+public one-interval API; it and the scalar path share one helper for
+the roll update and the segment-boundary crossing, so both follow the
+same arithmetic.
 
 run_mission returns its records as a Trajectory, stored in blocks: each
 block keeps segment, the step's shared (command, twist, signs) tuple,
@@ -185,28 +184,16 @@ class Trajectory(Sequence):
     def append(self, time_s: float, segment_index: int, s_mm: float,
                theta5_deg: float, drive: tuple, singular: bool,
                event: str) -> None:
-        """Add one row, as a block of its own."""
-        self.extend([time_s], segment_index, [s_mm], theta5_deg, drive,
-                    singular, event)
+        """Add one row, as a drive block of its own."""
+        self.extend(False, [time_s], segment_index, theta5_deg, [s_mm],
+                    drive, singular, event)
 
-    def extend(self, times: list[float], segment_index: int,
-               s_mm: list[float], theta5_deg: float, drive: tuple,
+    def extend(self, rolls: bool, times: list[float], segment_index: int,
+               fixed: float, varying: list[float], drive: tuple,
                singular: bool, event: str) -> None:
-        """Add a drive block: one row per entry of ``times`` and
-        ``s_mm``."""
-        self._add(False, times, segment_index, s_mm, theta5_deg, drive,
-                  singular, event)
-
-    def extend_roll(self, times: list[float], segment_index: int,
-                    s_mm: float, theta5_deg: list[float], drive: tuple,
-                    singular: bool, event: str) -> None:
-        """Add a roll block: one row per entry of ``times`` and
-        ``theta5_deg``."""
-        self._add(True, times, segment_index, theta5_deg, s_mm, drive,
-                  singular, event)
-
-    def _add(self, rolls, times, segment_index, varying, fixed, drive,
-             singular, event) -> None:
+        """Add a block: one row per entry of ``times`` and ``varying``,
+        which holds s_mm on a drive block (``rolls`` false) and theta5_deg
+        on a roll block; ``fixed`` is the other one."""
         self._start.append(len(self._time_s))
         self._rolls.append(rolls)
         self._segment_index.append(segment_index)
@@ -322,134 +309,120 @@ def _advance(net: PipeNetwork, geom: RobotGeometry, index: int, s: float,
     return index, s, theta5, alpha, event
 
 
-def _stay_on_segment(s: float, ds: float, m: int, length: float
-                     ) -> list[float]:
-    """s after each of up to ``m`` substeps of travel ``ds``, cut before
-    the first that leaves the segment [0, length] beyond _ZERO_TOL.
-
-    The sums are the scalar path's own additions in its order, so each
-    value is bit-identical to it; the substep that crosses a boundary is
-    left to _advance.  Only about as many sums as the distance to the
-    boundary allows are formed; bisect finds the exact cut in them.
-    """
-    if ds > 0.0:
-        room = (length + _ZERO_TOL - s) / ds
-    elif ds < 0.0:
-        room = (-_ZERO_TOL - s) / ds
-    else:
-        room = math.inf
-    take = m if not room < m else min(m, int(room) + 2)
-    ss = list(accumulate(repeat(ds, take), initial=s))
-    if ds > 0.0:
-        cut = bisect_right(ss, length + _ZERO_TOL, 1)
-    elif ds < 0.0:
-        cut = bisect_right(ss, _ZERO_TOL, 1, key=neg)
-    else:
-        cut = len(ss)
-    return ss[1:cut]
+def _stop(x: float, dx: float, period: float, offset: float,
+          width: float) -> float:
+    """The bound _held bisects to: for sums from ``x`` going up (``dx`` >
+    0), the first line period * k + offset +- width (k any integer, 0 <=
+    width < period / 2) at or above x - m, m = _LINE_MARGIN * (1 + |x|),
+    less the margin at that line; mirrored for sums going down.  About
+    x - 2 m where m spans a period or rounding finds no line."""
+    if dx < 0.0:
+        return -_stop(-x, -dx, period, -offset, width)
+    margin = _LINE_MARGIN * (1.0 + abs(x))
+    y = x - margin
+    if margin < period:
+        k = math.floor((y - offset) / period)
+        y = min((line for line in [period * (k + i) + offset + e
+                                   for i in (-1, 0, 1, 2)
+                                   for e in (-width, width)]
+                 if line >= y), default=y)
+    return y - _LINE_MARGIN * (1.0 + max(abs(x), abs(y)))
 
 
-def _line_ahead(y: float, period: float, offset: float, width: float
-                ) -> float:
-    """Least line period * k + offset +- width (k any integer, width <
-    period / 2) at or above ``y``; ``y`` itself if rounding finds none."""
-    k = math.floor((y - offset) / period)
-    return min((x for x in [period * (k + i) + offset + e
-                            for i in (-1, 0, 1, 2) for e in (-width, width)]
-                if x >= y), default=y)
+def _held(xs: list[float], f, stop: float) -> int:
+    """Least j >= 1 for which f(xs[j]) == f(xs[0]) is not shown, else
+    len(xs).
 
-
-def _steps_to_line(x: float, step: float, period: float, offset: float,
-                   width: float) -> float:
-    """Estimated steps of ``step`` from ``x`` to the first line ahead."""
-    if not step:
-        return math.inf
-    b = x if step > 0.0 else -x
-    return (_line_ahead(b, period, offset, width) - b) / abs(step)
-
-
-def _held(xs: list[float], f, ref, period: float, offset: float,
-          width: float) -> int:
-    """Least j >= 1 for which f(xs[j]) == ref is not shown, else len(xs).
-
-    ``xs`` is monotone, f(xs[0]) == ref, and f can change only within
-    _LINE_MARGIN * (1 + |x|) of a line period * k + offset +- width, a
-    set symmetric about 0.  The entries short of the first line ahead by
-    that margin keep ref: bisect finds where they end, and f itself then
-    checks up to _WALK entries.
+    ``xs`` is monotone, and f can change only past ``stop`` (_stop): bisect
+    finds the entries short of it, and f itself then checks up to _WALK
+    more.
     """
     first, last = xs[0], xs[-1]
     if first == last:
         return len(xs)
-    j = 1
-    margin = _LINE_MARGIN * (1.0 + max(abs(first), abs(last)))
-    if math.isfinite(margin):
-        if last > first:
-            j = bisect_left(xs, _line_ahead(first - margin, period, offset,
-                                            width) - margin, 1)
-        else:
-            j = bisect_left(xs, _line_ahead(-first - margin, period, offset,
-                                            width) - margin, 1, key=neg)
+    if last > first:
+        j = bisect_left(xs, stop, 1)
+    else:
+        j = bisect_left(xs, -stop, 1, key=neg)
+    ref = f(first)
     end = min(j + _WALK, len(xs))
     while j < end and f(xs[j]) == ref:
         j += 1
     return j
 
 
-def _roll_block(segment: PipeSegment, theta5: float,
-                alpha: tuple[float, ...], signs: tuple[int, ...],
-                singular: bool, roll_rad: float, most: int,
-                cfg: PlannerConfig, geom: RobotGeometry
-                ) -> tuple[list[float], tuple[float, ...]]:
-    """theta5 after each of up to ``most`` whole substeps of a pure roll
-    by ``roll_rad`` on ``segment``, and alpha after the last of them.
+def _block(segment: PipeSegment, s: float, theta5: float,
+           alpha: tuple[float, ...], ds: float, roll_rad: float, most: int,
+           cfg: PlannerConfig, geom: RobotGeometry
+           ) -> tuple[list[float], tuple | None]:
+    """Up to ``most`` whole substeps on ``segment`` that move s by ``ds``
+    or roll by ``roll_rad``, not both: s after each of them on a drive,
+    theta5 on a roll, and the state (s, theta5, alpha) after the last.
 
-    theta5 and alpha come from drive.roll_sums, bit-identical to the
-    scalar path.  The block stops before the first substep whose theta5
-    leaves [0, 360), where wrap acts, or flips the tee check, and after
-    the first that changes a module's drive sign (the next substep runs
-    with the new signs); the scalar path takes that substep.  A drive
-    sign can change only near a line (k + 1/2) pi +- deadband (rad), the
-    tee check only near 60 k +- h (deg): those lines bound the sums
-    formed, and _held finds the exact cut with bisect and the predicate.
+    The sums are the scalar path's own additions in its order
+    (itertools.accumulate, drive.roll_sums), so every value is
+    bit-identical to it.  The rows end before the first substep that
+    crosses a segment boundary, takes theta5 out of [0, 360) (where wrap
+    acts) or flips the tee check, and after the first that changes a
+    drive sign, as the substep after it runs with the new signs: the
+    scalar path takes that substep.  Each cut lies near a line period * k
+    + offset +- width of its quantity: s at (length + 2 tol) k + length +
+    tol, which holds the boundaries -tol and length + tol; theta5 at 360 k
+    and 60 k +- h; alpha at (k + 1/2) pi +- deadband.  The nearest line
+    bounds the sums formed, and _held finds each cut.
     """
-    deadband = cfg.deadband_rad
-    region = (region_for_tee(segment, cfg, geom)
-              if segment.kind is SegmentKind.TEE else None)
-    # the tee check is constant off a tee and unless 0 < h < 30 deg, the
-    # largest distance to a multiple of 60
-    if (region is not None
-            and not 0.0 < region.half_width_deg < _TEE_LINES_DEG / 2.0):
-        region = None
-    step = math.degrees(roll_rad)
-    turn = -roll_rad * rolling_gain(segment.d_mm, geom)
-    # a rough count of the substeps to the nearest cut
-    room = min([(360.0 - theta5) / step if step > 0.0 else theta5 / -step]
-               + [_steps_to_line(a, turn, math.pi, math.pi / 2.0, deadband)
-                  for a in set(alpha)])
-    if region is not None:
-        room = min(room, _steps_to_line(theta5, step, _TEE_LINES_DEG, 0.0,
-                                        region.half_width_deg))
-    take = most if not room < most else min(most, int(room) + 3)
-    thetas, alphas = roll_sums(theta5, alpha, roll_rad, segment.d_mm, geom,
-                               take)
-    if step > 0.0:
-        rows = bisect_left(thetas, 360.0, 1) - 1
+    # per cut: which sums (0 is s or theta5, i is the i-th alpha), their
+    # start and step, the predicate, the bound _held bisects to, and 1
+    # where the row that changes the predicate stays in the block (a drive
+    # sign acts from the next substep)
+    if roll_rad:
+        step = math.degrees(roll_rad)
+        turn = -(roll_rad * rolling_gain(segment.d_mm, geom))
+        deadband = cfg.deadband_rad
+        cuts = [(0, theta5, step, lambda x: 0.0 <= x < 360.0,
+                 _stop(theta5, step, 360.0, 0.0, 0.0), 0)]
+        region = (region_for_tee(segment, cfg, geom)
+                  if segment.kind is SegmentKind.TEE else None)
+        # the tee check is constant off a tee and unless 0 < h < 30 deg,
+        # the largest distance to a multiple of 60
+        if (region is not None
+                and 0.0 < region.half_width_deg < _TEE_LINES_DEG / 2.0):
+            cuts.append((0, theta5, step,
+                         lambda x: in_singularity(x, region),
+                         _stop(theta5, step, _TEE_LINES_DEG, 0.0,
+                               region.half_width_deg), 0))
+        # modules at one alpha share a cut
+        cuts += [(i, a, turn, lambda x: drive_sign(x, deadband),
+                  _stop(a, turn, math.pi, math.pi / 2.0, deadband), 1)
+                 for a, i in {a: i for i, a in enumerate(alpha, 1)}.items()
+                 if turn]
     else:
-        rows = bisect_right(thetas, 0.0, 1, key=neg) - 1
-    # the scalar path takes a cut first substep, and an alpha that
-    # overflows, so that drive_sign raises only where it would
-    if not rows or not all(math.isfinite(sums[-1]) for sums in alphas):
-        return [], alpha
-    for sums, sign in {id(s): (s, g) for s, g in zip(alphas, signs)
-                       }.values():
-        rows = min(rows, _held(sums, lambda a: drive_sign(a, deadband), sign,
-                               math.pi, math.pi / 2.0, deadband))
-    if region is not None:
-        rows = min(rows, _held(
-            thetas, lambda x: in_singularity(x, region), singular,
-            _TEE_LINES_DEG, 0.0, region.half_width_deg) - 1)
-    return thetas[1:rows + 1], tuple(sums[rows] for sums in alphas)
+        length = segment.arc_length()
+        cuts = [(0, s, ds, lambda x: -_ZERO_TOL <= x <= length + _ZERO_TOL,
+                 _stop(s, ds, length + 2.0 * _ZERO_TOL, length + _ZERO_TOL,
+                       0.0), 0)] if ds else []
+    # a rough count of the substeps to the nearest bound, past which _held
+    # may walk
+    room = min([(stop - x) / dx for _, x, dx, _, stop, _ in cuts],
+               default=math.inf)
+    take = (most if not room < most
+            else min(most, int(max(room, 0.0)) + _WALK + 1))
+    if roll_rad:
+        thetas, alphas = roll_sums(theta5, alpha, roll_rad, segment.d_mm,
+                                   geom, take)
+        sums = (thetas, *alphas)
+    else:
+        sums = (list(accumulate(repeat(ds, take), initial=s)),)
+    # the scalar path takes a sum that overflows, so that drive_sign
+    # raises only where it would
+    if not all(math.isfinite(xs[-1]) for xs in sums):
+        return [], None
+    cut = min([_held(sums[i], f, stop) + kept
+               for i, _, _, f, stop, kept in cuts] + [len(sums[0])])
+    if roll_rad:
+        return sums[0][1:cut], (s, sums[0][cut - 1],
+                                tuple(xs[cut - 1] for xs in sums[1:]))
+    return sums[0][1:cut], (sums[0][cut - 1], theta5, alpha)
 
 
 def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
@@ -534,9 +507,6 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
             failure = "singularity"
             break
 
-        # alpha moves only while the robot rolls; elsewhere the signs, the
-        # twist and, between boundary crossings, the tee check hold
-        rolling = cmd.theta_dot_4 != 0.0
         stall_check = (mstep.kind is not StepKind.HOLONOMIC_ROTATE
                        and max(abs(cmd.theta_dot_1), abs(cmd.theta_dot_2),
                                abs(cmd.theta_dot_3)) > _ZERO_TOL)
@@ -544,10 +514,6 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
         duration = mstep.duration_s
         h_regular = duration if dt is None else dt
         roll_regular = cmd.theta_dot_4 * h_regular
-        # a pure roll keeps s, and so the segment, and moves theta5 and
-        # alpha by the same nonzero amounts every whole substep
-        pure_roll = (roll_regular != 0.0 and cmd.theta_dot_1
-                     == cmd.theta_dot_2 == cmd.theta_dot_3 == 0.0)
         k = 0
         while k < n:
             h = h_regular if k < n - 1 else duration - h_regular * (n - 1)
@@ -569,27 +535,18 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
                     drive = drives[key] = (cmd, forward_kinematics(
                         signed_drive(cmd, signs), geom), signs)
                 v_cz = drive[1].v_cz
-            # after the step's first substep, its whole substeps form
-            # blocks; the scalar path below takes the rest
-            varying = None
-            if 0 < k < n - 1 and not rolling:
-                # up to the next boundary crossing only time and s change;
-                # theta5 and alpha hold, as the first substep has made its
-                # zero roll, and a crossing shifts theta5 only to values
-                # that roll leaves as they are
-                varying = _stay_on_segment(float(s), float(v_cz * h_regular),
-                                           n - 1 - k,
-                                           net.segments[index].arc_length())
-            elif 0 < k < n - 1 and pure_roll:
-                # up to the next wrap, drive sign change or tee-check flip
-                # only time, theta5 and alpha change; s holds, as the first
-                # substep has added its zero v_cz * h
-                varying, rolled = _roll_block(
-                    net.segments[index], theta5, alpha, signs, singular,
-                    roll_regular, n - 1 - k, cfg, geom)
-            if varying:
-                times = list(accumulate(repeat(float(h_regular),
-                                               len(varying)),
+                ds = float(v_cz * h_regular)
+            # after the step's first substep, whole substeps that move s or
+            # roll, not both, form blocks up to the next cut: the first
+            # substep has added its zero ds or made its zero roll, and a
+            # crossing shifts theta5 only to values that roll leaves as
+            # they are; the scalar path below takes the rest
+            rows = None
+            if 0 < k < n - 1 and not (ds and roll_regular):
+                rows, end = _block(net.segments[index], s, theta5, alpha, ds,
+                                   roll_regular, n - 1 - k, cfg, geom)
+            if rows:
+                times = list(accumulate(repeat(float(h_regular), len(rows)),
                                         initial=float(t)))
                 del times[0]
                 event = ("singular_mid_turn"
@@ -597,16 +554,12 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
                          else "")
                 if event and event not in events:
                     events.append(event)
-                if rolling:
-                    records.extend_roll(times, index, s, varying, drive,
-                                        singular, event)
-                    theta5, alpha = varying[-1], rolled
-                else:
-                    records.extend(times, index, varying, theta5, drive,
-                                   singular, event)
-                    s = varying[-1]
+                records.extend(bool(roll_regular), times, index,
+                               s if roll_regular else theta5, rows, drive,
+                               singular, event)
+                s, theta5, alpha = end
                 t = times[-1]
-                k += len(varying)
+                k += len(rows)
                 continue
             first = k == 0
             k += 1
@@ -614,7 +567,9 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
                 net, geom, index, s + v_cz * h, theta5, alpha,
                 cmd.theta_dot_4 * h)
             t = t + h
-            if rolling or index != checked_index:
+            # alpha moves only while the robot rolls; elsewhere the signs,
+            # the twist and, between boundary crossings, the tee check hold
+            if cmd.theta_dot_4 or index != checked_index:
                 singular = _tee_singular(net.segments[index], theta5, cfg,
                                          geom)
                 checked_index = index

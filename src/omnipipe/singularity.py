@@ -23,6 +23,7 @@ suffix); ellipse queries take radians like the kinematics layer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (InsufficientReachError, InvalidGeometryError,
@@ -118,10 +119,26 @@ def ellipse_radial_distance(e: EllipseSection, psi: float) -> float:
     """Distance from ellipse center to its boundary along direction psi.
 
     ``psi`` (rad) is measured from the major axis.  Standard polar form:
-    a b / sqrt(b^2 cos^2 psi + a^2 sin^2 psi).
+    a b / sqrt(b^2 cos^2 psi + a^2 sin^2 psi), on the section scaled as
+    in _scaled where b^2 or 2 a^2 would leave the normal range.
     """
     a, b = e.semi_major_a, e.semi_minor_b
-    return a * b / math.sqrt((b * math.cos(psi)) ** 2 + (a * math.sin(psi)) ** 2)
+    k = 0
+    if not (sys.float_info.min <= b * b
+            and a * a <= sys.float_info.max / 2.0):
+        k, (a, b) = _scaled(e)
+    return math.ldexp(a * b / math.sqrt((b * math.cos(psi)) ** 2
+                                        + (a * math.sin(psi)) ** 2), k)
+
+
+def _scaled(e: EllipseSection, *lengths: float) -> tuple[int, list[float]]:
+    """k, and a, b and ``lengths`` scaled by 2^-k so that a lies in
+    [1/2, 1): their squares then neither underflow nor overflow.  Where
+    the unscaled squares were normal floats the scaling is exact, so a
+    ratio of them keeps its bits."""
+    k = math.frexp(e.semi_major_a)[1]
+    return k, [math.ldexp(x, -k)
+               for x in (e.semi_major_a, e.semi_minor_b, *lengths)]
 
 
 def cross_section_at(D: float, phi: float) -> EllipseSection:
@@ -154,12 +171,9 @@ def _lost_half_width(e: EllipseSection, reach_max: float) -> float:
             f"reach_max={reach_max} mm is below the bore radius {b} mm")
     if reach_max >= a:
         return 0.0
-    # b^2 cos^2 + a^2 sin^2 = (ab/reach)^2, solved for sin^2 psi, on the
-    # section scaled by 2^-k so that a lies in [1/2, 1): the squares then
-    # neither underflow nor overflow.  Where the unscaled squares were
-    # normal floats, the scaling is exact and sin^2 psi keeps its bits.
-    k = math.frexp(a)[1]
-    a, b, r = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(reach_max, -k)
+    # b^2 cos^2 + a^2 sin^2 = (ab/reach)^2, solved for sin^2 psi on the
+    # scaled section
+    _, (a, b, r) = _scaled(e, reach_max)
     sin2 = b * b * (a * a - r * r) / (r * r * (a * a - b * b))
     return math.degrees(math.asin(math.sqrt(min(1.0, sin2))))
 
@@ -261,10 +275,7 @@ def calibrate_reach_for_sector(D: float, target_sector_deg: float,
             and 0.0 <= target_sector_deg <= ORIENTATION_PERIOD_DEG):
         raise ValueError(f"target sector must lie in [0, 120] deg, got "
                          f"{target_sector_deg!r}")
-    section = cross_section_at(D, phi_max)
-    # scaled as in _lost_half_width, and the reach scaled back
-    k = math.frexp(section.semi_major_a)[1]
-    a = math.ldexp(section.semi_major_a, -k)
-    b = math.ldexp(section.semi_minor_b, -k)
+    # on the scaled section, and the reach scaled back
+    k, (a, b) = _scaled(cross_section_at(D, phi_max))
     s = math.sin(math.radians(target_sector_deg / 4.0))
     return math.ldexp(a * b / math.sqrt(b * b + s * s * (a * a - b * b)), k)

@@ -2,10 +2,11 @@ import inspect
 import math
 import sys
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from omnipipe import (CommandVector, InvalidGeometryError, ModuleVelocities,
@@ -175,8 +176,14 @@ def forward_by_scalars(cmd: CommandVector, geom: RobotGeometry) -> tuple:
     """The forward map as forward_kinematics documents it."""
     k, s, h, t = forward_scalars(geom)
     th1, th2, th3, th4 = astuple(cmd)
-    return (0.0 - s * th2 + s * th3, 0.0 - k * th1 + h * th2 + h * th3,
-            0.0 + th4, 0.0 + t * th1 + t * th2 + t * th3)
+    top = max(abs(th1), abs(th2), abs(th3))
+    e = 0
+    if top and top * min(h, t) < 2.0 ** -1022:
+        e = -1020 - math.frexp(top)[1] - math.frexp(min(h, t))[1]
+    th1, th2, th3 = (math.ldexp(th, e) for th in (th1, th2, th3))
+    return (math.ldexp(0.0 - s * th2 + s * th3, -e),
+            math.ldexp(0.0 - k * th1 + h * th2 + h * th3, -e), 0.0 + th4,
+            math.ldexp(0.0 + t * th1 + t * th2 + t * th3, -e))
 
 
 def inverse_by_scalars(twist: TwistVector, geom: RobotGeometry) -> tuple:
@@ -255,15 +262,39 @@ def test_inverse_map_equals_its_scalar_expression(case):
             inverse_kinematics(twist, geom)
 
 
-@settings(max_examples=200, deadline=None)
-@given(geometries(), st.floats(min_value=1e-300, max_value=1e300),
+@st.composite
+def wide_geometries(draw):
+    """Geometries from 1e-300 to 1e300 mm whose forward scalars are
+    finite and whose k / 2 is a normal float."""
+    size = st.floats(min_value=1e-300, max_value=1e300)
+    arm = draw(size)
+    geom = RobotGeometry(draw(size), arm, arm * draw(st.floats(0.01, 10.0)),
+                         arm, arm, 20.0)
+    scalars = forward_scalars(geom)
+    assume(all(map(math.isfinite, scalars))
+           and scalars[2] >= sys.float_info.min)
+    return geom
+
+
+@settings(max_examples=300, deadline=None)
+@given(geometries() | wide_geometries(),
+       st.floats(min_value=1e-300, max_value=1e300)
+       | st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                   st.integers(-1073, -1000)),
        st.sampled_from([1.0, -1.0]))
+@example(geom=ref_geom(), rate=3e-323, sign=1.0)
+@example(geom=ref_geom(), rate=5e-324, sign=-1.0)
 def test_equal_drive_rates_give_exactly_zero_wobble(geom, rate, sign):
-    # criterion 2 in the documented order, for rates whose products with
-    # the forward scalars stay normal floats
+    # criterion 2 in the documented order, down to subnormal rates, for
+    # every geometry whose k / 2 is a normal float
+    assume(math.isfinite(4.0 * max(forward_scalars(geom)) * rate))
     twist = forward_kinematics(CommandVector(*(sign * rate,) * 3, 0.0), geom)
     assert bits((twist.omega_x, twist.omega_y, twist.omega_z)) \
         == bits((0.0, 0.0, 0.0))
+    # v_cz is 3 t th to three roundings, or to 2^-1074 where subnormal
+    exact = 3 * Fraction(forward_scalars(geom)[3]) * Fraction(sign * rate)
+    assert twist.v_cz == pytest.approx(float(exact), rel=4.0 * 2.0 ** -53,
+                                       abs=2.0 ** -1074)
 
 
 def test_each_map_checks_only_its_own_scalars():

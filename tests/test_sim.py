@@ -16,18 +16,17 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
                       PlannerConfig, SegmentKind, SimState, SimulationError,
                       StepKind, TeeExit, Trajectory, TrajectoryRecord,
                       TRAJECTORY_CSV_HEADER, TwistVector, drive_sign, elbow,
-                      failure_probability, in_singularity, monte_carlo_tee,
+                      failure_probability, forward_kinematics,
+                      in_singularity, monte_carlo_tee,
                       outcome_to_json, plan_mission, plan_to_json,
                       preferred_orientations, region_for_tee, roll,
                       rolling_gain, run_mission, step, straight, success_set,
                       tee, write_trajectory_csv)
 from omnipipe import planner, sim
-from omnipipe.drive import roll_sums
+from omnipipe.drive import roll_sums, signed_drive
 from omnipipe.intervals import normalize, wrap
-from omnipipe.sim import (_CHUNK, _WALK, _ZERO_TOL, MAX_SUBSTEPS,
-                          MAX_TRIALS, _count_successes, _held,
-                          _stay_on_segment, wilson_interval)
-from omnipipe.singularity import SingularityRegion
+from omnipipe.sim import (_CHUNK, _WALK, MAX_SUBSTEPS, MAX_TRIALS,
+                          _count_successes, wilson_interval)
 
 D = 160.0
 RATE = 100.0 / 15.0
@@ -995,23 +994,6 @@ def test_run_mission_matches_stepwise_on_generated_networks(
 
 # -- step blocks: whole substeps between boundary crossings ---------------------------
 
-@settings(max_examples=300, deadline=None)
-@given(st.floats(0.0, 50.0), st.floats(-7.0, 7.0) | st.sampled_from(
-    [0.0, -0.0, 1e-300, -1e-300]), st.integers(0, 60),
-       st.floats(0.01, 50.0))
-def test_stay_on_segment_cuts_where_the_scalar_loop_crosses(s, ds, m,
-                                                            length):
-    s = min(s, length)
-    expected = []
-    for _ in range(m):
-        s_next = (expected[-1] if expected else s) + ds
-        if s_next > length + _ZERO_TOL or s_next < -_ZERO_TOL:
-            break
-        expected.append(s_next)
-    got = _stay_on_segment(s, ds, m, length)
-    assert [x.hex() for x in got] == [x.hex() for x in expected]
-
-
 def short_straights_net():
     """Straights shorter than one substep's travel (1 mm at dt 0.01, 3.7
     mm at 0.037) between a branch tee and a through tee."""
@@ -1141,38 +1123,101 @@ def near_lines(period, offset, width):
         st.sampled_from([0.0, 1e-12, -1e-12]))
 
 
-def assert_held_like_a_scan(xs, f, period, offset, width):
-    """_held proves f constant on xs[1:j], and stops at the first change
-    unless its walk ran out."""
-    ref = f(xs[0])
-    j = _held(xs, f, ref, period, offset, width)
-    first_change = next((i for i in range(1, len(xs)) if f(xs[i]) != ref),
-                        len(xs))
-    assert 1 <= j <= first_change
-    assert j == first_change or j > _WALK
+def scan_block(net, state, cmd, h, most, cfg):
+    """The scalar path's states after each of up to ``most`` substeps,
+    one step() call each, up to the first substep that leaves the
+    segment, wraps theta5 or flips the tee check, and through the first
+    that changes a drive sign."""
+    deadband = cfg.deadband_rad
+    signs = [drive_sign(a, deadband) for a in state.alpha_rad]
+    segment = net.segments[state.segment_index]
+    region = region_for_tee(segment, cfg, REFERENCE_GEOMETRY)
+    singular = in_singularity(state.theta5_deg, region)
+    states = []
+    for _ in range(most):
+        unwrapped = state.theta5_deg + math.degrees(cmd.theta_dot_4 * h)
+        state, record = step(state, cmd, h, net, REFERENCE_GEOMETRY, cfg)
+        if (record.segment_index != 1 or record.event
+                or state.theta5_deg != unwrapped
+                or in_singularity(state.theta5_deg, region) != singular):
+            break
+        states.append(state)
+        if [drive_sign(a, deadband) for a in state.alpha_rad] != signs:
+            break
+    return states
+
+
+@st.composite
+def block_cases(draw):
+    """A state on a branch tee near the lines where a block is cut: the
+    tee's ends, 0 and 360 deg and 60 k +- h of theta5, and (k + 1/2) pi
+    +- deadband of alpha; a drive and a roll command, and a substep."""
+    d = draw(st.sampled_from([140.0, 150.0, 160.0, 165.0]))
+    cfg = PlannerConfig(wobble_deadband_deg=draw(st.sampled_from(
+        [0.0, 1.0, 10.0])))
+    net = PipeNetwork((straight(d, 100.0), tee(d, draw(st.floats(0.0, 360.0))),
+                       straight(d, 100.0)))
+    h = region_for_tee(net.segments[1], cfg, REFERENCE_GEOMETRY
+                       ).half_width_deg
+    length = net.segments[1].arc_length()
+    s = draw(st.floats(0.0, 1.0) | st.sampled_from([1e-13, 1.0 - 1e-16]))
+    theta5 = draw(st.floats(0.0, 360.0) | near_lines(60.0, 0.0, h)
+                  | near_lines(360.0, 0.0, 0.0))
+    alpha = st.floats(-1e4, 1e4) | near_lines(math.pi, math.pi / 2.0,
+                                              cfg.deadband_rad)
+    state = SimState(segment_index=1, s_mm=s * length + 0.0,
+                     theta5_deg=wrap(theta5, 360.0) + 0.0,
+                     alpha_rad=(draw(alpha), draw(alpha), draw(alpha)))
+    rate = st.floats(-50.0, 50.0) | st.sampled_from([0.0, 1e-300, 1e-320])
+    drive = CommandVector(*[draw(rate)] * 3, 0.0)
+    rolls = CommandVector(0.0, 0.0, 0.0, draw(
+        st.floats(-3.0, 3.0).filter(bool)
+        | st.sampled_from([1e-13, -1e-9, 5e-324])))
+    return (net, cfg, state, drive, rolls, draw(st.floats(1e-3, 0.05)),
+            draw(st.integers(1, 300)))
+
+
+def slow_roll_into_the_tee_region():
+    """A roll of 1e-9 deg per substep from 5e-9 deg short of the line
+    60 - h: in_singularity's 1e-9 deg of slack flips the tee check one
+    substep before the line."""
+    cfg = PlannerConfig()
+    net = PipeNetwork((straight(D, 100.0), tee(D), straight(D, 100.0)))
+    h = region_for_tee(net.segments[1], cfg, REFERENCE_GEOMETRY
+                       ).half_width_deg
+    state = SimState(segment_index=1, s_mm=10.0,
+                     theta5_deg=60.0 - h - 5e-9)
+    rolls = CommandVector(0.0, 0.0, 0.0, math.radians(1e-9) / 0.01)
+    return net, cfg, state, DRIVE, rolls, 0.01, 50
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.floats(-1e7, 1e7) | near_lines(math.pi, math.pi / 2.0,
-                                         math.radians(1.0)),
-       st.floats(-0.7, 0.7).filter(bool) | st.sampled_from([1e-13, -2e-9]),
-       st.integers(1, 300), st.sampled_from([0.0, 1.0, 10.0]))
-def test_held_finds_each_drive_sign_change(alpha, turn, m, deadband_deg):
-    xs = list(accumulate(repeat(turn, m), initial=alpha))
-    deadband = math.radians(deadband_deg)
-    assert_held_like_a_scan(xs, lambda a: drive_sign(a, deadband), math.pi,
-                            math.pi / 2.0, deadband)
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.floats(0.0, 360.0) | near_lines(60.0, 0.0, 24.135),
-       st.floats(-5.0, 5.0).filter(bool), st.integers(1, 300),
-       st.floats(0.0, 29.9) | st.sampled_from([24.135, 1e-9]))
-def test_held_finds_each_tee_check_flip(theta5, step_deg, m, half_width):
-    xs = list(accumulate(repeat(step_deg, m), initial=theta5))
-    region = SingularityRegion(half_width)
-    assert_held_like_a_scan(xs, lambda x: in_singularity(x, region), 60.0,
-                            0.0, half_width)
+@given(block_cases())
+@example(case=slow_roll_into_the_tee_region())
+def test_block_cuts_where_the_scalar_loop_does(case):
+    # one draw drives and rolls from one state, so it can cross a boundary
+    # and wrap theta5, flip the tee check and change a drive sign
+    net, cfg, state, drive, rolls, h, most = case
+    signs = tuple(drive_sign(a, cfg.deadband_rad) for a in state.alpha_rad)
+    for cmd in (drive, rolls):
+        ds = float(forward_kinematics(signed_drive(cmd, signs),
+                                      REFERENCE_GEOMETRY).v_cz * h)
+        roll_rad = cmd.theta_dot_4 * h
+        rows, end = sim._block(net.segments[1], state.s_mm, state.theta5_deg,
+                               state.alpha_rad, ds, roll_rad, most, cfg,
+                               REFERENCE_GEOMETRY)
+        expected = scan_block(net, state, cmd, h, most, cfg)
+        # the block is the scan's rows, or stops short of them only where
+        # _held's walk ran out
+        assert len(rows) == len(expected) or _WALK <= len(rows) < len(expected)
+        moved = [x.theta5_deg if roll_rad else x.s_mm
+                 for x in expected[:len(rows)]]
+        assert [x.hex() for x in rows] == [x.hex() for x in moved]
+        if rows:
+            last = expected[len(rows) - 1]
+            assert [x.hex() for x in (end[0], end[1], *end[2])] == [
+                x.hex() for x in (last.s_mm, last.theta5_deg,
+                                  *last.alpha_rad)]
 
 
 @st.composite
@@ -1319,6 +1364,24 @@ def test_run_mission_matches_stepwise_on_escape_networks_with_elbows(
                                       theta5, dt,
                                       tmp_path_factory.mktemp("csv"))
     assert outcome.reason == "completed"
+
+
+@settings(max_examples=80, deadline=None)
+@given(roll_free_networks() | elbow_networks(),
+       st.floats(0.0, 360.0, exclude_max=True), st.booleans())
+def test_planned_steps_never_drive_while_they_roll(net, theta5,
+                                                   with_holonomic):
+    # run_mission forms blocks of whole substeps that move s or roll; a
+    # step that does both would stay on the scalar path throughout
+    try:
+        plan = plan_mission(net, theta5, PlannerConfig(), REFERENCE_GEOMETRY,
+                            with_holonomic=with_holonomic)
+    except (PlanError, NoEscapeError):
+        return  # a turn the robot cannot take
+    for mstep in plan:
+        cmd = mstep.command
+        assert (cmd.theta_dot_1 == cmd.theta_dot_2 == cmd.theta_dot_3 == 0.0
+                or cmd.theta_dot_4 == 0.0)
 
 
 def two_elbow_net():

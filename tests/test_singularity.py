@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnipipe import (CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD,
@@ -510,6 +510,10 @@ def test_normal_range_sections_keep_the_unscaled_bits(D, phi, frac, target):
     assert region.half_width_deg == _unscaled_half_width(e, reach)
     assert (calibrate_reach_for_sector(D, target, phi)
             == _unscaled_reach(D, target, phi))
+    a = e.semi_major_a
+    for psi in (0.0, 0.3, 1.0, math.pi / 2.0, 2.5, -4.0):
+        assert ellipse_radial_distance(e, psi) == a * b / math.sqrt(
+            (b * math.cos(psi)) ** 2 + (a * math.sin(psi)) ** 2)
 
 
 def _float_at_any_scale():
@@ -578,6 +582,30 @@ def test_calibrated_reach_matches_exact_arithmetic_at_every_scale(D, phi,
     exact = math.ldexp(math.sqrt(float(squared / Fraction(4) ** k)), k)
     # a subnormal reach keeps only its rounding to 2^-1074
     assert reach == pytest.approx(exact, rel=1e-12, abs=2.0 ** -1074)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_float_at_any_scale(), _TILTS, st.floats(min_value=-10.0,
+                                                max_value=10.0))
+@example(D=1e-300, phi=0.5, psi=0.3)  # formerly ZeroDivisionError
+@example(D=1e300, phi=0.5, psi=0.3)  # formerly OverflowError
+def test_radial_distance_matches_exact_arithmetic_at_every_scale(D, phi,
+                                                                 psi):
+    try:
+        e = cross_section_at(D, phi)
+    except InvalidSectionError:
+        assert D / 2.0 == 0.0 or math.isinf(D / 2.0 / math.cos(phi))
+        return
+    a, b = e.semi_major_a, e.semi_minor_b
+    A, B = Fraction(a) ** 2, Fraction(b) ** 2
+    C, S = Fraction(math.cos(psi)) ** 2, Fraction(math.sin(psi)) ** 2
+    squared = A * B / (B * C + A * S)
+    # exact distance^2 scaled by 4^-k into the normal range, and back
+    k = math.frexp(a)[1]
+    exact = math.ldexp(math.sqrt(float(squared / Fraction(4) ** k)), k)
+    # a subnormal distance keeps only its rounding to 2^-1074
+    assert ellipse_radial_distance(e, psi) == pytest.approx(
+        exact, rel=1e-12, abs=2.0 ** -1074)
 
 
 @pytest.mark.parametrize("D, phi_deg, reach, want", [
