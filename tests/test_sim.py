@@ -25,8 +25,10 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
 from omnipipe import planner, sim
 from omnipipe.drive import roll_sums, signed_drive
 from omnipipe.intervals import normalize, wrap
-from omnipipe.sim import (_CHUNK, _WALK, MAX_SUBSTEPS, MAX_TRIALS,
-                          _count_successes, wilson_interval)
+from omnipipe.sim import (_CHUNK, _WALK, _ZERO_TOL, MAX_SUBSTEPS,
+                          MAX_TRIALS, _count_successes, _held, _stop,
+                          wilson_interval)
+from omnipipe.singularity import SingularityRegion
 
 D = 160.0
 RATE = 100.0 / 15.0
@@ -1121,6 +1123,67 @@ def near_lines(period, offset, width):
         lambda k, e, d: (period * k + offset + e) * (1.0 + d),
         st.integers(-4, 4), st.sampled_from([-width, width]),
         st.sampled_from([0.0, 1e-12, -1e-12]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 50.0), st.floats(-7.0, 7.0) | st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300]), st.integers(0, 60),
+       st.floats(0.01, 50.0))
+def test_stay_on_segment_cuts_where_the_scalar_loop_crosses(s, ds, m,
+                                                            length):
+    s = min(s, length)
+    expected = []
+    for _ in range(m):
+        s_next = (expected[-1] if expected else s) + ds
+        if s_next > length + _ZERO_TOL or s_next < -_ZERO_TOL:
+            break
+        expected.append(s_next)
+    # drive blocks one after another, as run_mission builds them, until
+    # one is empty: the next substep leaves the segment
+    segment, got = straight(D, length), []
+    while len(got) < m:
+        rows, end = sim._block(segment, s, 0.0, (0.0, 0.0, 0.0), ds, 0.0,
+                               m - len(got), PlannerConfig(),
+                               REFERENCE_GEOMETRY)
+        if not rows:
+            break
+        got += rows
+        s = end[0]
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+def assert_held_like_a_scan(xs, f, period, offset, width):
+    """_held proves f constant on xs[1:j], and stops at the first change
+    unless its walk ran out."""
+    ref = f(xs[0])
+    j = _held(xs, f, _stop(xs[0], xs[-1] - xs[0], period, offset, width))
+    first_change = next((i for i in range(1, len(xs)) if f(xs[i]) != ref),
+                        len(xs))
+    assert 1 <= j <= first_change
+    assert j == first_change or j > _WALK
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-1e7, 1e7) | near_lines(math.pi, math.pi / 2.0,
+                                         math.radians(1.0)),
+       st.floats(-0.7, 0.7).filter(bool) | st.sampled_from([1e-13, -2e-9]),
+       st.integers(1, 300), st.sampled_from([0.0, 1.0, 10.0]))
+def test_held_finds_each_drive_sign_change(alpha, turn, m, deadband_deg):
+    xs = list(accumulate(repeat(turn, m), initial=alpha))
+    deadband = math.radians(deadband_deg)
+    assert_held_like_a_scan(xs, lambda a: drive_sign(a, deadband), math.pi,
+                            math.pi / 2.0, deadband)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 360.0) | near_lines(60.0, 0.0, 24.135),
+       st.floats(-5.0, 5.0).filter(bool), st.integers(1, 300),
+       st.floats(0.0, 29.9) | st.sampled_from([24.135, 1e-9]))
+def test_held_finds_each_tee_check_flip(theta5, step_deg, m, half_width):
+    xs = list(accumulate(repeat(step_deg, m), initial=theta5))
+    region = SingularityRegion(half_width)
+    assert_held_like_a_scan(xs, lambda x: in_singularity(x, region), 60.0,
+                            0.0, half_width)
 
 
 def scan_block(net, state, cmd, h, most, cfg):
