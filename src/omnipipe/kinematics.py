@@ -133,8 +133,10 @@ class TwistVector:
         return np.array([self.omega_x, self.omega_y, self.omega_z, self.v_cz])
 
     def angular_norm(self) -> float:
-        """Euclidean norm of the angular part (rad/s)."""
-        return math.sqrt(self.omega_x ** 2 + self.omega_y ** 2 + self.omega_z ** 2)
+        """Euclidean norm of the angular part (rad/s), by math.hypot: it
+        neither overflows nor underflows where the norm is a finite
+        float, and is within one ulp of the exact norm."""
+        return math.hypot(self.omega_x, self.omega_y, self.omega_z)
 
 
 @dataclass(frozen=True)
@@ -293,17 +295,17 @@ def forward_kinematics(cmd: CommandVector, geom: RobotGeometry) -> TwistVector:
     depend on the host, a zero is +0.0 and equal drive rates give
     wx = wy = 0.0 exactly unless k / 2 is subnormal.  A product below
     the normal range would round on its own and break that zero, so
-    where the largest drive rate times min(h, t) is below 2^-1022, the
-    three drive rates are scaled by 2^e, e = -1020 less the math.frexp
-    exponents of both factors, and wx, wy and v_cz by 2^-e after.  This
-    leaves normal-range bits alone.  TwistVector names a component that
-    overflows.
+    where the largest drive rate times a nonzero min(h, t) is below
+    2^-1022, the three drive rates are scaled by 2^e, e = -1020 less the
+    math.frexp exponents of both factors, and wx, wy and v_cz by 2^-e
+    after.  This leaves normal-range bits alone.  TwistVector names a
+    component that overflows.
     """
     k, s, h, t = _map_scalars(geom, False)
     th1, th2, th3 = cmd.theta_dot_1, cmd.theta_dot_2, cmd.theta_dot_3
     top, low = max(abs(th1), abs(th2), abs(th3)), min(h, t)
     e = 0
-    if top * low < sys.float_info.min and top:
+    if top * low < sys.float_info.min and top and low:
         # top * low * 2^e lies in [2^-1022, 2^-1020), so no product
         # overflows
         e = -1020 - math.frexp(top)[1] - math.frexp(low)[1]

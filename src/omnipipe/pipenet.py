@@ -13,7 +13,9 @@ is judged by the singularity predicate.
 
 Robot roll theta5 is measured relative to the plane of the next upcoming
 turn; reference_rolls() gives each segment's reference so callers can
-shift theta5 consistently when crossing segment boundaries.
+shift theta5 consistently when crossing segment boundaries.  A network
+keeps both per-segment values, roll_references and arc_lengths, from
+its construction on.
 """
 
 from __future__ import annotations
@@ -152,6 +154,8 @@ class PipeNetwork:
     segments: tuple[PipeSegment, ...]
     roll_references: tuple[float, ...] = field(  # reference_rolls(self)
         init=False, repr=False, compare=False)
+    arc_lengths: tuple[float, ...] = field(  # each segment's arc_length()
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -165,9 +169,11 @@ class PipeNetwork:
                     segment_index=i, field="D_mm")
         object.__setattr__(self, "roll_references",
                            tuple(reference_rolls(self)))
+        object.__setattr__(self, "arc_lengths",
+                           tuple(seg.arc_length() for seg in self.segments))
 
     def total_length(self) -> float:
-        return sum(seg.arc_length() for seg in self.segments)
+        return sum(self.arc_lengths)
 
 
 def reference_rolls(net: PipeNetwork) -> list[float]:

@@ -27,9 +27,11 @@ from many initial rolls start their turns at the same few rolls:
 _tee_turn memoises the solve (axis, turn rate, inverse kinematics) in a
 bounded lru_cache, as _cached_region does the tee sweep.  It is exact:
 the function is pure, and equal arguments give equal bits.  Equal-rate
-drives come from _drive_command, one object per (rate, signs), so the
-simulator computes one twist for all the drives of a mission between
-two rolls.
+drives come from _drive_command, one object per (rate, signs), and pure
+rolls from _roll_command, one object per rate, so the simulator
+computes one twist per command for all missions.  _tee_regions keeps
+each network's tee regions, and PlannerConfig.deadband_rad is computed
+once per config.
 
 theta5 throughout is the robot roll in degrees, measured from the plane
 of the next upcoming turn (see pipenet.reference_rolls).
@@ -143,8 +145,9 @@ class PlannerConfig:
             raise PlanError(f"rotate_rate_rad_s must be finite and > 0, got "
                             f"{self.rotate_rate_rad_s}")
 
-    @property
+    @functools.cached_property
     def deadband_rad(self) -> float:
+        """wobble_deadband_deg in radians, computed on first use."""
         return math.radians(self.wobble_deadband_deg)
 
 
@@ -162,6 +165,34 @@ def region_for_tee(segment: PipeSegment, cfg: PlannerConfig,
     return _cached_region(segment.d_mm, geom.reach_max, phi_max)
 
 
+# (id(net), id(cfg), id(geom)) -> (net, cfg, geom, regions); an entry keeps
+# its key's objects alive, so their ids stay unique while it exists
+_regions: dict[tuple[int, int, int], tuple] = {}
+_MEMO_SIZE = 64
+
+
+def _tee_regions(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry
+                ) -> tuple[SingularityRegion | None, ...]:
+    """region_for_tee of each tee of ``net``, None for the other segments.
+
+    Kept in a bounded memo keyed on the identity of the three arguments:
+    hashing a network and a config by value costs ~4 us, ten times what
+    one region_for_tee call costs, while a Monte Carlo run or a mission
+    passes the same objects to every call.  An equal copy misses and
+    computes the same regions again.
+    """
+    key = (id(net), id(cfg), id(geom))
+    entry = _regions.get(key)
+    if entry is None:
+        if len(_regions) >= _MEMO_SIZE:
+            _regions.clear()
+        entry = _regions[key] = (net, cfg, geom, tuple(
+            region_for_tee(segment, cfg, geom)
+            if segment.kind is SegmentKind.TEE else None
+            for segment in net.segments))
+    return entry[3]
+
+
 def _drive_signs(alpha_rad: tuple[float, ...],
                  cfg: PlannerConfig) -> tuple[int, ...]:
     """The simulator's drive signs at alpha, 0 inside the deadband."""
@@ -175,11 +206,12 @@ def _preflip(signs: tuple[int, ...]) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _drive_command(rate: float, signs: tuple[int, ...]) -> CommandVector:
-    """Equal-rate drive pre-flipped by ``signs``, one object per key, so
-    the straights, approaches and exits driven at one roll state share
-    it (and the simulator's twist for it).  rate = speed / r is never
-    -0.0, so the key is exact."""
-    return signed_drive(CommandVector(rate, rate, rate, 0.0), signs)
+    """Equal-rate drive pre-flipped for the drive signs ``signs``, one
+    object per key, so the straights, approaches and exits driven at one
+    roll state share it (and the simulator's twist for it).  rate =
+    speed / r is never -0.0, so the key is exact."""
+    return signed_drive(CommandVector(rate, rate, rate, 0.0),
+                        _preflip(signs))
 
 
 def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
@@ -207,13 +239,10 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
                 / rolling_gain(d_mm, geom))
         bump = bump if delta_deg >= 0 else -bump
         delta_deg += bump if abs(delta_deg + bump) <= _MAX_ROLL_DEG else -bump
-    step = holonomic_rotate_step(delta_deg, cfg.rotate_rate_rad_s, geom, d_mm,
-                                 alpha_rad, segment_index)
+    step, theta5, rolled = _rotate(delta_deg, cfg.rotate_rate_rad_s, geom,
+                                   d_mm, theta5_deg, alpha_rad, segment_index)
     if step is None:
         return [], theta5_deg, alpha_rad, signs
-    theta5, rolled = roll(theta5_deg, alpha_rad,
-                          step.command.theta_dot_4 * step.duration_s, d_mm,
-                          geom)
     if rolled != alpha:
         # after a nudge, or where rate * duration rounds off the delta
         checked = _drive_signs(rolled, cfg)
@@ -243,8 +272,7 @@ def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
         signs = _drive_signs(alpha_rad, cfg)
     return MissionStep(kind=StepKind.DRIVE,
                        command=_drive_command(
-                           cfg.straight_speed / geom.lug_radius_r,
-                           _preflip(signs)),
+                           cfg.straight_speed / geom.lug_radius_r, signs),
                        duration_s=_timed(length_mm / cfg.straight_speed,
                                          cfg.straight_speed),
                        segment_index=segment_index)
@@ -262,6 +290,25 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
     symmetry.  The hazard flag marks rotations whose accumulated module
     self-rotation, from ``alpha_rad``, crosses a 90 deg drive line.
     """
+    return _rotate(delta_deg, rate_rad_s, geom, d_mm, 0.0, alpha_rad,
+                   segment_index)[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _roll_command(rate: float) -> CommandVector:
+    """The pure roll at ``rate``, one object per rate, so the simulator
+    computes one twist for the rolls at either sign of a configured
+    rate.  rate = +-rotate_rate_rad_s is never +-0.0, so the key is
+    exact."""
+    return CommandVector(0.0, 0.0, 0.0, rate)
+
+
+def _rotate(delta_deg: float, rate_rad_s: float, geom: RobotGeometry,
+            d_mm: float, theta5_deg: float, alpha_rad: tuple[float, ...],
+            segment_index: int | None
+            ) -> tuple[MissionStep | None, float, tuple[float, ...]]:
+    """holonomic_rotate_step from the roll state (theta5, alpha); also
+    returns the roll state after the step, as drive.roll gives it."""
     if not (math.isfinite(rate_rad_s) and rate_rad_s > 0):
         raise PlanError(f"rotate rate must be finite and > 0, got "
                         f"{rate_rad_s}")
@@ -269,19 +316,19 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
         raise PlanError(f"roll delta must lie within +-60 deg, got "
                         f"{delta_deg}")
     if abs(delta_deg) <= _TOL_DEG:
-        return None
+        return None, theta5_deg, alpha_rad
     rate = math.copysign(rate_rad_s, delta_deg)
     duration = math.radians(abs(delta_deg)) / rate_rad_s
-    _, alpha = roll(0.0, alpha_rad, rate * duration, d_mm, geom)
+    theta5, alpha = roll(theta5_deg, alpha_rad, rate * duration, d_mm, geom)
     # a module's self-rotation reaches a line at 90 deg + k * 180 deg
     hazard = any(math.floor((max(a, b) - math.pi / 2.0) / math.pi)
                  >= math.ceil((min(a, b) - math.pi / 2.0) / math.pi)
                  for a, b in zip(alpha_rad, alpha))
-    return MissionStep(
-        kind=StepKind.HOLONOMIC_ROTATE,
-        command=CommandVector(0.0, 0.0, 0.0, rate), duration_s=duration,
-        hazard_self_rotation=hazard, segment_index=segment_index,
-        note=f"roll {delta_deg:+.3f} deg")
+    step = MissionStep(
+        kind=StepKind.HOLONOMIC_ROTATE, command=_roll_command(rate),
+        duration_s=duration, hazard_self_rotation=hazard,
+        segment_index=segment_index, note=f"roll {delta_deg:+.3f} deg")
+    return step, theta5, alpha
 
 
 def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
@@ -375,7 +422,8 @@ def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
 def _tee_turn(speed: float, theta5_deg: float, equivalent_radius: float,
               geom: RobotGeometry,
               signs: tuple[int, ...]) -> tuple[float, CommandVector]:
-    """Turn rate and pre-flipped command of a branch turn begun at theta5.
+    """Turn rate and command of a branch turn begun at theta5, pre-flipped
+    for the drive signs ``signs``.
 
     A pure function of its arguments, so the memo returns the bits a
     fresh solve gives.  Its key is exact: arguments that compare equal
@@ -388,7 +436,8 @@ def _tee_turn(speed: float, theta5_deg: float, equivalent_radius: float,
             math.cos(math.radians(theta5_deg)))
     omega = _turn_rate_for_radius(speed, axis, equivalent_radius, geom)
     twist = TwistVector(omega * axis[0], omega * axis[1], 0.0, speed)
-    return omega, signed_drive(inverse_kinematics(twist, geom), signs)
+    return omega, signed_drive(inverse_kinematics(twist, geom),
+                               _preflip(signs))
 
 
 def forward_turn_radius(geom: RobotGeometry) -> float:
@@ -448,8 +497,7 @@ def _plan_tee(segment: PipeSegment, theta5_deg: float,
         delta = escape_rotation(theta5_deg, region)
     steps, theta5, alpha, signs = _align(delta, theta5_deg, alpha_rad, signs,
                                          d, cfg, geom, segment_index)
-    preflip = _preflip(signs)
-    drive = _drive_command(speed / geom.lug_radius_r, preflip)
+    drive = _drive_command(speed / geom.lug_radius_r, signs)
 
     if segment.exit is TeeExit.THROUGH:
         steps.append(MissionStep(
@@ -466,7 +514,7 @@ def _plan_tee(segment: PipeSegment, theta5_deg: float,
         note="approach junction"))
 
     omega, command = _tee_turn(speed, theta5, segment.tee_equivalent_radius,
-                               geom, preflip)
+                               geom, signs)
     steps.append(MissionStep(
         kind=StepKind.TURN_TEE, command=command,
         duration_s=_timed((math.pi / 2.0) / omega, speed),
@@ -509,9 +557,8 @@ def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
             new, theta5, alpha, signs = _plan_elbow(
                 segment, theta5, cfg, geom, with_holonomic, alpha, signs, i)
         else:
-            region = region_for_tee(segment, cfg, geom)
             new, theta5, alpha, signs = _plan_tee(
-                segment, theta5, region, cfg, geom, with_holonomic, alpha,
-                signs, i)
+                segment, theta5, _tee_regions(net, cfg, geom)[i], cfg, geom,
+                with_holonomic, alpha, signs, i)
         steps.extend(new)
     return steps

@@ -16,13 +16,27 @@ independent of dt down to float rounding, and Monte-Carlo runs may use
 one substep per step without loss.
 
 run_mission works per mission step, not per substep.  Only a roll moves
-alpha, so the drive signs are recomputed only after one, and the twist
-is computed once per distinct (command object, signs) pair of the
-mission: the planner hands every drive at one roll state the same
-command.  Commands are keyed by identity, not equality, because equal
-commands may differ in the sign of a zero, which the CSV shows.  After
-a step's first substep, its whole substeps that move s or roll, not
-both, come from one block builder, _block: within a block only time and
+alpha, so the drive signs are recomputed only after one.  Values that
+are the same for every mission come from memos instead of being
+computed per step:
+
+- segment arc lengths from PipeNetwork.arc_lengths, computed once per
+  network;
+- each tee's singularity region from planner._tee_regions, a bounded
+  memo keyed on the identity of (net, cfg, geom);
+- one twist per (command object, drive signs, geometry) from _drives,
+  a bounded memo shared by all missions: the planner hands out one
+  command object per drive rate and signs, per roll rate and per tee
+  turn.  Commands are keyed by identity, not equality, because equal
+  commands may differ in the sign of a zero, which the CSV shows; each
+  entry keeps its command and geometry alive, so their ids cannot be
+  reused while it exists.
+
+The identity memos hold at most a fixed number of entries and are
+emptied when full.
+
+After a step's first substep, its whole substeps that move s or roll,
+not both, come from one block builder, _block: within a block only time and
 either s or theta5 and alpha change, each formed in one pass with
 itertools.accumulate (drive.roll_sums on a roll) from the scalar path's
 own additions in its order, so every value is bit-identical to it.  A
@@ -64,7 +78,9 @@ simulating each one.  The scalar plan_mission + run_mission path stays
 the reference, and decides every other mission and every draw near an
 endpoint of the set.  The set, with its two spot-check missions, is
 derived once per (net, cfg, geom, with_holonomic) and kept in a bounded
-lru_cache, so repeated Monte Carlo calls on one mission share it.
+lru_cache, so repeated Monte Carlo calls on one mission share it; the
+memo also keeps the set's endpoints as the array monte_carlo_tee
+searches.
 """
 
 from __future__ import annotations
@@ -90,8 +106,8 @@ from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          forward_kinematics)
 from .pipenet import (PipeNetwork, PipeSegment, SegmentKind, TeeExit,
                       module_path_radii)
-from .planner import (MissionStep, PlannerConfig, StepKind,
-                      forward_turn_radius, plan_mission, region_for_tee)
+from .planner import (MissionStep, PlannerConfig, StepKind, _tee_regions,
+                      forward_turn_radius, plan_mission)
 from .singularity import ORIENTATION_PERIOD_DEG, in_singularity
 
 __all__ = [
@@ -185,8 +201,15 @@ class Trajectory(Sequence):
                theta5_deg: float, drive: tuple, singular: bool,
                event: str) -> None:
         """Add one row, as a drive block of its own."""
-        self.extend(False, [time_s], segment_index, theta5_deg, [s_mm],
-                    drive, singular, event)
+        self._start.append(len(self._time_s))
+        self._rolls.append(False)
+        self._segment_index.append(segment_index)
+        self._fixed.append(theta5_deg)
+        self._drive.append(drive)
+        self._singular.append(singular)
+        self._event.append(event)
+        self._time_s.append(time_s)
+        self._varying.append(s_mm)
 
     def extend(self, rolls: bool, times: list[float], segment_index: int,
                fixed: float, varying: list[float], drive: tuple,
@@ -241,7 +264,7 @@ class Trajectory(Sequence):
                                        signs, singular, event)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MissionOutcome:
     success: bool
     reason: str  # completed | singularity | no_forward_progress | incomplete
@@ -253,7 +276,7 @@ class MissionOutcome:
                 "time_s": self.time_s, "events": list(self.events)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonteCarloResult:
     success_rate: float
     ci_low: float
@@ -270,11 +293,35 @@ class MonteCarloResult:
                 "with_holonomic": self.with_holonomic}
 
 
-def _tee_singular(segment: PipeSegment, theta5_deg: float,
+def _tee_singular(net: PipeNetwork, index: int, theta5_deg: float,
                   cfg: PlannerConfig, geom: RobotGeometry) -> bool:
     """True when the robot is on a tee at a roll inside its region."""
-    return (segment.kind is SegmentKind.TEE
-            and in_singularity(theta5_deg, region_for_tee(segment, cfg, geom)))
+    return (net.segments[index].kind is SegmentKind.TEE
+            and in_singularity(theta5_deg,
+                               _tee_regions(net, cfg, geom)[index]))
+
+
+# (id(command), drive signs, id(geom)) -> (geom, (command, twist, signs));
+# an entry keeps its command and geometry alive, so their ids stay unique
+# while it exists
+_drives: dict[tuple, tuple] = {}
+_DRIVES_SIZE = 1024
+
+
+def _drive(cmd: CommandVector, signs: tuple[int, int, int],
+           geom: RobotGeometry) -> tuple:
+    """(cmd, its twist at these drive signs, signs), one tuple per key of
+    the bounded memo _drives.  Commands are keyed by identity, not
+    equality: equal commands may differ in the sign of a zero, which the
+    CSV shows."""
+    key = (id(cmd), signs, id(geom))
+    entry = _drives.get(key)
+    if entry is None:
+        if len(_drives) >= _DRIVES_SIZE:
+            _drives.clear()
+        entry = _drives[key] = (geom, (cmd, forward_kinematics(
+            signed_drive(cmd, signs), geom), signs))
+    return entry[1]
 
 
 def _advance(net: PipeNetwork, geom: RobotGeometry, index: int, s: float,
@@ -289,13 +336,14 @@ def _advance(net: PipeNetwork, geom: RobotGeometry, index: int, s: float,
     """
     theta5, alpha = roll(theta5, alpha, roll_rad, net.segments[index].d_mm,
                          geom)
+    lengths = net.arc_lengths
     event = ""
-    while s > net.segments[index].arc_length() + _ZERO_TOL:
-        if index + 1 >= len(net.segments):
-            s = net.segments[index].arc_length()
+    while s > lengths[index] + _ZERO_TOL:
+        if index + 1 >= len(lengths):
+            s = lengths[index]
             event = "end_of_network"
             break
-        s -= net.segments[index].arc_length()
+        s -= lengths[index]
         index += 1
         theta5 = shift_reference(theta5, net, index - 1, index)
     while s < -_ZERO_TOL:
@@ -305,7 +353,7 @@ def _advance(net: PipeNetwork, geom: RobotGeometry, index: int, s: float,
             break
         index -= 1
         theta5 = shift_reference(theta5, net, index + 1, index)
-        s += net.segments[index].arc_length()
+        s += lengths[index]
     return index, s, theta5, alpha, event
 
 
@@ -351,11 +399,11 @@ def _held(xs: list[float], f, stop: float) -> int:
     return j
 
 
-def _block(segment: PipeSegment, s: float, theta5: float,
+def _block(net: PipeNetwork, index: int, s: float, theta5: float,
            alpha: tuple[float, ...], ds: float, roll_rad: float, most: int,
            cfg: PlannerConfig, geom: RobotGeometry
            ) -> tuple[list[float], tuple | None]:
-    """Up to ``most`` whole substeps on ``segment`` that move s by ``ds``
+    """Up to ``most`` whole substeps on segment ``index`` that move s by ``ds``
     or roll by ``roll_rad``, not both: s after each of them on a drive,
     theta5 on a roll, and the state (s, theta5, alpha) after the last.
 
@@ -375,13 +423,14 @@ def _block(segment: PipeSegment, s: float, theta5: float,
     # start and step, the predicate, the bound _held bisects to, and 1
     # where the row that changes the predicate stays in the block (a drive
     # sign acts from the next substep)
+    segment = net.segments[index]
     if roll_rad:
         step = math.degrees(roll_rad)
         turn = -(roll_rad * rolling_gain(segment.d_mm, geom))
         deadband = cfg.deadband_rad
         cuts = [(0, theta5, step, lambda x: 0.0 <= x < 360.0,
                  _stop(theta5, step, 360.0, 0.0, 0.0), 0)]
-        region = (region_for_tee(segment, cfg, geom)
+        region = (_tee_regions(net, cfg, geom)[index]
                   if segment.kind is SegmentKind.TEE else None)
         # the tee check is constant off a tee and unless 0 < h < 30 deg,
         # the largest distance to a multiple of 60
@@ -397,7 +446,7 @@ def _block(segment: PipeSegment, s: float, theta5: float,
                  for a, i in {a: i for i, a in enumerate(alpha, 1)}.items()
                  if turn]
     else:
-        length = segment.arc_length()
+        length = net.arc_lengths[index]
         cuts = [(0, s, ds, lambda x: -_ZERO_TOL <= x <= length + _ZERO_TOL,
                  _stop(s, ds, length + 2.0 * _ZERO_TOL, length + _ZERO_TOL,
                        0.0), 0)] if ds else []
@@ -450,7 +499,7 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
     record = TrajectoryRecord(
         time_s=new_state.time_s, segment_index=index, s_mm=s,
         theta5_deg=theta5, command=cmd, twist=twist, drive_signs=signs,
-        singular=_tee_singular(net.segments[index], theta5, cfg, geom),
+        singular=_tee_singular(net, index, theta5, cfg, geom),
         event=event)
     return new_state, record
 
@@ -491,15 +540,12 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
     failure: str | None = None
     done = False
     deadband = cfg.deadband_rad
-    # (id(command), signs) -> (command, twist, signs); the plan keeps every
-    # command alive, so an id stays unique
-    drives: dict[tuple, tuple] = {}
     signs = signed_alpha = None
 
     for mstep, n in zip(plan, substeps):
         cmd = mstep.command
-        if (mstep.kind is StepKind.TURN_TEE
-                and _tee_singular(net.segments[index], theta5, cfg, geom)):
+        turning = mstep.kind is StepKind.TURN_TEE
+        if turning and _tee_singular(net, index, theta5, cfg, geom):
             events.append("singularity_at_turn_onset")
             records.append(t, index, s, theta5,
                            (cmd, TwistVector(0.0, 0.0, 0.0, 0.0), (0, 0, 0)),
@@ -529,11 +575,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
             if drive is None:
                 # a step that drives while it rolls changes its twist
                 # whenever a module crosses a 90 deg drive line
-                key = (id(cmd), signs)
-                drive = drives.get(key)
-                if drive is None:
-                    drive = drives[key] = (cmd, forward_kinematics(
-                        signed_drive(cmd, signs), geom), signs)
+                drive = _drive(cmd, signs, geom)
                 v_cz = drive[1].v_cz
                 ds = float(v_cz * h_regular)
             # after the step's first substep, whole substeps that move s or
@@ -543,15 +585,13 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
             # they are; the scalar path below takes the rest
             rows = None
             if 0 < k < n - 1 and not (ds and roll_regular):
-                rows, end = _block(net.segments[index], s, theta5, alpha, ds,
+                rows, end = _block(net, index, s, theta5, alpha, ds,
                                    roll_regular, n - 1 - k, cfg, geom)
             if rows:
                 times = list(accumulate(repeat(float(h_regular), len(rows)),
                                         initial=float(t)))
                 del times[0]
-                event = ("singular_mid_turn"
-                         if mstep.kind is StepKind.TURN_TEE and singular
-                         else "")
+                event = "singular_mid_turn" if turning and singular else ""
                 if event and event not in events:
                     events.append(event)
                 records.extend(bool(roll_regular), times, index,
@@ -570,8 +610,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
             # alpha moves only while the robot rolls; elsewhere the signs,
             # the twist and, between boundary crossings, the tee check hold
             if cmd.theta_dot_4 or index != checked_index:
-                singular = _tee_singular(net.segments[index], theta5, cfg,
-                                         geom)
+                singular = _tee_singular(net, index, theta5, cfg, geom)
                 checked_index = index
             if first and stall_check and abs(v_cz) < _ZERO_TOL:
                 records.append(t, index, s, theta5, drive, singular,
@@ -579,7 +618,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
                 events.append("no_forward_progress")
                 failure = "no_forward_progress"
                 break
-            if mstep.kind is StepKind.TURN_TEE and singular:
+            if turning and singular:
                 event = "singular_mid_turn"
             if event and event not in events:
                 events.append(event)
@@ -593,7 +632,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
     if failure is not None:
         outcome = MissionOutcome(False, failure, t, tuple(events))
     elif (index == len(net.segments) - 1
-          and s >= net.segments[-1].arc_length() - _END_TOL_MM):
+          and s >= net.arc_lengths[-1] - _END_TOL_MM):
         outcome = MissionOutcome(True, "completed", t, tuple(events))
     else:
         outcome = MissionOutcome(False, "incomplete", t, tuple(events))
@@ -654,18 +693,35 @@ def success_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
     for None is logged at DEBUG on every call.  The derivation is
     memoised (_derived_set); each call returns a fresh list.
     """
-    succeeding, reason = _derived_set(net, cfg, geom, with_holonomic)
+    succeeding, _, reason = _derived_set(net, cfg, geom, with_holonomic)
     if reason is not None:
         _log.debug("no success set: %s", reason)
         return None
     return list(succeeding)
 
 
+def _padded_ends(succeeding: Sequence[Interval] | None
+                 ) -> np.ndarray | None:
+    """The endpoints of a success set in order, padded with a neighbour
+    across the 0/120 seam on each side, as a read-only array; empty for
+    the empty set, None for None."""
+    if succeeding is None:
+        return None
+    ends = np.asarray(succeeding, dtype=float).ravel()
+    if ends.size:
+        ends = np.concatenate(([ends[-1] - ORIENTATION_PERIOD_DEG], ends,
+                               [ends[0] + ORIENTATION_PERIOD_DEG]))
+    ends.setflags(write=False)
+    return ends
+
+
 @functools.lru_cache(maxsize=64)
 def _derived_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
                  with_holonomic: bool
-                 ) -> tuple[tuple[Interval, ...] | None, str | None]:
-    """success_set's derivation: (the set, None), or (None, the reason).
+                 ) -> tuple[tuple[Interval, ...] | None, np.ndarray | None,
+                            str | None]:
+    """success_set's derivation: (the set, its _padded_ends, None), or
+    (None, None, the reason).
 
     Memoised in a bounded lru_cache, as planner._cached_region and
     planner._tee_turn are, so a run of Monte Carlo calls on one mission
@@ -686,14 +742,14 @@ def _derived_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
     """
     reason = _uncovered(net, cfg, geom, with_holonomic)
     if reason is not None:
-        return None, reason
+        return None, None, reason
     forbidden: list[Interval] = []
     shift = 0.0
     for i, segment in enumerate(net.segments):
         if i > 0:
             shift = shift_reference(shift, net, i - 1, i)
         if _branch_tee(segment):
-            h = region_for_tee(segment, cfg, geom).half_width_deg
+            h = _tee_regions(net, cfg, geom)[i].half_width_deg
             forbidden += [(centre - h - shift, centre + h - shift)
                           for centre in (0.0, ORIENTATION_PERIOD_DEG / 2.0)]
     failing = normalize(forbidden, ORIENTATION_PERIOD_DEG)
@@ -703,28 +759,26 @@ def _derived_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
             lo, hi = max(pieces, key=lambda piece: piece[1] - piece[0])
             if _completes(net, (lo + hi) / 2.0, cfg, geom,
                           False) is not completes:
-                return None, "a scalar trial disagrees with the derived set"
-    return tuple(succeeding), None
+                return (None, None,
+                        "a scalar trial disagrees with the derived set")
+    return tuple(succeeding), _padded_ends(succeeding), None
 
 
 def _count_successes(net: PipeNetwork, thetas: np.ndarray,
-                     succeeding: list[Interval] | None, cfg: PlannerConfig,
+                     padded: np.ndarray | None, cfg: PlannerConfig,
                      geom: RobotGeometry, with_holonomic: bool
                      ) -> tuple[int, int]:
     """(successes, draws run through the scalar path) among ``thetas``.
 
-    With a success set, one searchsorted over its endpoints, padded with
-    a neighbour across the 0/120 seam on each side, gives each draw in
-    [0, 120) its parity and its two nearest endpoints; only draws within
-    the guard band of an endpoint run the scalar trial.
+    With a success set, given as its _padded_ends, one searchsorted gives
+    each draw in [0, 120) its parity and its two nearest endpoints; only
+    draws within the guard band of an endpoint run the scalar trial.
+    Without one (None) every draw runs it.
     """
-    if succeeding == []:
+    if padded is not None and not padded.size:
         return 0, 0
     successes = 0
-    if succeeding is not None:
-        ends = np.asarray(succeeding, dtype=float).ravel()
-        padded = np.concatenate(([ends[-1] - ORIENTATION_PERIOD_DEG], ends,
-                                 [ends[0] + ORIENTATION_PERIOD_DEG]))
+    if padded is not None:
         j = np.searchsorted(padded, thetas, side="right")
         near = np.minimum(thetas - padded[j - 1],
                           padded[j] - thetas) < _GUARD_DEG
@@ -771,12 +825,14 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
         raise ValueError(f"trials must be <= MAX_TRIALS = {MAX_TRIALS}, "
                          f"got {trials}")
     rng = np.random.default_rng(seed)
-    succeeding = success_set(net, cfg, geom, with_holonomic)
+    _, padded, reason = _derived_set(net, cfg, geom, with_holonomic)
+    if reason is not None:
+        _log.debug("no success set: %s", reason)
     successes = scalar = 0
     for start in range(0, trials, _CHUNK):
         thetas = rng.uniform(0.0, ORIENTATION_PERIOD_DEG,
                              size=min(_CHUNK, trials - start))
-        hits, ran = _count_successes(net, thetas, succeeding, cfg, geom,
+        hits, ran = _count_successes(net, thetas, padded, cfg, geom,
                                      with_holonomic)
         successes += hits
         scalar += ran

@@ -40,15 +40,24 @@ def pytest_terminal_summary(terminalreporter):
                                     f"{description}")
 
 
+# lru_cache memos, and the dicts that memoise by identity
 MEMOS = (planner._cached_region, planner._tee_turn, planner._drive_command,
-         kinematics._map_scalars, kinematics.jacobian_inverse,
-         sim._derived_set)
+         planner._roll_command, kinematics._map_scalars,
+         kinematics.jacobian_inverse, sim._derived_set, planner._regions,
+         sim._drives)
+
+
+def empty_every_memo():
+    for memo in MEMOS:
+        if isinstance(memo, dict):
+            memo.clear()
+        else:
+            memo.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    for memo in MEMOS:
-        memo.cache_clear()
+    empty_every_memo()
 
 
 @pytest.fixture

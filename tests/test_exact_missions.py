@@ -1,0 +1,277 @@
+"""The exact single-substep mission (``run_mission(dt=None)``) and the
+memos it reads: per-network values and one twist per command across
+missions, and the result objects it returns.
+
+The SHA-256 pins were computed before those memos existed, over
+``float.hex`` of every record field and the outcome of each mission, so
+a memo that hands out a stale region, twist or sign shows up trial by
+trial.
+"""
+
+import dataclasses
+import gc
+import hashlib
+import math
+import pickle
+import random
+
+import pytest
+
+from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
+                      MissionStep, MonteCarloResult, PipeNetwork,
+                      PlannerConfig, SimState, StepKind, TeeExit, elbow,
+                      monte_carlo_tee, plan_mission, run_mission, step,
+                      straight, tee, write_trajectory_csv)
+from omnipipe import planner, sim
+from omnipipe.errors import OmnipipeError
+
+from conftest import empty_every_memo
+
+D = 160.0
+
+
+def acceptance_tee() -> PipeNetwork:
+    return PipeNetwork((straight(D, 500.0), tee(D), straight(D, 300.0)))
+
+
+def generated_networks() -> list[PipeNetwork]:
+    """Eight fixed networks of two elbows, two branch tees and a through
+    tee in shuffled order, some turn planes at 0.0 or -0.0."""
+    nets = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        kinds = ["elbow", "elbow", "branch", "branch", "through"]
+        rng.shuffle(kinds)
+        segments = [straight(D, round(rng.uniform(50.0, 400.0), 1))]
+        for kind in kinds:
+            plane = rng.choice([0.0, -0.0, round(rng.uniform(0.0, 360.0), 2)])
+            if kind == "elbow":
+                segments.append(elbow(D, round(rng.uniform(1.5, 3.0) * D, 1),
+                                      rng.choice([30.0, 45.0, 90.0]), plane))
+            else:
+                segments.append(tee(D, plane, TeeExit(kind)))
+            segments.append(straight(D, round(rng.uniform(5.0, 300.0), 1)))
+        nets.append(PipeNetwork(tuple(segments)))
+    return nets
+
+
+def mission_cases():
+    """(network, initial roll, with_holonomic) of every pinned mission."""
+    net = acceptance_tee()
+    for with_holonomic in (True, False):
+        for theta5 in range(120):
+            yield net, float(theta5), with_holonomic
+    for net in generated_networks():
+        for theta5 in (-0.0, 0.0, 7.25, 61.5, 119.9):
+            for with_holonomic in (True, False):
+                yield net, theta5, with_holonomic
+
+
+def image(*values) -> bytes:
+    """Exact bytes of a row: floats as float.hex, so 0.0 and -0.0 differ."""
+    return repr([v.hex() if isinstance(v, float) else v
+                 for v in values]).encode()
+
+
+def mission_digest(cfg: PlannerConfig) -> str:
+    """SHA-256 over every record field and outcome of the pinned missions,
+    each planned and run in one exact substep per step."""
+    h = hashlib.sha256()
+    for net, theta5, with_holonomic in mission_cases():
+        try:
+            plan = plan_mission(net, theta5, cfg, REFERENCE_GEOMETRY,
+                                with_holonomic=with_holonomic)
+            outcome, records = run_mission(net, plan, cfg,
+                                           REFERENCE_GEOMETRY,
+                                           theta5_deg=theta5, dt=None)
+        except OmnipipeError as e:
+            h.update(image(type(e).__name__, str(e)))
+            continue
+        for r in records:
+            c, w = r.command, r.twist
+            h.update(image(r.time_s, r.segment_index, r.s_mm, r.theta5_deg,
+                           c.theta_dot_1, c.theta_dot_2, c.theta_dot_3,
+                           c.theta_dot_4, w.omega_x, w.omega_y, w.omega_z,
+                           w.v_cz, *r.drive_signs, r.singular, r.event))
+        h.update(image(outcome.success, outcome.reason, outcome.time_s,
+                       *outcome.events))
+    return h.hexdigest()
+
+
+# computed before the per-network, region and twist memos were added
+PINNED = {
+    1.0: "523bc05dad2b0e979861ac4cceef1ca362cbf546469826c9741646c73d124457",
+    10.0: "3df5445b45a2c42580d40f37d1b8f1a1674fbf95a5dfd55e2699327d9db1c292",
+}
+
+
+def test_exact_missions_keep_their_pinned_bits():
+    # cold memos, then warm ones, which both deadbands share
+    for deadband_deg in (1.0, 10.0, 1.0, 10.0):
+        cfg = PlannerConfig(wobble_deadband_deg=deadband_deg)
+        assert mission_digest(cfg) == PINNED[deadband_deg], deadband_deg
+
+
+# -- the twist memo -----------------------------------------------------------
+
+def run_one_drive(net, cfg, cmd, tmp_path, name):
+    """One planned-by-hand drive of ``cmd``: its records and CSV bytes."""
+    plan = [MissionStep(kind=StepKind.DRIVE, command=cmd, duration_s=1.0)]
+    _, records = run_mission(net, plan, cfg, REFERENCE_GEOMETRY,
+                             theta5_deg=30.0, dt=None)
+    path = tmp_path / name
+    write_trajectory_csv(records, path)
+    return records, path.read_bytes()
+
+
+@pytest.mark.parametrize("clear", [False, True])
+def test_a_new_command_gets_its_own_twist_when_an_equal_one_was_freed(
+        tmp_path, clear):
+    # equal commands that differ in the sign of a zero spin; a freed
+    # command's id is often the next command's, so a memo keyed on a
+    # bare id would hand the new command the old entry
+    net, cfg = acceptance_tee(), PlannerConfig()
+    rate = 100.0 / 15.0
+    old = CommandVector(rate, rate, rate, -0.0)
+    old_id = id(old)
+    records, old_csv = run_one_drive(net, cfg, old, tmp_path, "old.csv")
+    assert records[0].command is old
+    old_twist = records[0].twist
+    del old, records
+    if clear:
+        # the memo drops its reference, so the id may be reused at once
+        empty_every_memo()
+    gc.collect()
+    new = CommandVector(rate, rate, rate, 0.0)
+    assert new == CommandVector(rate, rate, rate, -0.0)
+    records, new_csv = run_one_drive(net, cfg, new, tmp_path, "new.csv")
+    assert records[0].command is new
+    assert records[0].twist is not old_twist
+    assert records[0].twist.omega_z.hex() == (0.0).hex()
+    # the spin column reads 0.0 where the old run read -0.0
+    assert old_csv.replace(b",-0.0,", b",0.0,", 1) == new_csv
+    assert old_csv != new_csv
+    if not clear:
+        # the old command is still held by its entry, so its id is taken
+        assert id(new) != old_id
+
+
+def test_the_memos_keep_geometries_and_configs_apart():
+    # one command object and one network under two geometries, and under
+    # two configs whose tee regions differ, each against fresh step()s
+    net = acceptance_tee()
+    cmd = CommandVector(6.0, 6.0, 6.0, 0.0)
+    plan = [MissionStep(kind=StepKind.DRIVE, command=cmd, duration_s=7.0)]
+    other = dataclasses.replace(REFERENCE_GEOMETRY, lug_radius_r=12.0)
+    narrow = PlannerConfig(sweep_phi_max_deg=20.0)
+    for geom, cfg in [(REFERENCE_GEOMETRY, PlannerConfig()), (other, narrow),
+                      (REFERENCE_GEOMETRY, narrow), (other, PlannerConfig())]:
+        _, records = run_mission(net, plan, cfg, geom, theta5_deg=20.0,
+                                 dt=None)
+        _, record = step(SimState(theta5_deg=20.0), cmd, 7.0, net, geom, cfg)
+        assert records[0].twist == record.twist
+        assert (records[0].s_mm, records[0].singular) == (record.s_mm,
+                                                          record.singular)
+    assert planner._tee_regions(net, narrow, REFERENCE_GEOMETRY)[1] \
+        != planner._tee_regions(net, PlannerConfig(), REFERENCE_GEOMETRY)[1]
+
+
+def test_the_twist_memo_is_bounded_and_keeps_its_keys_alive():
+    net, cfg = acceptance_tee(), PlannerConfig()
+    for k in range(sim._DRIVES_SIZE + 10):
+        cmd = CommandVector(1.0 + k, 1.0 + k, 1.0 + k, 0.0)
+        plan = [MissionStep(kind=StepKind.DRIVE, command=cmd,
+                            duration_s=0.01)]
+        run_mission(net, plan, cfg, REFERENCE_GEOMETRY, dt=None)
+        assert len(sim._drives) <= sim._DRIVES_SIZE
+    for key, (geom, (cmd, _, signs)) in sim._drives.items():
+        assert key == (id(cmd), signs, id(geom))
+
+
+def test_the_region_memo_is_bounded_and_keeps_its_keys_alive():
+    cfg = PlannerConfig()
+    for k in range(planner._MEMO_SIZE + 10):
+        net = PipeNetwork((straight(D, 100.0 + k), tee(D)))
+        regions = planner._tee_regions(net, cfg, REFERENCE_GEOMETRY)
+        assert regions == (None, planner.region_for_tee(
+            net.segments[1], cfg, REFERENCE_GEOMETRY))
+        assert len(planner._regions) <= planner._MEMO_SIZE
+    for key, (net, cfg, geom, _) in planner._regions.items():
+        assert key == (id(net), id(cfg), id(geom))
+
+
+def test_network_values_are_computed_once():
+    net = PipeNetwork(tuple(generated_networks()[0].segments))
+    assert net.arc_lengths == tuple(seg.arc_length() for seg in net.segments)
+    assert net.total_length() == sum(net.arc_lengths)
+    assert dataclasses.replace(net).arc_lengths == net.arc_lengths
+    assert pickle.loads(pickle.dumps(net)).arc_lengths == net.arc_lengths
+    cfg = PlannerConfig(wobble_deadband_deg=2.5)
+    assert cfg.deadband_rad == math.radians(2.5)
+    assert cfg == PlannerConfig(wobble_deadband_deg=2.5)
+    assert hash(cfg) == hash(PlannerConfig(wobble_deadband_deg=2.5))
+    assert "deadband_rad" not in {f.name for f in dataclasses.fields(cfg)}
+
+
+# -- cold and warm memos ------------------------------------------------------
+
+def criterion_7_run(seed: int):
+    """Criterion 7 for one seed: the 10^5-trial counts without the escape,
+    and the 120-roll escape grid, as exact images."""
+    net, cfg = acceptance_tee(), PlannerConfig()
+    counts = monte_carlo_tee(net, cfg, REFERENCE_GEOMETRY, 100_000, seed=seed,
+                             with_holonomic=False).to_dict()
+    grid = []
+    for theta5 in range(120):
+        plan = plan_mission(net, float(theta5), cfg, REFERENCE_GEOMETRY)
+        outcome, records = run_mission(net, plan, cfg, REFERENCE_GEOMETRY,
+                                       theta5_deg=float(theta5), dt=None)
+        grid.append((outcome.reason, outcome.time_s.hex(),
+                     [(r.s_mm.hex(), r.theta5_deg.hex(), r.twist.v_cz.hex())
+                      for r in records]))
+    return counts, grid
+
+
+@pytest.mark.parametrize("seed, successes", [(0, 19454), (7, 19549),
+                                             (42, 19651)])
+def test_cold_and_warm_memos_give_the_same_bits(seed, successes):
+    cold = criterion_7_run(seed)
+    assert cold[0]["successes"] == successes
+    assert all(reason == "completed" for reason, _, _ in cold[1])
+    assert criterion_7_run(seed) == cold
+    empty_every_memo()
+    assert criterion_7_run(seed) == cold
+
+
+# -- result objects -----------------------------------------------------------
+
+@pytest.mark.parametrize("result", [
+    MonteCarloResult(success_rate=0.25, ci_low=0.2, ci_high=0.3, trials=100,
+                     successes=25, seed=7, with_holonomic=False),
+    MissionOutcome(False, "singularity", 5.25,
+                   ("singularity_at_turn_onset",)),
+    MissionOutcome(True, "completed", 10.0),
+])
+def test_result_objects_are_frozen_slotted_dataclasses(result):
+    assert not hasattr(result, "__dict__")
+    field = dataclasses.fields(result)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(result, field, 0.5)
+    copy = pickle.loads(pickle.dumps(result))
+    assert copy == result and copy.to_dict() == result.to_dict()
+    assert hash(copy) == hash(result)
+    changed = dataclasses.replace(result, **{field: 0.5})
+    assert changed != result and getattr(changed, field) == 0.5
+    assert dataclasses.replace(result) == result
+
+
+def test_result_objects_keep_their_dicts():
+    mc = MonteCarloResult(success_rate=0.25, ci_low=0.2, ci_high=0.3,
+                          trials=100, successes=25, seed=7,
+                          with_holonomic=False)
+    assert mc.to_dict() == {"success_rate": 0.25, "ci_low": 0.2,
+                            "ci_high": 0.3, "trials": 100, "successes": 25,
+                            "seed": 7, "with_holonomic": False}
+    outcome = MissionOutcome(False, "singularity", 5.25, ("a", "b"))
+    assert outcome.to_dict() == {"success": False, "reason": "singularity",
+                                 "time_s": 5.25, "events": ["a", "b"]}

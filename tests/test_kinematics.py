@@ -1,5 +1,6 @@
 import inspect
 import math
+import operator
 import sys
 from dataclasses import astuple
 from fractions import Fraction
@@ -178,7 +179,7 @@ def forward_by_scalars(cmd: CommandVector, geom: RobotGeometry) -> tuple:
     th1, th2, th3, th4 = astuple(cmd)
     top = max(abs(th1), abs(th2), abs(th3))
     e = 0
-    if top and top * min(h, t) < 2.0 ** -1022:
+    if top and min(h, t) and top * min(h, t) < 2.0 ** -1022:
         e = -1020 - math.frexp(top)[1] - math.frexp(min(h, t))[1]
     th1, th2, th3 = (math.ldexp(th, e) for th in (th1, th2, th3))
     return (math.ldexp(0.0 - s * th2 + s * th3, -e),
@@ -421,3 +422,202 @@ def test_radius_infinite_iff_angular_rate_negligible(t1, t2, t3):
         assert R == math.inf
     else:
         assert R > 0.0
+
+
+# -- exact oracles -------------------------------------------------------------
+# Each helper is one IEEE double operation: on finite operands the exact
+# rational result rounded to nearest-even, overflowing to an infinity; on
+# an infinite operand, Python's own float operation, which IEEE defines
+# exactly.
+
+
+def _rounded(q: Fraction) -> float:
+    """The nonzero rational q correctly rounded to a float."""
+    try:
+        f = float(q)  # int / int true division rounds correctly
+    except OverflowError:
+        f = math.inf
+    return math.copysign(f, -1.0 if q < 0 else 1.0)  # an underflow too
+
+
+def _negative(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _exact(op, x: float, y: float, zero_sign) -> float:
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return op(x, y)
+    q = op(Fraction(x), Fraction(y))
+    if q == 0:
+        return -0.0 if zero_sign(_negative(x), _negative(y)) else 0.0
+    return _rounded(q)
+
+
+def exact_add(x: float, y: float) -> float:
+    # an exact zero sum is -0.0 only from two -0.0
+    return _exact(operator.add, x, y, lambda a, b: a and b)
+
+
+def exact_sub(x: float, y: float) -> float:
+    return exact_add(x, -y)
+
+
+def exact_mul(x: float, y: float) -> float:
+    return _exact(operator.mul, x, y, operator.ne)
+
+
+def exact_div(x: float, y: float) -> float:
+    return _exact(operator.truediv, x, y, operator.ne)
+
+
+def exact_ldexp(x: float, e: int) -> float:
+    if x == 0 or not math.isfinite(x):
+        return x
+    return _rounded(Fraction(x) * Fraction(2) ** e)
+
+
+SQRT3 = math.sqrt(3.0)  # IEEE sqrt rounds correctly on every host
+
+
+def exact_forward(cmd: CommandVector, geom: RobotGeometry) -> tuple:
+    """forward_kinematics' documented sequence from the geometry on:
+    (its four scalars, the twist)."""
+    r = geom.lug_radius_r
+    lever = exact_add(geom.a_offset, geom.arm_length_l)
+    k = exact_div(r, lever)
+    s = exact_mul(exact_div(SQRT3, 2.0), k)
+    h, t = exact_div(k, 2.0), exact_div(r, 3.0)
+    th1, th2, th3, th4 = astuple(cmd)
+    top, low = max(abs(th1), abs(th2), abs(th3)), min(h, t)
+    e = 0
+    if exact_mul(top, low) < sys.float_info.min and top and low:
+        e = -1020 - math.frexp(top)[1] - math.frexp(low)[1]
+        th1, th2, th3 = (exact_ldexp(th, e) for th in (th1, th2, th3))
+    wx = exact_add(exact_sub(0.0, exact_mul(s, th2)), exact_mul(s, th3))
+    wy = exact_add(exact_add(exact_sub(0.0, exact_mul(k, th1)),
+                             exact_mul(h, th2)), exact_mul(h, th3))
+    v = exact_add(exact_add(exact_add(0.0, exact_mul(t, th1)),
+                            exact_mul(t, th2)), exact_mul(t, th3))
+    return (k, s, h, t), (exact_ldexp(wx, -e), exact_ldexp(wy, -e),
+                          exact_add(0.0, th4), exact_ldexp(v, -e))
+
+
+def exact_inverse(twist: TwistVector, geom: RobotGeometry) -> tuple:
+    """inverse_kinematics' documented sequence from the geometry on:
+    (its four scalars, the rates)."""
+    r = geom.lug_radius_r
+    lever = exact_add(geom.a_offset, geom.arm_length_l)
+    y = exact_div(lever, exact_mul(3.0, r))
+    x = exact_div(lever, exact_mul(SQRT3, r))
+    y2, q = exact_mul(2.0, y), exact_div(1.0, r)
+    wx, wy, wz, v = astuple(twist)
+    common = (exact_mul(y, wy), exact_mul(q, v))
+    return (x, y, y2, q), (
+        exact_add(exact_sub(0.0, exact_mul(y2, wy)), common[1]),
+        exact_add(exact_add(exact_sub(0.0, exact_mul(x, wx)), common[0]),
+                  common[1]),
+        exact_add(exact_add(exact_add(0.0, exact_mul(x, wx)), common[0]),
+                  common[1]),
+        exact_add(0.0, wz))
+
+
+def any_exponent(low: int = -1074, high: int = 1023):
+    """Floats of either sign whose binary exponent is drawn uniformly from
+    [low, high], subnormals included, and signed zeros."""
+    return st.builds(
+        lambda m, e, sign: sign * math.ldexp(m, e),
+        st.floats(0.5, 1.0, exclude_max=True), st.integers(low, high + 1),
+        st.sampled_from([1.0, -1.0])).filter(math.isfinite) | st.sampled_from(
+            [0.0, -0.0])
+
+
+@st.composite
+def geometries_at_every_scale(draw):
+    """Geometries whose lug radius, arm and offset each lie anywhere in
+    the positive float range."""
+    size = any_exponent().map(abs).filter(bool)
+    arm = draw(size)
+    return RobotGeometry(draw(size), arm, draw(size), arm, arm, 20.0)
+
+
+def assert_equals_the_exact_sequence(compute, exact, value, geom):
+    """compute(value, geom) holds the exact sequence's bits, or raises the
+    typed error where a scalar or a component is not a finite float."""
+    scalars, expected = exact(value, geom)
+    if not all(map(math.isfinite, scalars)):
+        with pytest.raises(InvalidGeometryError, match="finite"):
+            compute(value, geom)
+    elif not all(map(math.isfinite, expected)):
+        with pytest.raises(ValueError, match="must be finite"):
+            compute(value, geom)
+    else:
+        assert bits(astuple(compute(value, geom))) == bits(expected)
+
+
+@settings(max_examples=600, deadline=None)
+@given(geometries() | wide_geometries() | geometries_at_every_scale(),
+       st.tuples(*[any_exponent()] * 4)
+       | st.tuples(*[any_exponent(-1074, -1000)] * 3, any_exponent()))
+@example(geom=ref_geom(), rates=(3e-323, 3e-323, 3e-323, 0.0))
+@example(geom=ref_geom(), rates=(5e-324, -5e-324, 0.0, -0.0))
+@example(geom=ref_geom(), rates=(1e308, -1e308, 1e308, 0.0))
+def test_forward_map_equals_its_exact_sequence_at_every_scale(geom, rates):
+    # every component, the subnormal scaling branch too, is the
+    # documented left-to-right sequence of correctly rounded operations
+    assert_equals_the_exact_sequence(forward_kinematics, exact_forward,
+                                     CommandVector(*rates), geom)
+
+
+@settings(max_examples=600, deadline=None)
+@given(geometries() | wide_geometries() | geometries_at_every_scale(),
+       st.tuples(*[any_exponent()] * 4))
+@example(geom=ref_geom(), values=(5e-324, -5e-324, 0.0, -0.0))
+@example(geom=ref_geom(), values=(1e308, -1e308, 1e308, -0.0))
+def test_inverse_map_equals_its_exact_sequence_at_every_scale(geom, values):
+    assert_equals_the_exact_sequence(inverse_kinematics, exact_inverse,
+                                     TwistVector(*values), geom)
+
+
+def test_the_scaling_branch_is_drawn():
+    # rates whose largest times min(h, t) is below 2^-1022 take the
+    # branch; the exact sequence then differs from the unscaled one
+    cmd = CommandVector(3e-323, 5e-324, 2e-323, 0.0)
+    scaled = exact_forward(cmd, ref_geom())[1]
+    assert bits(astuple(forward_kinematics(cmd, ref_geom()))) == bits(scaled)
+    k, s, h, t = forward_scalars(ref_geom())
+    unscaled = (0.0 - s * 5e-324 + s * 2e-323,
+                0.0 - k * 3e-323 + h * 5e-324 + h * 2e-323)
+    assert bits(scaled[:2]) != bits(unscaled)
+
+
+def exact_norm_within_one_ulp(norm: float, components) -> bool:
+    """norm lies within one ulp of the exact Euclidean norm."""
+    square = sum(Fraction(c) ** 2 for c in components)
+    if math.isinf(norm):
+        return square > Fraction(sys.float_info.max) ** 2
+    ulp = Fraction(math.ulp(norm))
+    low = max(Fraction(norm) - ulp, Fraction(0))
+    return low ** 2 <= square <= (Fraction(norm) + ulp) ** 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(*[any_exponent()] * 3))
+@example((1e200, 0.0, 0.0))
+@example((3e-200, 4e-200, 0.0))
+@example((5e-324, 5e-324, 5e-324))
+@example((1.7e308, 1.7e308, 0.0))
+def test_angular_norm_is_within_one_ulp_at_every_scale(components):
+    norm = TwistVector(*components, 0.0).angular_norm()
+    assert exact_norm_within_one_ulp(norm, components)
+
+
+def test_angular_norm_neither_overflows_nor_underflows():
+    assert TwistVector(1e200, 0.0, 0.0, 0.0).angular_norm() == 1e200
+    assert TwistVector(0.0, -1e200, 0.0, 0.0).angular_norm() == 1e200
+    assert TwistVector(3e-200, 4e-200, 0.0, 0.0).angular_norm() == 5e-200
+    assert TwistVector(1e-200, 0.0, 0.0, 0.0).angular_norm() == 1e-200
+    mv = ModuleVelocities(15.0, 15.0, 15.0, 60.0, 60.0, 60.0)
+    assert radius_of_curvature(mv, TwistVector(1e200, 0.0, 0.0, 0.0)) \
+        == 45.0 / (3.0 * 1e200)
+    assert radius_of_curvature(mv, TwistVector(1e200, -1e200, 1e200, 0.0)) \
+        == 45.0 / (3.0 * math.hypot(1e200, 1e200, 1e200))

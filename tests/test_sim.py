@@ -26,8 +26,8 @@ from omnipipe import planner, sim
 from omnipipe.drive import roll_sums, signed_drive
 from omnipipe.intervals import normalize, wrap
 from omnipipe.sim import (_CHUNK, _WALK, _ZERO_TOL, MAX_SUBSTEPS,
-                          MAX_TRIALS, _count_successes, _held, _stop,
-                          wilson_interval)
+                          MAX_TRIALS, _count_successes, _held,
+                          _padded_ends, _stop, wilson_interval)
 from omnipipe.singularity import SingularityRegion
 
 D = 160.0
@@ -328,7 +328,7 @@ def test_monte_carlo_rejects_trials_above_the_limit_before_drawing(
     def no_draws(*args, **kwargs):
         raise AssertionError("monte_carlo_tee started on its draws")
 
-    monkeypatch.setattr(sim, "success_set", no_draws)
+    monkeypatch.setattr(sim, "_derived_set", no_draws)
     monkeypatch.setattr(sim, "_count_successes", no_draws)
     with pytest.raises(ValueError, match=f"trials must be <= MAX_TRIALS = "
                                          f"{MAX_TRIALS}, got {trials}"):
@@ -444,8 +444,9 @@ def assert_draws_match_scalar(net, draws, cfg, geom, with_holonomic=False):
     """Monte Carlo's counting decides every draw as the scalar path does."""
     succeeding = success_set(net, cfg, geom, with_holonomic)
     for theta5 in draws:
-        counted, _ = _count_successes(net, np.array([theta5]), succeeding,
-                                      cfg, geom, with_holonomic)
+        counted, _ = _count_successes(net, np.array([theta5]),
+                                      _padded_ends(succeeding), cfg, geom,
+                                      with_holonomic)
         assert counted == scalar_completes(net, float(theta5), cfg, geom,
                                            with_holonomic), theta5
     return succeeding
@@ -573,9 +574,10 @@ def test_success_set_matches_the_old_complement_path(net, seed):
         assert piece == pytest.approx(old_piece, abs=1e-12)
     draws = np.random.default_rng(seed).uniform(0.0, 120.0, size=500)
     draws = np.concatenate([draws, endpoint_draws(got)])
-    assert (_count_successes(net, draws, got, cfg, REFERENCE_GEOMETRY, False)
-            == _count_successes(net, draws, old, cfg, REFERENCE_GEOMETRY,
-                                False))
+    assert (_count_successes(net, draws, _padded_ends(got), cfg,
+                             REFERENCE_GEOMETRY, False)
+            == _count_successes(net, draws, _padded_ends(old), cfg,
+                                REFERENCE_GEOMETRY, False))
 
 
 @pytest.mark.parametrize("case", ["escape", "escape elbow",
@@ -618,13 +620,14 @@ def hex_set(succeeding):
 
 def derive_cold(net, cfg, geom):
     """success_set's derivation without the memo."""
-    succeeding, _ = sim._derived_set.__wrapped__(net, cfg, geom, False)
+    succeeding, _, _ = sim._derived_set.__wrapped__(net, cfg, geom, False)
     return list(succeeding)
 
 
 def decide_each(net, draws, succeeding, cfg, geom):
     """Each draw's outcome as Monte Carlo counts it from this set."""
-    return [_count_successes(net, np.array([theta5]), succeeding, cfg, geom,
+    return [_count_successes(net, np.array([theta5]),
+                             _padded_ends(succeeding), cfg, geom,
                              False)[0] for theta5 in draws]
 
 
@@ -1140,9 +1143,9 @@ def test_stay_on_segment_cuts_where_the_scalar_loop_crosses(s, ds, m,
         expected.append(s_next)
     # drive blocks one after another, as run_mission builds them, until
     # one is empty: the next substep leaves the segment
-    segment, got = straight(D, length), []
+    net, got = PipeNetwork((straight(D, length),)), []
     while len(got) < m:
-        rows, end = sim._block(segment, s, 0.0, (0.0, 0.0, 0.0), ds, 0.0,
+        rows, end = sim._block(net, 0, s, 0.0, (0.0, 0.0, 0.0), ds, 0.0,
                                m - len(got), PlannerConfig(),
                                REFERENCE_GEOMETRY)
         if not rows:
@@ -1266,7 +1269,7 @@ def test_block_cuts_where_the_scalar_loop_does(case):
         ds = float(forward_kinematics(signed_drive(cmd, signs),
                                       REFERENCE_GEOMETRY).v_cz * h)
         roll_rad = cmd.theta_dot_4 * h
-        rows, end = sim._block(net.segments[1], state.s_mm, state.theta5_deg,
+        rows, end = sim._block(net, 1, state.s_mm, state.theta5_deg,
                                state.alpha_rad, ds, roll_rad, most, cfg,
                                REFERENCE_GEOMETRY)
         expected = scan_block(net, state, cmd, h, most, cfg)
@@ -1478,11 +1481,14 @@ def test_roll_steps_add_blocks_per_cut_not_per_substep(cfg, geom, tee_net,
 
 @contextlib.contextmanager
 def uncached_planner():
-    """plan_mission with its tee-turn and drive-command memos bypassed."""
+    """plan_mission with its tee-turn, drive-command and roll-command
+    memos bypassed."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "_tee_turn", planner._tee_turn.__wrapped__)
         mp.setattr(planner, "_drive_command",
                    planner._drive_command.__wrapped__)
+        mp.setattr(planner, "_roll_command",
+                   planner._roll_command.__wrapped__)
         yield
 
 
