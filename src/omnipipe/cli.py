@@ -34,8 +34,8 @@ from .kinematics import (CommandVector, RobotGeometry, TwistVector,
 from .pipenet import RatioMode, load_network
 from .planner import (REFERENCE_GEOMETRY, PlannerConfig, plan_mission,
                       plan_to_json)
-from .sim import (monte_carlo_tee, outcome_to_json, run_mission,
-                  write_trajectory_csv)
+from .sim import (DEFAULT_DT_S, monte_carlo_tee, outcome_to_json,
+                  run_mission, write_trajectory_csv)
 from .singularity import (DEFAULT_PHI_MAX_RAD, failure_probability,
                           sweep_t_junction)
 
@@ -266,7 +266,7 @@ def _plan_args(p: argparse.ArgumentParser) -> None:
 
 def _simulate_args(p: argparse.ArgumentParser) -> None:
     _mission_args(p)
-    p.add_argument("--dt", type=float, default=0.01,
+    p.add_argument("--dt", type=float, default=DEFAULT_DT_S,
                    help="integration substep, s")
     _add_geometry_args(p)
     _add_planner_args(p)

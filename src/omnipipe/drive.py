@@ -7,11 +7,14 @@ past 90 deg its upper and lower chain runs cancel and it stops driving,
 and past that its drive direction reverses.  This module captures that as
 a pure sign function of the accumulated self-rotation alpha, plus the
 rules that move the roll state (theta5, alpha) along a network, which the
-planner predicts with and the simulator integrates with.
+planner predicts with and the simulator integrates with.  drive_signs
+is the one place where alpha becomes the sign tuple a command is flipped
+by.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import accumulate, repeat
 
@@ -39,6 +42,21 @@ def drive_sign(alpha: float,
     if abs(math.fmod(abs(alpha), math.pi) - math.pi / 2.0) <= deadband:
         return 0
     return 1 if math.cos(alpha) > 0.0 else -1
+
+
+@functools.lru_cache(maxsize=256)
+def drive_signs(alpha_rad: tuple[float, ...],
+                deadband: float) -> tuple[int, ...]:
+    """drive_sign of each module's self-rotation in ``alpha_rad``.
+
+    Only a roll moves alpha, so the planner and the simulator ask for the
+    signs at one alpha again and again; a bounded lru_cache keeps them.
+    Its key is exact: drive_sign reads alpha only through abs and cos,
+    and the deadband only through comparisons, so keys that compare
+    equal, +-0.0 entries included, give equal signs.  A ValueError for a
+    bad deadband is not stored, so it is raised on every call.
+    """
+    return tuple(drive_sign(a, deadband) for a in alpha_rad)
 
 
 def signed_drive(cmd: CommandVector, signs: tuple[int, ...]) -> CommandVector:

@@ -14,24 +14,23 @@ roll (``with_holonomic=False``) neither elbows nor tees roll.
 Holonomic rolling counter-rotates the modules about their own axes; once
 the accumulated self-rotation passes 90 deg their drive direction flips
 (see the drive module).  The planner tracks (theta5, alpha) by the drive
-module's rules, as the simulator does, and pre-flips drive commands so
-the robot keeps advancing; rolls crossing the 90 deg line are flagged.
-Only a roll moves alpha, so plan_mission carries the drive signs at
-alpha with it and computes them once per roll state: at the start and
-after each roll _align emits.
+module's rules, as the simulator does, and pre-flips drive commands by
+drive.drive_signs at alpha so the robot keeps advancing; rolls crossing
+the 90 deg line are flagged.  Each step planner returns the roll state
+it ends in, and plan_mission hands it to the next segment.
 
 A branch turn's rate and command depend only on the speed, the roll at
 turn onset, the equivalent radius, the geometry and the pre-flip signs.
 The escape rolls every mission to a free-gap centre first, so missions
 from many initial rolls start their turns at the same few rolls:
 _tee_turn memoises the solve (axis, turn rate, inverse kinematics) in a
-bounded lru_cache, as _cached_region does the tee sweep.  It is exact:
-the function is pure, and equal arguments give equal bits.  Equal-rate
-drives come from _drive_command, one object per (rate, signs), and pure
-rolls from _roll_command, one object per rate, so the simulator
-computes one twist per command for all missions.  _tee_regions keeps
-each network's tee regions, and PlannerConfig.deadband_rad is computed
-once per config.
+bounded lru_cache.  It is exact: the function is pure, and equal
+arguments give equal bits.  Equal-rate drives come from _drive_command,
+one object per (rate, signs), and pure rolls from _roll_command, one
+object per rate, so the simulator computes one twist per command for
+all missions.  _tee_regions keeps each network's tee regions (the tee
+sweep itself is a closed form and is not memoised), and
+PlannerConfig.deadband_rad is computed once per config.
 
 theta5 throughout is the robot roll in degrees, measured from the plane
 of the next upcoming turn (see pipenet.reference_rolls).
@@ -45,8 +44,8 @@ import json
 import math
 from dataclasses import astuple, dataclass
 
-from .drive import (DEFAULT_DEADBAND_DEG, MAX_DEADBAND_RAD, drive_sign, roll,
-                    rolling_gain, shift_reference, signed_drive)
+from .drive import (DEFAULT_DEADBAND_DEG, MAX_DEADBAND_RAD, drive_signs,
+                    roll, rolling_gain, shift_reference, signed_drive)
 from .errors import PlanError
 from .intervals import signed_delta, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
@@ -151,18 +150,12 @@ class PlannerConfig:
         return math.radians(self.wobble_deadband_deg)
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_region(d_mm: float, reach_max: float,
-                   phi_max: float) -> SingularityRegion:
-    return sweep_t_junction(d_mm, reach_max, phi_max)
-
-
 def region_for_tee(segment: PipeSegment, cfg: PlannerConfig,
                    geom: RobotGeometry) -> SingularityRegion:
     """Singularity region governing a branch turn through this tee."""
     phi_max = (math.radians(cfg.sweep_phi_max_deg)
                if cfg.sweep_phi_max_deg is not None else DEFAULT_PHI_MAX_RAD)
-    return _cached_region(segment.d_mm, geom.reach_max, phi_max)
+    return sweep_t_junction(segment.d_mm, geom.reach_max, phi_max)
 
 
 # (id(net), id(cfg), id(geom)) -> (net, cfg, geom, regions); an entry keeps
@@ -176,10 +169,10 @@ def _tee_regions(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry
     """region_for_tee of each tee of ``net``, None for the other segments.
 
     Kept in a bounded memo keyed on the identity of the three arguments:
-    hashing a network and a config by value costs ~4 us, ten times what
-    one region_for_tee call costs, while a Monte Carlo run or a mission
-    passes the same objects to every call.  An equal copy misses and
-    computes the same regions again.
+    hashing a network and a config by value costs ~4 us, as much as the
+    closed-form sweep of one region_for_tee call, while a Monte Carlo run
+    or a mission passes the same objects to every call.  An equal copy
+    misses and computes the same regions again.
     """
     key = (id(net), id(cfg), id(geom))
     entry = _regions.get(key)
@@ -191,12 +184,6 @@ def _tee_regions(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry
             if segment.kind is SegmentKind.TEE else None
             for segment in net.segments))
     return entry[3]
-
-
-def _drive_signs(alpha_rad: tuple[float, ...],
-                 cfg: PlannerConfig) -> tuple[int, ...]:
-    """The simulator's drive signs at alpha, 0 inside the deadband."""
-    return tuple(drive_sign(a, cfg.deadband_rad) for a in alpha_rad)
 
 
 def _preflip(signs: tuple[int, ...]) -> tuple[int, ...]:
@@ -215,38 +202,30 @@ def _drive_command(rate: float, signs: tuple[int, ...]) -> CommandVector:
 
 
 def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
-           signs: tuple[int, ...], d_mm: float, cfg: PlannerConfig,
-           geom: RobotGeometry, segment_index: int | None
-           ) -> tuple[list[MissionStep], float, tuple[float, ...],
-                      tuple[int, ...]]:
-    """Roll by ``delta_deg`` from the roll state (theta5, alpha, drive
-    signs at alpha); return the steps and the roll state after.
+           d_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
+           segment_index: int | None
+           ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
+    """Roll by ``delta_deg`` from the roll state (theta5, alpha); return
+    the steps and the roll state after.
 
     Landing a module's self-rotation inside the deadband would stall every
     later drive command, so widen the roll just past the band, or shorten
     it where widening would pass +-60 deg, half the roll period.  The
     nudge is a fraction of a degree of roll and does not matter against
-    the free-gap margin.  Signs are computed only at an alpha that
-    differs from the one they are known at: drive_sign depends on the
-    value of alpha alone.
+    the free-gap margin.
     """
     _, alpha = roll(theta5_deg, alpha_rad, math.radians(delta_deg), d_mm,
                     geom)
-    checked = signs if alpha is alpha_rad else _drive_signs(alpha, cfg)
-    if not all(checked):
+    if not all(drive_signs(alpha, cfg.deadband_rad)):
         # alpha moves by just over the band's width, which clears it
         bump = (math.degrees(2.0 * cfg.deadband_rad + 1e-6)
                 / rolling_gain(d_mm, geom))
         bump = bump if delta_deg >= 0 else -bump
         delta_deg += bump if abs(delta_deg + bump) <= _MAX_ROLL_DEG else -bump
-    step, theta5, rolled = _rotate(delta_deg, cfg.rotate_rate_rad_s, geom,
-                                   d_mm, theta5_deg, alpha_rad, segment_index)
-    if step is None:
-        return [], theta5_deg, alpha_rad, signs
-    if rolled != alpha:
-        # after a nudge, or where rate * duration rounds off the delta
-        checked = _drive_signs(rolled, cfg)
-    return [step], theta5, rolled, checked
+    step, theta5, alpha = holonomic_rotate_step(
+        delta_deg, cfg.rotate_rate_rad_s, geom, d_mm, theta5_deg, alpha_rad,
+        segment_index)
+    return [] if step is None else [step], theta5, alpha
 
 
 def _timed(duration_s: float, speed: float) -> float:
@@ -261,37 +240,18 @@ def _timed(duration_s: float, speed: float) -> float:
 
 def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
                   alpha_rad: tuple[float, ...] = (0.0,) * 3,
-                  segment_index: int | None = None, *,
-                  signs: tuple[int, ...] | None = None) -> MissionStep:
+                  segment_index: int | None = None) -> MissionStep:
     """Equal-speed drive covering a straight run at cfg.straight_speed,
-    pre-flipped for the modules' self-rotation ``alpha_rad``, whose drive
-    signs are ``signs`` (computed when None)."""
+    pre-flipped for the modules' self-rotation ``alpha_rad``."""
     if not (math.isfinite(length_mm) and length_mm > 0):
         raise PlanError(f"length must be > 0, got {length_mm}")
-    if signs is None:
-        signs = _drive_signs(alpha_rad, cfg)
     return MissionStep(kind=StepKind.DRIVE,
                        command=_drive_command(
-                           cfg.straight_speed / geom.lug_radius_r, signs),
+                           cfg.straight_speed / geom.lug_radius_r,
+                           drive_signs(alpha_rad, cfg.deadband_rad)),
                        duration_s=_timed(length_mm / cfg.straight_speed,
                                          cfg.straight_speed),
                        segment_index=segment_index)
-
-
-def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
-                          geom: RobotGeometry, d_mm: float,
-                          alpha_rad: tuple[float, ...] = (0.0,) * 3,
-                          segment_index: int | None = None
-                          ) -> MissionStep | None:
-    """In-place roll by a signed delta (deg) at |theta_dot_4| = rate.
-
-    Returns None for a zero delta.  |delta| must not exceed 60 deg: any
-    orientation goal is within 60 deg thanks to the 120 deg module
-    symmetry.  The hazard flag marks rotations whose accumulated module
-    self-rotation, from ``alpha_rad``, crosses a 90 deg drive line.
-    """
-    return _rotate(delta_deg, rate_rad_s, geom, d_mm, 0.0, alpha_rad,
-                   segment_index)[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -303,12 +263,23 @@ def _roll_command(rate: float) -> CommandVector:
     return CommandVector(0.0, 0.0, 0.0, rate)
 
 
-def _rotate(delta_deg: float, rate_rad_s: float, geom: RobotGeometry,
-            d_mm: float, theta5_deg: float, alpha_rad: tuple[float, ...],
-            segment_index: int | None
-            ) -> tuple[MissionStep | None, float, tuple[float, ...]]:
-    """holonomic_rotate_step from the roll state (theta5, alpha); also
-    returns the roll state after the step, as drive.roll gives it."""
+def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
+                          geom: RobotGeometry, d_mm: float,
+                          theta5_deg: float = 0.0,
+                          alpha_rad: tuple[float, ...] = (0.0,) * 3,
+                          segment_index: int | None = None
+                          ) -> tuple[MissionStep | None, float,
+                                     tuple[float, ...]]:
+    """In-place roll by a signed delta (deg) at |theta_dot_4| = rate from
+    the roll state (theta5, alpha); returns the step and the roll state
+    after it, as drive.roll gives it.
+
+    A zero delta gives no step (None) and leaves the roll state as it is.
+    |delta| must not exceed 60 deg: any orientation goal is within 60 deg
+    thanks to the 120 deg module symmetry.  The hazard flag marks
+    rotations whose accumulated module self-rotation, from ``alpha_rad``,
+    crosses a 90 deg drive line.
+    """
     if not (math.isfinite(rate_rad_s) and rate_rad_s > 0):
         raise PlanError(f"rotate rate must be finite and > 0, got "
                         f"{rate_rad_s}")
@@ -345,27 +316,13 @@ def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
     cfg.straight_speed.  Returns the steps and the (theta5, alpha) they
     end in.
     """
-    return _plan_elbow(segment, theta5_deg, cfg, geom, with_holonomic,
-                       alpha_rad, _drive_signs(alpha_rad, cfg),
-                       segment_index)[:3]
-
-
-def _plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
-                geom: RobotGeometry, with_holonomic: bool,
-                alpha_rad: tuple[float, ...], signs: tuple[int, ...],
-                segment_index: int | None
-                ) -> tuple[list[MissionStep], float, tuple[float, ...],
-                           tuple[int, ...]]:
-    """plan_elbow from the roll state (theta5, alpha, drive signs at
-    alpha); also returns the drive signs it ends in."""
     if segment.kind is not SegmentKind.ELBOW:
         raise PlanError("plan_elbow requires an elbow segment")
     delta = (signed_delta(theta5_deg, _ELBOW_TARGET_DEG,
                           ORIENTATION_PERIOD_DEG)
              if with_holonomic else 0.0)
-    steps, theta5, alpha, signs = _align(delta, theta5_deg, alpha_rad, signs,
-                                         segment.d_mm, cfg, geom,
-                                         segment_index)
+    steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad,
+                                  segment.d_mm, cfg, geom, segment_index)
     radii = module_path_radii(segment, theta5, cfg.ratio_mode)
     mean_radius = sum(radii) / 3.0
     if mean_radius <= 0:
@@ -373,13 +330,13 @@ def _plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
     speeds = [cfg.straight_speed * r / mean_radius for r in radii]
     command = signed_drive(
         CommandVector(*(v / geom.lug_radius_r for v in speeds), 0.0),
-        _preflip(signs))
+        _preflip(drive_signs(alpha, cfg.deadband_rad)))
     steps.append(MissionStep(
         kind=StepKind.TURN_ELBOW, command=command,
         duration_s=_timed(segment.arc_length() / cfg.straight_speed,
                           cfg.straight_speed),
         segment_index=segment_index))
-    return steps, theta5, alpha, signs
+    return steps, theta5, alpha
 
 
 def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
@@ -469,20 +426,6 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     two modules and the robot drives straight across.  Returns the steps
     and the (theta5, alpha) they end in.
     """
-    return _plan_tee(segment, theta5_deg, region, cfg, geom, with_holonomic,
-                     alpha_rad, _drive_signs(alpha_rad, cfg),
-                     segment_index)[:3]
-
-
-def _plan_tee(segment: PipeSegment, theta5_deg: float,
-              region: SingularityRegion, cfg: PlannerConfig,
-              geom: RobotGeometry, with_holonomic: bool,
-              alpha_rad: tuple[float, ...], signs: tuple[int, ...],
-              segment_index: int | None
-              ) -> tuple[list[MissionStep], float, tuple[float, ...],
-                         tuple[int, ...]]:
-    """plan_tee from the roll state (theta5, alpha, drive signs at
-    alpha); also returns the drive signs it ends in."""
     if segment.kind is not SegmentKind.TEE:
         raise PlanError("plan_tee requires a tee segment")
     d = segment.d_mm
@@ -495,8 +438,9 @@ def _plan_tee(segment: PipeSegment, theta5_deg: float,
                              ORIENTATION_PERIOD_DEG)
     else:
         delta = escape_rotation(theta5_deg, region)
-    steps, theta5, alpha, signs = _align(delta, theta5_deg, alpha_rad, signs,
-                                         d, cfg, geom, segment_index)
+    steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, d, cfg, geom,
+                                  segment_index)
+    signs = drive_signs(alpha, cfg.deadband_rad)
     drive = _drive_command(speed / geom.lug_radius_r, signs)
 
     if segment.exit is TeeExit.THROUGH:
@@ -504,7 +448,7 @@ def _plan_tee(segment: PipeSegment, theta5_deg: float,
             kind=StepKind.DRIVE, command=drive,
             duration_s=_timed(segment.arc_length() / speed, speed),
             segment_index=segment_index, note="cross junction"))
-        return steps, theta5, alpha, signs
+        return steps, theta5, alpha
 
     approach = cfg.tee_trigger_fraction * d
     steps.append(MissionStep(
@@ -528,7 +472,7 @@ def _plan_tee(segment: PipeSegment, theta5_deg: float,
             duration_s=_timed(remainder / speed, speed),
             segment_index=segment_index,
             note="exit junction"))
-    return steps, theta5, alpha, signs
+    return steps, theta5, alpha
 
 
 def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
@@ -538,27 +482,23 @@ def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
 
     ``theta5_deg`` is the initial roll relative to the first upcoming
     turn's plane and must be finite; one (theta5, alpha) passes through
-    the segments, and each step carries the index of its segment.  The
-    drive signs at alpha pass along with it, computed once per roll
-    state: only a roll moves alpha.
+    the segments, and each step carries the index of its segment.
     """
     if not math.isfinite(theta5_deg):
         raise PlanError(f"theta5_deg must be finite, got {theta5_deg}")
     theta5, alpha = wrap(theta5_deg, 360.0), (0.0,) * 3
-    signs = _drive_signs(alpha, cfg)
     steps: list[MissionStep] = []
     for i, segment in enumerate(net.segments):
         if i > 0:
             theta5 = shift_reference(theta5, net, i - 1, i)
         if segment.kind is SegmentKind.STRAIGHT:
-            new = [plan_straight(segment.length_mm, cfg, geom, alpha, i,
-                                 signs=signs)]
+            new = [plan_straight(segment.length_mm, cfg, geom, alpha, i)]
         elif segment.kind is SegmentKind.ELBOW:
-            new, theta5, alpha, signs = _plan_elbow(
-                segment, theta5, cfg, geom, with_holonomic, alpha, signs, i)
+            new, theta5, alpha = plan_elbow(segment, theta5, cfg, geom,
+                                            with_holonomic, alpha, i)
         else:
-            new, theta5, alpha, signs = _plan_tee(
+            new, theta5, alpha = plan_tee(
                 segment, theta5, _tee_regions(net, cfg, geom)[i], cfg, geom,
-                with_holonomic, alpha, signs, i)
+                with_holonomic, alpha, i)
         steps.extend(new)
     return steps

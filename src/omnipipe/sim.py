@@ -15,10 +15,10 @@ final partial substep and lands on step boundaries exactly; results are
 independent of dt down to float rounding, and Monte-Carlo runs may use
 one substep per step without loss.
 
-run_mission works per mission step, not per substep.  Only a roll moves
-alpha, so the drive signs are recomputed only after one.  Values that
-are the same for every mission come from memos instead of being
-computed per step:
+run_mission works per mission step, not per substep.  The drive signs
+come from drive.drive_signs, which keeps them per alpha, and the twist
+is looked up again only when they change.  Values that are the same for
+every mission come from memos instead of being computed per step:
 
 - segment arc lengths from PipeNetwork.arc_lengths, computed once per
   network;
@@ -98,7 +98,7 @@ from operator import neg
 
 import numpy as np
 
-from .drive import (drive_sign, roll, roll_sums, rolling_gain,
+from .drive import (drive_sign, drive_signs, roll, roll_sums, rolling_gain,
                     shift_reference, signed_drive)
 from .errors import PlanError, SimulationError
 from .intervals import Interval, complement, normalize, wrap
@@ -123,6 +123,8 @@ _END_TOL_MM = 1e-6
 _ZERO_TOL = 1e-12
 # run_mission keeps every substep record in memory
 MAX_SUBSTEPS = 1_000_000
+# run_mission's and the simulate command's integration substep, s
+DEFAULT_DT_S = 0.01
 # monte_carlo_tee's trial limit, 1000 times the 10^5 trials of acceptance
 # criterion 7; the trials of a mission that rolls take ~0.4 ms each
 MAX_TRIALS = 10 ** 8
@@ -489,7 +491,7 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
         raise SimulationError(f"dt must be > 0, got {dt}")
     if cfg is None:
         cfg = PlannerConfig()
-    signs = tuple(drive_sign(a, cfg.deadband_rad) for a in state.alpha_rad)
+    signs = drive_signs(state.alpha_rad, cfg.deadband_rad)
     twist = forward_kinematics(signed_drive(cmd, signs), geom)
     index, s, theta5, alpha, event = _advance(
         net, geom, state.segment_index, state.s_mm + twist.v_cz * dt,
@@ -506,7 +508,7 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
 
 def run_mission(net: PipeNetwork, plan: list[MissionStep],
                 cfg: PlannerConfig, geom: RobotGeometry,
-                theta5_deg: float = 0.0, dt: float | None = 0.01
+                theta5_deg: float = 0.0, dt: float | None = DEFAULT_DT_S
                 ) -> tuple[MissionOutcome, Trajectory]:
     """Execute a step schedule along the network.
 
@@ -540,7 +542,6 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
     failure: str | None = None
     done = False
     deadband = cfg.deadband_rad
-    signs = signed_alpha = None
 
     for mstep, n in zip(plan, substeps):
         cmd = mstep.command
@@ -565,14 +566,8 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
             h = h_regular if k < n - 1 else duration - h_regular * (n - 1)
             if n > 1 and k == n - 1 and h <= 1e-15:
                 break  # the rounding remainder of a multi-substep step
-            if alpha is not signed_alpha:
-                # only a roll replaces alpha
-                signs = (drive_sign(alpha[0], deadband),
-                         drive_sign(alpha[1], deadband),
-                         drive_sign(alpha[2], deadband))
-                signed_alpha = alpha
-                drive = None
-            if drive is None:
+            signs = drive_signs(alpha, deadband)
+            if drive is None or signs != drive[2]:
                 # a step that drives while it rolls changes its twist
                 # whenever a module crosses a 90 deg drive line
                 drive = _drive(cmd, signs, geom)
@@ -723,21 +718,20 @@ def _derived_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
     """success_set's derivation: (the set, its _padded_ends, None), or
     (None, None, the reason).
 
-    Memoised in a bounded lru_cache, as planner._cached_region and
-    planner._tee_turn are, so a run of Monte Carlo calls on one mission
-    derives its set, with the two spot-check missions, once.  All four
-    arguments are frozen and hashable, and the key is exact: the
-    derivation is pure, and arguments that compare equal give equal
-    bits (a network compares its segments; its roll_references follow
-    from them).  The only floats that compare equal with other bits are
-    +-0.0.  A zero roll field (branch_roll_deg, turn_plane_roll_deg) can
-    change only the sign of a zero reference shift C_i.  An arc endpoint
-    c - C_i, with c = 60 k +- h, then keeps its bits where c != 0; where
-    c = 0 the arc has zero width, which normalize drops, or spans the
-    period, which normalize returns as (0, 120).  A zero
-    sweep_phi_max_deg or wobble_deadband_deg reaches only comparisons
-    and the _cached_region key, which do not tell the zeros apart, and a
-    spot check returns a bool.  A PlanError is not stored, so it is
+    Memoised in a bounded lru_cache, as planner._tee_turn is, so a run of
+    Monte Carlo calls on one mission derives its set, with the two
+    spot-check missions, once.  All four arguments are frozen and hashable,
+    and the key is exact: the derivation is pure, and arguments that compare
+    equal give equal bits (a network compares its segments; its
+    roll_references follow from them).  The only floats that compare equal
+    with other bits are +-0.0.  A zero roll field (branch_roll_deg,
+    turn_plane_roll_deg) can change only the sign of a zero reference shift
+    C_i.  An arc endpoint c - C_i, with c = 60 k +- h, then keeps its bits
+    where c != 0; where c = 0 the arc has zero width, which normalize drops,
+    or spans the period, which normalize returns as (0, 120).  A zero
+    sweep_phi_max_deg or wobble_deadband_deg reaches only comparisons, the
+    drive_signs key and the tee sweep, which do not tell the zeros apart,
+    and a spot check returns a bool.  A PlanError is not stored, so it is
     raised on every call.
     """
     reason = _uncovered(net, cfg, geom, with_holonomic)

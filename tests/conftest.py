@@ -14,7 +14,8 @@ from contextlib import contextmanager
 import pytest
 
 from omnipipe import (REFERENCE_GEOMETRY, PipeNetwork, PlannerConfig,
-                      RobotGeometry, kinematics, planner, sim, straight, tee)
+                      RobotGeometry, drive, kinematics, planner, sim,
+                      straight, tee)
 
 _RESULTS: list[tuple[int, str, bool]] = []
 
@@ -41,7 +42,7 @@ def pytest_terminal_summary(terminalreporter):
 
 
 # lru_cache memos, and the dicts that memoise by identity
-MEMOS = (planner._cached_region, planner._tee_turn, planner._drive_command,
+MEMOS = (drive.drive_signs, planner._tee_turn, planner._drive_command,
          planner._roll_command, kinematics._map_scalars,
          kinematics.jacobian_inverse, sim._derived_set, planner._regions,
          sim._drives)

@@ -2,6 +2,7 @@ import argparse
 import copy
 import hashlib
 import importlib.metadata
+import inspect
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from omnipipe import (CommandVector, PipeNetwork, elbow, forward_kinematics,
                       network_to_json, straight, tee)
 from omnipipe import cli
 from omnipipe.cli import main
-from omnipipe.sim import MAX_TRIALS
+from omnipipe.sim import DEFAULT_DT_S, MAX_TRIALS, run_mission
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -553,6 +554,14 @@ def test_main_adds_only_the_invoked_subcommands_arguments(capsys,
     assert len(helps) == 1 + len(_SUBCOMMAND_NAMES)
     assert sorted(args for args in added if args[0] != "-h") == [
         args for args in want if args[0] != "-h"]
+
+
+def test_simulate_and_run_mission_share_one_default_substep():
+    assert DEFAULT_DT_S == 0.01
+    default = inspect.signature(run_mission).parameters["dt"].default
+    args = cli.build_parser("simulate").parse_args(
+        ["simulate", "--network", "net.json"])
+    assert default is args.dt is DEFAULT_DT_S
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

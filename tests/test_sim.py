@@ -23,7 +23,7 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
                       rolling_gain, run_mission, step, straight, success_set,
                       tee, write_trajectory_csv)
 from omnipipe import planner, sim
-from omnipipe.drive import roll_sums, signed_drive
+from omnipipe.drive import drive_signs, roll_sums, signed_drive
 from omnipipe.intervals import normalize, wrap
 from omnipipe.sim import (_CHUNK, _WALK, _ZERO_TOL, MAX_SUBSTEPS,
                           MAX_TRIALS, _count_successes, _held,
@@ -72,6 +72,30 @@ def test_drive_sign_periodic_and_even(alpha):
     assert drive_sign(alpha + 2.0 * math.pi) == s
     assert drive_sign(-alpha) == s
     assert s in (-1, 0, 1)
+
+
+def test_drive_signs_memo_is_exact():
+    narrow, wide = math.radians(1.0), math.radians(10.0)
+    # +-0.0 entries share a key, and their signs are equal
+    assert drive_signs((0.0, -0.0, math.pi), narrow) == (1, 1, -1)
+    assert drive_signs((-0.0, 0.0, math.pi), narrow) == (1, 1, -1)
+    assert drive_signs((0.0, 0.0, 0.0), -0.0) == (1, 1, 1)
+    assert drive_signs((0.0, 0.0, 0.0), 0.0) == (1, 1, 1)
+    assert drive_signs.cache_info().hits == 2
+    # one alpha under two deadbands: each gets its own deadband's signs
+    alpha = (math.radians(85.0), math.radians(95.0), math.radians(180.0))
+    for deadband in (narrow, wide, narrow, wide):
+        assert drive_signs(alpha, deadband) == tuple(
+            drive_sign(a, deadband) for a in alpha)
+    assert drive_signs(alpha, narrow) == (1, -1, -1)
+    assert drive_signs(alpha, wide) == (0, 0, -1)
+    # a bad deadband is not stored: it raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="deadband"):
+            drive_signs(alpha, math.radians(10.5))
+        with pytest.raises(ValueError, match="deadband"):
+            drive_signs(alpha, -1e-3)
+    assert drive_signs.cache_info().currsize == 4
 
 
 def test_rolling_gain_and_self_rotation(geom):
