@@ -27,6 +27,12 @@ MAX_DEADBAND_RAD = math.radians(10.0)
 DEFAULT_DEADBAND_DEG = 1.0
 
 
+def line_distance(alpha: float) -> float:
+    """Distance (rad) from the self-rotation ``alpha`` to the nearest
+    no-motion line, 90 deg + k * 180 deg."""
+    return abs(math.fmod(abs(alpha), math.pi) - math.pi / 2.0)
+
+
 def drive_sign(alpha: float,
                deadband: float = math.radians(DEFAULT_DEADBAND_DEG)) -> int:
     """Direction a module translates for positive chain drive.
@@ -39,7 +45,7 @@ def drive_sign(alpha: float,
     """
     if not 0.0 <= deadband <= MAX_DEADBAND_RAD + 1e-12:
         raise ValueError(f"deadband must lie in [0, 10 deg], got {deadband}")
-    if abs(math.fmod(abs(alpha), math.pi) - math.pi / 2.0) <= deadband:
+    if line_distance(alpha) <= deadband:
         return 0
     return 1 if math.cos(alpha) > 0.0 else -1
 

@@ -45,7 +45,8 @@ import math
 from dataclasses import astuple, dataclass
 
 from .drive import (DEFAULT_DEADBAND_DEG, MAX_DEADBAND_RAD, drive_signs,
-                    roll, rolling_gain, shift_reference, signed_drive)
+                    line_distance, roll, rolling_gain, shift_reference,
+                    signed_drive)
 from .errors import PlanError
 from .intervals import signed_delta, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
@@ -59,6 +60,11 @@ from .singularity import (CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD,
 _TOL_DEG = 1e-9
 # any roll goal lies within half the roll period
 _MAX_ROLL_DEG = ORIENTATION_PERIOD_DEG / 2.0
+# how far (rad, relative to 1 + |alpha|) the alpha run_mission integrates
+# may lie from the one a roll step plans: its up to sim.MAX_SUBSTEPS =
+# 10^6 substeps each round alpha by half an ulp, 10^6 * 2^-53 < 1.2e-10,
+# and the products rate * h * gain add a few ulps in all
+_BAND_MARGIN = 1e-9
 
 # preferred roll offsets, deg: a module on the turn plane for elbow and
 # branch turns, modules straddling the branch mouth when passing over it
@@ -209,22 +215,27 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
     the steps and the roll state after.
 
     Landing a module's self-rotation inside the deadband would stall every
-    later drive command, so widen the roll just past the band, or shorten
+    later drive command, so where the alpha the step reaches lies in the
+    band widened by _BAND_MARGIN, which holds the alpha run_mission
+    integrates in substeps, widen the roll just past the band, or shorten
     it where widening would pass +-60 deg, half the roll period.  The
     nudge is a fraction of a degree of roll and does not matter against
     the free-gap margin.
     """
-    _, alpha = roll(theta5_deg, alpha_rad, math.radians(delta_deg), d_mm,
-                    geom)
-    if not all(drive_signs(alpha, cfg.deadband_rad)):
+    step, theta5, alpha = holonomic_rotate_step(
+        delta_deg, cfg.rotate_rate_rad_s, geom, d_mm, theta5_deg, alpha_rad,
+        segment_index)
+    if any(line_distance(b) <= cfg.deadband_rad
+           + _BAND_MARGIN * (1.0 + max(abs(a), abs(b)))
+           for a, b in zip(alpha_rad, alpha)):
         # alpha moves by just over the band's width, which clears it
         bump = (math.degrees(2.0 * cfg.deadband_rad + 1e-6)
                 / rolling_gain(d_mm, geom))
         bump = bump if delta_deg >= 0 else -bump
         delta_deg += bump if abs(delta_deg + bump) <= _MAX_ROLL_DEG else -bump
-    step, theta5, alpha = holonomic_rotate_step(
-        delta_deg, cfg.rotate_rate_rad_s, geom, d_mm, theta5_deg, alpha_rad,
-        segment_index)
+        step, theta5, alpha = holonomic_rotate_step(
+            delta_deg, cfg.rotate_rate_rad_s, geom, d_mm, theta5_deg,
+            alpha_rad, segment_index)
     return [] if step is None else [step], theta5, alpha
 
 

@@ -98,10 +98,14 @@ def mission_digest(cfg: PlannerConfig) -> str:
     return h.hexdigest()
 
 
-# computed before the per-network, region and twist memos were added
+# computed before the per-network, region and twist memos were added, and
+# again when alignment rolls began to check the deadband on the alpha they
+# reach: 14 missions that align onto a band edge then changed, those of
+# EDGE_ROLLS below at roll 7.25 (deadband 1) and at rolls 5, 10, 50, 55,
+# 65, 70, 110 and 115 (deadband 10)
 PINNED = {
-    1.0: "523bc05dad2b0e979861ac4cceef1ca362cbf546469826c9741646c73d124457",
-    10.0: "3df5445b45a2c42580d40f37d1b8f1a1674fbf95a5dfd55e2699327d9db1c292",
+    1.0: "d75d9fe63e485e778300a0a8f5dfde43680156e867ce23936f8a3309ad5b3306",
+    10.0: "0077a4941aca6528e838728dcb3cfd073d610c9350d6fd8f7bd1f1da82e1d16e",
 }
 
 
@@ -110,6 +114,48 @@ def test_exact_missions_keep_their_pinned_bits():
     for deadband_deg in (1.0, 10.0, 1.0, 10.0):
         cfg = PlannerConfig(wobble_deadband_deg=deadband_deg)
         assert mission_digest(cfg) == PINNED[deadband_deg], deadband_deg
+
+
+# -- alignment rolls onto a deadband edge --------------------------------------
+
+def edge_rolls():
+    """(network, initial roll, deadband deg) of missions whose alignment
+    roll lands on an edge of the deadband in exact arithmetic: the escape
+    to a free-gap centre or the elbow alignment turns the modules by
+    90 deg -+ deadband (roll -+ deadband / 4 with gain 4)."""
+    net = acceptance_tee()
+    bend = PipeNetwork((straight(D, 300.0), elbow(D, 240.0, 90.0),
+                        straight(D, 300.0)))
+    cases = [(net, theta5, 1.0) for theta5 in (7.75, 52.25, 67.75, 112.25)]
+    cases += [(bend, theta5, 1.0) for theta5 in (22.25, -22.25)]
+    cases += [(net, theta5, 10.0)
+              for theta5 in (5.0, 10.0, 50.0, 55.0, 65.0, 70.0, 110.0, 115.0)]
+    nets = generated_networks()
+    cases += [(nets[k], 7.25, 1.0) for k in (0, 1, 2, 3, 4, 6)]
+    return cases
+
+
+EDGE_ROLLS = edge_rolls()
+
+
+@pytest.mark.parametrize("net, theta5, deadband_deg", EDGE_ROLLS)
+def test_alignment_onto_a_deadband_edge_keeps_driving(net, theta5,
+                                                      deadband_deg):
+    # each of these stalled with no_forward_progress for some rate and dt
+    # while the band was checked on the planned roll, with no margin
+    for rate in (0.25, 0.37, 0.5, 1.0):
+        cfg = PlannerConfig(wobble_deadband_deg=deadband_deg,
+                            rotate_rate_rad_s=rate)
+        plan = plan_mission(net, theta5, cfg, REFERENCE_GEOMETRY)
+        for dt in (None, 0.01, 0.02, 0.037):
+            outcome, _ = run_mission(net, plan, cfg, REFERENCE_GEOMETRY,
+                                     theta5_deg=theta5, dt=dt)
+            assert outcome.reason == "completed", (rate, dt, outcome)
+
+
+def test_the_band_margin_covers_every_substep():
+    # each substep rounds alpha by at most half an ulp of its magnitude
+    assert 4.0 * sim.MAX_SUBSTEPS * 2.0 ** -53 < planner._BAND_MARGIN
 
 
 # -- the twist memo -----------------------------------------------------------

@@ -20,6 +20,7 @@ from omnipipe import (PipeNetwork, RobotGeometry, SegmentKind, TeeExit,
                       TwistVector, inverse_kinematics, shift_reference)
 from omnipipe import intervals as iv
 from omnipipe import drive, planner, sim
+from omnipipe.drive import drive_signs
 
 D = 160.0
 
@@ -581,6 +582,52 @@ def test_plan_matches_signs_recomputed_at_every_segment(
         return
     assert plan_to_json(plan_mission(net, theta5, cfg, REFERENCE_GEOMETRY,
                                      with_holonomic)) == expected
+
+
+def integrated_alpha(steps, theta5, alpha, d_mm, cfg, dt):
+    """alpha after ``steps`` as run_mission integrates them: whole dt
+    substeps of sim.step plus one final partial one (one exact substep
+    for dt None)."""
+    net = PipeNetwork((straight(d_mm, 1000.0),))
+    state = sim.SimState(theta5_deg=theta5, alpha_rad=alpha)
+    for mstep in steps:
+        h = mstep.duration_s if dt is None else dt
+        n = max(1, math.ceil(mstep.duration_s / h - 1e-12))
+        for k in range(n):
+            last = mstep.duration_s - h * (n - 1) if k == n - 1 else h
+            if n > 1 and k == n - 1 and last <= 1e-15:
+                break
+            state, _ = sim.step(state, mstep.command, last, net,
+                                REFERENCE_GEOMETRY, cfg)
+    return state.alpha_rad
+
+
+# the planner's modules share one alpha: they start at 0 and every roll
+# turns them alike
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-60.0, 60.0), st.floats(0.0, 360.0, exclude_max=True),
+       st.floats(-20.0, 20.0).map(lambda a: (a,) * 3),
+       st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 10.0),
+       st.sampled_from([0.5, 0.37]) | st.floats(0.05, 5.0),
+       st.sampled_from([140.0, 160.0, 200.0]),
+       st.sampled_from([None, 0.01, 0.02, 0.037]))
+@example(delta=22.5, theta5=0.0, alpha=(0.0,) * 3, deadband_deg=1.0,
+         rate=0.5, d_mm=D, dt=0.01)  # lands on the no-motion line: nudged
+@example(delta=22.25, theta5=7.75, alpha=(0.0,) * 3, deadband_deg=1.0,
+         rate=0.5, d_mm=D, dt=0.01)  # lands on the band's edge: nudged
+@example(delta=20.0, theta5=10.0, alpha=(0.0,) * 3, deadband_deg=10.0,
+         rate=0.37, d_mm=D, dt=0.02)
+@example(delta=1e-12, theta5=0.0, alpha=(0.0,) * 3, deadband_deg=1.0,
+         rate=0.5, d_mm=D, dt=None)  # too short to roll
+def test_alignment_leaves_no_integrated_alpha_in_the_deadband(
+        delta, theta5, alpha, deadband_deg, rate, d_mm, dt):
+    cfg = PlannerConfig(wobble_deadband_deg=deadband_deg,
+                        rotate_rate_rad_s=rate)
+    steps, _, planned = planner._align(delta, theta5, alpha, d_mm, cfg,
+                                       REFERENCE_GEOMETRY, None)
+    integrated = integrated_alpha(steps, theta5, alpha, d_mm, cfg, dt)
+    assert all(drive_signs(integrated, cfg.deadband_rad)), (planned,
+                                                            integrated)
 
 
 def test_escape_missions_compute_each_roll_states_signs_once(
