@@ -720,19 +720,19 @@ def _derived_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
 
     Memoised in a bounded lru_cache, as planner._tee_turn is, so a run of
     Monte Carlo calls on one mission derives its set, with the two
-    spot-check missions, once.  All four arguments are frozen and hashable,
-    and the key is exact: the derivation is pure, and arguments that compare
-    equal give equal bits (a network compares its segments; its
-    roll_references follow from them).  The only floats that compare equal
-    with other bits are +-0.0.  A zero roll field (branch_roll_deg,
-    turn_plane_roll_deg) can change only the sign of a zero reference shift
-    C_i.  An arc endpoint c - C_i, with c = 60 k +- h, then keeps its bits
-    where c != 0; where c = 0 the arc has zero width, which normalize drops,
-    or spans the period, which normalize returns as (0, 120).  A zero
-    sweep_phi_max_deg or wobble_deadband_deg reaches only comparisons, the
-    drive_signs key and the tee sweep, which do not tell the zeros apart,
-    and a spot check returns a bool.  A PlanError is not stored, so it is
-    raised on every call.
+    spot-check missions, once.  All four arguments are frozen and
+    hashable, and the key is exact: the derivation is pure, and
+    arguments that compare equal give equal bits (a network compares its
+    segments; its roll_references follow from them).  The only floats
+    that compare equal with other bits are +-0.0.  A zero roll field
+    (branch_roll_deg, turn_plane_roll_deg) can change only the sign of a
+    zero reference shift C_i.  An arc endpoint c - C_i, with
+    c = 60 k +- h, then keeps its bits where c != 0; where c = 0 the arc
+    has zero width, which normalize drops, or spans the period, which
+    normalize returns as (0, 120).  A zero sweep_phi_max_deg or wobble_deadband_deg
+    reaches only comparisons, the drive_signs key and the tee sweep,
+    which do not tell the zeros apart, and a spot check returns a bool.
+    A PlanError is not stored, so it is raised on every call.
     """
     reason = _uncovered(net, cfg, geom, with_holonomic)
     if reason is not None:

@@ -594,10 +594,10 @@ def integrated_alpha(steps, theta5, alpha, d_mm, cfg, dt):
         h = mstep.duration_s if dt is None else dt
         n = max(1, math.ceil(mstep.duration_s / h - 1e-12))
         for k in range(n):
-            last = mstep.duration_s - h * (n - 1) if k == n - 1 else h
-            if n > 1 and k == n - 1 and last <= 1e-15:
+            h_k = mstep.duration_s - h * (n - 1) if k == n - 1 else h
+            if n > 1 and k == n - 1 and h_k <= 1e-15:
                 break
-            state, _ = sim.step(state, mstep.command, last, net,
+            state, _ = sim.step(state, mstep.command, h_k, net,
                                 REFERENCE_GEOMETRY, cfg)
     return state.alpha_rad
 
@@ -648,9 +648,7 @@ def test_escape_missions_compute_each_roll_states_signs_once(
                                  theta5_deg=float(theta5), dt=None)
         assert outcome.reason == "completed"
         # three modules at two roll states, which the planner and the
-        # simulator share through the memo (6 calls, 9 where the roll's
-        # trial alpha differs from the one it reaches); computed per
-        # segment it was 18
+        # simulator share through the memo; computed per segment it was 18
         assert len(calls) <= 12, theta5
 
 
