@@ -2,14 +2,15 @@
 
 Each module translates by running a crawler chain whose lugs give it a
 circular cross-section.  When the whole robot rolls about the pipe axis
-the modules counter-rotate about their own axes; once a module has turned
-past 90 deg its upper and lower chain runs cancel and it stops driving,
-and past that its drive direction reverses.  This module captures that as
-a pure sign function of the accumulated self-rotation alpha, plus the
-rules that move the roll state (theta5, alpha) along a network, which the
-planner predicts with and the simulator integrates with.  drive_signs
-is the one place where alpha becomes the sign tuple a command is flipped
-by.
+the modules counter-rotate about their own axes, all three together and
+by the same angle, so they share one self-rotation alpha; once it has
+turned past 90 deg the upper and lower chain runs cancel and the modules
+stop driving, and past that their drive direction reverses.  This module
+captures that as a pure sign function of the accumulated self-rotation
+alpha, plus the rules that move the roll state (theta5, alpha) along a
+network, which the planner predicts with and the simulator integrates
+with.  drive_signs is the one place where alpha becomes the sign tuple a
+command is flipped by.
 """
 
 from __future__ import annotations
@@ -51,18 +52,19 @@ def drive_sign(alpha: float,
 
 
 @functools.lru_cache(maxsize=256)
-def drive_signs(alpha_rad: tuple[float, ...],
-                deadband: float) -> tuple[int, ...]:
-    """drive_sign of each module's self-rotation in ``alpha_rad``.
+def drive_signs(alpha_rad: float, deadband: float) -> tuple[int, int, int]:
+    """The three modules' drive signs at the shared self-rotation
+    ``alpha_rad``: drive_sign once, one entry per module.
 
     Only a roll moves alpha, so the planner and the simulator ask for the
     signs at one alpha again and again; a bounded lru_cache keeps them.
     Its key is exact: drive_sign reads alpha only through abs and cos,
     and the deadband only through comparisons, so keys that compare
-    equal, +-0.0 entries included, give equal signs.  A ValueError for a
-    bad deadband is not stored, so it is raised on every call.
+    equal, +-0.0 included, give equal signs.  A ValueError for a bad
+    deadband is not stored, so it is raised on every call.
     """
-    return tuple(drive_sign(a, deadband) for a in alpha_rad)
+    sign = drive_sign(alpha_rad, deadband)
+    return sign, sign, sign
 
 
 def signed_drive(cmd: CommandVector, signs: tuple[int, ...]) -> CommandVector:
@@ -83,40 +85,29 @@ def rolling_gain(d_mm: float, geom: RobotGeometry) -> float:
     return (d_mm / 2.0) / geom.module_outer_radius
 
 
-def roll(theta5_deg: float, alpha_rad: tuple[float, ...], roll_rad: float,
-         d_mm: float, geom: RobotGeometry
-         ) -> tuple[float, tuple[float, ...]]:
-    """(theta5, alpha) after a roll: each module turns -gain * roll_rad."""
+def roll(theta5_deg: float, alpha_rad: float, roll_rad: float, d_mm: float,
+         geom: RobotGeometry) -> tuple[float, float]:
+    """(theta5, alpha) after a roll: every module turns -gain * roll_rad."""
     theta5 = wrap(theta5_deg + math.degrees(roll_rad), 360.0)
     if not roll_rad:
         return theta5, alpha_rad
-    gain = rolling_gain(d_mm, geom)
-    return theta5, tuple(a - roll_rad * gain for a in alpha_rad)
+    return theta5, alpha_rad - roll_rad * rolling_gain(d_mm, geom)
 
 
-def roll_sums(theta5_deg: float, alpha_rad: tuple[float, ...],
-              roll_rad: float, d_mm: float, geom: RobotGeometry, m: int
-              ) -> tuple[list[float], tuple[list[float], ...]]:
-    """theta5 before its wrap, and each module's alpha, after each of
-    ``m`` rolls by a nonzero ``roll_rad``; entry 0 of each list is the
-    start.
+def roll_sums(theta5_deg: float, alpha_rad: float, roll_rad: float,
+              d_mm: float, geom: RobotGeometry, m: int
+              ) -> tuple[list[float], list[float]]:
+    """theta5 before its wrap, and alpha, after each of ``m`` rolls by a
+    nonzero ``roll_rad``; entry 0 of each list is the start.
 
     The sums are roll's own additions in its order (x + (-c) has the bits
     of x - c), so every alpha, and every theta5 that wrap leaves as it is
-    (one in [0, 360)), is bit-identical to m calls of roll.  Modules that
-    start at the same value share one list.
+    (one in [0, 360)), is bit-identical to m calls of roll.
     """
-    step = math.degrees(roll_rad)
     turn = -(roll_rad * rolling_gain(d_mm, geom))
-    thetas = list(accumulate(repeat(step, m), initial=theta5_deg))
-    sums: dict[tuple[float, float], list[float]] = {}
-    alphas = []
-    for a in alpha_rad:
-        key = (a, math.copysign(1.0, a))  # 0.0 and -0.0 apart
-        if key not in sums:
-            sums[key] = list(accumulate(repeat(turn, m), initial=a))
-        alphas.append(sums[key])
-    return thetas, tuple(alphas)
+    return (list(accumulate(repeat(math.degrees(roll_rad), m),
+                            initial=theta5_deg)),
+            list(accumulate(repeat(turn, m), initial=alpha_rad)))
 
 
 def shift_reference(theta5_deg: float, net: PipeNetwork, from_index: int,

@@ -207,27 +207,26 @@ def _drive_command(rate: float, signs: tuple[int, ...]) -> CommandVector:
                         _preflip(signs))
 
 
-def _align(delta_deg: float, theta5_deg: float, alpha_rad: tuple[float, ...],
+def _align(delta_deg: float, theta5_deg: float, alpha_rad: float,
            d_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
            segment_index: int | None
-           ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
+           ) -> tuple[list[MissionStep], float, float]:
     """Roll by ``delta_deg`` from the roll state (theta5, alpha); return
     the steps and the roll state after.
 
-    Landing a module's self-rotation inside the deadband would stall every
-    later drive command, so where the alpha the step reaches lies in the
-    band widened by _BAND_MARGIN, which holds the alpha run_mission
-    integrates in substeps, widen the roll just past the band, or shorten
-    it where widening would pass +-60 deg, half the roll period.  The
-    nudge is a fraction of a degree of roll and does not matter against
-    the free-gap margin.
+    Landing the self-rotation inside the deadband would stall every later
+    drive command, so where the alpha the step reaches lies in the band
+    widened by _BAND_MARGIN, which holds the alpha run_mission integrates
+    in substeps, widen the roll just past the band, or shorten it where
+    widening would pass +-60 deg, half the roll period.  The nudge is a
+    fraction of a degree of roll and does not matter against the free-gap
+    margin.
     """
     step, theta5, alpha = holonomic_rotate_step(
         delta_deg, cfg.rotate_rate_rad_s, geom, d_mm, theta5_deg, alpha_rad,
         segment_index)
-    if any(line_distance(b) <= cfg.deadband_rad
-           + _BAND_MARGIN * (1.0 + max(abs(a), abs(b)))
-           for a, b in zip(alpha_rad, alpha)):
+    if line_distance(alpha) <= (cfg.deadband_rad + _BAND_MARGIN
+                                * (1.0 + max(abs(alpha_rad), abs(alpha)))):
         # alpha moves by just over the band's width, which clears it
         bump = (math.degrees(2.0 * cfg.deadband_rad + 1e-6)
                 / rolling_gain(d_mm, geom))
@@ -250,10 +249,10 @@ def _timed(duration_s: float, speed: float) -> float:
 
 
 def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
-                  alpha_rad: tuple[float, ...] = (0.0,) * 3,
+                  alpha_rad: float = 0.0,
                   segment_index: int | None = None) -> MissionStep:
     """Equal-speed drive covering a straight run at cfg.straight_speed,
-    pre-flipped for the modules' self-rotation ``alpha_rad``."""
+    pre-flipped for the modules' shared self-rotation ``alpha_rad``."""
     if not (math.isfinite(length_mm) and length_mm > 0):
         raise PlanError(f"length must be > 0, got {length_mm}")
     return MissionStep(kind=StepKind.DRIVE,
@@ -277,10 +276,9 @@ def _roll_command(rate: float) -> CommandVector:
 def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
                           geom: RobotGeometry, d_mm: float,
                           theta5_deg: float = 0.0,
-                          alpha_rad: tuple[float, ...] = (0.0,) * 3,
+                          alpha_rad: float = 0.0,
                           segment_index: int | None = None
-                          ) -> tuple[MissionStep | None, float,
-                                     tuple[float, ...]]:
+                          ) -> tuple[MissionStep | None, float, float]:
     """In-place roll by a signed delta (deg) at |theta_dot_4| = rate from
     the roll state (theta5, alpha); returns the step and the roll state
     after it, as drive.roll gives it.
@@ -288,8 +286,8 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
     A zero delta gives no step (None) and leaves the roll state as it is.
     |delta| must not exceed 60 deg: any orientation goal is within 60 deg
     thanks to the 120 deg module symmetry.  The hazard flag marks
-    rotations whose accumulated module self-rotation, from ``alpha_rad``,
-    crosses a 90 deg drive line.
+    rotations whose module self-rotation, from ``alpha_rad``, reaches a
+    90 deg drive line.
     """
     if not (math.isfinite(rate_rad_s) and rate_rad_s > 0):
         raise PlanError(f"rotate rate must be finite and > 0, got "
@@ -302,10 +300,10 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
     rate = math.copysign(rate_rad_s, delta_deg)
     duration = math.radians(abs(delta_deg)) / rate_rad_s
     theta5, alpha = roll(theta5_deg, alpha_rad, rate * duration, d_mm, geom)
-    # a module's self-rotation reaches a line at 90 deg + k * 180 deg
-    hazard = any(math.floor((max(a, b) - math.pi / 2.0) / math.pi)
-                 >= math.ceil((min(a, b) - math.pi / 2.0) / math.pi)
-                 for a, b in zip(alpha_rad, alpha))
+    # the self-rotation reaches a line at 90 deg + k * 180 deg
+    low, high = sorted((alpha_rad, alpha))
+    hazard = (math.floor((high - math.pi / 2.0) / math.pi)
+              >= math.ceil((low - math.pi / 2.0) / math.pi))
     step = MissionStep(
         kind=StepKind.HOLONOMIC_ROTATE, command=_roll_command(rate),
         duration_s=duration, hazard_self_rotation=hazard,
@@ -315,9 +313,9 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
 
 def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
                geom: RobotGeometry, with_holonomic: bool = True,
-               alpha_rad: tuple[float, ...] = (0.0,) * 3,
+               alpha_rad: float = 0.0,
                segment_index: int | None = None
-               ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
+               ) -> tuple[list[MissionStep], float, float]:
     """Roll a module onto the innermost curve, then drive at radii ratios.
 
     The two-modules-inner pose stalls against the outer wall, so the
@@ -423,9 +421,9 @@ def forward_turn_radius(geom: RobotGeometry) -> float:
 def plan_tee(segment: PipeSegment, theta5_deg: float,
              region: SingularityRegion, cfg: PlannerConfig,
              geom: RobotGeometry, with_holonomic: bool = True,
-             alpha_rad: tuple[float, ...] = (0.0,) * 3,
+             alpha_rad: float = 0.0,
              segment_index: int | None = None
-             ) -> tuple[list[MissionStep], float, tuple[float, ...]]:
+             ) -> tuple[list[MissionStep], float, float]:
     """Negotiate a tee: roll clear of the singularity, approach, turn, exit.
 
     For the branch exit the roll centers the robot in the nearest free gap
@@ -497,7 +495,7 @@ def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
     """
     if not math.isfinite(theta5_deg):
         raise PlanError(f"theta5_deg must be finite, got {theta5_deg}")
-    theta5, alpha = wrap(theta5_deg, 360.0), (0.0,) * 3
+    theta5, alpha = wrap(theta5_deg, 360.0), 0.0
     steps: list[MissionStep] = []
     for i, segment in enumerate(net.segments):
         if i > 0:

@@ -5,8 +5,8 @@ theta5): the robot is wall-pressed and centered, so the centerline plus a
 roll angle is the whole configuration.  Commands map to twists through
 the kinematics Jacobian after each module's drive rate is multiplied by
 its drive sign (see the drive module, whose rules also move theta5 and
-alpha): rolling the robot counter-rotates the modules, and modules past
-90 deg of self-rotation stop or reverse.
+alpha): rolling the robot counter-rotates the modules together, by one
+self-rotation alpha, and past 90 deg of it they stop or reverse.
 
 Integration is explicit Euler, which is exact here: planner schedules are
 piecewise constant, so within a step every state rate is constant.
@@ -67,7 +67,8 @@ reprs.
 
 theta5 is degrees in [0, 360) relative to the next upcoming turn's plane
 and is shifted at segment boundaries per pipenet.reference_rolls; alpha
-(module self-rotation) is radians, accumulated without wrapping.
+(the self-rotation all three modules share) is radians, accumulated
+without wrapping.
 
 A mission that plans no roll (no holonomic escape, which also skips the
 elbow alignment) keeps theta5 a fixed shift of the initial roll, so its
@@ -152,7 +153,7 @@ class SimState:
     segment_index: int = 0
     s_mm: float = 0.0
     theta5_deg: float = 0.0
-    alpha_rad: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    alpha_rad: float = 0.0
     time_s: float = 0.0
 
 
@@ -327,8 +328,8 @@ def _drive(cmd: CommandVector, signs: tuple[int, int, int],
 
 
 def _advance(net: PipeNetwork, geom: RobotGeometry, index: int, s: float,
-             theta5: float, alpha: tuple[float, ...], roll_rad: float
-             ) -> tuple[int, float, float, tuple[float, ...], str]:
+             theta5: float, alpha: float, roll_rad: float
+             ) -> tuple[int, float, float, float, str]:
     """Roll by ``roll_rad`` on segment ``index``, then carry the advanced
     arc length ``s`` across segment boundaries in either direction.
 
@@ -402,7 +403,7 @@ def _held(xs: list[float], f, stop: float) -> int:
 
 
 def _block(net: PipeNetwork, index: int, s: float, theta5: float,
-           alpha: tuple[float, ...], ds: float, roll_rad: float, most: int,
+           alpha: float, ds: float, roll_rad: float, most: int,
            cfg: PlannerConfig, geom: RobotGeometry
            ) -> tuple[list[float], tuple | None]:
     """Up to ``most`` whole substeps on segment ``index`` that move s by ``ds``
@@ -421,10 +422,10 @@ def _block(net: PipeNetwork, index: int, s: float, theta5: float,
     and 60 k +- h; alpha at (k + 1/2) pi +- deadband.  The nearest line
     bounds the sums formed, and _held finds each cut.
     """
-    # per cut: which sums (0 is s or theta5, i is the i-th alpha), their
-    # start and step, the predicate, the bound _held bisects to, and 1
-    # where the row that changes the predicate stays in the block (a drive
-    # sign acts from the next substep)
+    # per cut: which sums (0 is s or theta5, 1 is alpha), their start and
+    # step, the predicate, the bound _held bisects to, and 1 where the row
+    # that changes the predicate stays in the block (a drive sign acts from
+    # the next substep)
     segment = net.segments[index]
     if roll_rad:
         step = math.degrees(roll_rad)
@@ -442,11 +443,10 @@ def _block(net: PipeNetwork, index: int, s: float, theta5: float,
                          lambda x: in_singularity(x, region),
                          _stop(theta5, step, _TEE_LINES_DEG, 0.0,
                                region.half_width_deg), 0))
-        # modules at one alpha share a cut
-        cuts += [(i, a, turn, lambda x: drive_sign(x, deadband),
-                  _stop(a, turn, math.pi, math.pi / 2.0, deadband), 1)
-                 for a, i in {a: i for i, a in enumerate(alpha, 1)}.items()
-                 if turn]
+        if turn:
+            cuts.append((1, alpha, turn, lambda x: drive_sign(x, deadband),
+                         _stop(alpha, turn, math.pi, math.pi / 2.0,
+                               deadband), 1))
     else:
         length = net.arc_lengths[index]
         cuts = [(0, s, ds, lambda x: -_ZERO_TOL <= x <= length + _ZERO_TOL,
@@ -459,9 +459,7 @@ def _block(net: PipeNetwork, index: int, s: float, theta5: float,
     take = (most if not room < most
             else min(most, int(max(room, 0.0)) + _WALK + 1))
     if roll_rad:
-        thetas, alphas = roll_sums(theta5, alpha, roll_rad, segment.d_mm,
-                                   geom, take)
-        sums = (thetas, *alphas)
+        sums = roll_sums(theta5, alpha, roll_rad, segment.d_mm, geom, take)
     else:
         sums = (list(accumulate(repeat(ds, take), initial=s)),)
     # the scalar path takes a sum that overflows, so that drive_sign
@@ -471,8 +469,7 @@ def _block(net: PipeNetwork, index: int, s: float, theta5: float,
     cut = min([_held(sums[i], f, stop) + kept
                for i, _, _, f, stop, kept in cuts] + [len(sums[0])])
     if roll_rad:
-        return sums[0][1:cut], (s, sums[0][cut - 1],
-                                tuple(xs[cut - 1] for xs in sums[1:]))
+        return sums[0][1:cut], (s, sums[0][cut - 1], sums[1][cut - 1])
     return sums[0][1:cut], (sums[0][cut - 1], theta5, alpha)
 
 
@@ -536,7 +533,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
     if sum(substeps) > MAX_SUBSTEPS:
         raise SimulationError(f"dt={dt} needs over {MAX_SUBSTEPS} substeps")
     index, s, theta5 = 0, 0.0, wrap(theta5_deg, 360.0)
-    alpha, t = (0.0, 0.0, 0.0), 0.0
+    alpha, t = 0.0, 0.0
     records = Trajectory()
     events: list[str] = []
     failure: str | None = None

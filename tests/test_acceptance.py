@@ -192,7 +192,7 @@ def test_criterion_8_drive_sign_flip():
         assert drive_recs[-1].s_mm == pytest.approx(100.0, rel=1e-9)
         assert not outcome.success
         # exactly 90 deg of self-rotation: no translation at all
-        parked = SimState(s_mm=100.0, alpha_rad=(math.pi / 2.0,) * 3)
+        parked = SimState(s_mm=100.0, alpha_rad=math.pi / 2.0)
         state, rec = step(parked, DRIVE, 0.5, net, GEOM)
         assert rec.twist.v_cz == 0.0
         assert state.s_mm == 100.0

@@ -43,13 +43,14 @@ def test_plan_straight_speed_and_duration(cfg, geom):
 
 
 def test_plan_straight_pre_flips_and_tags_its_segment(cfg, geom):
-    step = plan_straight(1000.0, cfg, geom,
-                         alpha_rad=(math.pi, 0.0, math.pi / 2.0),
-                         segment_index=4)
     rate = 100.0 / 15.0
-    # a module in the deadband keeps its sign: 0 pre-flips as 1
-    assert step.command == CommandVector(-rate, rate, rate, 0.0)
+    step = plan_straight(1000.0, cfg, geom, alpha_rad=math.pi,
+                         segment_index=4)
+    assert step.command == CommandVector(-rate, -rate, -rate, 0.0)
     assert step.segment_index == 4
+    # modules in the deadband keep their sign: 0 pre-flips as 1
+    step = plan_straight(1000.0, cfg, geom, alpha_rad=math.pi / 2.0)
+    assert step.command == CommandVector(rate, rate, rate, 0.0)
 
 
 def test_plan_straight_rejects_zero_length(cfg, geom):
@@ -60,7 +61,7 @@ def test_plan_straight_rejects_zero_length(cfg, geom):
 
 # -- holonomic rotation ---------------------------------------------------------
 
-def rotated(delta, geom, theta5=0.0, alpha=(0.0,) * 3):
+def rotated(delta, geom, theta5=0.0, alpha=0.0):
     """holonomic_rotate_step's step, after checking that the roll state it
     returns is drive.roll's for the step's roll."""
     step, theta5_after, alpha_after = holonomic_rotate_step(
@@ -73,7 +74,7 @@ def rotated(delta, geom, theta5=0.0, alpha=(0.0,) * 3):
 
 
 def test_rotate_step_sets_rate_sign_and_duration(geom):
-    step = rotated(30.0, geom, theta5=100.0, alpha=(0.1, -0.2, 3.0))
+    step = rotated(30.0, geom, theta5=100.0, alpha=3.0)
     assert step.kind is StepKind.HOLONOMIC_ROTATE
     assert step.command == CommandVector(0.0, 0.0, 0.0, 0.5)
     assert step.duration_s == pytest.approx(math.radians(30.0) / 0.5)
@@ -84,7 +85,7 @@ def test_rotate_step_sets_rate_sign_and_duration(geom):
 
 
 def test_rotate_step_zero_delta_is_no_step(geom):
-    assert rotated(0.0, geom, theta5=42.0, alpha=(1.0, 2.0, 3.0)) is None
+    assert rotated(0.0, geom, theta5=42.0, alpha=2.0) is None
 
 
 def test_rotate_step_bounds(geom):
@@ -103,9 +104,9 @@ def test_rotate_hazard_marks_drive_line_crossings(geom):
     assert not rotated(22.0, geom).hazard_self_rotation
     # the flag follows the accumulated self-rotation, not the roll alone
     assert rotated(-20.0, geom,
-                   alpha=(math.radians(12.0),) * 3).hazard_self_rotation
+                   alpha=math.radians(12.0)).hazard_self_rotation
     assert not rotated(30.0, geom,
-                       alpha=(math.radians(-100.0),) * 3).hazard_self_rotation
+                       alpha=math.radians(-100.0)).hazard_self_rotation
     # the first elbow's -3 deg roll takes alpha to 12 deg, and the second
     # elbow's -20 deg roll from 12 to 92 deg
     net = PipeNetwork((straight(D, 300.0), elbow(D, 320.0, 90.0, 0.0),
@@ -521,7 +522,7 @@ def test_mission_plan_is_deterministic(cfg, geom, tee_net):
 def oracle_plan(net, theta5, cfg, geom, with_holonomic):
     """plan_mission with the drive signs computed afresh from alpha at
     every segment: the drive_signs memo is emptied before each one."""
-    theta5, alpha = iv.wrap(theta5, 360.0), (0.0,) * 3
+    theta5, alpha = iv.wrap(theta5, 360.0), 0.0
     steps = []
     for i, segment in enumerate(net.segments):
         drive.drive_signs.cache_clear()
@@ -602,22 +603,20 @@ def integrated_alpha(steps, theta5, alpha, d_mm, cfg, dt):
     return state.alpha_rad
 
 
-# the planner's modules share one alpha: they start at 0 and every roll
-# turns them alike
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-60.0, 60.0), st.floats(0.0, 360.0, exclude_max=True),
-       st.floats(-20.0, 20.0).map(lambda a: (a,) * 3),
+       st.floats(-20.0, 20.0),
        st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0.0, 10.0),
        st.sampled_from([0.5, 0.37]) | st.floats(0.05, 5.0),
        st.sampled_from([140.0, 160.0, 200.0]),
        st.sampled_from([None, 0.01, 0.02, 0.037]))
-@example(delta=22.5, theta5=0.0, alpha=(0.0,) * 3, deadband_deg=1.0,
+@example(delta=22.5, theta5=0.0, alpha=0.0, deadband_deg=1.0,
          rate=0.5, d_mm=D, dt=0.01)  # lands on the no-motion line: nudged
-@example(delta=22.25, theta5=7.75, alpha=(0.0,) * 3, deadband_deg=1.0,
+@example(delta=22.25, theta5=7.75, alpha=0.0, deadband_deg=1.0,
          rate=0.5, d_mm=D, dt=0.01)  # lands on the band's edge: nudged
-@example(delta=20.0, theta5=10.0, alpha=(0.0,) * 3, deadband_deg=10.0,
+@example(delta=20.0, theta5=10.0, alpha=0.0, deadband_deg=10.0,
          rate=0.37, d_mm=D, dt=0.02)
-@example(delta=1e-12, theta5=0.0, alpha=(0.0,) * 3, deadband_deg=1.0,
+@example(delta=1e-12, theta5=0.0, alpha=0.0, deadband_deg=1.0,
          rate=0.5, d_mm=D, dt=None)  # too short to roll
 def test_alignment_leaves_no_integrated_alpha_in_the_deadband(
         delta, theta5, alpha, deadband_deg, rate, d_mm, dt):
@@ -647,9 +646,10 @@ def test_escape_missions_compute_each_roll_states_signs_once(
         outcome, _ = run_mission(tee_net, plan, cfg, geom,
                                  theta5_deg=float(theta5), dt=None)
         assert outcome.reason == "completed"
-        # three modules at two roll states, which the planner and the
-        # simulator share through the memo; computed per segment it was 18
-        assert len(calls) <= 12, theta5
+        # one call at each of two roll states, which the planner and the
+        # simulator share through the memo; computed per module it was 6,
+        # and per module and segment 18
+        assert len(calls) <= 2, theta5
 
 
 # -- step validation ---------------------------------------------------------------

@@ -76,19 +76,19 @@ def test_drive_sign_periodic_and_even(alpha):
 
 def test_drive_signs_memo_is_exact():
     narrow, wide = math.radians(1.0), math.radians(10.0)
-    # +-0.0 entries share a key, and their signs are equal
-    assert drive_signs((0.0, -0.0, math.pi), narrow) == (1, 1, -1)
-    assert drive_signs((-0.0, 0.0, math.pi), narrow) == (1, 1, -1)
-    assert drive_signs((0.0, 0.0, 0.0), -0.0) == (1, 1, 1)
-    assert drive_signs((0.0, 0.0, 0.0), 0.0) == (1, 1, 1)
+    # +-0.0 share a key, and their signs are equal
+    assert drive_signs(0.0, narrow) == (1, 1, 1)
+    assert drive_signs(-0.0, narrow) == (1, 1, 1)
+    assert drive_signs(math.pi, -0.0) == (-1, -1, -1)
+    assert drive_signs(math.pi, 0.0) == (-1, -1, -1)
     assert drive_signs.cache_info().hits == 2
     # one alpha under two deadbands: each gets its own deadband's signs
-    alpha = (math.radians(85.0), math.radians(95.0), math.radians(180.0))
+    alpha = math.radians(95.0)
     for deadband in (narrow, wide, narrow, wide):
-        assert drive_signs(alpha, deadband) == tuple(
-            drive_sign(a, deadband) for a in alpha)
-    assert drive_signs(alpha, narrow) == (1, -1, -1)
-    assert drive_signs(alpha, wide) == (0, 0, -1)
+        assert drive_signs(alpha, deadband) == (drive_sign(alpha,
+                                                           deadband),) * 3
+    assert drive_signs(alpha, narrow) == (-1, -1, -1)
+    assert drive_signs(alpha, wide) == (0, 0, 0)
     # a bad deadband is not stored: it raises on every call
     for _ in range(2):
         with pytest.raises(ValueError, match="deadband"):
@@ -100,10 +100,10 @@ def test_drive_signs_memo_is_exact():
 
 def test_rolling_gain_and_self_rotation(geom):
     assert rolling_gain(D, geom) == pytest.approx(4.0)
-    theta5, alpha = roll(10.0, (0.0, 1.0), 0.5, D, geom)
+    theta5, alpha = roll(10.0, 1.0, 0.5, D, geom)
     assert theta5 == pytest.approx(10.0 + math.degrees(0.5))
-    assert alpha == pytest.approx((-2.0, -1.0))
-    assert roll(10.0, (0.0,), 0.0, D, geom) == (10.0, (0.0,))
+    assert alpha == pytest.approx(-1.0)
+    assert roll(10.0, 0.0, 0.0, D, geom) == (10.0, 0.0)
 
 
 # -- single integration steps ----------------------------------------------------
@@ -113,7 +113,7 @@ def test_step_straight_advance(geom):
     state, rec = step(SimState(), DRIVE, 0.1, net, geom)
     assert state.s_mm == pytest.approx(10.0, rel=1e-12)
     assert state.theta5_deg == 0.0
-    assert state.alpha_rad == (0.0, 0.0, 0.0)
+    assert state.alpha_rad == 0.0
     assert state.time_s == pytest.approx(0.1)
     assert rec.drive_signs == (1, 1, 1)
     assert rec.twist.v_cz == pytest.approx(100.0, rel=1e-12)
@@ -126,13 +126,13 @@ def test_step_pure_rotation_rolls_and_self_rotates(geom):
     state, rec = step(SimState(), cmd, 0.2, net, geom)
     assert state.s_mm == 0.0
     assert state.theta5_deg == pytest.approx(math.degrees(0.1), rel=1e-12)
-    assert state.alpha_rad == pytest.approx((-0.4, -0.4, -0.4), rel=1e-12)
+    assert state.alpha_rad == pytest.approx(-0.4, rel=1e-12)
     assert rec.twist.v_cz == 0.0
 
 
 def test_step_reversed_wheels_drive_backward(geom):
     net = PipeNetwork((straight(D, 500.0),))
-    start = SimState(s_mm=100.0, alpha_rad=(math.pi, math.pi, math.pi))
+    start = SimState(s_mm=100.0, alpha_rad=math.pi)
     state, rec = step(start, DRIVE, 0.1, net, geom)
     assert rec.drive_signs == (-1, -1, -1)
     assert state.s_mm == pytest.approx(90.0, rel=1e-12)
@@ -140,21 +140,11 @@ def test_step_reversed_wheels_drive_backward(geom):
 
 def test_step_wheels_on_no_motion_line_stall(geom):
     net = PipeNetwork((straight(D, 500.0),))
-    half_pi = math.pi / 2.0
-    start = SimState(s_mm=100.0, alpha_rad=(half_pi, half_pi, half_pi))
+    start = SimState(s_mm=100.0, alpha_rad=math.pi / 2.0)
     state, rec = step(start, DRIVE, 0.1, net, geom)
     assert rec.drive_signs == (0, 0, 0)
     assert state.s_mm == 100.0
     assert rec.twist.v_cz == 0.0
-
-
-def test_step_mixed_signs_produce_wobble(geom):
-    net = PipeNetwork((straight(D, 500.0),))
-    start = SimState(alpha_rad=(0.0, math.pi, 0.0))
-    _, rec = step(start, DRIVE, 0.1, net, geom)
-    assert rec.drive_signs == (1, -1, 1)
-    assert rec.twist.angular_norm() > 0.0
-    assert rec.twist.v_cz == pytest.approx(100.0 / 3.0, rel=1e-12)
 
 
 def test_step_forward_crossing_shifts_roll_reference(geom):
@@ -172,7 +162,7 @@ def test_step_forward_crossing_shifts_roll_reference(geom):
 def test_step_backward_crossing_shifts_roll_reference(geom):
     net = turn_net()
     start = SimState(segment_index=2, s_mm=5.0, theta5_deg=10.0,
-                     alpha_rad=(math.pi,) * 3)
+                     alpha_rad=math.pi)
     state, _ = step(start, DRIVE, 0.1, net, geom)
     assert state.segment_index == 1
     assert state.s_mm == pytest.approx(net.segments[1].arc_length() - 5.0)
@@ -184,7 +174,7 @@ def test_step_clamps_at_network_ends(geom):
     state, rec = step(SimState(s_mm=495.0), DRIVE, 0.1, net, geom)
     assert rec.event == "end_of_network"
     assert state.s_mm == 500.0
-    back = SimState(s_mm=5.0, alpha_rad=(math.pi,) * 3)
+    back = SimState(s_mm=5.0, alpha_rad=math.pi)
     state, rec = step(back, DRIVE, 0.1, net, geom)
     assert rec.event == "start_of_network"
     assert state.s_mm == 0.0
@@ -1129,13 +1119,12 @@ def test_run_mission_matches_stepwise_at_a_dt_near_a_step_duration(
        st.sampled_from([140.0, 160.0, 200.0]))
 def test_roll_sums_match_repeated_rolls(theta5, alpha, roll_rad, m, d_mm):
     geom = REFERENCE_GEOMETRY
-    thetas, alphas = roll_sums(theta5, (alpha, -alpha, 1.0), roll_rad, d_mm,
-                               geom, m)
-    assert alphas[0] is not alphas[1] and len(thetas) == m + 1
-    state = (theta5, (alpha, -alpha, 1.0))
+    thetas, alphas = roll_sums(theta5, alpha, roll_rad, d_mm, geom, m)
+    assert len(thetas) == len(alphas) == m + 1
+    state = (theta5, alpha)
     for j in range(1, m + 1):
         state = roll(*state, roll_rad, d_mm, geom)
-        assert [a[j].hex() for a in alphas] == [a.hex() for a in state[1]]
+        assert alphas[j].hex() == state[1].hex()
         if 0.0 <= thetas[j] < 360.0:
             assert thetas[j].hex() == state[0].hex()
         else:
@@ -1219,7 +1208,7 @@ def scan_block(net, state, cmd, h, most, cfg):
     segment, wraps theta5 or flips the tee check, and through the first
     that changes a drive sign."""
     deadband = cfg.deadband_rad
-    signs = [drive_sign(a, deadband) for a in state.alpha_rad]
+    sign = drive_sign(state.alpha_rad, deadband)
     segment = net.segments[state.segment_index]
     region = region_for_tee(segment, cfg, REFERENCE_GEOMETRY)
     singular = in_singularity(state.theta5_deg, region)
@@ -1232,7 +1221,7 @@ def scan_block(net, state, cmd, h, most, cfg):
                 or in_singularity(state.theta5_deg, region) != singular):
             break
         states.append(state)
-        if [drive_sign(a, deadband) for a in state.alpha_rad] != signs:
+        if drive_sign(state.alpha_rad, deadband) != sign:
             break
     return states
 
@@ -1257,7 +1246,7 @@ def block_cases(draw):
                                               cfg.deadband_rad)
     state = SimState(segment_index=1, s_mm=s * length + 0.0,
                      theta5_deg=wrap(theta5, 360.0) + 0.0,
-                     alpha_rad=(draw(alpha), draw(alpha), draw(alpha)))
+                     alpha_rad=draw(alpha))
     rate = st.floats(-50.0, 50.0) | st.sampled_from([0.0, 1e-300, 1e-320])
     drive = CommandVector(*[draw(rate)] * 3, 0.0)
     rolls = CommandVector(0.0, 0.0, 0.0, draw(
@@ -1288,7 +1277,7 @@ def test_block_cuts_where_the_scalar_loop_does(case):
     # one draw drives and rolls from one state, so it can cross a boundary
     # and wrap theta5, flip the tee check and change a drive sign
     net, cfg, state, drive, rolls, h, most = case
-    signs = tuple(drive_sign(a, cfg.deadband_rad) for a in state.alpha_rad)
+    signs = (drive_sign(state.alpha_rad, cfg.deadband_rad),) * 3
     for cmd in (drive, rolls):
         ds = float(forward_kinematics(signed_drive(cmd, signs),
                                       REFERENCE_GEOMETRY).v_cz * h)
@@ -1305,9 +1294,9 @@ def test_block_cuts_where_the_scalar_loop_does(case):
         assert [x.hex() for x in rows] == [x.hex() for x in moved]
         if rows:
             last = expected[len(rows) - 1]
-            assert [x.hex() for x in (end[0], end[1], *end[2])] == [
+            assert [x.hex() for x in end] == [
                 x.hex() for x in (last.s_mm, last.theta5_deg,
-                                  *last.alpha_rad)]
+                                  last.alpha_rad)]
 
 
 @st.composite
