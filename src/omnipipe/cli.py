@@ -51,8 +51,19 @@ def _emit(data: dict) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
 
+def _out_dir(out: str) -> Path:
+    """The --out directory, made if missing.  A ValueError names it when
+    it cannot be made, e.g. because it is an existing regular file."""
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ValueError(f"cannot use --out {out} as the output directory: "
+                         f"{e.strerror}") from None
+    return path
+
+
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text if text.endswith("\n") else text + "\n")
 
 
@@ -195,7 +206,7 @@ def _cmd_plan(args) -> int:
     steps = plan_mission(net, args.theta5, cfg, geom,
                          with_holonomic=not args.no_holonomic)
     text = plan_to_json(steps)
-    _write(Path(args.out) / "plan.json", text)
+    _write(_out_dir(args.out) / "plan.json", text)
     print(text)
     return 0
 
@@ -208,8 +219,7 @@ def _cmd_simulate(args) -> int:
                          with_holonomic=not args.no_holonomic)
     outcome, records = run_mission(net, steps, cfg, geom,
                                    theta5_deg=args.theta5, dt=args.dt)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_trajectory_csv(records, out / "trajectory.csv")
     text = outcome_to_json(outcome)
     _write(out / "outcome.json", text)
@@ -225,7 +235,7 @@ def _cmd_montecarlo(args) -> int:
                              seed=_seed_from(args),
                              with_holonomic=not args.no_holonomic)
     text = json.dumps(result.to_dict(), sort_keys=True, indent=2)
-    _write(Path(args.out) / "stats.json", text)
+    _write(_out_dir(args.out) / "stats.json", text)
     print(text)
     return 0
 

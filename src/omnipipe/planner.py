@@ -238,6 +238,13 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: float,
     return [] if step is None else [step], theta5, alpha
 
 
+def _check_finite(**values: float) -> None:
+    """PlanError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise PlanError(f"{name} must be finite, got {value}")
+
+
 def _timed(duration_s: float, speed: float) -> float:
     """A step duration derived from straight_speed ``speed``; PlanError
     when it is not finite and positive, e.g. an extreme speed that made
@@ -252,9 +259,11 @@ def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
                   alpha_rad: float = 0.0,
                   segment_index: int | None = None) -> MissionStep:
     """Equal-speed drive covering a straight run at cfg.straight_speed,
-    pre-flipped for the modules' shared self-rotation ``alpha_rad``."""
+    pre-flipped for the modules' shared self-rotation ``alpha_rad``,
+    which must be finite."""
     if not (math.isfinite(length_mm) and length_mm > 0):
         raise PlanError(f"length must be > 0, got {length_mm}")
+    _check_finite(alpha_rad=alpha_rad)
     return MissionStep(kind=StepKind.DRIVE,
                        command=_drive_command(
                            cfg.straight_speed / geom.lug_radius_r,
@@ -287,7 +296,8 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
     |delta| must not exceed 60 deg: any orientation goal is within 60 deg
     thanks to the 120 deg module symmetry.  The hazard flag marks
     rotations whose module self-rotation, from ``alpha_rad``, reaches a
-    90 deg drive line.
+    90 deg drive line.  A rate so small that the roll's duration
+    overflows raises PlanError, as does a non-finite theta5 or alpha.
     """
     if not (math.isfinite(rate_rad_s) and rate_rad_s > 0):
         raise PlanError(f"rotate rate must be finite and > 0, got "
@@ -295,10 +305,14 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
     if abs(delta_deg) > _MAX_ROLL_DEG + 1e-6:
         raise PlanError(f"roll delta must lie within +-60 deg, got "
                         f"{delta_deg}")
+    _check_finite(theta5_deg=theta5_deg, alpha_rad=alpha_rad)
     if abs(delta_deg) <= _TOL_DEG:
         return None, theta5_deg, alpha_rad
     rate = math.copysign(rate_rad_s, delta_deg)
     duration = math.radians(abs(delta_deg)) / rate_rad_s
+    if not math.isfinite(duration):
+        raise PlanError(f"rotate rate {rate_rad_s} rad/s is out of range: "
+                        f"it gives a roll duration of {duration} s")
     theta5, alpha = roll(theta5_deg, alpha_rad, rate * duration, d_mm, geom)
     # the self-rotation reaches a line at 90 deg + k * 180 deg
     low, high = sorted((alpha_rad, alpha))
@@ -323,10 +337,11 @@ def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
     with_holonomic false skips the roll.  Speeds come out proportional to
     module_path_radii and are normalized so their mean is
     cfg.straight_speed.  Returns the steps and the (theta5, alpha) they
-    end in.
+    end in; a non-finite theta5 or alpha raises PlanError.
     """
     if segment.kind is not SegmentKind.ELBOW:
         raise PlanError("plan_elbow requires an elbow segment")
+    _check_finite(theta5_deg=theta5_deg, alpha_rad=alpha_rad)
     delta = (signed_delta(theta5_deg, _ELBOW_TARGET_DEG,
                           ORIENTATION_PERIOD_DEG)
              if with_holonomic else 0.0)
@@ -433,10 +448,12 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     sets the twist so the curvature radius equals the tee's equivalent
     radius.  For the through exit the roll straddles the branch mouth with
     two modules and the robot drives straight across.  Returns the steps
-    and the (theta5, alpha) they end in.
+    and the (theta5, alpha) they end in; a non-finite theta5 or alpha
+    raises PlanError.
     """
     if segment.kind is not SegmentKind.TEE:
         raise PlanError("plan_tee requires a tee segment")
+    _check_finite(theta5_deg=theta5_deg, alpha_rad=alpha_rad)
     d = segment.d_mm
     speed = cfg.straight_speed
 
@@ -493,8 +510,7 @@ def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
     turn's plane and must be finite; one (theta5, alpha) passes through
     the segments, and each step carries the index of its segment.
     """
-    if not math.isfinite(theta5_deg):
-        raise PlanError(f"theta5_deg must be finite, got {theta5_deg}")
+    _check_finite(theta5_deg=theta5_deg)
     theta5, alpha = wrap(theta5_deg, 360.0), 0.0
     steps: list[MissionStep] = []
     for i, segment in enumerate(net.segments):

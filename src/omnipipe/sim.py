@@ -482,10 +482,20 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
     from ``cfg``, default PlannerConfig()) before the forward map.  s
     follows v_cz along the centerline with segment carry-over in both
     directions; crossing a boundary shifts theta5 to the next segment's
-    turn reference.  Exact for constant commands at any dt > 0.
+    turn reference.  Exact for constant commands at any dt > 0.  A
+    ``state`` off the network (a segment index out of range) or with a
+    non-finite field raises SimulationError.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise SimulationError(f"dt must be > 0, got {dt}")
+    if not 0 <= state.segment_index < len(net.segments):
+        raise SimulationError(
+            f"segment_index must lie in [0, {len(net.segments)}), got "
+            f"{state.segment_index}")
+    for name in ("s_mm", "theta5_deg", "alpha_rad", "time_s"):
+        if not math.isfinite(getattr(state, name)):
+            raise SimulationError(f"{name} must be finite, got "
+                                  f"{getattr(state, name)}")
     if cfg is None:
         cfg = PlannerConfig()
     signs = drive_signs(state.alpha_rad, cfg.deadband_rad)

@@ -208,6 +208,36 @@ def test_out_of_range_speed_exits_3_naming_straight_speed(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["plan", "simulate", "montecarlo"])
+def test_out_of_range_rotate_rate_exits_3_naming_it(capsys, net_file,
+                                                    tmp_path, command):
+    # at 1e-320 rad/s the escape roll's duration overflows to inf
+    extra = ["--trials", "20"] if command == "montecarlo" else []
+    code, out, err = run_cli(capsys, command, "--network", str(net_file),
+                             "--rotate-rate", "1e-320", *extra,
+                             "--out", str(tmp_path / "run"))
+    assert code == 3
+    assert err.startswith("error: rotate rate 1e-320 rad/s is out of "
+                          "range: it gives a roll duration of inf s")
+    assert out == ""
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "montecarlo"])
+def test_out_naming_a_regular_file_exits_2(capsys, net_file, tmp_path,
+                                           command):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    extra = ["--trials", "20"] if command == "montecarlo" else []
+    code, out, err = run_cli(capsys, command, "--network", str(net_file),
+                             *extra, "--out", str(taken))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot use --out {taken} as the output "
+                          f"directory: ")
+    assert err.count("\n") == 1
+    assert taken.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("dt", ["0.01", "1e-3"])
 def test_simulate_integrates_steps_shorter_than_a_femtosecond(
         capsys, net_file, tmp_path, dt):

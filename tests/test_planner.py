@@ -665,6 +665,36 @@ def test_planner_rejects_non_finite_inputs(geom, tee_net, bad):
             plan_mission(tee_net, bad, PlannerConfig(), geom)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["theta5_deg", "alpha_rad"])
+def test_public_planner_functions_reject_a_non_finite_roll_state(
+        cfg, geom, tee_net, name, bad):
+    state = {"theta5_deg": 0.0, "alpha_rad": 0.0, name: bad}
+    theta5, alpha = state["theta5_deg"], state["alpha_rad"]
+    branch = tee_net.segments[1]
+    bend = elbow(D, 320.0, 90.0, 0.0)
+    message = f"{name} must be finite"
+    with pytest.raises(PlanError, match=message):
+        holonomic_rotate_step(10.0, 0.5, geom, D, theta5, alpha)
+    with pytest.raises(PlanError, match=message):
+        holonomic_rotate_step(0.0, 0.5, geom, D, theta5, alpha)
+    with pytest.raises(PlanError, match=message):
+        plan_elbow(bend, theta5, cfg, geom, alpha_rad=alpha)
+    with pytest.raises(PlanError, match=message):
+        plan_tee(branch, theta5, region_for_tee(branch, cfg, geom), cfg,
+                 geom, alpha_rad=alpha)
+    if name == "alpha_rad":
+        with pytest.raises(PlanError, match=message):
+            plan_straight(100.0, cfg, geom, alpha_rad=alpha)
+
+
+def test_rotate_step_rejects_a_rate_whose_duration_overflows(geom):
+    with pytest.raises(PlanError, match=re.escape(
+            "rotate rate 1e-320 rad/s is out of range: it gives a roll "
+            "duration of inf s")):
+        holonomic_rotate_step(10.0, 1e-320, geom, D)
+
+
 def test_mission_step_validates_fields():
     cmd = CommandVector(1.0, 1.0, 1.0, 0.0)
     for bad in (0.0, -1.0, math.nan, math.inf):

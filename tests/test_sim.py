@@ -194,6 +194,19 @@ def test_step_flags_singular_roll_on_tee_segments(geom, cfg):
     assert not rec.singular
 
 
+@pytest.mark.parametrize("state, message", [
+    (SimState(alpha_rad=math.nan), "alpha_rad must be finite, got nan"),
+    (SimState(alpha_rad=math.inf), "alpha_rad must be finite, got inf"),
+    (SimState(theta5_deg=math.nan), "theta5_deg must be finite, got nan"),
+    (SimState(s_mm=math.nan), "s_mm must be finite, got nan"),
+    (SimState(segment_index=7), r"segment_index must lie in \[0, 3\), got 7"),
+    (SimState(segment_index=-1), r"segment_index must lie in \[0, 3\)")])
+def test_step_rejects_a_bad_state(geom, state, message):
+    net = PipeNetwork((straight(D, 500.0), tee(D), straight(D, 300.0)))
+    with pytest.raises(SimulationError, match=message):
+        step(state, DRIVE, 0.1, net, geom)
+
+
 def test_step_rejects_bad_dt(geom):
     net = PipeNetwork((straight(D, 500.0),))
     for bad in (0.0, -0.1, math.inf, math.nan):
