@@ -11,7 +11,8 @@ When the first argument names a subcommand, only that subcommand's
 arguments are added (see build_parser); the usage, help and error
 messages are those of the full parser.
 
-Exit codes: 0 success, 2 argument/input parse error, 3 degenerate
+Exit codes: 0 success, 2 argument/input parse error or an output that
+cannot be written, 3 degenerate
 geometry or planning input, 4 insufficient reach / no escape, 5 simulated
 mission failure or simulation error.
 """
@@ -51,19 +52,8 @@ def _emit(data: dict) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
 
-def _out_dir(out: str) -> Path:
-    """The --out directory, made if missing.  A ValueError names it when
-    it cannot be made, e.g. because it is an existing regular file."""
-    path = Path(out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ValueError(f"cannot use --out {out} as the output directory: "
-                         f"{e.strerror}") from None
-    return path
-
-
 def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text if text.endswith("\n") else text + "\n")
 
 
@@ -206,7 +196,7 @@ def _cmd_plan(args) -> int:
     steps = plan_mission(net, args.theta5, cfg, geom,
                          with_holonomic=not args.no_holonomic)
     text = plan_to_json(steps)
-    _write(_out_dir(args.out) / "plan.json", text)
+    _write(Path(args.out) / "plan.json", text)
     print(text)
     return 0
 
@@ -219,7 +209,8 @@ def _cmd_simulate(args) -> int:
                          with_holonomic=not args.no_holonomic)
     outcome, records = run_mission(net, steps, cfg, geom,
                                    theta5_deg=args.theta5, dt=args.dt)
-    out = _out_dir(args.out)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(records, out / "trajectory.csv")
     text = outcome_to_json(outcome)
     _write(out / "outcome.json", text)
@@ -235,7 +226,7 @@ def _cmd_montecarlo(args) -> int:
                              seed=_seed_from(args),
                              with_holonomic=not args.no_holonomic)
     text = json.dumps(result.to_dict(), sort_keys=True, indent=2)
-    _write(_out_dir(args.out) / "stats.json", text)
+    _write(Path(args.out) / "stats.json", text)
     print(text)
     return 0
 
@@ -348,6 +339,11 @@ def main(argv=None) -> int:
     except SimulationError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_SIM
+    except OSError as e:
+        # input files are read where their errors get typed, so this is
+        # an output: e.g. an --out that names a regular file
+        print(f"error: cannot write the output: {e}", file=sys.stderr)
+        return _EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -302,7 +302,7 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
     if not (math.isfinite(rate_rad_s) and rate_rad_s > 0):
         raise PlanError(f"rotate rate must be finite and > 0, got "
                         f"{rate_rad_s}")
-    if abs(delta_deg) > _MAX_ROLL_DEG + 1e-6:
+    if not abs(delta_deg) <= _MAX_ROLL_DEG + 1e-6:
         raise PlanError(f"roll delta must lie within +-60 deg, got "
                         f"{delta_deg}")
     _check_finite(theta5_deg=theta5_deg, alpha_rad=alpha_rad)

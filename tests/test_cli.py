@@ -223,18 +223,24 @@ def test_out_of_range_rotate_rate_exits_3_naming_it(capsys, net_file,
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command", ["plan", "simulate", "montecarlo"])
-def test_out_naming_a_regular_file_exits_2(capsys, net_file, tmp_path,
-                                           command):
+@pytest.mark.parametrize("command, written", [
+    ("plan", "plan.json"), ("simulate", "trajectory.csv"),
+    ("montecarlo", "stats.json")])
+def test_out_that_cannot_be_written_exits_2_naming_it(
+        capsys, net_file, tmp_path, command, written):
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
+    (tmp_path / "run" / written).mkdir(parents=True)
     extra = ["--trials", "20"] if command == "montecarlo" else []
-    code, out, err = run_cli(capsys, command, "--network", str(net_file),
-                             *extra, "--out", str(taken))
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: cannot use --out {taken} as the output "
-                          f"directory: ")
-    assert err.count("\n") == 1
+    # --out names a regular file, or its output file is a directory
+    for out_dir, path in ((taken, taken), (tmp_path / "run",
+                                           tmp_path / "run" / written)):
+        code, out, err = run_cli(capsys, command, "--network",
+                                 str(net_file), *extra, "--out",
+                                 str(out_dir))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write the output: ")
+        assert repr(str(path)) in err and err.count("\n") == 1
     assert taken.read_text() == "kept\n"
 
 

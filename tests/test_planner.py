@@ -646,9 +646,8 @@ def test_escape_missions_compute_each_roll_states_signs_once(
         outcome, _ = run_mission(tee_net, plan, cfg, geom,
                                  theta5_deg=float(theta5), dt=None)
         assert outcome.reason == "completed"
-        # one call at each of two roll states, which the planner and the
-        # simulator share through the memo; computed per module it was 6,
-        # and per module and segment 18
+        # one call at each of the two roll states, which the planner and
+        # the simulator share through the memo
         assert len(calls) <= 2, theta5
 
 
@@ -669,8 +668,7 @@ def test_planner_rejects_non_finite_inputs(geom, tee_net, bad):
 @pytest.mark.parametrize("name", ["theta5_deg", "alpha_rad"])
 def test_public_planner_functions_reject_a_non_finite_roll_state(
         cfg, geom, tee_net, name, bad):
-    state = {"theta5_deg": 0.0, "alpha_rad": 0.0, name: bad}
-    theta5, alpha = state["theta5_deg"], state["alpha_rad"]
+    theta5, alpha = (bad, 0.0) if name == "theta5_deg" else (0.0, bad)
     branch = tee_net.segments[1]
     bend = elbow(D, 320.0, 90.0, 0.0)
     message = f"{name} must be finite"
@@ -693,6 +691,9 @@ def test_rotate_step_rejects_a_rate_whose_duration_overflows(geom):
             "rotate rate 1e-320 rad/s is out of range: it gives a roll "
             "duration of inf s")):
         holonomic_rotate_step(10.0, 1e-320, geom, D)
+    # a nan delta is named as such, not as an out-of-range rate
+    with pytest.raises(PlanError, match="roll delta must lie within"):
+        holonomic_rotate_step(math.nan, 0.5, geom, D)
 
 
 def test_mission_step_validates_fields():
