@@ -9,7 +9,7 @@ stop driving, and past that their drive direction reverses.  This module
 captures that as a pure sign function of the accumulated self-rotation
 alpha, plus the rules that move the roll state (theta5, alpha) along a
 network, which the planner predicts with and the simulator integrates
-with.  drive_signs is the one place where alpha becomes the sign tuple a
+with.  drive_sign is the one place where alpha becomes the sign a
 command is flipped by.
 """
 
@@ -34,15 +34,23 @@ def line_distance(alpha: float) -> float:
     return abs(math.fmod(abs(alpha), math.pi) - math.pi / 2.0)
 
 
+@functools.lru_cache(maxsize=256)
 def drive_sign(alpha: float,
                deadband: float = math.radians(DEFAULT_DEADBAND_DEG)) -> int:
-    """Direction a module translates for positive chain drive.
+    """Direction the modules translate for positive chain drive.
 
-    ``alpha`` is the module's cumulative self-rotation (rad); ``deadband``
-    (rad, within [0, 10 deg]) widens the 90 deg no-motion line into a band
-    where the sign is 0.  Elsewhere the sign is sign(cos alpha): upright
-    and near-upright modules drive forward, modules past 90 deg drive
-    backward, with period 360 deg.
+    ``alpha`` is the modules' shared cumulative self-rotation (rad);
+    ``deadband`` (rad, within [0, 10 deg]) widens the 90 deg no-motion
+    line into a band where the sign is 0.  Elsewhere the sign is
+    sign(cos alpha): upright and near-upright modules drive forward,
+    modules past 90 deg drive backward, with period 360 deg.
+
+    Only a roll moves alpha, so the planner and the simulator ask for the
+    sign at one alpha again and again; a bounded lru_cache keeps it.  Its
+    key is exact: alpha is read only through abs and cos, and the
+    deadband only through comparisons, so keys that compare equal, +-0.0
+    included, give equal signs.  A ValueError for a bad deadband is not
+    stored, so it is raised on every call.
     """
     if not 0.0 <= deadband <= MAX_DEADBAND_RAD + 1e-12:
         raise ValueError(f"deadband must lie in [0, 10 deg], got {deadband}")
@@ -51,28 +59,11 @@ def drive_sign(alpha: float,
     return 1 if math.cos(alpha) > 0.0 else -1
 
 
-@functools.lru_cache(maxsize=256)
-def drive_signs(alpha_rad: float, deadband: float) -> tuple[int, int, int]:
-    """The three modules' drive signs at the shared self-rotation
-    ``alpha_rad``: drive_sign once, one entry per module.
-
-    Only a roll moves alpha, so the planner and the simulator ask for the
-    signs at one alpha again and again; a bounded lru_cache keeps them.
-    Its key is exact: drive_sign reads alpha only through abs and cos,
-    and the deadband only through comparisons, so keys that compare
-    equal, +-0.0 included, give equal signs.  A ValueError for a bad
-    deadband is not stored, so it is raised on every call.
-    """
-    sign = drive_sign(alpha_rad, deadband)
-    return sign, sign, sign
-
-
-def signed_drive(cmd: CommandVector, signs: tuple[int, ...]) -> CommandVector:
-    """``cmd`` with each chain rate times its module's sign; theta_dot_4
-    (module spin, not chain drive) passes through."""
-    return CommandVector(cmd.theta_dot_1 * signs[0],
-                         cmd.theta_dot_2 * signs[1],
-                         cmd.theta_dot_3 * signs[2], cmd.theta_dot_4)
+def signed_drive(cmd: CommandVector, sign: int) -> CommandVector:
+    """``cmd`` with each chain rate times the modules' drive sign;
+    theta_dot_4 (module spin, not chain drive) passes through."""
+    return CommandVector(cmd.theta_dot_1 * sign, cmd.theta_dot_2 * sign,
+                         cmd.theta_dot_3 * sign, cmd.theta_dot_4)
 
 
 def rolling_gain(d_mm: float, geom: RobotGeometry) -> float:

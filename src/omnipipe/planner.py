@@ -15,18 +15,18 @@ Holonomic rolling counter-rotates the modules about their own axes; once
 the accumulated self-rotation passes 90 deg their drive direction flips
 (see the drive module).  The planner tracks (theta5, alpha) by the drive
 module's rules, as the simulator does, and pre-flips drive commands by
-drive.drive_signs at alpha so the robot keeps advancing; rolls crossing
+drive.drive_sign at alpha so the robot keeps advancing; rolls crossing
 the 90 deg line are flagged.  Each step planner returns the roll state
 it ends in, and plan_mission hands it to the next segment.
 
 A branch turn's rate and command depend only on the speed, the roll at
-turn onset, the equivalent radius, the geometry and the pre-flip signs.
+turn onset, the equivalent radius, the geometry and the drive sign.
 The escape rolls every mission to a free-gap centre first, so missions
 from many initial rolls start their turns at the same few rolls:
 _tee_turn memoises the solve (axis, turn rate, inverse kinematics) in a
 bounded lru_cache.  It is exact: the function is pure, and equal
 arguments give equal bits.  Equal-rate drives come from _drive_command,
-one object per (rate, signs), and pure rolls from _roll_command, one
+one object per (rate, sign), and pure rolls from _roll_command, one
 object per rate, so the simulator computes one twist per command for
 all missions.  _tee_regions keeps each network's tee regions (the tee
 sweep itself is a closed form and is not memoised), and
@@ -44,7 +44,7 @@ import json
 import math
 from dataclasses import astuple, dataclass
 
-from .drive import (DEFAULT_DEADBAND_DEG, MAX_DEADBAND_RAD, drive_signs,
+from .drive import (DEFAULT_DEADBAND_DEG, MAX_DEADBAND_RAD, drive_sign,
                     line_distance, roll, rolling_gain, shift_reference,
                     signed_drive)
 from .errors import PlanError
@@ -192,19 +192,14 @@ def _tee_regions(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry
     return entry[3]
 
 
-def _preflip(signs: tuple[int, ...]) -> tuple[int, ...]:
-    """Pre-flip signs, which cancel the drive signs; 0 becomes 1."""
-    return tuple(sign or 1 for sign in signs)
-
-
 @functools.lru_cache(maxsize=64)
-def _drive_command(rate: float, signs: tuple[int, ...]) -> CommandVector:
-    """Equal-rate drive pre-flipped for the drive signs ``signs``, one
-    object per key, so the straights, approaches and exits driven at one
-    roll state share it (and the simulator's twist for it).  rate =
-    speed / r is never -0.0, so the key is exact."""
-    return signed_drive(CommandVector(rate, rate, rate, 0.0),
-                        _preflip(signs))
+def _drive_command(rate: float, sign: int) -> CommandVector:
+    """Equal-rate drive pre-flipped for the drive sign ``sign`` (by
+    ``sign or 1``, which cancels it), one object per key, so the
+    straights, approaches and exits driven at one roll state share it
+    (and the simulator's twist for it).  rate = speed / r is never -0.0,
+    so the key is exact."""
+    return signed_drive(CommandVector(rate, rate, rate, 0.0), sign or 1)
 
 
 def _align(delta_deg: float, theta5_deg: float, alpha_rad: float,
@@ -267,7 +262,7 @@ def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
     return MissionStep(kind=StepKind.DRIVE,
                        command=_drive_command(
                            cfg.straight_speed / geom.lug_radius_r,
-                           drive_signs(alpha_rad, cfg.deadband_rad)),
+                           drive_sign(alpha_rad, cfg.deadband_rad)),
                        duration_s=_timed(length_mm / cfg.straight_speed,
                                          cfg.straight_speed),
                        segment_index=segment_index)
@@ -354,7 +349,7 @@ def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
     speeds = [cfg.straight_speed * r / mean_radius for r in radii]
     command = signed_drive(
         CommandVector(*(v / geom.lug_radius_r for v in speeds), 0.0),
-        _preflip(drive_signs(alpha, cfg.deadband_rad)))
+        drive_sign(alpha, cfg.deadband_rad) or 1)
     steps.append(MissionStep(
         kind=StepKind.TURN_ELBOW, command=command,
         duration_s=_timed(segment.arc_length() / cfg.straight_speed,
@@ -402,9 +397,9 @@ def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
 @functools.lru_cache(maxsize=256)
 def _tee_turn(speed: float, theta5_deg: float, equivalent_radius: float,
               geom: RobotGeometry,
-              signs: tuple[int, ...]) -> tuple[float, CommandVector]:
+              sign: int) -> tuple[float, CommandVector]:
     """Turn rate and command of a branch turn begun at theta5, pre-flipped
-    for the drive signs ``signs``.
+    for the drive sign ``sign``.
 
     A pure function of its arguments, so the memo returns the bits a
     fresh solve gives.  Its key is exact: arguments that compare equal
@@ -417,8 +412,7 @@ def _tee_turn(speed: float, theta5_deg: float, equivalent_radius: float,
             math.cos(math.radians(theta5_deg)))
     omega = _turn_rate_for_radius(speed, axis, equivalent_radius, geom)
     twist = TwistVector(omega * axis[0], omega * axis[1], 0.0, speed)
-    return omega, signed_drive(inverse_kinematics(twist, geom),
-                               _preflip(signs))
+    return omega, signed_drive(inverse_kinematics(twist, geom), sign or 1)
 
 
 def forward_turn_radius(geom: RobotGeometry) -> float:
@@ -466,8 +460,8 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
         delta = escape_rotation(theta5_deg, region)
     steps, theta5, alpha = _align(delta, theta5_deg, alpha_rad, d, cfg, geom,
                                   segment_index)
-    signs = drive_signs(alpha, cfg.deadband_rad)
-    drive = _drive_command(speed / geom.lug_radius_r, signs)
+    sign = drive_sign(alpha, cfg.deadband_rad)
+    drive = _drive_command(speed / geom.lug_radius_r, sign)
 
     if segment.exit is TeeExit.THROUGH:
         steps.append(MissionStep(
@@ -484,7 +478,7 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
         note="approach junction"))
 
     omega, command = _tee_turn(speed, theta5, segment.tee_equivalent_radius,
-                               geom, signs)
+                               geom, sign)
     steps.append(MissionStep(
         kind=StepKind.TURN_TEE, command=command,
         duration_s=_timed((math.pi / 2.0) / omega, speed),

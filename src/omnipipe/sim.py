@@ -3,10 +3,11 @@
 Pose is tracked intrinsically as (segment index, arc length s, roll
 theta5): the robot is wall-pressed and centered, so the centerline plus a
 roll angle is the whole configuration.  Commands map to twists through
-the kinematics Jacobian after each module's drive rate is multiplied by
-its drive sign (see the drive module, whose rules also move theta5 and
-alpha): rolling the robot counter-rotates the modules together, by one
-self-rotation alpha, and past 90 deg of it they stop or reverse.
+the kinematics Jacobian after the chain drive rates are multiplied by
+the modules' one drive sign (see the drive module, whose rules also move
+theta5 and alpha): rolling the robot counter-rotates the modules
+together, by one self-rotation alpha, and past 90 deg of it they stop or
+reverse.
 
 Integration is explicit Euler, which is exact here: planner schedules are
 piecewise constant, so within a step every state rate is constant.
@@ -15,18 +16,18 @@ final partial substep and lands on step boundaries exactly; results are
 independent of dt down to float rounding, and Monte-Carlo runs may use
 one substep per step without loss.
 
-run_mission works per mission step, not per substep.  The drive signs
-come from drive.drive_signs, which keeps them per alpha, and the twist
-is looked up again only when they change.  Values that are the same for
+run_mission works per mission step, not per substep.  The drive sign
+comes from drive.drive_sign, which keeps it per alpha, and the twist
+is looked up again only when it changes.  Values that are the same for
 every mission come from memos instead of being computed per step:
 
 - segment arc lengths from PipeNetwork.arc_lengths, computed once per
   network;
 - each tee's singularity region from planner._tee_regions, a bounded
   memo keyed on the identity of (net, cfg, geom);
-- one twist per (command object, drive signs, geometry) from _drives,
+- one twist per (command object, drive sign, geometry) from _drives,
   a bounded memo shared by all missions: the planner hands out one
-  command object per drive rate and signs, per roll rate and per tee
+  command object per drive rate and sign, per roll rate and per tee
   turn.  Commands are keyed by identity, not equality, because equal
   commands may differ in the sign of a zero, which the CSV shows; each
   entry keeps its command and geometry alive, so their ids cannot be
@@ -54,7 +55,7 @@ the roll update and the segment-boundary crossing, so both follow the
 same arithmetic.
 
 run_mission returns its records as a Trajectory, stored in blocks: each
-block keeps segment, the step's shared (command, twist, signs) tuple,
+block keeps segment, the step's shared (command, twist, sign) tuple,
 singular and event once, plus theta5 on a drive block or s on a roll
 block, and its rows' times and their arc lengths or theta5 values in
 two flat columns (a scalar row is a block of one).  A mission therefore
@@ -99,7 +100,7 @@ from operator import neg
 
 import numpy as np
 
-from .drive import (drive_sign, drive_signs, roll, roll_sums, rolling_gain,
+from .drive import (drive_sign, roll, roll_sums, rolling_gain,
                     shift_reference, signed_drive)
 from .errors import PlanError, SimulationError
 from .intervals import Interval, complement, normalize, wrap
@@ -165,7 +166,7 @@ class TrajectoryRecord:
     theta5_deg: float
     command: CommandVector
     twist: TwistVector
-    drive_signs: tuple[int, int, int]
+    drive_sign: int
     singular: bool
     event: str = ""
 
@@ -174,7 +175,7 @@ class Trajectory(Sequence):
     """run_mission's records, one per substep, stored in blocks.
 
     A block is a run of rows that share segment, the (command, twist,
-    drive signs) tuple, singular and event, and differ in time_s and in
+    drive sign) tuple, singular and event, and differ in time_s and in
     one of s_mm and theta5_deg.  A drive block keeps theta5 once and one
     s per row; a roll block keeps s once and one theta5 per row.  Each
     block keeps its constant columns once, and its rows' times and
@@ -231,7 +232,7 @@ class Trajectory(Sequence):
         self._varying += varying
 
     def blocks(self):
-        """(rolls, segment_index, fixed, (command, twist, drive_signs),
+        """(rolls, segment_index, fixed, (command, twist, drive_sign),
         singular, event, time_s list, varying list) per block, where
         fixed and varying are theta5_deg and s_mm on a drive block
         (rolls False), and s_mm and theta5_deg on a roll block."""
@@ -250,21 +251,21 @@ class Trajectory(Sequence):
             return [self[k] for k in range(*i.indices(len(self)))]
         i = range(len(self))[i]
         b = bisect_right(self._start, i) - 1
-        cmd, twist, signs = self._drive[b]
+        cmd, twist, sign = self._drive[b]
         s, theta5 = self._fixed[b], self._varying[i]
         if not self._rolls[b]:
             s, theta5 = theta5, s
         return TrajectoryRecord(
             self._time_s[i], self._segment_index[b], s, theta5, cmd, twist,
-            signs, self._singular[b], self._event[b])
+            sign, self._singular[b], self._event[b])
 
     def __iter__(self):
-        for rolls, index, fixed, (cmd, twist, signs), singular, event, \
+        for rolls, index, fixed, (cmd, twist, sign), singular, event, \
                 times, varying in self.blocks():
             for t, x in zip(times, varying):
                 s, theta5 = (fixed, x) if rolls else (x, fixed)
                 yield TrajectoryRecord(t, index, s, theta5, cmd, twist,
-                                       signs, singular, event)
+                                       sign, singular, event)
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,26 +305,25 @@ def _tee_singular(net: PipeNetwork, index: int, theta5_deg: float,
                                _tee_regions(net, cfg, geom)[index]))
 
 
-# (id(command), drive signs, id(geom)) -> (geom, (command, twist, signs));
+# (id(command), drive sign, id(geom)) -> (geom, (command, twist, sign));
 # an entry keeps its command and geometry alive, so their ids stay unique
 # while it exists
 _drives: dict[tuple, tuple] = {}
 _DRIVES_SIZE = 1024
 
 
-def _drive(cmd: CommandVector, signs: tuple[int, int, int],
-           geom: RobotGeometry) -> tuple:
-    """(cmd, its twist at these drive signs, signs), one tuple per key of
+def _drive(cmd: CommandVector, sign: int, geom: RobotGeometry) -> tuple:
+    """(cmd, its twist at this drive sign, sign), one tuple per key of
     the bounded memo _drives.  Commands are keyed by identity, not
     equality: equal commands may differ in the sign of a zero, which the
     CSV shows."""
-    key = (id(cmd), signs, id(geom))
+    key = (id(cmd), sign, id(geom))
     entry = _drives.get(key)
     if entry is None:
         if len(_drives) >= _DRIVES_SIZE:
             _drives.clear()
         entry = _drives[key] = (geom, (cmd, forward_kinematics(
-            signed_drive(cmd, signs), geom), signs))
+            signed_drive(cmd, sign), geom), sign))
     return entry[1]
 
 
@@ -415,7 +415,7 @@ def _block(net: PipeNetwork, index: int, s: float, theta5: float,
     bit-identical to it.  The rows end before the first substep that
     crosses a segment boundary, takes theta5 out of [0, 360) (where wrap
     acts) or flips the tee check, and after the first that changes a
-    drive sign, as the substep after it runs with the new signs: the
+    drive sign, as the substep after it runs with the new sign: the
     scalar path takes that substep.  Each cut lies near a line period * k
     + offset +- width of its quantity: s at (length + 2 tol) k + length +
     tol, which holds the boundaries -tol and length + tol; theta5 at 360 k
@@ -478,7 +478,7 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
          ) -> tuple[SimState, TrajectoryRecord]:
     """Advance one interval of constant command.
 
-    Drive rates are multiplied by each module's drive sign (deadband
+    Drive rates are multiplied by the modules' drive sign (deadband
     from ``cfg``, default PlannerConfig()) before the forward map.  s
     follows v_cz along the centerline with segment carry-over in both
     directions; crossing a boundary shifts theta5 to the next segment's
@@ -498,8 +498,8 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
                                   f"{getattr(state, name)}")
     if cfg is None:
         cfg = PlannerConfig()
-    signs = drive_signs(state.alpha_rad, cfg.deadband_rad)
-    twist = forward_kinematics(signed_drive(cmd, signs), geom)
+    sign = drive_sign(state.alpha_rad, cfg.deadband_rad)
+    twist = forward_kinematics(signed_drive(cmd, sign), geom)
     index, s, theta5, alpha, event = _advance(
         net, geom, state.segment_index, state.s_mm + twist.v_cz * dt,
         state.theta5_deg, state.alpha_rad, cmd.theta_dot_4 * dt)
@@ -507,7 +507,7 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
                          alpha_rad=alpha, time_s=state.time_s + dt)
     record = TrajectoryRecord(
         time_s=new_state.time_s, segment_index=index, s_mm=s,
-        theta5_deg=theta5, command=cmd, twist=twist, drive_signs=signs,
+        theta5_deg=theta5, command=cmd, twist=twist, drive_sign=sign,
         singular=_tee_singular(net, index, theta5, cfg, geom),
         event=event)
     return new_state, record
@@ -556,7 +556,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
         if turning and _tee_singular(net, index, theta5, cfg, geom):
             events.append("singularity_at_turn_onset")
             records.append(t, index, s, theta5,
-                           (cmd, TwistVector(0.0, 0.0, 0.0, 0.0), (0, 0, 0)),
+                           (cmd, TwistVector(0.0, 0.0, 0.0, 0.0), 0),
                            True, "singularity_at_turn_onset")
             failure = "singularity"
             break
@@ -573,11 +573,11 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
             h = h_regular if k < n - 1 else duration - h_regular * (n - 1)
             if n > 1 and k == n - 1 and h <= 1e-15:
                 break  # the rounding remainder of a multi-substep step
-            signs = drive_signs(alpha, deadband)
-            if drive is None or signs != drive[2]:
+            sign = drive_sign(alpha, deadband)
+            if drive is None or sign != drive[2]:
                 # a step that drives while it rolls changes its twist
                 # whenever a module crosses a 90 deg drive line
-                drive = _drive(cmd, signs, geom)
+                drive = _drive(cmd, sign, geom)
                 v_cz = drive[1].v_cz
                 ds = float(v_cz * h_regular)
             # after the step's first substep, whole substeps that move s or
@@ -609,7 +609,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
                 net, geom, index, s + v_cz * h, theta5, alpha,
                 cmd.theta_dot_4 * h)
             t = t + h
-            # alpha moves only while the robot rolls; elsewhere the signs,
+            # alpha moves only while the robot rolls; elsewhere the sign,
             # the twist and, between boundary crossings, the tee check hold
             if cmd.theta_dot_4 or index != checked_index:
                 singular = _tee_singular(net, index, theta5, cfg, geom)
@@ -737,7 +737,7 @@ def _derived_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
     c = 60 k +- h, then keeps its bits where c != 0; where c = 0 the arc
     has zero width, which normalize drops, or spans the period, which
     normalize returns as (0, 120).  A zero sweep_phi_max_deg or wobble_deadband_deg
-    reaches only comparisons, the drive_signs key and the tee sweep,
+    reaches only comparisons, the drive_sign key and the tee sweep,
     which do not tell the zeros apart, and a spot check returns a bool.
     A PlanError is not stored, so it is raised on every call.
     """
@@ -887,24 +887,24 @@ def write_trajectory_csv(records: Iterable[TrajectoryRecord], path) -> None:
     """
     blocks = (records.blocks() if isinstance(records, Trajectory) else
               ((False, r.segment_index, r.theta5_deg,
-                (r.command, r.twist, r.drive_signs), r.singular, r.event,
+                (r.command, r.twist, r.drive_sign), r.singular, r.event,
                 (r.time_s,), (r.s_mm,)) for r in records))
     with open(path, "w", newline="") as f:
         f.write(TRAJECTORY_CSV_HEADER + "\n")
         last = middle = None
         for rolls, index, fixed, drive, singular, event, times, varying \
                 in blocks:
-            c, t, signs = drive
+            c, t, sign = drive
             # by identity: an equal twist may differ in the sign of a zero
             if last is None or not (c is last[0] and t is last[1]
-                                    and signs == last[2]):
+                                    and sign == last[2]):
                 last = drive
                 middle = ",".join(
                     [repr(float(x)) for x in (
                         c.theta_dot_1, c.theta_dot_2, c.theta_dot_3,
                         c.theta_dot_4, t.omega_x, t.omega_y, t.omega_z,
                         t.v_cz)]
-                    + [str(sign) for sign in signs])
+                    + [str(sign)] * 3)
             # an f-string row template formats faster than str.format
             tail = f",{middle},{int(singular)},{event}\n"
             if rolls:

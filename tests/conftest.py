@@ -42,7 +42,7 @@ def pytest_terminal_summary(terminalreporter):
 
 
 # lru_cache memos, and the dicts that memoise by identity
-MEMOS = (drive.drive_signs, planner._tee_turn, planner._drive_command,
+MEMOS = (drive.drive_sign, planner._tee_turn, planner._drive_command,
          planner._roll_command, kinematics._map_scalars,
          kinematics.jacobian_inverse, sim._derived_set, planner._regions,
          sim._drives)

@@ -92,7 +92,8 @@ def mission_digest(cfg: PlannerConfig) -> str:
             h.update(image(r.time_s, r.segment_index, r.s_mm, r.theta5_deg,
                            c.theta_dot_1, c.theta_dot_2, c.theta_dot_3,
                            c.theta_dot_4, w.omega_x, w.omega_y, w.omega_z,
-                           w.v_cz, *r.drive_signs, r.singular, r.event))
+                           w.v_cz, *(r.drive_sign,) * 3, r.singular,
+                           r.event))
         h.update(image(outcome.success, outcome.reason, outcome.time_s,
                        *outcome.events))
     return h.hexdigest()
@@ -230,8 +231,8 @@ def test_the_twist_memo_is_bounded_and_keeps_its_keys_alive():
                             duration_s=0.01)]
         run_mission(net, plan, cfg, REFERENCE_GEOMETRY, dt=None)
         assert len(sim._drives) <= sim._DRIVES_SIZE
-    for key, (geom, (cmd, _, signs)) in sim._drives.items():
-        assert key == (id(cmd), signs, id(geom))
+    for key, (geom, (cmd, _, sign)) in sim._drives.items():
+        assert key == (id(cmd), sign, id(geom))
 
 
 def test_the_region_memo_is_bounded_and_keeps_its_keys_alive():

@@ -34,5 +34,5 @@ def test_every_memo_is_emptied_before_each_test():
     assert [name for name, memo in memos if id(memo) not in known] == []
     # and the walk sees the memos it is meant to find
     assert {"omnipipe.sim._drives", "omnipipe.planner._regions",
-            "omnipipe.drive.drive_signs"} <= {name for name, _ in memos}
+            "omnipipe.drive.drive_sign"} <= {name for name, _ in memos}
     assert len({id(memo) for _, memo in memos}) == len(MEMOS)

@@ -20,7 +20,6 @@ from omnipipe import (PipeNetwork, RobotGeometry, SegmentKind, TeeExit,
                       TwistVector, inverse_kinematics, shift_reference)
 from omnipipe import intervals as iv
 from omnipipe import drive, planner, sim
-from omnipipe.drive import drive_signs
 
 D = 160.0
 
@@ -327,11 +326,11 @@ def test_drives_at_one_roll_state_share_one_command(cfg, geom, tee_net):
     assert all(s.command is drives[0].command for s in drives)
 
 
-@pytest.mark.parametrize("signs", [(1, 1, 1), (-1, 1, -1)])
-def test_tee_turn_at_either_zero_roll_has_the_same_bits(geom, signs):
+@pytest.mark.parametrize("sign", [1, -1, 0])
+def test_tee_turn_at_either_zero_roll_has_the_same_bits(geom, sign):
     # so the turn memo may key theta5 = 0.0 and -0.0 alike
     solve = planner._tee_turn.__wrapped__
-    turns = [solve(100.0, theta5, tee(D).tee_equivalent_radius, geom, signs)
+    turns = [solve(100.0, theta5, tee(D).tee_equivalent_radius, geom, sign)
              for theta5 in (0.0, -0.0)]
     images = [[x.hex() for x in (omega, *astuple(command))]
               for omega, command in turns]
@@ -521,11 +520,11 @@ def test_mission_plan_is_deterministic(cfg, geom, tee_net):
 
 def oracle_plan(net, theta5, cfg, geom, with_holonomic):
     """plan_mission with the drive signs computed afresh from alpha at
-    every segment: the drive_signs memo is emptied before each one."""
+    every segment: the drive_sign memo is emptied before each one."""
     theta5, alpha = iv.wrap(theta5, 360.0), 0.0
     steps = []
     for i, segment in enumerate(net.segments):
-        drive.drive_signs.cache_clear()
+        drive.drive_sign.cache_clear()
         if i > 0:
             theta5 = shift_reference(theta5, net, i - 1, i)
         if segment.kind is SegmentKind.STRAIGHT:
@@ -625,30 +624,20 @@ def test_alignment_leaves_no_integrated_alpha_in_the_deadband(
     steps, _, planned = planner._align(delta, theta5, alpha, d_mm, cfg,
                                        REFERENCE_GEOMETRY, None)
     integrated = integrated_alpha(steps, theta5, alpha, d_mm, cfg, dt)
-    assert all(drive_signs(integrated, cfg.deadband_rad)), (planned,
-                                                            integrated)
+    assert drive_sign(integrated, cfg.deadband_rad), (planned, integrated)
 
 
 def test_escape_missions_compute_each_roll_states_signs_once(
-        cfg, geom, tee_net, monkeypatch):
-    calls = []
-
-    def counted(alpha, deadband):
-        calls.append(alpha)
-        return drive_sign(alpha, deadband)
-
-    monkeypatch.setattr(drive, "drive_sign", counted)
-    monkeypatch.setattr(sim, "drive_sign", counted)
+        cfg, geom, tee_net):
     for theta5 in range(120):
-        calls.clear()
-        drive.drive_signs.cache_clear()
+        drive.drive_sign.cache_clear()
         plan = plan_mission(tee_net, float(theta5), cfg, geom)
         outcome, _ = run_mission(tee_net, plan, cfg, geom,
                                  theta5_deg=float(theta5), dt=None)
         assert outcome.reason == "completed"
-        # one call at each of the two roll states, which the planner and
-        # the simulator share through the memo
-        assert len(calls) <= 2, theta5
+        # one sign computed at each of the two roll states, which the
+        # planner and the simulator share through the memo
+        assert drive.drive_sign.cache_info().misses <= 2, theta5
 
 
 # -- step validation ---------------------------------------------------------------

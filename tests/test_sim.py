@@ -23,7 +23,7 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
                       rolling_gain, run_mission, step, straight, success_set,
                       tee, write_trajectory_csv)
 from omnipipe import planner, sim
-from omnipipe.drive import drive_signs, roll_sums, signed_drive
+from omnipipe.drive import roll_sums, signed_drive
 from omnipipe.intervals import normalize, wrap
 from omnipipe.sim import (_CHUNK, _WALK, _ZERO_TOL, MAX_SUBSTEPS,
                           MAX_TRIALS, _count_successes, _held,
@@ -74,28 +74,28 @@ def test_drive_sign_periodic_and_even(alpha):
     assert s in (-1, 0, 1)
 
 
-def test_drive_signs_memo_is_exact():
+def test_drive_sign_memo_is_exact():
     narrow, wide = math.radians(1.0), math.radians(10.0)
     # +-0.0 share a key, and their signs are equal
-    assert drive_signs(0.0, narrow) == (1, 1, 1)
-    assert drive_signs(-0.0, narrow) == (1, 1, 1)
-    assert drive_signs(math.pi, -0.0) == (-1, -1, -1)
-    assert drive_signs(math.pi, 0.0) == (-1, -1, -1)
-    assert drive_signs.cache_info().hits == 2
-    # one alpha under two deadbands: each gets its own deadband's signs
+    assert drive_sign(0.0, narrow) == 1
+    assert drive_sign(-0.0, narrow) == 1
+    assert drive_sign(math.pi, -0.0) == -1
+    assert drive_sign(math.pi, 0.0) == -1
+    assert drive_sign.cache_info().hits == 2
+    # one alpha under two deadbands: each gets its own deadband's sign
     alpha = math.radians(95.0)
     for deadband in (narrow, wide, narrow, wide):
-        assert drive_signs(alpha, deadband) == (drive_sign(alpha,
-                                                           deadband),) * 3
-    assert drive_signs(alpha, narrow) == (-1, -1, -1)
-    assert drive_signs(alpha, wide) == (0, 0, 0)
+        assert drive_sign(alpha, deadband) == drive_sign.__wrapped__(
+            alpha, deadband)
+    assert drive_sign(alpha, narrow) == -1
+    assert drive_sign(alpha, wide) == 0
     # a bad deadband is not stored: it raises on every call
     for _ in range(2):
         with pytest.raises(ValueError, match="deadband"):
-            drive_signs(alpha, math.radians(10.5))
+            drive_sign(alpha, math.radians(10.5))
         with pytest.raises(ValueError, match="deadband"):
-            drive_signs(alpha, -1e-3)
-    assert drive_signs.cache_info().currsize == 4
+            drive_sign(alpha, -1e-3)
+    assert drive_sign.cache_info().currsize == 4
 
 
 def test_rolling_gain_and_self_rotation(geom):
@@ -115,7 +115,7 @@ def test_step_straight_advance(geom):
     assert state.theta5_deg == 0.0
     assert state.alpha_rad == 0.0
     assert state.time_s == pytest.approx(0.1)
-    assert rec.drive_signs == (1, 1, 1)
+    assert rec.drive_sign == 1
     assert rec.twist.v_cz == pytest.approx(100.0, rel=1e-12)
     assert rec.event == ""
 
@@ -134,7 +134,7 @@ def test_step_reversed_wheels_drive_backward(geom):
     net = PipeNetwork((straight(D, 500.0),))
     start = SimState(s_mm=100.0, alpha_rad=math.pi)
     state, rec = step(start, DRIVE, 0.1, net, geom)
-    assert rec.drive_signs == (-1, -1, -1)
+    assert rec.drive_sign == -1
     assert state.s_mm == pytest.approx(90.0, rel=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_step_wheels_on_no_motion_line_stall(geom):
     net = PipeNetwork((straight(D, 500.0),))
     start = SimState(s_mm=100.0, alpha_rad=math.pi / 2.0)
     state, rec = step(start, DRIVE, 0.1, net, geom)
-    assert rec.drive_signs == (0, 0, 0)
+    assert rec.drive_sign == 0
     assert state.s_mm == 100.0
     assert rec.twist.v_cz == 0.0
 
@@ -815,7 +815,7 @@ def test_trajectory_is_a_sequence_of_records(cfg, geom, tee_net, tmp_path):
     assert all(isinstance(r, TrajectoryRecord) for r in built)
     assert [records[i] for i in range(len(records))] == built
     assert records[-1] == built[-1] and records[-3:] == built[-3:]
-    assert len({r.drive_signs for r in built}) > 1
+    assert len({r.drive_sign for r in built}) > 1
     write_trajectory_csv(records, tmp_path / "columns.csv")
     write_trajectory_csv(built, tmp_path / "records.csv")
     assert ((tmp_path / "columns.csv").read_bytes()
@@ -841,8 +841,7 @@ def test_run_mission_keeps_no_collector_object_per_record(cfg, geom,
 
 def test_csv_formats_equal_twists_that_differ_in_a_signed_zero(tmp_path):
     rec = TrajectoryRecord(0.1, 0, 1.0, 0.0, DRIVE,
-                           TwistVector(0.0, 0.0, 0.0, 100.0), (1, 1, 1),
-                           False)
+                           TwistVector(0.0, 0.0, 0.0, 100.0), 1, False)
     neg = dataclasses.replace(rec, time_s=0.2,
                               twist=TwistVector(-0.0, 0.0, 0.0, 100.0))
     assert neg.twist == rec.twist
@@ -877,7 +876,7 @@ def stepwise_run(net, plan, cfg, geom, theta5_deg=0.0, dt=0.01):
             records.append(TrajectoryRecord(
                 state.time_s, state.segment_index, state.s_mm,
                 state.theta5_deg, mstep.command,
-                TwistVector(0.0, 0.0, 0.0, 0.0), (0, 0, 0), True,
+                TwistVector(0.0, 0.0, 0.0, 0.0), 0, True,
                 "singularity_at_turn_onset"))
             failure = "singularity"
             break
@@ -1290,9 +1289,9 @@ def test_block_cuts_where_the_scalar_loop_does(case):
     # one draw drives and rolls from one state, so it can cross a boundary
     # and wrap theta5, flip the tee check and change a drive sign
     net, cfg, state, drive, rolls, h, most = case
-    signs = (drive_sign(state.alpha_rad, cfg.deadband_rad),) * 3
+    sign = drive_sign(state.alpha_rad, cfg.deadband_rad)
     for cmd in (drive, rolls):
-        ds = float(forward_kinematics(signed_drive(cmd, signs),
+        ds = float(forward_kinematics(signed_drive(cmd, sign),
                                       REFERENCE_GEOMETRY).v_cz * h)
         roll_rad = cmd.theta_dot_4 * h
         rows, end = sim._block(net, 1, state.s_mm, state.theta5_deg,
@@ -1392,7 +1391,7 @@ def test_run_mission_matches_stepwise_across_roll_cuts(tee_net, tmp_path, dt,
     changes = {
         "wrap": sum(abs(a.theta5_deg - b.theta5_deg) > 180.0
                     for a, b in zip(rows, rows[1:])),
-        "sign": sum(a.drive_signs != b.drive_signs
+        "sign": sum(a.drive_sign != b.drive_sign
                     for a, b in zip(rows, rows[1:])),
         "tee": sum(a.singular != b.singular for a, b in zip(rows, rows[1:])),
     }
@@ -1490,7 +1489,7 @@ def test_roll_steps_add_blocks_per_cut_not_per_substep(cfg, geom, tee_net,
     _, records = run_mission(net, plan, cfg, geom, theta5_deg=17.0, dt=0.01)
     rows = list(records)
     cuts = sum(a.segment_index != b.segment_index
-               or a.drive_signs != b.drive_signs or a.singular != b.singular
+               or a.drive_sign != b.drive_sign or a.singular != b.singular
                or abs(a.theta5_deg - b.theta5_deg) > 180.0
                for a, b in zip(rows, rows[1:]))
     blocks = list(records.blocks())
