@@ -146,7 +146,12 @@ def _planner_config(args) -> PlannerConfig:
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("OMNIPIPE_SEED", "0"))
+    text = os.environ.get("OMNIPIPE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"OMNIPIPE_SEED must be an integer, got "
+                         f"{text!r}") from None
 
 
 def _load_network_file(path: str):

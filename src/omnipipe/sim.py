@@ -4,10 +4,9 @@ Pose is tracked intrinsically as (segment index, arc length s, roll
 theta5): the robot is wall-pressed and centered, so the centerline plus a
 roll angle is the whole configuration.  Commands map to twists through
 the kinematics Jacobian after the chain drive rates are multiplied by
-the modules' one drive sign (see the drive module, whose rules also move
-theta5 and alpha): rolling the robot counter-rotates the modules
-together, by one self-rotation alpha, and past 90 deg of it they stop or
-reverse.
+the drive sign (see the drive module, whose rules also move theta5 and
+alpha): rolling the robot counter-rotates the modules together, by one
+self-rotation alpha, and past 90 deg of it they stop or reverse.
 
 Integration is explicit Euler, which is exact here: planner schedules are
 piecewise constant, so within a step every state rate is constant.
@@ -809,7 +808,8 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
     the rate comes with a 95% Wilson score interval (wilson_interval).
     Draws come in chunks of 4096 from one generator, the same stream as
     a single draw, so memory stays flat in ``trials``.  A ``trials``
-    outside [1, MAX_TRIALS] raises ValueError before the first draw.
+    outside [1, MAX_TRIALS] or a negative ``seed`` raises ValueError
+    before the first draw.
 
     Where success_set covers the mission (no roll planned), a draw counts
     as a success when it lies in the set, found by one searchsorted per
@@ -825,6 +825,8 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
     if trials > MAX_TRIALS:
         raise ValueError(f"trials must be <= MAX_TRIALS = {MAX_TRIALS}, "
                          f"got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     _, padded, reason = _derived_set(net, cfg, geom, with_holonomic)
     if reason is not None:

@@ -154,7 +154,7 @@ def cross_section_at(D: float, phi: float) -> EllipseSection:
             f"diameter must be finite and > 0, got {D!r}")
     if not (0.0 <= phi < math.pi / 2.0):
         raise InvalidSectionError(
-            f"tilt must lie in [0, 90 deg), got {math.degrees(phi):.3f} deg")
+            f"tilt must lie in [0, 90 deg), got {math.degrees(phi)!r} deg")
     b = D / 2.0
     return EllipseSection(semi_major_a=b / math.cos(phi), semi_minor_b=b,
                           tilt_angle_phi=phi)

@@ -208,6 +208,18 @@ def test_out_of_range_speed_exits_3_naming_straight_speed(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("phi, shown", [("1e308", "1e+308"), ("90", "90.0"),
+                                        ("-1", "-1.0")])
+def test_out_of_range_tilt_exits_3_with_a_short_message(capsys, net_file,
+                                                        tmp_path, phi, shown):
+    code, out, err = run_cli(capsys, "plan", "--network", str(net_file),
+                             "--phi-max-deg", phi,
+                             "--out", str(tmp_path / "run"))
+    assert (code, out) == (3, "")
+    assert err == f"error: tilt must lie in [0, 90 deg), got {shown} deg\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["plan", "simulate", "montecarlo"])
 def test_out_of_range_rotate_rate_exits_3_naming_it(capsys, net_file,
                                                     tmp_path, command):
@@ -486,6 +498,25 @@ def test_montecarlo_seed_env_fallback(capsys, net_file, tmp_path,
                            "--trials", "20", "--out", str(tmp_path))
     assert code == 0
     assert json.loads(out)["seed"] == 123
+
+
+def test_montecarlo_rejects_a_negative_seed_exits_2(capsys, net_file,
+                                                   tmp_path):
+    code, out, err = run_cli(capsys, "montecarlo", "--network", str(net_file),
+                             "--trials", "20", "--seed", "-3",
+                             "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -3\n")
+    assert not (tmp_path / "stats.json").exists()
+
+
+def test_montecarlo_names_a_seed_variable_that_is_not_an_integer_exits_2(
+        capsys, net_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("OMNIPIPE_SEED", "abc")
+    code, out, err = run_cli(capsys, "montecarlo", "--network", str(net_file),
+                             "--trials", "20", "--out", str(tmp_path))
+    assert (code, out, err) == (
+        2, "", "error: OMNIPIPE_SEED must be an integer, got 'abc'\n")
+    assert not (tmp_path / "stats.json").exists()
 
 
 @pytest.mark.parametrize("trials", [str(MAX_TRIALS + 1), "1" + "0" * 30])

@@ -363,6 +363,17 @@ def test_monte_carlo_rejects_trials_above_the_limit_before_drawing(
                         with_holonomic=True)
 
 
+def test_monte_carlo_rejects_a_negative_seed_before_drawing(
+        cfg, geom, tee_net, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("monte_carlo_tee started on its draws")
+
+    monkeypatch.setattr(sim, "_derived_set", no_draws)
+    monkeypatch.setattr(sim, "_count_successes", no_draws)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+        monte_carlo_tee(tee_net, cfg, geom, 10, seed=-3, with_holonomic=True)
+
+
 def test_monte_carlo_holonomic_always_succeeds(cfg, geom, tee_net):
     res = monte_carlo_tee(tee_net, cfg, geom, 64, seed=3,
                           with_holonomic=True)
