@@ -13,7 +13,6 @@ velocities mm/s, lengths mm.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -60,8 +59,9 @@ class RobotGeometry:
     module_outer_radius: float
 
     def __post_init__(self):
-        for name in ("lug_radius_r", "arm_length_l", "a_offset",
-                     "reach_min", "reach_max", "module_outer_radius"):
+        names = ("lug_radius_r", "arm_length_l", "a_offset", "reach_min",
+                 "reach_max", "module_outer_radius")
+        for name in names:
             value = getattr(self, name)
             # the upper bound rejects inf, and ints past the float range
             if (isinstance(value, bool)
@@ -72,6 +72,10 @@ class RobotGeometry:
             raise InvalidGeometryError(
                 "arm_length_l must lie within [reach_min, reach_max], got "
                 f"{self.reach_min} <= {self.arm_length_l} <= {self.reach_max}")
+        # stored as floats, so equal geometries hold equal floats and give
+        # equal bits wherever they are used
+        for name in names:
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def symmetric(cls, lug_radius_r: float, arm_length_l: float,
@@ -225,7 +229,6 @@ def center_velocity(mv: ModuleVelocities, theta_dot_4: float) -> np.ndarray:
     return total / 3.0
 
 
-@functools.lru_cache(maxsize=64)
 def _map_scalars(geom: RobotGeometry, inverse: bool) -> tuple[float, ...]:
     """The distinct entries of J (k = r / L, (sqrt 3 / 2) k, k / 2, r / 3)
     or of J^-1 (L / (sqrt 3 r), L / (3 r), twice that, 1 / r), L = a + l.
@@ -265,23 +268,20 @@ def jacobian(geom: RobotGeometry) -> np.ndarray:
     ])
 
 
-@functools.lru_cache(maxsize=32)
 def jacobian_inverse(geom: RobotGeometry) -> np.ndarray:
-    """Closed-form inverse of ``jacobian(geom)``, shared and read-only; an
-    array view of inverse_kinematics for the API.  Its determinant,
+    """Closed-form inverse of ``jacobian(geom)``, a fresh array; an array
+    view of inverse_kinematics for the API.  Its determinant,
     2 sqrt(3) r^3 / (9 l^2) for the symmetric geometry, is nonzero for
     every valid geometry.  Raises InvalidGeometryError where L / r or 1 / r
     overflows a float (e.g. a + l above 1.8e308 mm).
     """
     x, y, y2, q = _map_scalars(geom, True)
-    J_inv = np.array([
+    return np.array([
         [0.0, -y2, 0.0, q],
         [-x,   y,  0.0, q],
         [x,    y,  0.0, q],
         [0.0, 0.0, 1.0, 0.0],
     ])
-    J_inv.setflags(write=False)
-    return J_inv
 
 
 def forward_kinematics(cmd: CommandVector, geom: RobotGeometry) -> TwistVector:

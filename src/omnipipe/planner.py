@@ -25,12 +25,11 @@ The escape rolls every mission to a free-gap centre first, so missions
 from many initial rolls start their turns at the same few rolls:
 _tee_turn memoises the solve (axis, turn rate, inverse kinematics) in a
 bounded lru_cache.  It is exact: the function is pure, and equal
-arguments give equal bits.  Equal-rate drives come from _drive_command,
-one object per (rate, sign), and pure rolls from _roll_command, one
-object per rate, so the simulator computes one twist per command for
-all missions.  _tee_regions keeps each network's tee regions (the tee
-sweep itself is a closed form and is not memoised), and
-PlannerConfig.deadband_rad is computed once per config.
+arguments give equal bits.  Equal-rate drives come from _drive_command
+and pure rolls from _roll_command, bounded lru_caches too, so a mission
+builds no command per step.  region_for_tee reads the memoised
+singularity.sweep_t_junction, and PlannerConfig.deadband_rad is
+computed once per config.
 
 theta5 throughout is the robot roll in degrees, measured from the plane
 of the next upcoming turn (see pipenet.reference_rolls).
@@ -42,6 +41,7 @@ import enum
 import functools
 import json
 import math
+import sys
 from dataclasses import astuple, dataclass
 
 from .drive import (DEFAULT_DEADBAND_DEG, MAX_DEADBAND_RAD, drive_sign,
@@ -135,6 +135,20 @@ class PlannerConfig:
     sweep_phi_max_deg: float | None = None  # None: equal-bore tilt limit
 
     def __post_init__(self):
+        # stored as floats, so equal configs hold equal floats; the tee
+        # sweep checks the tilt's range, so a network without a tee never
+        # reads it
+        for name in ("straight_speed", "tee_trigger_fraction",
+                     "wobble_deadband_deg", "rotate_rate_rad_s",
+                     "sweep_phi_max_deg"):
+            value = getattr(self, name)
+            if value is None and name == "sweep_phi_max_deg":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise PlanError(f"{name} must be a number, got {value!r}")
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise PlanError(f"{name} must lie within the float range")
+            object.__setattr__(self, name, float(value))
         if not (math.isfinite(self.straight_speed) and self.straight_speed > 0):
             raise PlanError(f"straight_speed must be > 0, got "
                             f"{self.straight_speed}")
@@ -164,41 +178,13 @@ def region_for_tee(segment: PipeSegment, cfg: PlannerConfig,
     return sweep_t_junction(segment.d_mm, geom.reach_max, phi_max)
 
 
-# (id(net), id(cfg), id(geom)) -> (net, cfg, geom, regions); an entry keeps
-# its key's objects alive, so their ids stay unique while it exists
-_regions: dict[tuple[int, int, int], tuple] = {}
-_MEMO_SIZE = 64
-
-
-def _tee_regions(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry
-                ) -> tuple[SingularityRegion | None, ...]:
-    """region_for_tee of each tee of ``net``, None for the other segments.
-
-    Kept in a bounded memo keyed on the identity of the three arguments:
-    hashing a network and a config by value costs ~4 us, as much as the
-    closed-form sweep of one region_for_tee call, while a Monte Carlo run
-    or a mission passes the same objects to every call.  An equal copy
-    misses and computes the same regions again.
-    """
-    key = (id(net), id(cfg), id(geom))
-    entry = _regions.get(key)
-    if entry is None:
-        if len(_regions) >= _MEMO_SIZE:
-            _regions.clear()
-        entry = _regions[key] = (net, cfg, geom, tuple(
-            region_for_tee(segment, cfg, geom)
-            if segment.kind is SegmentKind.TEE else None
-            for segment in net.segments))
-    return entry[3]
-
-
 @functools.lru_cache(maxsize=64)
 def _drive_command(rate: float, sign: int) -> CommandVector:
     """Equal-rate drive pre-flipped for the drive sign ``sign`` (by
-    ``sign or 1``, which cancels it), one object per key, so the
-    straights, approaches and exits driven at one roll state share it
-    (and the simulator's twist for it).  rate = speed / r is never -0.0,
-    so the key is exact."""
+    ``sign or 1``, which cancels it), one object per key: the straights,
+    approaches and exits driven at one roll state share it, so they build
+    no CommandVector each, and the CSV writer formats it once per run of
+    rows.  rate = speed / r is never -0.0, so the key is exact."""
     return signed_drive(CommandVector(rate, rate, rate, 0.0), sign or 1)
 
 
@@ -270,10 +256,9 @@ def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
 
 @functools.lru_cache(maxsize=64)
 def _roll_command(rate: float) -> CommandVector:
-    """The pure roll at ``rate``, one object per rate, so the simulator
-    computes one twist for the rolls at either sign of a configured
-    rate.  rate = +-rotate_rate_rad_s is never +-0.0, so the key is
-    exact."""
+    """The pure roll at ``rate``, one object per rate, so a roll step
+    builds no CommandVector.  rate = +-rotate_rate_rad_s is never +-0.0,
+    so the key is exact."""
     return CommandVector(0.0, 0.0, 0.0, rate)
 
 
@@ -517,7 +502,7 @@ def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
                                             with_holonomic, alpha, i)
         else:
             new, theta5, alpha = plan_tee(
-                segment, theta5, _tee_regions(net, cfg, geom)[i], cfg, geom,
-                with_holonomic, alpha, i)
+                segment, theta5, region_for_tee(segment, cfg, geom), cfg,
+                geom, with_holonomic, alpha, i)
         steps.extend(new)
     return steps

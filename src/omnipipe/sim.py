@@ -22,18 +22,13 @@ every mission come from memos instead of being computed per step:
 
 - segment arc lengths from PipeNetwork.arc_lengths, computed once per
   network;
-- each tee's singularity region from planner._tee_regions, a bounded
-  memo keyed on the identity of (net, cfg, geom);
-- one twist per (command object, drive sign, geometry) from _drives,
-  a bounded memo shared by all missions: the planner hands out one
-  command object per drive rate and sign, per roll rate and per tee
-  turn.  Commands are keyed by identity, not equality, because equal
-  commands may differ in the sign of a zero, which the CSV shows; each
-  entry keeps its command and geometry alive, so their ids cannot be
-  reused while it exists.
-
-The identity memos hold at most a fixed number of entries and are
-emptied when full.
+- each tee's singularity region from planner.region_for_tee, which
+  reads the memoised singularity.sweep_t_junction;
+- one twist per (command, drive sign, geometry) from _twist, a bounded
+  lru_cache shared by all missions.  Its key is exact: each twist
+  component is summed from +0.0, so commands that compare equal, zeros
+  of either sign included, give equal bits.  Each record keeps its
+  step's own command, whose zero signs the CSV shows.
 
 After a step's first substep, its whole substeps that move s or roll,
 not both, come from one block builder, _block: within a block only time and
@@ -107,8 +102,8 @@ from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          forward_kinematics)
 from .pipenet import (PipeNetwork, PipeSegment, SegmentKind, TeeExit,
                       module_path_radii)
-from .planner import (MissionStep, PlannerConfig, StepKind, _tee_regions,
-                      forward_turn_radius, plan_mission)
+from .planner import (MissionStep, PlannerConfig, StepKind,
+                      forward_turn_radius, plan_mission, region_for_tee)
 from .singularity import ORIENTATION_PERIOD_DEG, in_singularity
 
 __all__ = [
@@ -299,31 +294,22 @@ class MonteCarloResult:
 def _tee_singular(net: PipeNetwork, index: int, theta5_deg: float,
                   cfg: PlannerConfig, geom: RobotGeometry) -> bool:
     """True when the robot is on a tee at a roll inside its region."""
-    return (net.segments[index].kind is SegmentKind.TEE
+    segment = net.segments[index]
+    return (segment.kind is SegmentKind.TEE
             and in_singularity(theta5_deg,
-                               _tee_regions(net, cfg, geom)[index]))
+                               region_for_tee(segment, cfg, geom)))
 
 
-# (id(command), drive sign, id(geom)) -> (geom, (command, twist, sign));
-# an entry keeps its command and geometry alive, so their ids stay unique
-# while it exists
-_drives: dict[tuple, tuple] = {}
-_DRIVES_SIZE = 1024
+@functools.lru_cache(maxsize=1024)
+def _twist(cmd: CommandVector, sign: int, geom: RobotGeometry
+           ) -> TwistVector:
+    """The twist of ``cmd`` at the drive sign ``sign``.
 
-
-def _drive(cmd: CommandVector, sign: int, geom: RobotGeometry) -> tuple:
-    """(cmd, its twist at this drive sign, sign), one tuple per key of
-    the bounded memo _drives.  Commands are keyed by identity, not
-    equality: equal commands may differ in the sign of a zero, which the
-    CSV shows."""
-    key = (id(cmd), sign, id(geom))
-    entry = _drives.get(key)
-    if entry is None:
-        if len(_drives) >= _DRIVES_SIZE:
-            _drives.clear()
-        entry = _drives[key] = (geom, (cmd, forward_kinematics(
-            signed_drive(cmd, sign), geom), sign))
-    return entry[1]
+    The key is exact: forward_kinematics sums each component from +0.0,
+    so commands that compare equal give equal bits, zeros of either sign
+    included, and a geometry holds floats.
+    """
+    return forward_kinematics(signed_drive(cmd, sign), geom)
 
 
 def _advance(net: PipeNetwork, geom: RobotGeometry, index: int, s: float,
@@ -432,7 +418,7 @@ def _block(net: PipeNetwork, index: int, s: float, theta5: float,
         deadband = cfg.deadband_rad
         cuts = [(0, theta5, step, lambda x: 0.0 <= x < 360.0,
                  _stop(theta5, step, 360.0, 0.0, 0.0), 0)]
-        region = (_tee_regions(net, cfg, geom)[index]
+        region = (region_for_tee(segment, cfg, geom)
                   if segment.kind is SegmentKind.TEE else None)
         # the tee check is constant off a tee and unless 0 < h < 30 deg,
         # the largest distance to a multiple of 60
@@ -447,6 +433,9 @@ def _block(net: PipeNetwork, index: int, s: float, theta5: float,
                          _stop(alpha, turn, math.pi, math.pi / 2.0,
                                deadband), 1))
     else:
+        # the scalar path's zero roll adds +-0.0 to theta5, which turns
+        # the -0.0 a boundary crossing can leave into 0.0
+        theta5 = roll(theta5, alpha, roll_rad, segment.d_mm, geom)[0]
         length = net.arc_lengths[index]
         cuts = [(0, s, ds, lambda x: -_ZERO_TOL <= x <= length + _ZERO_TOL,
                  _stop(s, ds, length + 2.0 * _ZERO_TOL, length + _ZERO_TOL,
@@ -498,7 +487,7 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
     if cfg is None:
         cfg = PlannerConfig()
     sign = drive_sign(state.alpha_rad, cfg.deadband_rad)
-    twist = forward_kinematics(signed_drive(cmd, sign), geom)
+    twist = _twist(cmd, sign, geom)
     index, s, theta5, alpha, event = _advance(
         net, geom, state.segment_index, state.s_mm + twist.v_cz * dt,
         state.theta5_deg, state.alpha_rad, cmd.theta_dot_4 * dt)
@@ -576,14 +565,15 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
             if drive is None or sign != drive[2]:
                 # a step that drives while it rolls changes its twist
                 # whenever a module crosses a 90 deg drive line
-                drive = _drive(cmd, sign, geom)
+                drive = (cmd, _twist(cmd, sign, geom), sign)
                 v_cz = drive[1].v_cz
                 ds = float(v_cz * h_regular)
             # after the step's first substep, whole substeps that move s or
             # roll, not both, form blocks up to the next cut: the first
             # substep has added its zero ds or made its zero roll, and a
             # crossing shifts theta5 only to values that roll leaves as
-            # they are; the scalar path below takes the rest
+            # they are, but for a -0.0 that _block rolls to 0.0; the
+            # scalar path below takes the rest
             rows = None
             if 0 < k < n - 1 and not (ds and roll_regular):
                 rows, end = _block(net, index, s, theta5, alpha, ds,
@@ -596,7 +586,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
                 if event and event not in events:
                     events.append(event)
                 records.extend(bool(roll_regular), times, index,
-                               s if roll_regular else theta5, rows, drive,
+                               s if roll_regular else end[1], rows, drive,
                                singular, event)
                 s, theta5, alpha = end
                 t = times[-1]
@@ -749,7 +739,7 @@ def _derived_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
         if i > 0:
             shift = shift_reference(shift, net, i - 1, i)
         if _branch_tee(segment):
-            h = _tee_regions(net, cfg, geom)[i].half_width_deg
+            h = region_for_tee(segment, cfg, geom).half_width_deg
             forbidden += [(centre - h - shift, centre + h - shift)
                           for centre in (0.0, ORIENTATION_PERIOD_DEG / 2.0)]
     failing = normalize(forbidden, ORIENTATION_PERIOD_DEG)

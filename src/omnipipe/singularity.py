@@ -22,6 +22,7 @@ suffix); ellipse queries take radians like the kinematics layer.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -198,6 +199,7 @@ def contact_loss_arcs(e: EllipseSection, reach_max: float) -> list[Interval]:
     ]
 
 
+@functools.lru_cache(maxsize=64)
 def sweep_t_junction(D: float, reach_max: float,
                      phi_max: float) -> SingularityRegion:
     """Union of contact-loss regions over cut tilts in [0, phi_max] (rad).
@@ -205,6 +207,13 @@ def sweep_t_junction(D: float, reach_max: float,
     For any reach above D/2 the lost half-width grows with tilt,
     d/da [(a^2 - R^2) / (a^2 - b^2)] > 0, so the union is the single
     section at ``phi_max``.
+
+    Every mission asks for the region of each tee it meets, and a network
+    has one bore, so a bounded lru_cache keeps the few regions in use.
+    Its key is exact: D and reach are checked before an entry is stored,
+    an int that equals a float gives the same bits, and phi_max = +-0.0
+    gives a = b either way.  An error is not stored, so it is raised on
+    every call.
     """
     return SingularityRegion(
         _lost_half_width(cross_section_at(D, phi_max), reach_max))

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 from omnipipe import (REFERENCE_GEOMETRY, PipeNetwork, PlannerConfig,
-                      RobotGeometry, drive, kinematics, planner, sim,
+                      RobotGeometry, drive, planner, sim, singularity,
                       straight, tee)
 
 _RESULTS: list[tuple[int, str, bool]] = []
@@ -41,19 +41,15 @@ def pytest_terminal_summary(terminalreporter):
                                     f"{description}")
 
 
-# lru_cache memos, and the dicts that memoise by identity
+# every memo in omnipipe, each a bounded lru_cache keyed by value
 MEMOS = (drive.drive_sign, planner._tee_turn, planner._drive_command,
-         planner._roll_command, kinematics._map_scalars,
-         kinematics.jacobian_inverse, sim._derived_set, planner._regions,
-         sim._drives)
+         planner._roll_command, singularity.sweep_t_junction, sim._twist,
+         sim._derived_set)
 
 
 def empty_every_memo():
     for memo in MEMOS:
-        if isinstance(memo, dict):
-            memo.clear()
-        else:
-            memo.cache_clear()
+        memo.cache_clear()
 
 
 @pytest.fixture(autouse=True)

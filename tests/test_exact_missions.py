@@ -9,7 +9,6 @@ trial.
 """
 
 import dataclasses
-import gc
 import hashlib
 import math
 import pickle
@@ -19,9 +18,11 @@ import pytest
 
 from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
                       MissionStep, MonteCarloResult, PipeNetwork,
-                      PlannerConfig, SimState, StepKind, TeeExit, elbow,
-                      monte_carlo_tee, plan_mission, run_mission, step,
-                      straight, tee, write_trajectory_csv)
+                      PlannerConfig, RobotGeometry, SimState, StepKind,
+                      TeeExit, elbow, forward_kinematics, monte_carlo_tee,
+                      plan_mission, run_mission, step, straight, tee,
+                      write_trajectory_csv)
+from omnipipe.drive import signed_drive
 from omnipipe import planner, sim
 from omnipipe.errors import OmnipipeError
 
@@ -174,33 +175,27 @@ def run_one_drive(net, cfg, cmd, tmp_path, name):
 @pytest.mark.parametrize("clear", [False, True])
 def test_a_new_command_gets_its_own_twist_when_an_equal_one_was_freed(
         tmp_path, clear):
-    # equal commands that differ in the sign of a zero spin; a freed
-    # command's id is often the next command's, so a memo keyed on a
-    # bare id would hand the new command the old entry
+    # equal commands that differ in the sign of a zero spin share one twist
+    # entry; each record keeps its own command, whose zero the CSV shows
     net, cfg = acceptance_tee(), PlannerConfig()
     rate = 100.0 / 15.0
     old = CommandVector(rate, rate, rate, -0.0)
-    old_id = id(old)
     records, old_csv = run_one_drive(net, cfg, old, tmp_path, "old.csv")
     assert records[0].command is old
-    old_twist = records[0].twist
     del old, records
     if clear:
-        # the memo drops its reference, so the id may be reused at once
         empty_every_memo()
-    gc.collect()
+    hits = sim._twist.cache_info().hits
     new = CommandVector(rate, rate, rate, 0.0)
     assert new == CommandVector(rate, rate, rate, -0.0)
     records, new_csv = run_one_drive(net, cfg, new, tmp_path, "new.csv")
     assert records[0].command is new
-    assert records[0].twist is not old_twist
     assert records[0].twist.omega_z.hex() == (0.0).hex()
     # the spin column reads 0.0 where the old run read -0.0
     assert old_csv.replace(b",-0.0,", b",0.0,", 1) == new_csv
     assert old_csv != new_csv
-    if not clear:
-        # the old command is still held by its entry, so its id is taken
-        assert id(new) != old_id
+    # a warm memo hands the new command the old one's twist
+    assert (sim._twist.cache_info().hits > hits) is not clear
 
 
 def test_the_memos_keep_geometries_and_configs_apart():
@@ -219,32 +214,54 @@ def test_the_memos_keep_geometries_and_configs_apart():
         assert records[0].twist == record.twist
         assert (records[0].s_mm, records[0].singular) == (record.s_mm,
                                                           record.singular)
-    assert planner._tee_regions(net, narrow, REFERENCE_GEOMETRY)[1] \
-        != planner._tee_regions(net, PlannerConfig(), REFERENCE_GEOMETRY)[1]
+    tee_segment = net.segments[1]
+    assert (planner.region_for_tee(tee_segment, narrow, REFERENCE_GEOMETRY)
+            != planner.region_for_tee(tee_segment, PlannerConfig(),
+                                      REFERENCE_GEOMETRY))
 
 
-def test_the_twist_memo_is_bounded_and_keeps_its_keys_alive():
-    net, cfg = acceptance_tee(), PlannerConfig()
-    for k in range(sim._DRIVES_SIZE + 10):
-        cmd = CommandVector(1.0 + k, 1.0 + k, 1.0 + k, 0.0)
-        plan = [MissionStep(kind=StepKind.DRIVE, command=cmd,
-                            duration_s=0.01)]
-        run_mission(net, plan, cfg, REFERENCE_GEOMETRY, dt=None)
-        assert len(sim._drives) <= sim._DRIVES_SIZE
-    for key, (geom, (cmd, _, sign)) in sim._drives.items():
-        assert key == (id(cmd), sign, id(geom))
+def fk_bits(twist) -> list[str]:
+    return [float(x).hex() for x in dataclasses.astuple(twist)]
 
 
-def test_the_region_memo_is_bounded_and_keeps_its_keys_alive():
-    cfg = PlannerConfig()
-    for k in range(planner._MEMO_SIZE + 10):
-        net = PipeNetwork((straight(D, 100.0 + k), tee(D)))
-        regions = planner._tee_regions(net, cfg, REFERENCE_GEOMETRY)
-        assert regions == (None, planner.region_for_tee(
-            net.segments[1], cfg, REFERENCE_GEOMETRY))
-        assert len(planner._regions) <= planner._MEMO_SIZE
-    for key, (net, cfg, geom, _) in planner._regions.items():
-        assert key == (id(net), id(cfg), id(geom))
+# (r, r, r, +-0.0) drives and a roll with zero chain rates of either sign
+EQUAL_COMMANDS = [
+    (CommandVector(100.0 / 15.0, 100.0 / 15.0, 100.0 / 15.0, -0.0),
+     CommandVector(100.0 / 15.0, 100.0 / 15.0, 100.0 / 15.0, 0.0)),
+    (CommandVector(-0.0, 0.0, -0.0, 0.5), CommandVector(0.0, -0.0, 0.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+def test_twist_memo_is_exact(sign):
+    # a memo hit hands out the bits a fresh forward map gives, whichever
+    # of two equal commands came first
+    for pair in EQUAL_COMMANDS:
+        for first, second in (pair, pair[::-1]):
+            empty_every_memo()
+            for cmd in (first, second):
+                assert fk_bits(sim._twist(cmd, sign, REFERENCE_GEOMETRY)) \
+                    == fk_bits(forward_kinematics(signed_drive(cmd, sign),
+                                                  REFERENCE_GEOMETRY))
+            assert sim._twist.cache_info().hits == 1
+
+
+def test_twist_memo_is_exact_for_int_and_float_geometries():
+    # equal geometries, one built from ints: 1 + 2^53 is exact in ints and
+    # rounds in floats, so a memo keyed on a geometry that kept its ints
+    # returned whichever lever came first
+    g_int = RobotGeometry(1, 2 ** 53, 1, 1, 2 ** 54, 1)
+    g_float = RobotGeometry(1.0, 2.0 ** 53, 1.0, 1.0, 2.0 ** 54, 1.0)
+    assert all(type(getattr(g_int, f.name)) is float
+               for f in dataclasses.fields(g_int))
+    cmd = CommandVector(1.0, 2.0, 3.0, 0.0)
+    want = fk_bits(forward_kinematics(cmd, g_float))
+    assert want == fk_bits(forward_kinematics(cmd, g_int))
+    assert forward_kinematics(cmd, g_int).omega_x == 9.614813431917822e-17
+    for order in ((g_int, g_float), (g_float, g_int)):
+        empty_every_memo()
+        for geom in order:
+            assert fk_bits(sim._twist(cmd, 1, geom)) == want
 
 
 def test_network_values_are_computed_once():

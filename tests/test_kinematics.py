@@ -127,23 +127,54 @@ def geometries(draw):
         reach_min=arm, reach_max=arm, module_outer_radius=draw(length))
 
 
+def exact_solve(matrix, rhs) -> list[Fraction]:
+    """x with matrix @ x = rhs exactly, on the Fractions of their floats,
+    by Gauss-Jordan elimination."""
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(float(b))]
+            for row, b in zip(matrix, rhs)]
+    n = len(rows)
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [v / head for v in rows[col]]
+        for i in range(n):
+            factor = rows[i][col]
+            if i != col and factor:
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[col])]
+    return [row[n] for row in rows]
+
+
+# IK forms each rate in at most six operations, 0 -+ c1 w1 + c2 w2 + c3 w3.
+# Each result is rounded to within 2^-53 of itself, relative, or to within
+# half the subnormal spacing, 2^-1075, absolute.  The scalars c_j lie
+# within a few 2^-53 of the exact inverse of J's float entries.  So a rate
+# lies within ~10 * 2^-53 * S of the exact solve, S = sum_j |c_j w_j|,
+# plus 6 * 2^-1075 where results are subnormal; 1e-12 S covers the first
+# part with room, and a floor of six half-spacings the second.
+_IK_SUBNORMAL_SLACK = Fraction(6, 2 ** 1075)
+
+
 @settings(max_examples=300, deadline=None)
 @given(geometries(), RATES, RATES, RATES, RATES)
 @example(geom=RobotGeometry(12.0, 1.0, 1.0, 1.0, 1.0, 12.0), wx=0.0, wy=0.0,
          wz=0.0, v=2.225073858507e-311)
+@example(geom=RobotGeometry(1.0, 2.0, 6.0, 2.0, 2.0, 1.0), wx=0.0,
+         wy=5e-324, wz=0.0, v=0.0)
 def test_closed_form_inverse_matches_a_numerical_solve(geom, wx, wy, wz, v):
     J = jacobian(geom)
-    assert np.max(np.abs(jacobian_inverse(geom) @ J - np.eye(4))) <= 1e-15
+    J_inv = jacobian_inverse(geom)
+    assert np.max(np.abs(J_inv @ J - np.eye(4))) <= 1e-15
+    # a fresh array each call, the caller's to write
+    assert J_inv.flags.writeable and jacobian_inverse(geom) is not J_inv
     twist = TwistVector(wx, wy, wz, v)
-    reference = np.linalg.solve(J, twist.as_array())
-    got = inverse_kinematics(twist, geom).as_array()
-    # two ulps at least: for a subnormal twist 1e-12 of the largest rate
-    # is below one ulp, and the two solves may round apart by one
-    largest = float(np.max(np.abs(reference)))
-    assert (np.max(np.abs(got - reference))
-            <= max(1e-12 * largest, 2.0 * math.ulp(largest)))
-    with pytest.raises(ValueError):
-        jacobian_inverse(geom)[0, 0] = 1.0
+    exact = exact_solve(J, astuple(twist))
+    got = astuple(inverse_kinematics(twist, geom))
+    for i in range(4):
+        scale = sum(abs(Fraction(float(c)) * Fraction(w))
+                    for c, w in zip(J_inv[i], astuple(twist)))
+        assert (abs(Fraction(got[i]) - exact[i])
+                <= Fraction(1e-12) * scale + _IK_SUBNORMAL_SLACK), i
 
 
 @pytest.mark.parametrize("r, arm", [(15.0, 1e308), (1e-308, 60.0),

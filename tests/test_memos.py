@@ -1,7 +1,11 @@
-"""Every memo in omnipipe is one that conftest empties before each test.
+"""The memo policy: every memo in omnipipe is a bounded functools.lru_cache
+keyed by the arguments of the pure function it wraps, and conftest empties
+each of them before every test.
 
 A memo conftest does not know carries results from one test into the
-next, so a test could pass or fail by the order the suite runs in.
+next, so a test could pass or fail by the order the suite runs in.  A
+module-level dict would be a memo outside the policy: unbounded, or keyed
+by something other than value.
 """
 
 import functools
@@ -12,27 +16,41 @@ import omnipipe
 from conftest import MEMOS
 
 
-def module_memos():
-    """(module.name, memo) for each module-level memo in omnipipe: every
-    functools.lru_cache wrapper defined there, and every dict that is not
-    an UPPER_CASE constant table (the identity memos)."""
+def module_values():
+    """(module.name, value) for each module-level name in omnipipe."""
     for info in pkgutil.iter_modules(omnipipe.__path__):
         module = importlib.import_module(f"omnipipe.{info.name}")
         for name, value in vars(module).items():
-            if name.startswith("__"):
-                continue
-            if (isinstance(value, functools._lru_cache_wrapper)
-                    and value.__module__ == module.__name__):
-                yield f"{module.__name__}.{name}", value
-            elif isinstance(value, dict) and not name.isupper():
-                yield f"{module.__name__}.{name}", value
+            if not name.startswith("__"):
+                yield module, f"{module.__name__}.{name}", value
+
+
+def module_memos():
+    """(module.name, memo) for each functools.lru_cache wrapper defined in
+    an omnipipe module."""
+    for module, name, value in module_values():
+        if (isinstance(value, functools._lru_cache_wrapper)
+                and value.__module__ == module.__name__):
+            yield name, value
+
+
+def test_no_module_keeps_a_dict_that_is_not_a_constant():
+    assert [name for _, name, value in module_values()
+            if isinstance(value, dict)
+            and not name.rpartition(".")[2].isupper()] == []
+
+
+def test_every_memo_is_bounded():
+    assert [name for name, memo in module_memos()
+            if memo.cache_parameters()["maxsize"] is None] == []
 
 
 def test_every_memo_is_emptied_before_each_test():
-    memos = list(module_memos())
-    known = {id(memo) for memo in MEMOS}
-    assert [name for name, memo in memos if id(memo) not in known] == []
-    # and the walk sees the memos it is meant to find
-    assert {"omnipipe.sim._drives", "omnipipe.planner._regions",
-            "omnipipe.drive.drive_sign"} <= {name for name, _ in memos}
-    assert len({id(memo) for _, memo in memos}) == len(MEMOS)
+    assert {name for name, _ in module_memos()} == {
+        "omnipipe.drive.drive_sign", "omnipipe.planner._tee_turn",
+        "omnipipe.planner._drive_command", "omnipipe.planner._roll_command",
+        "omnipipe.singularity.sweep_t_junction", "omnipipe.sim._twist",
+        "omnipipe.sim._derived_set"}
+    assert ({id(memo) for _, memo in module_memos()}
+            == {id(memo) for memo in MEMOS})
+    assert len(MEMOS) == 7

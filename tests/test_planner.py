@@ -653,6 +653,24 @@ def test_planner_rejects_non_finite_inputs(geom, tee_net, bad):
             plan_mission(tee_net, bad, PlannerConfig(), geom)
 
 
+@pytest.mark.parametrize("name", ["straight_speed", "tee_trigger_fraction",
+                                  "wobble_deadband_deg", "rotate_rate_rad_s",
+                                  "sweep_phi_max_deg"])
+def test_planner_config_takes_numbers_only_and_stores_floats(name):
+    for bad, message in [(True, "must be a number, got True"),
+                         ("x", "must be a number, got 'x'"),
+                         (None, "must be a number, got None"),
+                         (10 ** 400, "must lie within the float range"),
+                         (-10 ** 400, "must lie within the float range")]:
+        if bad is None and name == "sweep_phi_max_deg":
+            continue  # None selects the equal-bore tilt limit
+        with pytest.raises(PlanError, match=f"^{name} {message}$"):
+            PlannerConfig(**{name: bad})
+    cfg = PlannerConfig(**{name: 1})
+    assert type(getattr(cfg, name)) is float
+    assert cfg == PlannerConfig(**{name: 1.0})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["theta5_deg", "alpha_rad"])
 def test_public_planner_functions_reject_a_non_finite_roll_state(

@@ -1022,6 +1022,11 @@ def test_run_mission_matches_stepwise_on_a_stalled_plan(geom, tee_net,
 @given(roll_free_networks(max_segments=4),
        st.floats(-360.0, 360.0) | st.sampled_from([-0.0, 0.0]),
        st.booleans(), st.sampled_from(DTS))
+# the crossing into the elbow shifts theta5 by -360 deg to -0.0, which a
+# drive block kept while the scalar path's zero roll made it 0.0
+@example(net=PipeNetwork((tee(140.0, -180.0), elbow(140.0, 140.0, 15.0,
+                                                    180.0))),
+         theta5=0.0, with_holonomic=False, dt=0.01)
 def test_run_mission_matches_stepwise_on_generated_networks(
         tmp_path_factory, net, theta5, with_holonomic, dt):
     cfg = PlannerConfig()

@@ -306,6 +306,32 @@ def test_sweep_propagates_insufficient_reach():
         sweep_t_junction(160.0, 70.0, DEFAULT_PHI_MAX_RAD)
 
 
+def test_sweep_memo_is_exact():
+    # equal keys of either zero sign or number type give the bits of a
+    # fresh sweep, whichever came first
+    tilt = math.acos(0.8)
+    pairs = [((160.0, CALIBRATED_REACH_MM, 0.0),
+              (160.0, CALIBRATED_REACH_MM, -0.0)),
+             ((160.0, 80.0, -0.0), (160, 80, 0.0)),
+             ((160, 95, tilt), (160.0, 95.0, tilt)),
+             ((160, 95.0, DEFAULT_PHI_MAX_RAD),
+              (160.0, 95, DEFAULT_PHI_MAX_RAD))]
+    for pair in pairs:
+        for first, second in (pair, pair[::-1]):
+            sweep_t_junction.cache_clear()
+            for args in (first, second):
+                assert (sweep_t_junction(*args).half_width_deg.hex()
+                        == sweep_t_junction.__wrapped__(*args)
+                        .half_width_deg.hex())
+            assert sweep_t_junction.cache_info().hits == 1
+    # an error is raised on every call, not stored
+    sweep_t_junction.cache_clear()
+    for _ in range(2):
+        with pytest.raises(InsufficientReachError):
+            sweep_t_junction(160, 70, DEFAULT_PHI_MAX_RAD)
+    assert sweep_t_junction.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("reach", [-5.0, 0.0, math.nan, math.inf])
 def test_sweep_rejects_non_positive_or_non_finite_reach(reach):
     # NaN would otherwise pass every comparison and fold to 120 deg
