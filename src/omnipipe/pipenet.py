@@ -74,6 +74,9 @@ class PipeSegment:
     equivalent_radius_mm: float | None = None  # tee, defaults to D/2
 
     def __post_init__(self):
+        if not isinstance(self.kind, SegmentKind):
+            raise NetworkValidationError(
+                f"kind must be a SegmentKind, got {self.kind!r}", field="kind")
         _require_positive(self.d_mm, "D_mm")
         if self.kind is SegmentKind.STRAIGHT:
             if self.length_mm is None:
@@ -158,13 +161,19 @@ class PipeNetwork:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # stored as a tuple, so equal networks give equal memo keys
+        object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise NetworkValidationError("network must contain segments")
-        for i in range(1, len(self.segments)):
-            if self.segments[i].d_mm != self.segments[i - 1].d_mm:
+        for i, segment in enumerate(self.segments):
+            if not isinstance(segment, PipeSegment):
+                raise NetworkValidationError(
+                    f"segment {i} is not a PipeSegment: {segment!r}",
+                    segment_index=i)
+            if i and segment.d_mm != self.segments[i - 1].d_mm:
                 raise NetworkValidationError(
                     f"segment {i} changes diameter "
-                    f"{self.segments[i - 1].d_mm} -> {self.segments[i].d_mm}; "
+                    f"{self.segments[i - 1].d_mm} -> {segment.d_mm}; "
                     f"reducers are not supported",
                     segment_index=i, field="D_mm")
         object.__setattr__(self, "roll_references",

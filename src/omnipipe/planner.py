@@ -149,6 +149,9 @@ class PlannerConfig:
             if isinstance(value, int) and abs(value) > sys.float_info.max:
                 raise PlanError(f"{name} must lie within the float range")
             object.__setattr__(self, name, float(value))
+        if not isinstance(self.ratio_mode, RatioMode):
+            raise PlanError(f"ratio_mode must be a RatioMode, got "
+                            f"{self.ratio_mode!r}")
         if not (math.isfinite(self.straight_speed) and self.straight_speed > 0):
             raise PlanError(f"straight_speed must be > 0, got "
                             f"{self.straight_speed}")

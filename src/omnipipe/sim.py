@@ -49,12 +49,14 @@ the roll update and the segment-boundary crossing, so both follow the
 same arithmetic.
 
 run_mission returns its records as a Trajectory, stored in blocks: each
-block keeps segment, the step's shared (command, twist, sign) tuple,
-singular and event once, plus theta5 on a drive block or s on a roll
-block, and its rows' times and their arc lengths or theta5 values in
-two flat columns (a scalar row is a block of one).  A mission therefore
-keeps no object per substep for the cyclic garbage collector; kept as
-objects, thousands of live records per mission reach its oldest
+block keeps segment, singular and event once, plus theta5 on a drive
+block or s on a roll block, in one tuple of plain values; the step's
+shared (command, twist, sign) tuple in a parallel list; and its rows'
+times and their arc lengths or theta5 values in two flat columns.  Every
+row goes in through Trajectory.extend, a scalar row as a block of one.
+The cyclic garbage collector untracks a tuple of plain values the first
+time it sees it, so a mission keeps no collector object per substep;
+kept as objects, thousands of live records per mission reach its oldest
 generation and set off a full collection every few missions.  Records
 are built on indexing or iteration.  write_trajectory_csv formats a
 block's constant columns once and each of its rows with two float
@@ -90,7 +92,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import neg
+from operator import itemgetter, neg
 
 import numpy as np
 
@@ -172,56 +174,37 @@ class Trajectory(Sequence):
     drive sign) tuple, singular and event, and differ in time_s and in
     one of s_mm and theta5_deg.  A drive block keeps theta5 once and one
     s per row; a roll block keeps s once and one theta5 per row.  Each
-    block keeps its constant columns once, and its rows' times and
-    varying values in two flat columns (a scalar row is a drive block of
-    one).  No object is kept per row or per block, so a long trajectory
-    gives the cyclic garbage collector nothing to scan or promote while a
-    mission runs.  Indexing and iteration build TrajectoryRecord values
-    on demand.
+    block keeps its constant columns once, in one tuple of plain values,
+    its drive tuple in a parallel list, and its rows' times and varying
+    values in two flat columns (a scalar row is a drive block of one).
+    The cyclic garbage collector untracks a tuple of plain values the
+    first time it sees it, and a step's blocks share its drive tuple, so
+    a long trajectory gives the collector nothing to scan or promote per
+    row or per block.  Indexing and iteration build TrajectoryRecord
+    values on demand.
     """
 
     def __init__(self):
-        # per block: its first row, its kind and its constant columns;
-        # _fixed is theta5_deg on a drive block and s_mm on a roll block
-        self._start: list[int] = []
-        self._rolls: list[bool] = []
-        self._segment_index: list[int] = []
-        self._fixed: list[float] = []
+        # per block: (first row, rolls, segment_index, fixed, singular,
+        # event), where fixed is theta5_deg on a drive block and s_mm on a
+        # roll block; its (command, twist, drive_sign) tuple is kept apart,
+        # so that the block tuple holds plain values only
+        self._blocks: list[tuple] = []
         self._drive: list[tuple] = []
-        self._singular: list[bool] = []
-        self._event: list[str] = []
         # per row: time_s, and s_mm on a drive block or theta5_deg on a
         # roll block
         self._time_s: list[float] = []
         self._varying: list[float] = []
 
-    def append(self, time_s: float, segment_index: int, s_mm: float,
-               theta5_deg: float, drive: tuple, singular: bool,
-               event: str) -> None:
-        """Add one row, as a drive block of its own."""
-        self._start.append(len(self._time_s))
-        self._rolls.append(False)
-        self._segment_index.append(segment_index)
-        self._fixed.append(theta5_deg)
-        self._drive.append(drive)
-        self._singular.append(singular)
-        self._event.append(event)
-        self._time_s.append(time_s)
-        self._varying.append(s_mm)
-
-    def extend(self, rolls: bool, times: list[float], segment_index: int,
-               fixed: float, varying: list[float], drive: tuple,
+    def extend(self, rolls: bool, times: Sequence[float], segment_index: int,
+               fixed: float, varying: Sequence[float], drive: tuple,
                singular: bool, event: str) -> None:
         """Add a block: one row per entry of ``times`` and ``varying``,
         which holds s_mm on a drive block (``rolls`` false) and theta5_deg
         on a roll block; ``fixed`` is the other one."""
-        self._start.append(len(self._time_s))
-        self._rolls.append(rolls)
-        self._segment_index.append(segment_index)
-        self._fixed.append(fixed)
+        self._blocks.append((len(self._time_s), rolls, segment_index, fixed,
+                             singular, event))
         self._drive.append(drive)
-        self._singular.append(singular)
-        self._event.append(event)
         self._time_s += times
         self._varying += varying
 
@@ -230,10 +213,9 @@ class Trajectory(Sequence):
         singular, event, time_s list, varying list) per block, where
         fixed and varying are theta5_deg and s_mm on a drive block
         (rolls False), and s_mm and theta5_deg on a roll block."""
-        ends = self._start[1:] + [len(self._time_s)]
-        for start, end, rolls, index, fixed, drive, singular, event in zip(
-                self._start, ends, self._rolls, self._segment_index,
-                self._fixed, self._drive, self._singular, self._event):
+        ends = [block[0] for block in self._blocks[1:]] + [len(self)]
+        for (start, rolls, index, fixed, singular, event), drive, end in zip(
+                self._blocks, self._drive, ends):
             yield (rolls, index, fixed, drive, singular, event,
                    self._time_s[start:end], self._varying[start:end])
 
@@ -244,14 +226,13 @@ class Trajectory(Sequence):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
         i = range(len(self))[i]
-        b = bisect_right(self._start, i) - 1
+        b = bisect_right(self._blocks, i, key=itemgetter(0)) - 1
+        _, rolls, index, fixed, singular, event = self._blocks[b]
         cmd, twist, sign = self._drive[b]
-        s, theta5 = self._fixed[b], self._varying[i]
-        if not self._rolls[b]:
-            s, theta5 = theta5, s
-        return TrajectoryRecord(
-            self._time_s[i], self._segment_index[b], s, theta5, cmd, twist,
-            sign, self._singular[b], self._event[b])
+        s, theta5 = (fixed, self._varying[i]) if rolls else (
+            self._varying[i], fixed)
+        return TrajectoryRecord(self._time_s[i], index, s, theta5, cmd, twist,
+                                sign, singular, event)
 
     def __iter__(self):
         for rolls, index, fixed, (cmd, twist, sign), singular, event, \
@@ -501,7 +482,7 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
     return new_state, record
 
 
-def run_mission(net: PipeNetwork, plan: list[MissionStep],
+def run_mission(net: PipeNetwork, plan: Iterable[MissionStep],
                 cfg: PlannerConfig, geom: RobotGeometry,
                 theta5_deg: float = 0.0, dt: float | None = DEFAULT_DT_S
                 ) -> tuple[MissionOutcome, Trajectory]:
@@ -517,6 +498,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
     before any integration, and a non-finite ``theta5_deg`` raises
     PlanError.
     """
+    plan = list(plan)
     for item in plan:
         if not isinstance(item, MissionStep):
             raise SimulationError(f"plan contains a non-step entry: {item!r}")
@@ -543,7 +525,7 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
         turning = mstep.kind is StepKind.TURN_TEE
         if turning and _tee_singular(net, index, theta5, cfg, geom):
             events.append("singularity_at_turn_onset")
-            records.append(t, index, s, theta5,
+            records.extend(False, (t,), index, theta5, (s,),
                            (cmd, TwistVector(0.0, 0.0, 0.0, 0.0), 0),
                            True, "singularity_at_turn_onset")
             failure = "singularity"
@@ -604,20 +586,17 @@ def run_mission(net: PipeNetwork, plan: list[MissionStep],
                 singular = _tee_singular(net, index, theta5, cfg, geom)
                 checked_index = index
             if first and stall_check and abs(v_cz) < _ZERO_TOL:
-                records.append(t, index, s, theta5, drive, singular,
-                               "no_forward_progress")
-                events.append("no_forward_progress")
-                failure = "no_forward_progress"
-                break
-            if turning and singular:
+                event = failure = "no_forward_progress"
+            elif turning and singular:
                 event = "singular_mid_turn"
             if event and event not in events:
                 events.append(event)
-            records.append(t, index, s, theta5, drive, singular, event)
-            if event == "end_of_network":
-                done = True
+            records.extend(False, (t,), index, theta5, (s,), drive, singular,
+                           event)
+            done = failure is not None or event == "end_of_network"
+            if done:
                 break
-        if failure is not None or done:
+        if done:
             break
 
     if failure is not None:
@@ -691,13 +670,10 @@ def success_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
     return list(succeeding)
 
 
-def _padded_ends(succeeding: Sequence[Interval] | None
-                 ) -> np.ndarray | None:
+def _padded_ends(succeeding: Sequence[Interval]) -> np.ndarray:
     """The endpoints of a success set in order, padded with a neighbour
     across the 0/120 seam on each side, as a read-only array; empty for
-    the empty set, None for None."""
-    if succeeding is None:
-        return None
+    the empty set."""
     ends = np.asarray(succeeding, dtype=float).ravel()
     if ends.size:
         ends = np.concatenate(([ends[-1] - ORIENTATION_PERIOD_DEG], ends,

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from omnipipe import (NetworkValidationError, PipeNetwork, RatioMode,
-                      TeeExit, elbow, load_network,
+from omnipipe import (NetworkValidationError, PipeNetwork, PipeSegment,
+                      RatioMode, TeeExit, elbow, load_network,
                       module_path_radii, network_from_dict, network_to_dict,
                       network_to_json, reference_rolls, straight, tee)
 
@@ -46,6 +46,20 @@ def test_network_requires_uniform_diameter():
 def test_network_rejects_empty():
     with pytest.raises(NetworkValidationError):
         PipeNetwork(())
+
+
+@pytest.mark.parametrize("build, index, field", [
+    (lambda: PipeSegment("straight", D, length_mm=500.0), None, "kind"),
+    (lambda: PipeSegment(None, D, length_mm=500.0), None, "kind"),
+    (lambda: PipeNetwork((1, 2)), 0, None),
+    (lambda: PipeNetwork([straight(D, 500.0), "tee"]), 1, None),
+], ids=["kind-string", "kind-none", "ints", "string-entry"])
+def test_networks_built_in_python_reject_malformed_entries(build, index,
+                                                           field):
+    with pytest.raises(NetworkValidationError) as err:
+        build()
+    assert err.value.segment_index == index
+    assert err.value.field == field
 
 
 def test_from_dict_rejects_unknown_segment_field():

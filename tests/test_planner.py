@@ -671,6 +671,13 @@ def test_planner_config_takes_numbers_only_and_stores_floats(name):
     assert cfg == PlannerConfig(**{name: 1.0})
 
 
+@pytest.mark.parametrize("bad", ["fixed-ratio", None, 1])
+def test_planner_config_takes_a_ratio_mode_only(bad):
+    with pytest.raises(PlanError, match=f"^ratio_mode must be a RatioMode, "
+                                        f"got {re.escape(repr(bad))}$"):
+        PlannerConfig(ratio_mode=bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["theta5_deg", "alpha_rad"])
 def test_public_planner_functions_reject_a_non_finite_roll_state(

@@ -848,6 +848,43 @@ def test_run_mission_keeps_no_collector_object_per_record(cfg, geom,
         gc.enable()
     assert len(records) > 1000
     assert kept < 100
+    # a step that drives while it rolls takes the scalar path on every
+    # substep, so each row is a block of one; the collector untracks a
+    # block's tuple of plain values when it first sees it, which needs
+    # the step's drive tuple kept apart from it
+    net = PipeNetwork((straight(D, 1e6),))
+    plan = [MissionStep(StepKind.DRIVE, CommandVector(1.0, 1.0, 1.0, 0.001),
+                        200.0)]
+    gc.collect()
+    before = len(gc.get_objects())
+    _, records = run_mission(net, plan, cfg, geom)
+    gc.collect()
+    kept = len(gc.get_objects()) - before
+    assert len(records) == len(list(records.blocks())) >= 20_000
+    assert kept < 100
+
+
+def test_run_mission_reads_an_iterator_plan_once(cfg, geom, tee_net,
+                                                 tmp_path):
+    plan = plan_mission(tee_net, 17.0, cfg, geom)
+    runs = []
+    for name, steps in (("list.csv", plan), ("iter.csv", iter(plan))):
+        outcome, records = run_mission(tee_net, steps, cfg, geom,
+                                       theta5_deg=17.0)
+        write_trajectory_csv(records, tmp_path / name)
+        runs.append((outcome, (tmp_path / name).read_bytes()))
+    assert runs[0][0].success
+    assert runs[1] == runs[0]
+
+
+def test_monte_carlo_takes_a_network_built_from_a_list(cfg, geom):
+    segments = [straight(D, 500.0), tee(D), straight(D, 300.0)]
+    net, expected = PipeNetwork(segments), PipeNetwork(tuple(segments))
+    assert net.segments == expected.segments
+    assert hash(net) == hash(expected)
+    assert (monte_carlo_tee(net, cfg, geom, 200, seed=1, with_holonomic=False)
+            == monte_carlo_tee(expected, cfg, geom, 200, seed=1,
+                               with_holonomic=False))
 
 
 def test_csv_formats_equal_twists_that_differ_in_a_signed_zero(tmp_path):
