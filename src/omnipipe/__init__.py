@@ -8,7 +8,8 @@ modules about their own axes rolls the whole robot in place.  This
 package maps motor rates to twists and back (kinematics), locates the
 roll orientations that lose wall contact in T-junctions (singularity),
 models pipe networks (pipenet), schedules missions (planner), and
-integrates them deterministically (sim), with a CLI on top.
+integrates them deterministically (sim), with a CLI on top.  Every
+tolerance they compare with is defined once, in tolerances.
 """
 
 from .drive import (drive_sign, roll, rolling_gain, shift_reference,

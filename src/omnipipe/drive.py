@@ -22,6 +22,7 @@ from itertools import accumulate, repeat
 from .intervals import wrap
 from .kinematics import CommandVector, RobotGeometry
 from .pipenet import PipeNetwork
+from .tolerances import DEADBAND_LIMIT_SLACK_RAD
 
 # alpha on the no-motion line within +-deadband produces no translation
 MAX_DEADBAND_RAD = math.radians(10.0)
@@ -52,7 +53,7 @@ def drive_sign(alpha: float,
     included, give equal signs.  A ValueError for a bad deadband is not
     stored, so it is raised on every call.
     """
-    if not 0.0 <= deadband <= MAX_DEADBAND_RAD + 1e-12:
+    if not 0.0 <= deadband <= MAX_DEADBAND_RAD + DEADBAND_LIMIT_SLACK_RAD:
         raise ValueError(f"deadband must lie in [0, 10 deg], got {deadband}")
     if line_distance(alpha) <= deadband:
         return 0

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 
-Interval = tuple[float, float]
+from .tolerances import ANGLE_SLACK_DEG
 
-_EPS = 1e-9
+Interval = tuple[float, float]
 
 
 def wrap(angle: float, period: float) -> float:
@@ -52,7 +52,7 @@ def normalize(intervals: list[Interval], period: float) -> list[Interval]:
     merged = [pieces[0]]
     for lo, hi in pieces[1:]:
         mlo, mhi = merged[-1]
-        if lo <= mhi + _EPS:
+        if lo <= mhi + ANGLE_SLACK_DEG:
             merged[-1] = (mlo, max(mhi, hi))
         else:
             merged.append((lo, hi))
@@ -60,9 +60,9 @@ def normalize(intervals: list[Interval], period: float) -> list[Interval]:
     if len(merged) > 1:
         flo, fhi = merged[0]
         llo, lhi = merged[-1]
-        if lhi >= period - _EPS and flo <= _EPS:
+        if lhi >= period - ANGLE_SLACK_DEG and flo <= ANGLE_SLACK_DEG:
             merged[-1] = (llo, period)
-            if fhi >= period - _EPS:
+            if fhi >= period - ANGLE_SLACK_DEG:
                 return [(0.0, period)]
     return merged
 
@@ -75,10 +75,10 @@ def complement(intervals: list[Interval], period: float) -> list[Interval]:
     gaps: list[Interval] = []
     prev_hi = 0.0
     for lo, hi in intervals:
-        if lo > prev_hi + _EPS:
+        if lo > prev_hi + ANGLE_SLACK_DEG:
             gaps.append((prev_hi, lo))
         prev_hi = max(prev_hi, hi)
-    if prev_hi < period - _EPS:
+    if prev_hi < period - ANGLE_SLACK_DEG:
         gaps.append((prev_hi, period))
     return gaps
 

@@ -17,13 +17,12 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from math import isfinite
+from numbers import Real
 
 import numpy as np
 
 from .errors import InvalidGeometryError, UndefinedCurvatureError
-
-# Angular-speed norm below this is treated as straight drive (infinite R).
-ANGULAR_SPEED_EPS = 1e-12
+from .tolerances import ANGULAR_SPEED_EPS
 
 # Unit direction of each module center in the local frame (module 1 on +x).
 _MODULE_ANGLES = (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0)
@@ -87,10 +86,23 @@ class RobotGeometry:
                    reach_max=reach_max, module_outer_radius=module_outer_radius)
 
 
-def _reject_non_finite(vector, names: tuple[str, ...]) -> None:
-    """Raise ValueError naming the first of ``names`` that is not finite."""
+def _finite_floats(a, b, c, d) -> bool:
+    """True for four floats whose sum is finite, which makes each of them
+    finite: the common case, in one test."""
+    return (type(a) is float and type(b) is float and type(c) is float
+            and type(d) is float and isfinite(a + b + c + d))
+
+
+def _check_components(vector, names: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first of ``names`` that is not a finite
+    real number; a bool is not one."""
     for name in names:
-        if not isfinite(getattr(vector, name)):
+        value = getattr(vector, name)
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        # an int past the float range is not finite either
+        if not (abs(value) <= sys.float_info.max if isinstance(value, int)
+                else isfinite(value)):
             raise ValueError(f"{name} must be finite")
 
 
@@ -109,10 +121,10 @@ class CommandVector:
     theta_dot_4: float
 
     def __post_init__(self):
-        if not (isfinite(self.theta_dot_1) and isfinite(self.theta_dot_2)
-                and isfinite(self.theta_dot_3) and isfinite(self.theta_dot_4)):
-            _reject_non_finite(self, ("theta_dot_1", "theta_dot_2",
-                                      "theta_dot_3", "theta_dot_4"))
+        if not _finite_floats(self.theta_dot_1, self.theta_dot_2,
+                              self.theta_dot_3, self.theta_dot_4):
+            _check_components(self, ("theta_dot_1", "theta_dot_2",
+                                     "theta_dot_3", "theta_dot_4"))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.theta_dot_1, self.theta_dot_2,
@@ -129,9 +141,9 @@ class TwistVector:
     v_cz: float
 
     def __post_init__(self):
-        if not (isfinite(self.omega_x) and isfinite(self.omega_y)
-                and isfinite(self.omega_z) and isfinite(self.v_cz)):
-            _reject_non_finite(self, ("omega_x", "omega_y", "omega_z", "v_cz"))
+        if not _finite_floats(self.omega_x, self.omega_y, self.omega_z,
+                              self.v_cz):
+            _check_components(self, ("omega_x", "omega_y", "omega_z", "v_cz"))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.omega_x, self.omega_y, self.omega_z, self.v_cz])

@@ -162,7 +162,12 @@ class PipeNetwork:
 
     def __post_init__(self):
         # stored as a tuple, so equal networks give equal memo keys
-        object.__setattr__(self, "segments", tuple(self.segments))
+        try:
+            object.__setattr__(self, "segments", tuple(self.segments))
+        except TypeError:
+            raise NetworkValidationError(
+                f"segments must be an iterable of PipeSegment, got "
+                f"{self.segments!r}", field="segments") from None
         if not self.segments:
             raise NetworkValidationError("network must contain segments")
         for i, segment in enumerate(self.segments):

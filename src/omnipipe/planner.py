@@ -56,15 +56,12 @@ from .pipenet import (PipeNetwork, PipeSegment, RatioMode, SegmentKind,
 from .singularity import (CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD,
                           ORIENTATION_PERIOD_DEG, SingularityRegion,
                           escape_rotation, sweep_t_junction)
+from .tolerances import (ANGLE_SLACK_DEG, BAND_CLEARANCE_RAD, BAND_MARGIN,
+                         MIN_EXIT_RUN_MM, RADIUS_SLACK_MM,
+                         ROLL_LIMIT_SLACK_DEG)
 
-_TOL_DEG = 1e-9
 # any roll goal lies within half the roll period
 _MAX_ROLL_DEG = ORIENTATION_PERIOD_DEG / 2.0
-# how far (rad, relative to 1 + |alpha|) the alpha run_mission integrates
-# may lie from the one a roll step plans: its up to sim.MAX_SUBSTEPS =
-# 10^6 substeps each round alpha by half an ulp, 10^6 * 2^-53 < 1.2e-10,
-# and the products rate * h * gain add a few ulps in all
-_BAND_MARGIN = 1e-9
 
 # preferred roll offsets, deg: a module on the turn plane for elbow and
 # branch turns, modules straddling the branch mouth when passing over it
@@ -97,6 +94,22 @@ class MissionStep:
     note: str = ""
 
     def __post_init__(self):
+        # run_mission tells kinds apart by identity and reads the command's
+        # fields, so a look-alike would run as some other step
+        if not isinstance(self.kind, StepKind):
+            raise PlanError(f"kind must be a StepKind, got {self.kind!r}")
+        if not isinstance(self.command, CommandVector):
+            raise PlanError(f"command must be a CommandVector, got "
+                            f"{self.command!r}")
+        if not (self.segment_index is None
+                or (isinstance(self.segment_index, int)
+                    and not isinstance(self.segment_index, bool))):
+            raise PlanError(f"segment_index must be an int or None, got "
+                            f"{self.segment_index!r}")
+        if (isinstance(self.duration_s, bool)
+                or not isinstance(self.duration_s, (int, float))):
+            raise PlanError(f"duration_s must be a number, got "
+                            f"{self.duration_s!r}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise PlanError(f"duration must be > 0, got {self.duration_s}")
 
@@ -200,7 +213,7 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: float,
 
     Landing the self-rotation inside the deadband would stall every later
     drive command, so where the alpha the step reaches lies in the band
-    widened by _BAND_MARGIN, which holds the alpha run_mission integrates
+    widened by BAND_MARGIN, which holds the alpha run_mission integrates
     in substeps, widen the roll just past the band, or shorten it where
     widening would pass +-60 deg, half the roll period.  The nudge is a
     fraction of a degree of roll and does not matter against the free-gap
@@ -209,10 +222,10 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: float,
     step, theta5, alpha = holonomic_rotate_step(
         delta_deg, cfg.rotate_rate_rad_s, geom, d_mm, theta5_deg, alpha_rad,
         segment_index)
-    if line_distance(alpha) <= (cfg.deadband_rad + _BAND_MARGIN
+    if line_distance(alpha) <= (cfg.deadband_rad + BAND_MARGIN
                                 * (1.0 + max(abs(alpha_rad), abs(alpha)))):
         # alpha moves by just over the band's width, which clears it
-        bump = (math.degrees(2.0 * cfg.deadband_rad + 1e-6)
+        bump = (math.degrees(2.0 * cfg.deadband_rad + BAND_CLEARANCE_RAD)
                 / rolling_gain(d_mm, geom))
         bump = bump if delta_deg >= 0 else -bump
         delta_deg += bump if abs(delta_deg + bump) <= _MAX_ROLL_DEG else -bump
@@ -285,11 +298,11 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
     if not (math.isfinite(rate_rad_s) and rate_rad_s > 0):
         raise PlanError(f"rotate rate must be finite and > 0, got "
                         f"{rate_rad_s}")
-    if not abs(delta_deg) <= _MAX_ROLL_DEG + 1e-6:
+    if not abs(delta_deg) <= _MAX_ROLL_DEG + ROLL_LIMIT_SLACK_DEG:
         raise PlanError(f"roll delta must lie within +-60 deg, got "
                         f"{delta_deg}")
     _check_finite(theta5_deg=theta5_deg, alpha_rad=alpha_rad)
-    if abs(delta_deg) <= _TOL_DEG:
+    if abs(delta_deg) <= ANGLE_SLACK_DEG:
         return None, theta5_deg, alpha_rad
     rate = math.copysign(rate_rad_s, delta_deg)
     duration = math.radians(abs(delta_deg)) / rate_rad_s
@@ -366,7 +379,8 @@ def _turn_rate_for_radius(speed: float, axis_xy: tuple[float, float],
         s1, s2, s3 = signs
         denominator = (3.0 * equivalent_radius
                        - (s1 * w[0] + s2 * w[1] + s3 * w[2]))
-        if equivalent_radius <= bound + 1e-9 or not denominator > 0.0:
+        if (equivalent_radius <= bound + RADIUS_SLACK_MM
+                or not denominator > 0.0):
             raise PlanError(
                 f"equivalent radius {equivalent_radius} mm unreachable; the "
                 f"differential turn bottoms out at {bound} mm")
@@ -474,7 +488,7 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
 
     remainder = (segment.arc_length() - approach
                  - speed * (math.pi / 2.0) / omega)
-    if remainder > 1e-9:
+    if remainder > MIN_EXIT_RUN_MM:
         steps.append(MissionStep(
             kind=StepKind.DRIVE, command=drive,
             duration_s=_timed(remainder / speed, speed),

@@ -107,6 +107,10 @@ from .pipenet import (PipeNetwork, PipeSegment, SegmentKind, TeeExit,
 from .planner import (MissionStep, PlannerConfig, StepKind,
                       forward_turn_radius, plan_mission, region_for_tee)
 from .singularity import ORIENTATION_PERIOD_DEG, in_singularity
+from .tolerances import (BOUNDARY_TOL_MM, GUARD_DEG, LINE_MARGIN,
+                         MAX_SUBSTEPS, MIN_PARTIAL_SUBSTEP_S,
+                         RADIUS_SLACK_MM, STALL_SPEED, SUBSTEP_RATIO_SLACK,
+                         end_tol_mm)
 
 __all__ = [
     "SimState", "TrajectoryRecord", "Trajectory", "MissionOutcome",
@@ -117,10 +121,6 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-_END_TOL_MM = 1e-6
-_ZERO_TOL = 1e-12
-# run_mission keeps every substep record in memory
-MAX_SUBSTEPS = 1_000_000
 # run_mission's and the simulate command's integration substep, s
 DEFAULT_DT_S = 0.01
 # monte_carlo_tee's trial limit, 1000 times the 10^5 trials of acceptance
@@ -128,16 +128,7 @@ DEFAULT_DT_S = 0.01
 MAX_TRIALS = 10 ** 8
 # Monte Carlo draws per chunk, so memory does not grow with the trials
 _CHUNK = 4096
-# draws this close to an endpoint of the success set (deg) take the scalar
-# path: the band covers in_singularity's 1e-9 slack and the rounding of
-# the reference-shift chain
-_GUARD_DEG = 1e-6
-# A drive sign can change only near a line (k + 1/2) pi +- deadband (rad)
-# and the tee check only near 60 k +- h (deg), k any integer.  Farther
-# than _LINE_MARGIN * (1 + |x|) from every line, each predicate returns
-# what exact arithmetic would (the margin also covers in_singularity's
-# 1e-9 deg of slack), so its value holds up to the next line.
-_LINE_MARGIN = 1e-8
+# the tee check can flip only near 60 k +- h (deg), k any integer
 _TEE_LINES_DEG = ORIENTATION_PERIOD_DEG / 2.0
 # entries past that bound that the predicate itself checks, per block
 _WALK = 8
@@ -307,7 +298,7 @@ def _advance(net: PipeNetwork, geom: RobotGeometry, index: int, s: float,
                          geom)
     lengths = net.arc_lengths
     event = ""
-    while s > lengths[index] + _ZERO_TOL:
+    while s > lengths[index] + BOUNDARY_TOL_MM:
         if index + 1 >= len(lengths):
             s = lengths[index]
             event = "end_of_network"
@@ -315,7 +306,7 @@ def _advance(net: PipeNetwork, geom: RobotGeometry, index: int, s: float,
         s -= lengths[index]
         index += 1
         theta5 = shift_reference(theta5, net, index - 1, index)
-    while s < -_ZERO_TOL:
+    while s < -BOUNDARY_TOL_MM:
         if index == 0:
             s = 0.0
             event = "start_of_network"
@@ -330,12 +321,12 @@ def _stop(x: float, dx: float, period: float, offset: float,
           width: float) -> float:
     """The bound _held bisects to: for sums from ``x`` going up (``dx`` >
     0), the first line period * k + offset +- width (k any integer, 0 <=
-    width < period / 2) at or above x - m, m = _LINE_MARGIN * (1 + |x|),
+    width < period / 2) at or above x - m, m = LINE_MARGIN * (1 + |x|),
     less the margin at that line; mirrored for sums going down.  About
     x - 2 m where m spans a period or rounding finds no line."""
     if dx < 0.0:
         return -_stop(-x, -dx, period, -offset, width)
-    margin = _LINE_MARGIN * (1.0 + abs(x))
+    margin = LINE_MARGIN * (1.0 + abs(x))
     y = x - margin
     if margin < period:
         k = math.floor((y - offset) / period)
@@ -343,7 +334,7 @@ def _stop(x: float, dx: float, period: float, offset: float,
                                    for i in (-1, 0, 1, 2)
                                    for e in (-width, width)]
                  if line >= y), default=y)
-    return y - _LINE_MARGIN * (1.0 + max(abs(x), abs(y)))
+    return y - LINE_MARGIN * (1.0 + max(abs(x), abs(y)))
 
 
 def _held(xs: list[float], f, stop: float) -> int:
@@ -417,10 +408,10 @@ def _block(net: PipeNetwork, index: int, s: float, theta5: float,
         # the scalar path's zero roll adds +-0.0 to theta5, which turns
         # the -0.0 a boundary crossing can leave into 0.0
         theta5 = roll(theta5, alpha, roll_rad, segment.d_mm, geom)[0]
-        length = net.arc_lengths[index]
-        cuts = [(0, s, ds, lambda x: -_ZERO_TOL <= x <= length + _ZERO_TOL,
-                 _stop(s, ds, length + 2.0 * _ZERO_TOL, length + _ZERO_TOL,
-                       0.0), 0)] if ds else []
+        length, tol = net.arc_lengths[index], BOUNDARY_TOL_MM
+        cuts = [(0, s, ds, lambda x: -tol <= x <= length + tol,
+                 _stop(s, ds, length + 2.0 * tol, length + tol, 0.0),
+                 0)] if ds else []
     # a rough count of the substeps to the nearest bound, past which _held
     # may walk
     room = min([(stop - x) / dx for _, x, dx, _, stop, _ in cuts],
@@ -493,10 +484,11 @@ def run_mission(net: PipeNetwork, plan: Iterable[MissionStep],
     mission fails there.  Mid-turn violations (possible only if the turn
     reference shifts under the robot) are recorded as singular_mid_turn
     events without aborting, since the physical outcome is not modeled.
-    dt=None integrates each step in a single exact substep.  Plans
-    needing more than MAX_SUBSTEPS substeps in all raise SimulationError
-    before any integration, and a non-finite ``theta5_deg`` raises
-    PlanError.
+    A mission that ends on the last segment within end_tol_mm of the
+    network's end has completed.  dt=None integrates each step in a
+    single exact substep.  Plans needing more than MAX_SUBSTEPS substeps
+    in all raise SimulationError before any integration, and a
+    non-finite ``theta5_deg`` raises PlanError.
     """
     plan = list(plan)
     for item in plan:
@@ -508,7 +500,7 @@ def run_mission(net: PipeNetwork, plan: Iterable[MissionStep],
         raise PlanError(f"theta5_deg must be finite, got {theta5_deg}")
     # counted before integrating; min() keeps ceil() from overflowing
     substeps = [1 if dt is None else max(1, math.ceil(
-        min(mstep.duration_s / dt, MAX_SUBSTEPS + 1) - 1e-12))
+        min(mstep.duration_s / dt, MAX_SUBSTEPS + 1) - SUBSTEP_RATIO_SLACK))
         for mstep in plan]
     if sum(substeps) > MAX_SUBSTEPS:
         raise SimulationError(f"dt={dt} needs over {MAX_SUBSTEPS} substeps")
@@ -533,7 +525,7 @@ def run_mission(net: PipeNetwork, plan: Iterable[MissionStep],
 
         stall_check = (mstep.kind is not StepKind.HOLONOMIC_ROTATE
                        and max(abs(cmd.theta_dot_1), abs(cmd.theta_dot_2),
-                               abs(cmd.theta_dot_3)) > _ZERO_TOL)
+                               abs(cmd.theta_dot_3)) > STALL_SPEED)
         drive = checked_index = None
         duration = mstep.duration_s
         h_regular = duration if dt is None else dt
@@ -541,7 +533,7 @@ def run_mission(net: PipeNetwork, plan: Iterable[MissionStep],
         k = 0
         while k < n:
             h = h_regular if k < n - 1 else duration - h_regular * (n - 1)
-            if n > 1 and k == n - 1 and h <= 1e-15:
+            if n > 1 and k == n - 1 and h <= MIN_PARTIAL_SUBSTEP_S:
                 break  # the rounding remainder of a multi-substep step
             sign = drive_sign(alpha, deadband)
             if drive is None or sign != drive[2]:
@@ -585,7 +577,7 @@ def run_mission(net: PipeNetwork, plan: Iterable[MissionStep],
             if cmd.theta_dot_4 or index != checked_index:
                 singular = _tee_singular(net, index, theta5, cfg, geom)
                 checked_index = index
-            if first and stall_check and abs(v_cz) < _ZERO_TOL:
+            if first and stall_check and abs(v_cz) < STALL_SPEED:
                 event = failure = "no_forward_progress"
             elif turning and singular:
                 event = "singular_mid_turn"
@@ -601,8 +593,8 @@ def run_mission(net: PipeNetwork, plan: Iterable[MissionStep],
 
     if failure is not None:
         outcome = MissionOutcome(False, failure, t, tuple(events))
-    elif (index == len(net.segments) - 1
-          and s >= net.arc_lengths[-1] - _END_TOL_MM):
+    elif (index == len(net.segments) - 1 and s >= net.arc_lengths[-1]
+          - end_tol_mm(max(net.arc_lengths))):
         outcome = MissionOutcome(True, "completed", t, tuple(events))
     else:
         outcome = MissionOutcome(False, "incomplete", t, tuple(events))
@@ -634,7 +626,7 @@ def _uncovered(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
                 return "an elbow is tighter than its bore"
         elif _branch_tee(segment):
             radius = segment.tee_equivalent_radius
-            if radius <= forward_turn_radius(geom) + 1e-9:
+            if radius <= forward_turn_radius(geom) + RADIUS_SLACK_MM:
                 return "a tee turn can reverse a module"
             if cfg.tee_trigger_fraction > 0.5:
                 return "a tee turn can run past its junction"
@@ -747,7 +739,7 @@ def _count_successes(net: PipeNetwork, thetas: np.ndarray,
     if padded is not None:
         j = np.searchsorted(padded, thetas, side="right")
         near = np.minimum(thetas - padded[j - 1],
-                          padded[j] - thetas) < _GUARD_DEG
+                          padded[j] - thetas) < GUARD_DEG
         # j - 1 endpoints lie at or below a draw; an odd count is inside
         successes = int(np.count_nonzero((j % 2 == 0) & ~near))
         thetas = thetas[near]
@@ -779,7 +771,7 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
 
     Where success_set covers the mission (no roll planned), a draw counts
     as a success when it lies in the set, found by one searchsorted per
-    chunk; draws within 1e-6 deg of an endpoint still plan and simulate.
+    chunk; draws within GUARD_DEG of an endpoint still plan and simulate.
     Elsewhere every trial plans the mission, with or without the
     holonomic escape, and simulates it in a single exact substep per
     step.  Both give the same count draw for draw.  The split between

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .errors import (InsufficientReachError, InvalidGeometryError,
                      InvalidSectionError, NoEscapeError)
 from .intervals import Interval, signed_delta, wrap
+from .tolerances import ANGLE_SLACK_DEG, SECTION_REL_TOL
 
 # Robot orientations repeat every 120 deg (three identical modules).
 ORIENTATION_PERIOD_DEG = 120.0
@@ -38,7 +39,6 @@ CIRCLE_DEG = 360.0
 # the free gaps are centred between them.
 _HALF_PERIOD_DEG = ORIENTATION_PERIOD_DEG / 2.0
 _GAP_CENTRES_DEG = (30.0, 90.0)
-_TOL_DEG = 1e-9
 
 # Default sweep limit for an equal-bore tee: the cut plane tilts until it
 # reaches the branch mouth, 45 deg when branch and main diameters match.
@@ -69,7 +69,8 @@ class EllipseSection:
                 f"need a finite semi_major >= semi_minor > 0, got "
                 f"a={self.semi_major_a}, b={self.semi_minor_b}")
         expected = self.semi_minor_b / math.cos(self.tilt_angle_phi)
-        if not math.isclose(self.semi_major_a, expected, rel_tol=1e-9):
+        if not math.isclose(self.semi_major_a, expected,
+                            rel_tol=SECTION_REL_TOL):
             raise InvalidSectionError(
                 f"semi_major_a={self.semi_major_a} inconsistent with "
                 f"b/cos(phi)={expected}")
@@ -84,7 +85,7 @@ class SingularityRegion:
     of wall direction); 0.0 when no contact is lost.  A roll theta5 is
     forbidden iff it lies within h of a multiple of 60 deg, so the
     forbidden sector measures min(4h, 120) deg and the free gaps are
-    centred on 30 and 90 deg.  Gaps at most 1e-9 deg wide, within
+    centred on 30 and 90 deg.  Gaps at most ANGLE_SLACK_DEG wide, within
     in_singularity's slack, count as closed: the sector is then 120 deg.
     ``free_margin_deg``, (120 - sector) / 2, is the width of each free
     gap: 11.73 deg for the reference robot, whose gap runs from 24.135 to
@@ -96,7 +97,7 @@ class SingularityRegion:
     @property
     def sector_measure_deg(self) -> float:
         h = self.half_width_deg
-        if _HALF_PERIOD_DEG - h <= h + _TOL_DEG:
+        if _HALF_PERIOD_DEG - h <= h + ANGLE_SLACK_DEG:
             return ORIENTATION_PERIOD_DEG
         return 4.0 * h
 
@@ -221,12 +222,12 @@ def sweep_t_junction(D: float, reach_max: float,
 
 def in_singularity(theta5_deg: float, region: SingularityRegion) -> bool:
     """True iff theta5 (degrees) lies within the half-width of a multiple
-    of 60 deg, closed, with 1e-9 deg of slack."""
+    of 60 deg, closed, with ANGLE_SLACK_DEG of slack."""
     h = region.half_width_deg
     if h <= 0.0:
         return False
     d = wrap(theta5_deg, _HALF_PERIOD_DEG)
-    return min(d, _HALF_PERIOD_DEG - d) <= h + _TOL_DEG
+    return min(d, _HALF_PERIOD_DEG - d) <= h + ANGLE_SLACK_DEG
 
 
 def preferred_orientations(region: SingularityRegion) -> list[float]:
@@ -234,7 +235,7 @@ def preferred_orientations(region: SingularityRegion) -> list[float]:
 
     These rolls maximize the margin before a module re-enters the
     forbidden set: 30 and 90 deg, or 60 deg when no roll is forbidden.
-    Raises NoEscapeError when the gaps are at most 1e-9 deg wide.
+    Raises NoEscapeError when the gaps are at most ANGLE_SLACK_DEG wide.
     """
     if region.half_width_deg == 0.0:
         return [_HALF_PERIOD_DEG]
@@ -247,18 +248,18 @@ def escape_rotation(theta5_deg: float, region: SingularityRegion) -> float:
     """Smallest signed roll (degrees) to the nearest free-gap center.
 
     Centering in the gap maximizes margin on both sides.  Returns 0.0 when
-    already centered within 1e-9 deg; ties between a positive and a
+    already centered within ANGLE_SLACK_DEG; ties between a positive and a
     negative candidate resolve to the positive (counter-clockwise) one.
     Raises NoEscapeError when the free set is empty.
     """
     best = None
     for target in preferred_orientations(region):
         d = signed_delta(theta5_deg, target, ORIENTATION_PERIOD_DEG)
-        if best is None or abs(d) < abs(best) - _TOL_DEG:
+        if best is None or abs(d) < abs(best) - ANGLE_SLACK_DEG:
             best = d
-        elif abs(abs(d) - abs(best)) <= _TOL_DEG and d > best:
+        elif abs(abs(d) - abs(best)) <= ANGLE_SLACK_DEG and d > best:
             best = d  # tie: prefer the positive rotation
-    if abs(best) <= _TOL_DEG:
+    if abs(best) <= ANGLE_SLACK_DEG:
         return 0.0
     return best
 

@@ -415,6 +415,20 @@ def test_two_elbow_trajectory_has_the_pinned_bits(capsys, tmp_path):
     assert digest.hexdigest() == _TWO_ELBOW_TRAJECTORY_SHA256
 
 
+def test_simulate_completes_a_mission_a_rounding_short_of_its_end(capsys,
+                                                                  tmp_path):
+    # 999 911 substeps of 0.099999 mm end 1.5e-6 mm short of 99990.1 mm,
+    # within the end tolerance of so long a segment
+    path = tmp_path / "net.json"
+    path.write_text(network_to_json(PipeNetwork((straight(160.0, 99990.1),))))
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "simulate", "--network", str(path),
+                           "--dt", "0.00099999", "--out", str(out_dir))
+    (out_dir / "trajectory.csv").unlink()  # a million rows, 127 MB
+    assert json.loads(out)["reason"] == "completed"
+    assert code == 0
+
+
 def _dynamic_arch_openblas() -> str | None:
     """Why numpy's BLAS cannot switch kernels by environment, or None."""
     try:

@@ -21,7 +21,6 @@ import contextlib
 import hashlib
 import io
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 

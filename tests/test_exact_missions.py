@@ -25,6 +25,7 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
 from omnipipe.drive import signed_drive
 from omnipipe import planner, sim
 from omnipipe.errors import OmnipipeError
+from omnipipe.tolerances import BAND_MARGIN, MAX_SUBSTEPS
 
 from conftest import empty_every_memo
 
@@ -157,7 +158,7 @@ def test_alignment_onto_a_deadband_edge_keeps_driving(net, theta5,
 
 def test_the_band_margin_covers_every_substep():
     # each substep rounds alpha by at most half an ulp of its magnitude
-    assert 4.0 * sim.MAX_SUBSTEPS * 2.0 ** -53 < planner._BAND_MARGIN
+    assert 4.0 * MAX_SUBSTEPS * 2.0 ** -53 < BAND_MARGIN
 
 
 # -- the twist memo -----------------------------------------------------------

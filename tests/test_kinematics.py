@@ -1,6 +1,7 @@
 import inspect
 import math
 import operator
+import re
 import sys
 from dataclasses import astuple
 from fractions import Fraction
@@ -359,6 +360,24 @@ def test_vectors_name_their_first_non_finite_field():
         CommandVector(1.0, math.inf, math.nan, 0.0)
     with pytest.raises(ValueError, match="^v_cz must be finite$"):
         TwistVector(0.0, -0.0, 1e308, math.nan)
+    with pytest.raises(ValueError, match="^omega_y must be finite$"):
+        TwistVector(0, -(10 ** 400), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [True, False, "1", None, 1j])
+def test_vectors_name_a_field_that_is_not_a_number(value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"theta_dot_1 must be a number, got {value!r}")):
+        CommandVector(value, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"v_cz must be a number, got {value!r}")):
+        TwistVector(0.0, 0.0, 0.0, value)
+
+
+def test_vectors_take_ints_and_numpy_scalars():
+    assert CommandVector(1, 2, 3, 0) == CommandVector(1.0, 2.0, 3.0, 0.0)
+    assert TwistVector(np.float32(0.5), 0, 0, 1) == TwistVector(0.5, 0.0,
+                                                                0.0, 1.0)
 
 
 @settings(max_examples=200, deadline=None)

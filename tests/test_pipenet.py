@@ -48,6 +48,14 @@ def test_network_rejects_empty():
         PipeNetwork(())
 
 
+def test_network_rejects_segments_that_are_not_iterable():
+    with pytest.raises(NetworkValidationError,
+                       match="^segments must be an iterable of PipeSegment, "
+                             "got 5$") as err:
+        PipeNetwork(5)
+    assert err.value.field == "segments"
+
+
 @pytest.mark.parametrize("build, index, field", [
     (lambda: PipeSegment("straight", D, length_mm=500.0), None, "kind"),
     (lambda: PipeSegment(None, D, length_mm=500.0), None, "kind"),

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -715,3 +715,33 @@ def test_mission_step_validates_fields():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(PlanError):
             MissionStep(kind=StepKind.DRIVE, command=cmd, duration_s=bad)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("kind", "drive", "kind must be a StepKind, got 'drive'"),
+    ("command", (1.0, 1.0, 1.0, 0.0),
+     "command must be a CommandVector, got (1.0, 1.0, 1.0, 0.0)"),
+    ("segment_index", "x", "segment_index must be an int or None, got 'x'"),
+    ("segment_index", True,
+     "segment_index must be an int or None, got True"),
+    ("segment_index", 1.0,
+     "segment_index must be an int or None, got 1.0"),
+    ("duration_s", True, "duration_s must be a number, got True"),
+    ("duration_s", "1", "duration_s must be a number, got '1'"),
+])
+def test_mission_step_names_a_field_of_the_wrong_type(field, value, message):
+    fields = {"kind": StepKind.DRIVE,
+              "command": CommandVector(1.0, 1.0, 1.0, 0.0),
+              "duration_s": 1.0, "segment_index": None}
+    with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+        MissionStep(**{**fields, field: value})
+
+
+def test_a_plan_with_string_kinds_is_refused_not_run(cfg, geom, tee_net):
+    # by identity, run_mission would miss the tee onset of a turn whose
+    # kind is "turn_tee" and complete a mission that fails
+    plan = plan_mission(tee_net, 0.0, cfg, geom, with_holonomic=False)
+    outcome, _ = run_mission(tee_net, plan, cfg, geom, dt=None)
+    assert outcome.reason == "singularity"
+    with pytest.raises(PlanError, match="^kind must be a StepKind"):
+        [replace(mstep, kind=mstep.kind.value) for mstep in plan]

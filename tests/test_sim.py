@@ -25,10 +25,13 @@ from omnipipe import (REFERENCE_GEOMETRY, CommandVector, MissionOutcome,
 from omnipipe import planner, sim
 from omnipipe.drive import roll_sums, signed_drive
 from omnipipe.intervals import normalize, wrap
-from omnipipe.sim import (_CHUNK, _WALK, _ZERO_TOL, MAX_SUBSTEPS,
-                          MAX_TRIALS, _count_successes, _held,
-                          _padded_ends, _stop, wilson_interval)
+from omnipipe.sim import (_CHUNK, _WALK, MAX_SUBSTEPS, MAX_TRIALS,
+                          _count_successes, _held, _padded_ends, _stop,
+                          wilson_interval)
 from omnipipe.singularity import SingularityRegion
+from omnipipe.tolerances import (BOUNDARY_TOL_MM, MIN_PARTIAL_SUBSTEP_S,
+                                 STALL_SPEED, SUBSTEP_RATIO_SLACK,
+                                 end_tol_mm)
 
 D = 160.0
 RATE = 100.0 / 15.0
@@ -635,7 +638,7 @@ def test_monte_carlo_without_a_success_set_counts_as_before(cfg, geom,
     if case == "late trigger":
         cfg = PlannerConfig(tee_trigger_fraction=0.75)
     if case == "stalled drive":
-        # v_cz below the simulator's 1e-12 zero tolerance while the chain
+        # v_cz below the simulator's STALL_SPEED while the chain
         # rates are above it: every trial stops with no forward progress,
         # which the scalar check inside success_set notices
         cfg = PlannerConfig(straight_speed=1e-13)
@@ -929,19 +932,20 @@ def stepwise_run(net, plan, cfg, geom, theta5_deg=0.0, dt=0.01):
             failure = "singularity"
             break
         n = 1 if dt is None else max(1, math.ceil(
-            min(mstep.duration_s / dt, MAX_SUBSTEPS + 1) - 1e-12))
+            min(mstep.duration_s / dt, MAX_SUBSTEPS + 1)
+            - SUBSTEP_RATIO_SLACK))
         h_regular = mstep.duration_s if dt is None else dt
         for k in range(n):
             h = (h_regular if k < n - 1
                  else mstep.duration_s - h_regular * (n - 1))
-            if n > 1 and k == n - 1 and h <= 1e-15:
+            if n > 1 and k == n - 1 and h <= MIN_PARTIAL_SUBSTEP_S:
                 continue
             state, record = step(state, mstep.command, h, net, geom, cfg)
             c = mstep.command
             if (k == 0 and mstep.kind is not StepKind.HOLONOMIC_ROTATE
-                    and abs(record.twist.v_cz) < 1e-12
+                    and abs(record.twist.v_cz) < STALL_SPEED
                     and max(abs(c.theta_dot_1), abs(c.theta_dot_2),
-                            abs(c.theta_dot_3)) > 1e-12):
+                            abs(c.theta_dot_3)) > STALL_SPEED):
                 records.append(dataclasses.replace(
                     record, event="no_forward_progress"))
                 events.append("no_forward_progress")
@@ -962,7 +966,8 @@ def stepwise_run(net, plan, cfg, geom, theta5_deg=0.0, dt=0.01):
         return MissionOutcome(False, failure, state.time_s,
                               tuple(events)), records
     if (state.segment_index == len(net.segments) - 1
-            and state.s_mm >= net.segments[-1].arc_length() - 1e-6):
+            and state.s_mm >= net.segments[-1].arc_length()
+            - end_tol_mm(max(seg.arc_length() for seg in net.segments))):
         return MissionOutcome(True, "completed", state.time_s,
                               tuple(events)), records
     return MissionOutcome(False, "incomplete", state.time_s,
@@ -1045,7 +1050,7 @@ def test_run_mission_matches_stepwise_at_mission_ends(cfg, geom, tmp_path,
 
 def test_run_mission_matches_stepwise_on_a_stalled_plan(geom, tee_net,
                                                         tmp_path):
-    # v_cz below the 1e-12 zero tolerance while the chain rates are not;
+    # v_cz below STALL_SPEED while the chain rates are not;
     # at this speed only whole-step substeps stay under MAX_SUBSTEPS
     cfg = PlannerConfig(straight_speed=1e-13)
     geom = dataclasses.replace(geom, lug_radius_r=0.01)
@@ -1216,7 +1221,7 @@ def test_stay_on_segment_cuts_where_the_scalar_loop_crosses(s, ds, m,
     expected = []
     for _ in range(m):
         s_next = (expected[-1] if expected else s) + ds
-        if s_next > length + _ZERO_TOL or s_next < -_ZERO_TOL:
+        if s_next > length + BOUNDARY_TOL_MM or s_next < -BOUNDARY_TOL_MM:
             break
         expected.append(s_next)
     # drive blocks one after another, as run_mission builds them, until

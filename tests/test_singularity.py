@@ -15,10 +15,9 @@ from omnipipe import (CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD,
                       escape_rotation, failure_probability, in_singularity,
                       preferred_orientations, sweep_t_junction)
 from omnipipe import intervals as iv
+from omnipipe.tolerances import ANGLE_SLACK_DEG
 
 # -- reference: the interval fold the closed form replaced ---------------------
-
-_EPS = 1e-9
 
 
 def fold(arcs):
@@ -33,10 +32,11 @@ def measure(pieces) -> float:
 
 
 def fold_contains(folded, theta: float) -> bool:
-    """Closed membership of theta (mod 120) with 1e-9 deg of slack."""
-    a = iv.wrap(theta, 120.0)
-    return any(lo - _EPS <= a <= hi + _EPS
-               or (hi >= 120.0 - _EPS and a <= hi - 120.0 + _EPS)
+    """Closed membership of theta (mod 120) with ANGLE_SLACK_DEG of
+    slack."""
+    a, e = iv.wrap(theta, 120.0), ANGLE_SLACK_DEG
+    return any(lo - e <= a <= hi + e
+               or (hi >= 120.0 - e and a <= hi - 120.0 + e)
                for lo, hi in folded)
 
 
