@@ -1,4 +1,7 @@
-"""Exception types shared across the omnipipe package."""
+"""Exception types shared across the omnipipe package, and the number
+check that raises them."""
+
+from numbers import Real
 
 
 class OmnipipeError(Exception):
@@ -45,3 +48,16 @@ class PlanError(OmnipipeError):
 
 class SimulationError(OmnipipeError):
     """A simulation run received invalid inputs."""
+
+
+def real_number(value, name: str, error: type[OmnipipeError]) -> float:
+    """``value`` as a float; ``error`` naming ``name`` for a bool, a value
+    that is not a real number, or one past the float range."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} must lie within the float range") from None

@@ -8,7 +8,8 @@ module 3 at -120 deg.  Each module translates along the pipe (drive rates
 space and robot twist a constant 4x4 Jacobian.
 
 Units are mm, rad and s throughout.  Angular rates are rad/s, linear
-velocities mm/s, lengths mm.
+velocities mm/s, lengths mm.  Every map evaluates in Python floats and
+returns its vectors and matrices as tuples.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import sys
 from dataclasses import dataclass, replace
 from math import isfinite
 from numbers import Real
-
-import numpy as np
 
 from .errors import InvalidGeometryError, UndefinedCurvatureError
 from .tolerances import ANGULAR_SPEED_EPS
@@ -126,10 +125,6 @@ class CommandVector:
             _check_components(self, ("theta_dot_1", "theta_dot_2",
                                      "theta_dot_3", "theta_dot_4"))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta_dot_1, self.theta_dot_2,
-                         self.theta_dot_3, self.theta_dot_4])
-
 
 @dataclass(frozen=True)
 class TwistVector:
@@ -145,9 +140,6 @@ class TwistVector:
                               self.v_cz):
             _check_components(self, ("omega_x", "omega_y", "omega_z", "v_cz"))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.omega_x, self.omega_y, self.omega_z, self.v_cz])
-
     def angular_norm(self) -> float:
         """Euclidean norm of the angular part (rad/s), by math.hypot: it
         neither overflows nor underflows where the norm is a finite
@@ -160,7 +152,8 @@ class ModuleVelocities:
     """Per-module axial speeds (mm/s) and instantaneous arm extensions (mm).
 
     Arm extensions may be unequal: the robot pressed into a non-circular
-    section compresses each spring differently.
+    section compresses each spring differently.  Each field must be a
+    finite real number, as in CommandVector, and each arm > 0.
     """
 
     v1: float
@@ -171,6 +164,8 @@ class ModuleVelocities:
     arm_l3: float
 
     def __post_init__(self):
+        _check_components(self, ("v1", "v2", "v3", "arm_l1", "arm_l2",
+                                 "arm_l3"))
         for name in ("arm_l1", "arm_l2", "arm_l3"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -201,7 +196,7 @@ def module_linear_velocities(cmd: CommandVector,
 
 
 def coriolis_transform(vec_in_rotating_frame, position_of_point,
-                       theta_dot_4: float) -> np.ndarray:
+                       theta_dot_4: float) -> tuple[float, float, float]:
     """Re-express a rotating-frame vector in the co-located inertial frame.
 
     Returns ``vec + (theta_dot_4 * z_hat) x position``: the velocity seen
@@ -213,21 +208,20 @@ def coriolis_transform(vec_in_rotating_frame, position_of_point,
             attached to, in the same frame (mm).
         theta_dot_4: robot spin rate about the local z axis (rad/s).
     """
-    vec = np.asarray(vec_in_rotating_frame, dtype=float)
-    pos = np.asarray(position_of_point, dtype=float)
-    omega = np.array([0.0, 0.0, theta_dot_4])
-    return vec + np.cross(omega, pos)
+    vx, vy, vz = map(float, vec_in_rotating_frame)
+    px, py, _ = map(float, position_of_point)
+    return (vx - theta_dot_4 * py, vy + theta_dot_4 * px, vz)
 
 
-def module_positions(mv: ModuleVelocities) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def module_positions(mv: ModuleVelocities
+                     ) -> tuple[tuple[float, float, float], ...]:
     """Module center positions in the local frame for given arm extensions."""
-    return tuple(
-        arm * np.array([dx, dy, 0.0])
-        for arm, (dx, dy) in zip(mv.arms, _MODULE_DIRS)
-    )
+    return tuple((arm * dx, arm * dy, 0.0)
+                 for arm, (dx, dy) in zip(mv.arms, _MODULE_DIRS))
 
 
-def center_velocity(mv: ModuleVelocities, theta_dot_4: float) -> np.ndarray:
+def center_velocity(mv: ModuleVelocities,
+                    theta_dot_4: float) -> tuple[float, float, float]:
     """Linear velocity of the robot center in the non-spinning frame (mm/s).
 
     Average of the three module velocity vectors after the spin transform.
@@ -235,10 +229,9 @@ def center_velocity(mv: ModuleVelocities, theta_dot_4: float) -> np.ndarray:
     z component is the plain average of the module speeds; unequal arms
     leave a residual planar velocity.
     """
-    total = np.zeros(3)
-    for speed, pos in zip(mv.speeds, module_positions(mv)):
-        total += coriolis_transform(np.array([0.0, 0.0, speed]), pos, theta_dot_4)
-    return total / 3.0
+    v1, v2, v3 = (coriolis_transform((0.0, 0.0, speed), pos, theta_dot_4)
+                  for speed, pos in zip(mv.speeds, module_positions(mv)))
+    return tuple((0.0 + a + b + c) / 3.0 for a, b, c in zip(v1, v2, v3))
 
 
 def _map_scalars(geom: RobotGeometry, inverse: bool) -> tuple[float, ...]:
@@ -264,36 +257,34 @@ def _map_scalars(geom: RobotGeometry, inverse: bool) -> tuple[float, ...]:
     return scalars
 
 
-def jacobian(geom: RobotGeometry) -> np.ndarray:
-    """The 4x4 matrix mapping (th1., th2., th3., th4.) to (wx, wy, wz, v_cz).
+def jacobian(geom: RobotGeometry) -> tuple[tuple[float, ...], ...]:
+    """The 4x4 matrix mapping (th1., th2., th3., th4.) to (wx, wy, wz, v_cz),
+    as four row tuples.
 
     Built from the per-module rotation axes at lever arm ``a + l``; for the
     symmetric ``a = l / 2`` case the entries reduce to the familiar
-    +-sqrt(3) r / 3l and r / 3l pattern.  An array view for the API.
+    +-sqrt(3) r / 3l and r / 3l pattern.  The matrix of forward_kinematics
+    for the API.
     """
     k, s, h, t = _map_scalars(geom, False)
-    return np.array([
-        [0.0, -s,  s,  0.0],
-        [-k,   h,  h,  0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [t,    t,  t,  0.0],
-    ])
+    return ((0.0, -s,  s,  0.0),
+            (-k,   h,  h,  0.0),
+            (0.0, 0.0, 0.0, 1.0),
+            (t,    t,  t,  0.0))
 
 
-def jacobian_inverse(geom: RobotGeometry) -> np.ndarray:
-    """Closed-form inverse of ``jacobian(geom)``, a fresh array; an array
-    view of inverse_kinematics for the API.  Its determinant,
+def jacobian_inverse(geom: RobotGeometry) -> tuple[tuple[float, ...], ...]:
+    """Closed-form inverse of ``jacobian(geom)``, as four row tuples; the
+    matrix of inverse_kinematics for the API.  Its determinant,
     2 sqrt(3) r^3 / (9 l^2) for the symmetric geometry, is nonzero for
     every valid geometry.  Raises InvalidGeometryError where L / r or 1 / r
     overflows a float (e.g. a + l above 1.8e308 mm).
     """
     x, y, y2, q = _map_scalars(geom, True)
-    return np.array([
-        [0.0, -y2, 0.0, q],
-        [-x,   y,  0.0, q],
-        [x,    y,  0.0, q],
-        [0.0, 0.0, 1.0, 0.0],
-    ])
+    return ((0.0, -y2, 0.0, q),
+            (-x,   y,  0.0, q),
+            (x,    y,  0.0, q),
+            (0.0, 0.0, 1.0, 0.0))
 
 
 def forward_kinematics(cmd: CommandVector, geom: RobotGeometry) -> TwistVector:

@@ -41,13 +41,12 @@ import enum
 import functools
 import json
 import math
-import sys
 from dataclasses import astuple, dataclass
 
 from .drive import (DEFAULT_DEADBAND_DEG, MAX_DEADBAND_RAD, drive_sign,
                     line_distance, roll, rolling_gain, shift_reference,
                     signed_drive)
-from .errors import PlanError
+from .errors import PlanError, real_number
 from .intervals import signed_delta, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          inverse_kinematics)
@@ -106,11 +105,8 @@ class MissionStep:
                     and not isinstance(self.segment_index, bool))):
             raise PlanError(f"segment_index must be an int or None, got "
                             f"{self.segment_index!r}")
-        if (isinstance(self.duration_s, bool)
-                or not isinstance(self.duration_s, (int, float))):
-            raise PlanError(f"duration_s must be a number, got "
-                            f"{self.duration_s!r}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+        duration = real_number(self.duration_s, "duration_s", PlanError)
+        if not (math.isfinite(duration) and duration > 0):
             raise PlanError(f"duration must be > 0, got {self.duration_s}")
 
     def roll_delta_deg(self) -> float:
@@ -157,11 +153,7 @@ class PlannerConfig:
             value = getattr(self, name)
             if value is None and name == "sweep_phi_max_deg":
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise PlanError(f"{name} must be a number, got {value!r}")
-            if isinstance(value, int) and abs(value) > sys.float_info.max:
-                raise PlanError(f"{name} must lie within the float range")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, real_number(value, name, PlanError))
         if not isinstance(self.ratio_mode, RatioMode):
             raise PlanError(f"ratio_mode must be a RatioMode, got "
                             f"{self.ratio_mode!r}")
@@ -504,8 +496,10 @@ def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
 
     ``theta5_deg`` is the initial roll relative to the first upcoming
     turn's plane and must be finite; one (theta5, alpha) passes through
-    the segments, and each step carries the index of its segment.
+    the segments, and each step carries the index of its segment.  A
+    ``theta5_deg`` that is a bool or not a real number raises PlanError.
     """
+    theta5_deg = real_number(theta5_deg, "theta5_deg", PlanError)
     _check_finite(theta5_deg=theta5_deg)
     theta5, alpha = wrap(theta5_deg, 360.0), 0.0
     steps: list[MissionStep] = []

@@ -93,12 +93,11 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter, neg
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .drive import (drive_sign, roll, roll_sums, rolling_gain,
                     shift_reference, signed_drive)
-from .errors import PlanError, SimulationError
+from .errors import PlanError, SimulationError, real_number
 from .intervals import Interval, complement, normalize, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          forward_kinematics)
@@ -111,6 +110,11 @@ from .tolerances import (BOUNDARY_TOL_MM, GUARD_DEG, LINE_MARGIN,
                          MAX_SUBSTEPS, MIN_PARTIAL_SUBSTEP_S,
                          RADIUS_SLACK_MM, STALL_SPEED, SUBSTEP_RATIO_SLACK,
                          end_tol_mm)
+
+# numpy is imported by the three Monte Carlo functions that call it, so
+# that importing omnipipe and every other command run without it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SimState", "TrajectoryRecord", "Trajectory", "MissionOutcome",
@@ -444,8 +448,10 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
     directions; crossing a boundary shifts theta5 to the next segment's
     turn reference.  Exact for constant commands at any dt > 0.  A
     ``state`` off the network (a segment index out of range) or with a
-    non-finite field raises SimulationError.
+    non-finite field raises SimulationError, as does a ``dt`` that is a
+    bool or not a real number.
     """
+    dt = real_number(dt, "dt", SimulationError)
     if not (dt > 0 and math.isfinite(dt)):
         raise SimulationError(f"dt must be > 0, got {dt}")
     if not 0 <= state.segment_index < len(net.segments):
@@ -487,15 +493,19 @@ def run_mission(net: PipeNetwork, plan: Iterable[MissionStep],
     A mission that ends on the last segment within end_tol_mm of the
     network's end has completed.  dt=None integrates each step in a
     single exact substep.  Plans needing more than MAX_SUBSTEPS substeps
-    in all raise SimulationError before any integration, and a
-    non-finite ``theta5_deg`` raises PlanError.
+    in all raise SimulationError before any integration, as does a ``dt``
+    that is not a real number > 0 (a bool is not one); a ``theta5_deg``
+    that is not a finite real number raises PlanError.
     """
     plan = list(plan)
     for item in plan:
         if not isinstance(item, MissionStep):
             raise SimulationError(f"plan contains a non-step entry: {item!r}")
-    if dt is not None and not (dt > 0 and math.isfinite(dt)):
-        raise SimulationError(f"dt must be > 0, got {dt}")
+    if dt is not None:
+        dt = real_number(dt, "dt", SimulationError)
+        if not (dt > 0 and math.isfinite(dt)):
+            raise SimulationError(f"dt must be > 0, got {dt}")
+    theta5_deg = real_number(theta5_deg, "theta5_deg", PlanError)
     if not math.isfinite(theta5_deg):
         raise PlanError(f"theta5_deg must be finite, got {theta5_deg}")
     # counted before integrating; min() keeps ceil() from overflowing
@@ -666,6 +676,7 @@ def _padded_ends(succeeding: Sequence[Interval]) -> np.ndarray:
     """The endpoints of a success set in order, padded with a neighbour
     across the 0/120 seam on each side, as a read-only array; empty for
     the empty set."""
+    import numpy as np
     ends = np.asarray(succeeding, dtype=float).ravel()
     if ends.size:
         ends = np.concatenate(([ends[-1] - ORIENTATION_PERIOD_DEG], ends,
@@ -733,6 +744,7 @@ def _count_successes(net: PipeNetwork, thetas: np.ndarray,
     draws within the guard band of an endpoint run the scalar trial.
     Without one (None) every draw runs it.
     """
+    import numpy as np
     if padded is not None and not padded.size:
         return 0, 0
     successes = 0
@@ -777,6 +789,7 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
     step.  Both give the same count draw for draw.  The split between
     the two paths is logged at DEBUG.
     """
+    import numpy as np
     trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -8,6 +8,7 @@ runtime budgets are part of the contract and must not be loosened.
 import json
 import math
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_criterion_1_jacobian_scalar_agreement():
             assert twist.omega_z == pytest.approx(th[3], rel=1e-12)
             assert twist.v_cz == pytest.approx(vcz, rel=1e-12, abs=1e-12)
             back = inverse_kinematics(twist, GEOM)
-            assert np.max(np.abs(back.as_array() - th)) < 1e-9
+            assert np.max(np.abs(np.array(astuple(back)) - th)) < 1e-9
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"criterion 1 took {elapsed:.2f} s"
 

@@ -892,12 +892,32 @@ def run_fresh_python(script: str, *argv) -> subprocess.CompletedProcess:
                           capture_output=True, env=env)
 
 
-def test_import_does_not_load_scipy():
-    proc = run_fresh_python(
-        "import sys, omnipipe, omnipipe.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+# runs main on the arguments after the script, if any, and prints its
+# exit code and which of numpy and scipy it left loaded
+_IMPORTS_SCRIPT = (
+    "import contextlib, io, sys, omnipipe, omnipipe.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = omnipipe.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(code, sorted({m.split('.')[0] for m in sys.modules}\n"
+    "                   & {'numpy', 'scipy'}))")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), "[]"),
+    (("fk", "--cmd", "1,2,3,0.5"), "[]"),
+    (("ik", "--twist", "0.1,0.2,0.3,30"), "[]"),
+    (("sector", "--d", "160"), "[]"),
+    (("plan", "--network", "{net}", "--out", "{out}"), "[]"),
+    (("simulate", "--network", "{net}", "--out", "{out}"), "[]"),
+    (("montecarlo", "--network", "{net}", "--trials", "20", "--seed", "1",
+      "--out", "{out}"), "['numpy']"),
+], ids=["import", "fk", "ik", "sector", "plan", "simulate", "montecarlo"])
+def test_only_monte_carlo_loads_numpy_and_nothing_loads_scipy(
+        argv, loaded, net_file, tmp_path):
+    argv = [a.format(net=net_file, out=tmp_path) for a in argv]
+    proc = run_fresh_python(_IMPORTS_SCRIPT, *argv)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "[]"
+    assert proc.stdout.decode() == f"0 {loaded}\n"
 
 
 def test_console_script_is_installed():

@@ -93,11 +93,12 @@ def test_jacobian_invertible_with_expected_determinant_magnitude():
                                      / (9.0 * l ** 2), rel=1e-9)
 
 
-def test_jacobian_returns_private_copy():
-    geom = ref_geom()
-    J = jacobian(geom)
-    J[0, 0] = 99.0
-    assert jacobian(geom)[0, 0] == 0.0
+def test_jacobian_is_a_tuple_of_float_rows():
+    # immutable, so one call's matrix cannot change another's
+    for matrix in (jacobian(ref_geom()), jacobian_inverse(ref_geom())):
+        assert type(matrix) is tuple and len(matrix) == 4
+        assert all(type(row) is tuple and len(row) == 4
+                   and all(type(v) is float for v in row) for row in matrix)
 
 
 # -- inverse map --------------------------------------------------------------
@@ -165,9 +166,7 @@ _IK_SUBNORMAL_SLACK = Fraction(6, 2 ** 1075)
 def test_closed_form_inverse_matches_a_numerical_solve(geom, wx, wy, wz, v):
     J = jacobian(geom)
     J_inv = jacobian_inverse(geom)
-    assert np.max(np.abs(J_inv @ J - np.eye(4))) <= 1e-15
-    # a fresh array each call, the caller's to write
-    assert J_inv.flags.writeable and jacobian_inverse(geom) is not J_inv
+    assert np.max(np.abs(np.array(J_inv) @ np.array(J) - np.eye(4))) <= 1e-15
     twist = TwistVector(wx, wy, wz, v)
     exact = exact_solve(J, astuple(twist))
     got = astuple(inverse_kinematics(twist, geom))
@@ -347,10 +346,12 @@ def test_kinematics_and_planner_carry_no_numpy_overflow_guards():
     # the closed forms run on Python floats, which overflow to inf or nan
     # without a warning; the matrix products and their guards are gone
     from omnipipe import kinematics, planner
-    assert not any(getattr(value, "__name__", "").split(".")[0] == "numpy"
-                   or type(value).__module__.split(".")[0] == "numpy"
-                   for value in vars(planner).values())
-    assert "numpy" not in inspect.getsource(planner)
+    for module in (kinematics, planner):
+        assert not any(
+            getattr(value, "__name__", "").split(".")[0] == "numpy"
+            or type(value).__module__.split(".")[0] == "numpy"
+            for value in vars(module).values())
+        assert "numpy" not in inspect.getsource(module)
     source = inspect.getsource(kinematics)
     assert "errstate" not in source and "_HALF_FLOAT_MAX" not in source
 
@@ -386,7 +387,7 @@ def test_roundtrip_inverse_of_forward(t1, t2, t3, t4):
     geom = ref_geom()
     cmd = CommandVector(t1, t2, t3, t4)
     back = inverse_kinematics(forward_kinematics(cmd, geom), geom)
-    assert np.allclose(back.as_array(), cmd.as_array(), atol=1e-9)
+    assert np.allclose(astuple(back), astuple(cmd), atol=1e-9)
 
 
 # -- Coriolis transform and center velocity -----------------------------------
@@ -423,6 +424,33 @@ def test_module_positions_on_circle():
     assert np.allclose(p1, [60.0, 0.0, 0.0])
     assert np.allclose(p2, [-30.0, 30.0 * math.sqrt(3.0), 0.0])
     assert np.allclose(p3, [-30.0, -30.0 * math.sqrt(3.0), 0.0])
+
+
+def test_lumped_model_returns_tuples_of_floats():
+    mv = ModuleVelocities(10, 20, 30, 60, 55, 50)
+    vectors = (*module_positions(mv), center_velocity(mv, 2),
+               coriolis_transform([0, 0, 10], [60, 0, 0], 0.5))
+    for vector in vectors:
+        assert type(vector) is tuple and len(vector) == 3
+        assert all(type(v) is float for v in vector)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("v1", math.nan, "v1 must be finite"),
+    ("v3", -math.inf, "v3 must be finite"),
+    ("v2", 10 ** 400, "v2 must be finite"),
+    ("v2", True, "v2 must be a number, got True"),
+    ("v1", "60", "v1 must be a number, got '60'"),
+    ("arm_l2", None, "arm_l2 must be a number, got None"),
+    ("arm_l3", math.inf, "arm_l3 must be finite"),
+    ("arm_l1", 0.0, "arm_l1 must be > 0"),
+])
+def test_module_velocities_name_a_bad_field(field, value, message):
+    fields = dict(v1=60.0, v2=60.0, v3=60.0, arm_l1=60.0, arm_l2=55.0,
+                  arm_l3=50.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ModuleVelocities(**fields)
 
 
 def test_module_linear_velocities_scale_by_lug_radius():

@@ -728,6 +728,7 @@ def test_mission_step_validates_fields():
      "segment_index must be an int or None, got 1.0"),
     ("duration_s", True, "duration_s must be a number, got True"),
     ("duration_s", "1", "duration_s must be a number, got '1'"),
+    ("duration_s", 10 ** 400, "duration_s must lie within the float range"),
 ])
 def test_mission_step_names_a_field_of_the_wrong_type(field, value, message):
     fields = {"kind": StepKind.DRIVE,

@@ -4,6 +4,7 @@ import gc
 import json
 import logging
 import math
+import re
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -303,6 +304,33 @@ def test_run_mission_rejects_non_finite_roll(cfg, geom, tee_net, theta5):
     plan = plan_mission(tee_net, 30.0, cfg, geom)
     with pytest.raises(PlanError, match="theta5_deg must be finite"):
         run_mission(tee_net, plan, cfg, geom, theta5_deg=theta5)
+
+
+@pytest.mark.parametrize("value, problem", [
+    (True, "must be a number, got True"),
+    ("x", "must be a number, got 'x'"),
+    (10 ** 400, "must lie within the float range"),
+], ids=["bool", "str", "huge-int"])
+@pytest.mark.parametrize("where", ["plan_mission theta5_deg",
+                                   "run_mission theta5_deg",
+                                   "run_mission dt", "step dt"])
+def test_mission_inputs_that_are_not_numbers_raise_typed_errors(
+        where, value, problem, cfg, geom, tee_net):
+    # a bool would plan a 1 deg roll or run 1 s substeps; a str or a huge
+    # int would end in an untyped TypeError or OverflowError
+    plan = plan_mission(tee_net, 0.0, cfg, geom)
+    error, name, call = {
+        "plan_mission theta5_deg": (PlanError, "theta5_deg", lambda: (
+            plan_mission(tee_net, value, cfg, geom))),
+        "run_mission theta5_deg": (PlanError, "theta5_deg", lambda: (
+            run_mission(tee_net, plan, cfg, geom, theta5_deg=value))),
+        "run_mission dt": (SimulationError, "dt", lambda: (
+            run_mission(tee_net, plan, cfg, geom, dt=value))),
+        "step dt": (SimulationError, "dt", lambda: (
+            step(SimState(), DRIVE, value, tee_net, geom))),
+    }[where]
+    with pytest.raises(error, match=f"^{name} {re.escape(problem)}$"):
+        call()
 
 
 def test_run_mission_records_of_a_step_share_command_and_twist(cfg, geom,
