@@ -77,7 +77,7 @@ the reference, and decides every other mission and every draw near an
 endpoint of the set.  The set, with its two spot-check missions, is
 derived once per (net, cfg, geom, with_holonomic) and kept in a bounded
 lru_cache, so repeated Monte Carlo calls on one mission share it; the
-memo also keeps the set's endpoints as the array monte_carlo_tee
+memo also keeps the set's endpoints as the sequence monte_carlo_tee
 searches.
 """
 
@@ -111,8 +111,9 @@ from .tolerances import (BOUNDARY_TOL_MM, GUARD_DEG, LINE_MARGIN,
                          RADIUS_SLACK_MM, STALL_SPEED, SUBSTEP_RATIO_SLACK,
                          end_tol_mm)
 
-# numpy is imported by the three Monte Carlo functions that call it, so
-# that importing omnipipe and every other command run without it
+# numpy is imported by the two Monte Carlo functions that call it, so
+# that importing omnipipe, success_set and every other command run
+# without it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -672,24 +673,21 @@ def success_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
     return list(succeeding)
 
 
-def _padded_ends(succeeding: Sequence[Interval]) -> np.ndarray:
+def _padded_ends(succeeding: Sequence[Interval]) -> tuple[float, ...]:
     """The endpoints of a success set in order, padded with a neighbour
-    across the 0/120 seam on each side, as a read-only array; empty for
-    the empty set."""
-    import numpy as np
-    ends = np.asarray(succeeding, dtype=float).ravel()
-    if ends.size:
-        ends = np.concatenate(([ends[-1] - ORIENTATION_PERIOD_DEG], ends,
-                               [ends[0] + ORIENTATION_PERIOD_DEG]))
-    ends.setflags(write=False)
-    return ends
+    across the 0/120 seam on each side; empty for the empty set."""
+    ends = tuple(float(end) for piece in succeeding for end in piece)
+    if not ends:
+        return ()
+    return (ends[-1] - ORIENTATION_PERIOD_DEG, *ends,
+            ends[0] + ORIENTATION_PERIOD_DEG)
 
 
 @functools.lru_cache(maxsize=64)
 def _derived_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
                  with_holonomic: bool
-                 ) -> tuple[tuple[Interval, ...] | None, np.ndarray | None,
-                            str | None]:
+                 ) -> tuple[tuple[Interval, ...] | None,
+                            tuple[float, ...] | None, str | None]:
     """success_set's derivation: (the set, its _padded_ends, None), or
     (None, None, the reason).
 
@@ -734,7 +732,7 @@ def _derived_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
 
 
 def _count_successes(net: PipeNetwork, thetas: np.ndarray,
-                     padded: np.ndarray | None, cfg: PlannerConfig,
+                     padded: Sequence[float] | None, cfg: PlannerConfig,
                      geom: RobotGeometry, with_holonomic: bool
                      ) -> tuple[int, int]:
     """(successes, draws run through the scalar path) among ``thetas``.
@@ -745,10 +743,11 @@ def _count_successes(net: PipeNetwork, thetas: np.ndarray,
     Without one (None) every draw runs it.
     """
     import numpy as np
-    if padded is not None and not padded.size:
+    if padded is not None and not padded:
         return 0, 0
     successes = 0
     if padded is not None:
+        padded = np.asarray(padded, dtype=float)
         j = np.searchsorted(padded, thetas, side="right")
         near = np.minimum(thetas - padded[j - 1],
                           padded[j] - thetas) < GUARD_DEG

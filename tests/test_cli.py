@@ -450,7 +450,8 @@ _NO_KERNEL_SWITCH = _dynamic_arch_openblas()
 def test_outputs_do_not_depend_on_the_blas_kernel(net_file, tmp_path,
                                                   monkeypatch):
     # OPENBLAS_CORETYPE makes a DYNAMIC_ARCH OpenBLAS pick another CPU
-    # kernel for the whole process, as another host would
+    # kernel for the whole process, as another host would; montecarlo is
+    # the one command that loads numpy, so it runs in each process
     files = []
     for coretype in (None, "Prescott"):
         if coretype is None:
@@ -462,6 +463,10 @@ def test_outputs_do_not_depend_on_the_blas_kernel(net_file, tmp_path,
                   "--out", str(out / theta5)]
                  + (["--dt", "0.01"] if command == "simulate" else [])
                  for theta5 in ("17", "30") for command in ("plan", "simulate")]
+        argvs += [["montecarlo", "--network", str(net_file), "--trials",
+                   "1000", "--seed", "7", "--out", str(out / name), *flags]
+                  for name, flags in (("escape", []),
+                                      ("no-escape", ["--no-holonomic"]))]
         proc = run_fresh_python(
             "import json, sys; from omnipipe.cli import main; "
             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))",
@@ -469,8 +474,9 @@ def test_outputs_do_not_depend_on_the_blas_kernel(net_file, tmp_path,
         assert proc.returncode == 0, proc.stderr.decode()
         files.append({path.relative_to(out): path.read_bytes()
                       for path in sorted(out.glob("*/*"))
-                      if path.name in ("plan.json", "trajectory.csv")})
-    assert len(files[0]) == 4
+                      if path.name in ("plan.json", "trajectory.csv",
+                                       "stats.json")})
+    assert len(files[0]) == 6
     assert files[0] == files[1]
 
 
@@ -918,6 +924,19 @@ def test_only_monte_carlo_loads_numpy_and_nothing_loads_scipy(
     proc = run_fresh_python(_IMPORTS_SCRIPT, *argv)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == f"0 {loaded}\n"
+
+
+def test_success_set_leaves_numpy_unloaded(net_file):
+    proc = run_fresh_python(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from omnipipe import (REFERENCE_GEOMETRY, PlannerConfig,\n"
+        "                      load_network, success_set)\n"
+        "net = load_network(Path(sys.argv[1]).read_text())\n"
+        "found = success_set(net, PlannerConfig(), REFERENCE_GEOMETRY, False)\n"
+        "print(bool(found), 'numpy' in sys.modules)", str(net_file))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == "True False\n"
 
 
 def test_console_script_is_installed():
