@@ -29,7 +29,8 @@ from pathlib import Path
 
 from .errors import (InsufficientReachError, InvalidGeometryError,
                      InvalidSectionError, NetworkValidationError,
-                     NoEscapeError, PlanError, SimulationError)
+                     NoEscapeError, PlanError, SimulationError,
+                     real_number)
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          forward_kinematics, inverse_kinematics)
 from .pipenet import RatioMode, load_network
@@ -105,9 +106,9 @@ def _geometry_from_args(args) -> RobotGeometry:
         if val is not None:
             values[key] = val
     if values["a_offset"] is None:
-        # l / 2, taken once RobotGeometry has checked l
-        geom = RobotGeometry(**{**values, "a_offset": values["arm_length_l"]})
-        return dataclasses.replace(geom, a_offset=geom.arm_length_l / 2.0)
+        values["a_offset"] = real_number(
+            values["arm_length_l"], "arm_length_l", InvalidGeometryError,
+            positive=True) / 2.0
     return RobotGeometry(**values)
 
 

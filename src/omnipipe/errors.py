@@ -1,6 +1,9 @@
 """Exception types shared across the omnipipe package, and the number
-check that raises them."""
+and integer checks that raise them."""
 
+import operator
+from collections.abc import Callable
+from math import isfinite
 from numbers import Real
 
 
@@ -50,14 +53,35 @@ class SimulationError(OmnipipeError):
     """A simulation run received invalid inputs."""
 
 
-def real_number(value, name: str, error: type[OmnipipeError]) -> float:
-    """``value`` as a float; ``error`` naming ``name`` for a bool, a value
-    that is not a real number, or one past the float range."""
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise error(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise error(f"{name} must lie within the float range") from None
+def real_number(value, name: str, error: Callable[[str], Exception],
+                positive: bool = False) -> float:
+    """``value`` as a float: the one check of a numeric input.
+
+    Raises ``error`` naming ``name`` for a bool or a value that is not a
+    real number, one past the float range, one that is not finite and,
+    where ``positive``, one that is not > 0.  Each module passes its own
+    error type and keeps its own range rules.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise error(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise error(f"{name} must lie within the float range") from None
+    if not isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+    if positive and not value > 0.0:
+        raise error(f"{name} must be > 0, got {value!r}")
+    return value
+
+
+def integer(value, name: str, error: Callable[[str], Exception]) -> int:
+    """``value`` as a Python int; ``error`` naming ``name`` for a bool or
+    a value that is not an integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")

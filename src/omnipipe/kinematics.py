@@ -18,9 +18,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from math import isfinite
-from numbers import Real
 
-from .errors import InvalidGeometryError, UndefinedCurvatureError
+from .errors import InvalidGeometryError, UndefinedCurvatureError, real_number
 from .tolerances import ANGULAR_SPEED_EPS
 
 # Unit direction of each module center in the local frame (module 1 on +x).
@@ -57,23 +56,17 @@ class RobotGeometry:
     module_outer_radius: float
 
     def __post_init__(self):
-        names = ("lug_radius_r", "arm_length_l", "a_offset", "reach_min",
-                 "reach_max", "module_outer_radius")
-        for name in names:
-            value = getattr(self, name)
-            # the upper bound rejects inf, and ints past the float range
-            if (isinstance(value, bool)
-                    or not (isinstance(value, (int, float))
-                            and 0 < value <= sys.float_info.max)):
-                raise InvalidGeometryError(f"{name} must be finite and > 0, got {value!r}")
+        # stored as floats, so equal geometries hold equal floats and give
+        # equal bits wherever they are used
+        for name in ("lug_radius_r", "arm_length_l", "a_offset", "reach_min",
+                     "reach_max", "module_outer_radius"):
+            object.__setattr__(self, name, real_number(
+                getattr(self, name), name, InvalidGeometryError,
+                positive=True))
         if not (self.reach_min <= self.arm_length_l <= self.reach_max):
             raise InvalidGeometryError(
                 "arm_length_l must lie within [reach_min, reach_max], got "
                 f"{self.reach_min} <= {self.arm_length_l} <= {self.reach_max}")
-        # stored as floats, so equal geometries hold equal floats and give
-        # equal bits wherever they are used
-        for name in names:
-            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def symmetric(cls, lug_radius_r: float, arm_length_l: float,
@@ -87,22 +80,10 @@ class RobotGeometry:
 
 def _finite_floats(a, b, c, d) -> bool:
     """True for four floats whose sum is finite, which makes each of them
-    finite: the common case, in one test."""
+    finite: the common case, in one test, before the field-by-field
+    errors.real_number."""
     return (type(a) is float and type(b) is float and type(c) is float
             and type(d) is float and isfinite(a + b + c + d))
-
-
-def _check_components(vector, names: tuple[str, ...]) -> None:
-    """Raise ValueError naming the first of ``names`` that is not a finite
-    real number; a bool is not one."""
-    for name in names:
-        value = getattr(vector, name)
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        # an int past the float range is not finite either
-        if not (abs(value) <= sys.float_info.max if isinstance(value, int)
-                else isfinite(value)):
-            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -122,8 +103,9 @@ class CommandVector:
     def __post_init__(self):
         if not _finite_floats(self.theta_dot_1, self.theta_dot_2,
                               self.theta_dot_3, self.theta_dot_4):
-            _check_components(self, ("theta_dot_1", "theta_dot_2",
-                                     "theta_dot_3", "theta_dot_4"))
+            for name in ("theta_dot_1", "theta_dot_2", "theta_dot_3",
+                         "theta_dot_4"):
+                real_number(getattr(self, name), name, ValueError)
 
 
 @dataclass(frozen=True)
@@ -138,7 +120,8 @@ class TwistVector:
     def __post_init__(self):
         if not _finite_floats(self.omega_x, self.omega_y, self.omega_z,
                               self.v_cz):
-            _check_components(self, ("omega_x", "omega_y", "omega_z", "v_cz"))
+            for name in ("omega_x", "omega_y", "omega_z", "v_cz"):
+                real_number(getattr(self, name), name, ValueError)
 
     def angular_norm(self) -> float:
         """Euclidean norm of the angular part (rad/s), by math.hypot: it
@@ -164,11 +147,9 @@ class ModuleVelocities:
     arm_l3: float
 
     def __post_init__(self):
-        _check_components(self, ("v1", "v2", "v3", "arm_l1", "arm_l2",
-                                 "arm_l3"))
-        for name in ("arm_l1", "arm_l2", "arm_l3"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        for name in ("v1", "v2", "v3", "arm_l1", "arm_l2", "arm_l3"):
+            real_number(getattr(self, name), name, ValueError,
+                        positive=name.startswith("arm"))
 
     @property
     def speeds(self) -> tuple[float, float, float]:

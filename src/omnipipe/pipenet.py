@@ -23,10 +23,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-import sys
 from dataclasses import dataclass, field
+from functools import partial
 
-from .errors import NetworkValidationError
+from .errors import NetworkValidationError, real_number
 
 
 class SegmentKind(enum.Enum):
@@ -50,15 +50,14 @@ class RatioMode(enum.Enum):
     GENERALIZED = "generalized"
 
 
-def _require_positive(value, name: str, *, finite_only: bool = False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise NetworkValidationError(f"{name} must be a number", field=name)
-    if not abs(value) <= sys.float_info.max:  # also an int past float range
-        raise NetworkValidationError(f"{name} must be finite", field=name)
-    if not finite_only and value <= 0:
-        raise NetworkValidationError(f"{name} must be > 0, got {value}",
-                                     field=name)
-    return float(value)
+# the numbers each kind of segment holds besides d_mm, each True where it
+# must be > 0; a tee without equivalent_radius_mm uses D/2
+_NUMBERS = {
+    SegmentKind.STRAIGHT: {"length_mm": True},
+    SegmentKind.ELBOW: {"bend_radius_mm": True, "bend_angle_deg": True,
+                        "turn_plane_roll_deg": False},
+    SegmentKind.TEE: {"branch_roll_deg": False, "equivalent_radius_mm": True},
+}
 
 
 @dataclass(frozen=True)
@@ -77,37 +76,25 @@ class PipeSegment:
         if not isinstance(self.kind, SegmentKind):
             raise NetworkValidationError(
                 f"kind must be a SegmentKind, got {self.kind!r}", field="kind")
-        _require_positive(self.d_mm, "D_mm")
-        if self.kind is SegmentKind.STRAIGHT:
-            if self.length_mm is None:
-                raise NetworkValidationError("straight needs length_mm",
-                                             field="length_mm")
-            _require_positive(self.length_mm, "length_mm")
-        elif self.kind is SegmentKind.ELBOW:
-            if self.bend_radius_mm is None:
-                raise NetworkValidationError("elbow needs bend_radius_mm",
-                                             field="bend_radius_mm")
-            if self.bend_angle_deg is None:
-                raise NetworkValidationError("elbow needs bend_angle_deg",
-                                             field="bend_angle_deg")
-            _require_positive(self.bend_radius_mm, "bend_radius_mm")
-            _require_positive(self.bend_angle_deg, "bend_angle_deg")
-            if self.bend_angle_deg > 180.0:
-                raise NetworkValidationError(
-                    f"bend_angle_deg must lie in (0, 180], got "
-                    f"{self.bend_angle_deg}", field="bend_angle_deg")
-            _require_positive(self.turn_plane_roll_deg, "turn_plane_roll_deg",
-                              finite_only=True)
-        elif self.kind is SegmentKind.TEE:
-            _require_positive(self.branch_roll_deg, "branch_roll_deg",
-                              finite_only=True)
-            if not isinstance(self.exit, TeeExit):
-                raise NetworkValidationError(
-                    f"exit must be 'through' or 'branch', got {self.exit!r}",
-                    field="exit")
-            if self.equivalent_radius_mm is not None:
-                _require_positive(self.equivalent_radius_mm,
-                                  "equivalent_radius_mm")
+        # stored as floats, so equal segments hold equal floats; D_mm is
+        # d_mm's name in the JSON schema
+        for attr, positive in {"d_mm": True, **_NUMBERS[self.kind]}.items():
+            value = getattr(self, attr)
+            if value is None and attr == "equivalent_radius_mm":
+                continue
+            name = "D_mm" if attr == "d_mm" else attr
+            object.__setattr__(self, attr, real_number(
+                value, name, partial(NetworkValidationError, field=name),
+                positive=positive))
+        if self.kind is SegmentKind.ELBOW and self.bend_angle_deg > 180.0:
+            raise NetworkValidationError(
+                f"bend_angle_deg must lie in (0, 180], got "
+                f"{self.bend_angle_deg}", field="bend_angle_deg")
+        if (self.kind is SegmentKind.TEE
+                and not isinstance(self.exit, TeeExit)):
+            raise NetworkValidationError(
+                f"exit must be 'through' or 'branch', got {self.exit!r}",
+                field="exit")
 
     @property
     def tee_equivalent_radius(self) -> float:

@@ -46,21 +46,19 @@ from dataclasses import astuple, dataclass
 from .drive import (DEFAULT_DEADBAND_DEG, MAX_DEADBAND_RAD, drive_sign,
                     line_distance, roll, rolling_gain, shift_reference,
                     signed_drive)
-from .errors import PlanError, real_number
+from .errors import PlanError, integer, real_number
 from .intervals import signed_delta, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          inverse_kinematics)
 from .pipenet import (PipeNetwork, PipeSegment, RatioMode, SegmentKind,
                       TeeExit, module_path_radii)
 from .singularity import (CALIBRATED_REACH_MM, DEFAULT_PHI_MAX_RAD,
-                          ORIENTATION_PERIOD_DEG, SingularityRegion,
-                          escape_rotation, sweep_t_junction)
+                          HALF_PERIOD_DEG, ORIENTATION_PERIOD_DEG,
+                          SingularityRegion, escape_rotation,
+                          sweep_t_junction)
 from .tolerances import (ANGLE_SLACK_DEG, BAND_CLEARANCE_RAD, BAND_MARGIN,
                          MIN_EXIT_RUN_MM, RADIUS_SLACK_MM,
                          ROLL_LIMIT_SLACK_DEG)
-
-# any roll goal lies within half the roll period
-_MAX_ROLL_DEG = ORIENTATION_PERIOD_DEG / 2.0
 
 # preferred roll offsets, deg: a module on the turn plane for elbow and
 # branch turns, modules straddling the branch mouth when passing over it
@@ -100,14 +98,16 @@ class MissionStep:
         if not isinstance(self.command, CommandVector):
             raise PlanError(f"command must be a CommandVector, got "
                             f"{self.command!r}")
-        if not (self.segment_index is None
-                or (isinstance(self.segment_index, int)
-                    and not isinstance(self.segment_index, bool))):
-            raise PlanError(f"segment_index must be an int or None, got "
-                            f"{self.segment_index!r}")
-        duration = real_number(self.duration_s, "duration_s", PlanError)
-        if not (math.isfinite(duration) and duration > 0):
-            raise PlanError(f"duration must be > 0, got {self.duration_s}")
+        # stored as an int and a float, so a plan writes as JSON; the
+        # planner's own steps hold them already and skip the store
+        if self.segment_index is not None:
+            index = integer(self.segment_index, "segment_index", PlanError)
+            if index is not self.segment_index:
+                object.__setattr__(self, "segment_index", index)
+        duration = real_number(self.duration_s, "duration_s", PlanError,
+                               positive=True)
+        if duration is not self.duration_s:
+            object.__setattr__(self, "duration_s", duration)
 
     def roll_delta_deg(self) -> float:
         """theta5 change this step produces (nonzero only for rotations)."""
@@ -147,19 +147,19 @@ class PlannerConfig:
         # stored as floats, so equal configs hold equal floats; the tee
         # sweep checks the tilt's range, so a network without a tee never
         # reads it
-        for name in ("straight_speed", "tee_trigger_fraction",
-                     "wobble_deadband_deg", "rotate_rate_rad_s",
-                     "sweep_phi_max_deg"):
+        for name, positive in (("straight_speed", True),
+                               ("tee_trigger_fraction", False),
+                               ("wobble_deadband_deg", False),
+                               ("rotate_rate_rad_s", True),
+                               ("sweep_phi_max_deg", False)):
             value = getattr(self, name)
             if value is None and name == "sweep_phi_max_deg":
                 continue
-            object.__setattr__(self, name, real_number(value, name, PlanError))
+            object.__setattr__(self, name, real_number(
+                value, name, PlanError, positive=positive))
         if not isinstance(self.ratio_mode, RatioMode):
             raise PlanError(f"ratio_mode must be a RatioMode, got "
                             f"{self.ratio_mode!r}")
-        if not (math.isfinite(self.straight_speed) and self.straight_speed > 0):
-            raise PlanError(f"straight_speed must be > 0, got "
-                            f"{self.straight_speed}")
         if not 0.0 < self.tee_trigger_fraction <= 1.0:
             raise PlanError(f"tee_trigger_fraction must lie in (0, 1], got "
                             f"{self.tee_trigger_fraction}")
@@ -167,10 +167,6 @@ class PlannerConfig:
         if not 0.0 <= self.wobble_deadband_deg <= limit:
             raise PlanError(f"wobble_deadband_deg must lie in [0, {limit:g}], "
                             f"got {self.wobble_deadband_deg}")
-        if not (math.isfinite(self.rotate_rate_rad_s)
-                and self.rotate_rate_rad_s > 0):
-            raise PlanError(f"rotate_rate_rad_s must be finite and > 0, got "
-                            f"{self.rotate_rate_rad_s}")
 
     @functools.cached_property
     def deadband_rad(self) -> float:
@@ -220,18 +216,12 @@ def _align(delta_deg: float, theta5_deg: float, alpha_rad: float,
         bump = (math.degrees(2.0 * cfg.deadband_rad + BAND_CLEARANCE_RAD)
                 / rolling_gain(d_mm, geom))
         bump = bump if delta_deg >= 0 else -bump
-        delta_deg += bump if abs(delta_deg + bump) <= _MAX_ROLL_DEG else -bump
+        delta_deg += (bump if abs(delta_deg + bump) <= HALF_PERIOD_DEG
+                      else -bump)
         step, theta5, alpha = holonomic_rotate_step(
             delta_deg, cfg.rotate_rate_rad_s, geom, d_mm, theta5_deg,
             alpha_rad, segment_index)
     return [] if step is None else [step], theta5, alpha
-
-
-def _check_finite(**values: float) -> None:
-    """PlanError naming the first of ``values`` that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise PlanError(f"{name} must be finite, got {value}")
 
 
 def _timed(duration_s: float, speed: float) -> float:
@@ -250,9 +240,8 @@ def plan_straight(length_mm: float, cfg: PlannerConfig, geom: RobotGeometry,
     """Equal-speed drive covering a straight run at cfg.straight_speed,
     pre-flipped for the modules' shared self-rotation ``alpha_rad``,
     which must be finite."""
-    if not (math.isfinite(length_mm) and length_mm > 0):
-        raise PlanError(f"length must be > 0, got {length_mm}")
-    _check_finite(alpha_rad=alpha_rad)
+    length_mm = real_number(length_mm, "length_mm", PlanError, positive=True)
+    alpha_rad = real_number(alpha_rad, "alpha_rad", PlanError)
     return MissionStep(kind=StepKind.DRIVE,
                        command=_drive_command(
                            cfg.straight_speed / geom.lug_radius_r,
@@ -287,13 +276,14 @@ def holonomic_rotate_step(delta_deg: float, rate_rad_s: float,
     90 deg drive line.  A rate so small that the roll's duration
     overflows raises PlanError, as does a non-finite theta5 or alpha.
     """
-    if not (math.isfinite(rate_rad_s) and rate_rad_s > 0):
-        raise PlanError(f"rotate rate must be finite and > 0, got "
-                        f"{rate_rad_s}")
-    if not abs(delta_deg) <= _MAX_ROLL_DEG + ROLL_LIMIT_SLACK_DEG:
+    rate_rad_s = real_number(rate_rad_s, "rate_rad_s", PlanError,
+                             positive=True)
+    delta_deg = real_number(delta_deg, "delta_deg", PlanError)
+    if not abs(delta_deg) <= HALF_PERIOD_DEG + ROLL_LIMIT_SLACK_DEG:
         raise PlanError(f"roll delta must lie within +-60 deg, got "
                         f"{delta_deg}")
-    _check_finite(theta5_deg=theta5_deg, alpha_rad=alpha_rad)
+    theta5_deg = real_number(theta5_deg, "theta5_deg", PlanError)
+    alpha_rad = real_number(alpha_rad, "alpha_rad", PlanError)
     if abs(delta_deg) <= ANGLE_SLACK_DEG:
         return None, theta5_deg, alpha_rad
     rate = math.copysign(rate_rad_s, delta_deg)
@@ -329,7 +319,8 @@ def plan_elbow(segment: PipeSegment, theta5_deg: float, cfg: PlannerConfig,
     """
     if segment.kind is not SegmentKind.ELBOW:
         raise PlanError("plan_elbow requires an elbow segment")
-    _check_finite(theta5_deg=theta5_deg, alpha_rad=alpha_rad)
+    theta5_deg = real_number(theta5_deg, "theta5_deg", PlanError)
+    alpha_rad = real_number(alpha_rad, "alpha_rad", PlanError)
     delta = (signed_delta(theta5_deg, _ELBOW_TARGET_DEG,
                           ORIENTATION_PERIOD_DEG)
              if with_holonomic else 0.0)
@@ -441,7 +432,8 @@ def plan_tee(segment: PipeSegment, theta5_deg: float,
     """
     if segment.kind is not SegmentKind.TEE:
         raise PlanError("plan_tee requires a tee segment")
-    _check_finite(theta5_deg=theta5_deg, alpha_rad=alpha_rad)
+    theta5_deg = real_number(theta5_deg, "theta5_deg", PlanError)
+    alpha_rad = real_number(alpha_rad, "alpha_rad", PlanError)
     d = segment.d_mm
     speed = cfg.straight_speed
 
@@ -499,9 +491,8 @@ def plan_mission(net: PipeNetwork, theta5_deg: float, cfg: PlannerConfig,
     the segments, and each step carries the index of its segment.  A
     ``theta5_deg`` that is a bool or not a real number raises PlanError.
     """
-    theta5_deg = real_number(theta5_deg, "theta5_deg", PlanError)
-    _check_finite(theta5_deg=theta5_deg)
-    theta5, alpha = wrap(theta5_deg, 360.0), 0.0
+    theta5, alpha = wrap(real_number(theta5_deg, "theta5_deg", PlanError),
+                         360.0), 0.0
     steps: list[MissionStep] = []
     for i, segment in enumerate(net.segments):
         if i > 0:

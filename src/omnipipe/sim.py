@@ -87,7 +87,6 @@ import functools
 import json
 import logging
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -97,7 +96,7 @@ from typing import TYPE_CHECKING
 
 from .drive import (drive_sign, roll, roll_sums, rolling_gain,
                     shift_reference, signed_drive)
-from .errors import PlanError, SimulationError, real_number
+from .errors import PlanError, SimulationError, integer, real_number
 from .intervals import Interval, complement, normalize, wrap
 from .kinematics import (CommandVector, RobotGeometry, TwistVector,
                          forward_kinematics)
@@ -105,7 +104,8 @@ from .pipenet import (PipeNetwork, PipeSegment, SegmentKind, TeeExit,
                       module_path_radii)
 from .planner import (MissionStep, PlannerConfig, StepKind,
                       forward_turn_radius, plan_mission, region_for_tee)
-from .singularity import ORIENTATION_PERIOD_DEG, in_singularity
+from .singularity import (HALF_PERIOD_DEG, ORIENTATION_PERIOD_DEG,
+                          in_singularity)
 from .tolerances import (BOUNDARY_TOL_MM, GUARD_DEG, LINE_MARGIN,
                          MAX_SUBSTEPS, MIN_PARTIAL_SUBSTEP_S,
                          RADIUS_SLACK_MM, STALL_SPEED, SUBSTEP_RATIO_SLACK,
@@ -133,8 +133,6 @@ DEFAULT_DT_S = 0.01
 MAX_TRIALS = 10 ** 8
 # Monte Carlo draws per chunk, so memory does not grow with the trials
 _CHUNK = 4096
-# the tee check can flip only near 60 k +- h (deg), k any integer
-_TEE_LINES_DEG = ORIENTATION_PERIOD_DEG / 2.0
 # entries past that bound that the predicate itself checks, per block
 _WALK = 8
 # two-sided 95% normal quantile
@@ -397,13 +395,14 @@ def _block(net: PipeNetwork, index: int, s: float, theta5: float,
                  _stop(theta5, step, 360.0, 0.0, 0.0), 0)]
         region = (region_for_tee(segment, cfg, geom)
                   if segment.kind is SegmentKind.TEE else None)
-        # the tee check is constant off a tee and unless 0 < h < 30 deg,
-        # the largest distance to a multiple of 60
+        # the tee check can flip only near 60 k +- h (deg), k any integer,
+        # so it is constant off a tee and unless 0 < h < 30 deg, the
+        # largest distance to a multiple of 60
         if (region is not None
-                and 0.0 < region.half_width_deg < _TEE_LINES_DEG / 2.0):
+                and 0.0 < region.half_width_deg < HALF_PERIOD_DEG / 2.0):
             cuts.append((0, theta5, step,
                          lambda x: in_singularity(x, region),
-                         _stop(theta5, step, _TEE_LINES_DEG, 0.0,
+                         _stop(theta5, step, HALF_PERIOD_DEG, 0.0,
                                region.half_width_deg), 0))
         if turn:
             cuts.append((1, alpha, turn, lambda x: drive_sign(x, deadband),
@@ -449,29 +448,28 @@ def step(state: SimState, cmd: CommandVector, dt: float, net: PipeNetwork,
     directions; crossing a boundary shifts theta5 to the next segment's
     turn reference.  Exact for constant commands at any dt > 0.  A
     ``state`` off the network (a segment index out of range) or with a
-    non-finite field raises SimulationError, as does a ``dt`` that is a
-    bool or not a real number.
+    non-finite or non-number field raises SimulationError, as does a
+    ``dt`` that is not a real number > 0 (a bool is not one).
     """
-    dt = real_number(dt, "dt", SimulationError)
-    if not (dt > 0 and math.isfinite(dt)):
-        raise SimulationError(f"dt must be > 0, got {dt}")
-    if not 0 <= state.segment_index < len(net.segments):
+    dt = real_number(dt, "dt", SimulationError, positive=True)
+    index = integer(state.segment_index, "segment_index", SimulationError)
+    if not 0 <= index < len(net.segments):
         raise SimulationError(
             f"segment_index must lie in [0, {len(net.segments)}), got "
-            f"{state.segment_index}")
-    for name in ("s_mm", "theta5_deg", "alpha_rad", "time_s"):
-        if not math.isfinite(getattr(state, name)):
-            raise SimulationError(f"{name} must be finite, got "
-                                  f"{getattr(state, name)}")
+            f"{index}")
+    s, theta5, alpha, t = (real_number(getattr(state, name), name,
+                                       SimulationError)
+                           for name in ("s_mm", "theta5_deg", "alpha_rad",
+                                        "time_s"))
     if cfg is None:
         cfg = PlannerConfig()
-    sign = drive_sign(state.alpha_rad, cfg.deadband_rad)
+    sign = drive_sign(alpha, cfg.deadband_rad)
     twist = _twist(cmd, sign, geom)
     index, s, theta5, alpha, event = _advance(
-        net, geom, state.segment_index, state.s_mm + twist.v_cz * dt,
-        state.theta5_deg, state.alpha_rad, cmd.theta_dot_4 * dt)
+        net, geom, index, s + twist.v_cz * dt, theta5, alpha,
+        cmd.theta_dot_4 * dt)
     new_state = SimState(segment_index=index, s_mm=s, theta5_deg=theta5,
-                         alpha_rad=alpha, time_s=state.time_s + dt)
+                         alpha_rad=alpha, time_s=t + dt)
     record = TrajectoryRecord(
         time_s=new_state.time_s, segment_index=index, s_mm=s,
         theta5_deg=theta5, command=cmd, twist=twist, drive_sign=sign,
@@ -503,12 +501,8 @@ def run_mission(net: PipeNetwork, plan: Iterable[MissionStep],
         if not isinstance(item, MissionStep):
             raise SimulationError(f"plan contains a non-step entry: {item!r}")
     if dt is not None:
-        dt = real_number(dt, "dt", SimulationError)
-        if not (dt > 0 and math.isfinite(dt)):
-            raise SimulationError(f"dt must be > 0, got {dt}")
+        dt = real_number(dt, "dt", SimulationError, positive=True)
     theta5_deg = real_number(theta5_deg, "theta5_deg", PlanError)
-    if not math.isfinite(theta5_deg):
-        raise PlanError(f"theta5_deg must be finite, got {theta5_deg}")
     # counted before integrating; min() keeps ceil() from overflowing
     substeps = [1 if dt is None else max(1, math.ceil(
         min(mstep.duration_s / dt, MAX_SUBSTEPS + 1) - SUBSTEP_RATIO_SLACK))
@@ -718,7 +712,7 @@ def _derived_set(net: PipeNetwork, cfg: PlannerConfig, geom: RobotGeometry,
         if _branch_tee(segment):
             h = region_for_tee(segment, cfg, geom).half_width_deg
             forbidden += [(centre - h - shift, centre + h - shift)
-                          for centre in (0.0, ORIENTATION_PERIOD_DEG / 2.0)]
+                          for centre in (0.0, HALF_PERIOD_DEG)]
     failing = normalize(forbidden, ORIENTATION_PERIOD_DEG)
     succeeding = complement(failing, ORIENTATION_PERIOD_DEG)
     for pieces, completes in ((succeeding, True), (failing, False)):
@@ -760,14 +754,6 @@ def _count_successes(net: PipeNetwork, thetas: np.ndarray,
     return successes, len(thetas)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int; ValueError for a bool, TypeError for a
-    value that is not an integer."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return operator.index(value)
-
-
 def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
                     geom: RobotGeometry, trials: int, seed: int,
                     with_holonomic: bool) -> MonteCarloResult:
@@ -777,6 +763,7 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
     the rate comes with a 95% Wilson score interval (wilson_interval).
     Draws come in chunks of 4096 from one generator, the same stream as
     a single draw, so memory stays flat in ``trials``.  A ``trials``
+    or ``seed`` that is not an integer (a bool is not one), a ``trials``
     outside [1, MAX_TRIALS] or a negative ``seed`` raises ValueError
     before the first draw.
 
@@ -789,7 +776,8 @@ def monte_carlo_tee(net: PipeNetwork, cfg: PlannerConfig,
     the two paths is logged at DEBUG.
     """
     import numpy as np
-    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
+    trials = integer(trials, "trials", ValueError)
+    seed = integer(seed, "seed", ValueError)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:

@@ -28,16 +28,17 @@ import sys
 from dataclasses import dataclass
 
 from .errors import (InsufficientReachError, InvalidGeometryError,
-                     InvalidSectionError, NoEscapeError)
+                     InvalidSectionError, NoEscapeError, real_number)
 from .intervals import Interval, signed_delta, wrap
 from .tolerances import ANGLE_SLACK_DEG, SECTION_REL_TOL
 
 # Robot orientations repeat every 120 deg (three identical modules).
 ORIENTATION_PERIOD_DEG = 120.0
 CIRCLE_DEG = 360.0
-# The two opposite arcs fold onto every multiple of half the period, and
-# the free gaps are centred between them.
-_HALF_PERIOD_DEG = ORIENTATION_PERIOD_DEG / 2.0
+# The two opposite arcs fold onto every multiple of half the period, so
+# the tee check can flip only near those, and the free gaps are centred
+# between them; any roll goal lies within half the period.
+HALF_PERIOD_DEG = ORIENTATION_PERIOD_DEG / 2.0
 _GAP_CENTRES_DEG = (30.0, 90.0)
 
 # Default sweep limit for an equal-bore tee: the cut plane tilts until it
@@ -97,7 +98,7 @@ class SingularityRegion:
     @property
     def sector_measure_deg(self) -> float:
         h = self.half_width_deg
-        if _HALF_PERIOD_DEG - h <= h + ANGLE_SLACK_DEG:
+        if HALF_PERIOD_DEG - h <= h + ANGLE_SLACK_DEG:
             return ORIENTATION_PERIOD_DEG
         return 4.0 * h
 
@@ -126,8 +127,7 @@ def ellipse_radial_distance(e: EllipseSection, psi: float) -> float:
     """
     a, b = e.semi_major_a, e.semi_minor_b
     k = 0
-    if not (sys.float_info.min <= b * b
-            and a * a <= sys.float_info.max / 2.0):
+    if not (sys.float_info.min <= b * b and math.isfinite(2.0 * a * a)):
         k, (a, b) = _scaled(e)
     return math.ldexp(a * b / math.sqrt((b * math.cos(psi)) ** 2
                                         + (a * math.sin(psi)) ** 2), k)
@@ -146,14 +146,14 @@ def _scaled(e: EllipseSection, *lengths: float) -> tuple[int, list[float]]:
 def cross_section_at(D: float, phi: float) -> EllipseSection:
     """Section of a bore of diameter D cut at tilt ``phi`` (rad).
 
-    Raises InvalidSectionError for a non-finite or non-positive D, and
-    for phi outside [0, pi/2): at 90 deg the cut plane is parallel to the
-    pipe axis and no ellipse exists.  It is also raised where D/2
-    underflows to 0 or the semi-major axis overflows the float range.
+    Raises InvalidSectionError for a D that is not a finite number > 0,
+    and for a phi that is not a number in [0, pi/2): at 90 deg the cut
+    plane is parallel to the pipe axis and no ellipse exists.  It is also
+    raised where D/2 underflows to 0 or the semi-major axis overflows the
+    float range.
     """
-    if not (math.isfinite(D) and D > 0):
-        raise InvalidSectionError(
-            f"diameter must be finite and > 0, got {D!r}")
+    D = real_number(D, "diameter", InvalidSectionError, positive=True)
+    phi = real_number(phi, "tilt", InvalidSectionError)
     if not (0.0 <= phi < math.pi / 2.0):
         raise InvalidSectionError(
             f"tilt must lie in [0, 90 deg), got {math.degrees(phi)!r} deg")
@@ -164,9 +164,8 @@ def cross_section_at(D: float, phi: float) -> EllipseSection:
 
 def _lost_half_width(e: EllipseSection, reach_max: float) -> float:
     """Half-width (deg) of each contact-loss arc; see contact_loss_arcs."""
-    if not (math.isfinite(reach_max) and reach_max > 0):
-        raise InvalidGeometryError(
-            f"reach_max must be finite and > 0, got {reach_max!r}")
+    reach_max = real_number(reach_max, "reach_max", InvalidGeometryError,
+                            positive=True)
     a, b = e.semi_major_a, e.semi_minor_b
     if reach_max < b:
         raise InsufficientReachError(
@@ -226,8 +225,8 @@ def in_singularity(theta5_deg: float, region: SingularityRegion) -> bool:
     h = region.half_width_deg
     if h <= 0.0:
         return False
-    d = wrap(theta5_deg, _HALF_PERIOD_DEG)
-    return min(d, _HALF_PERIOD_DEG - d) <= h + ANGLE_SLACK_DEG
+    d = wrap(theta5_deg, HALF_PERIOD_DEG)
+    return min(d, HALF_PERIOD_DEG - d) <= h + ANGLE_SLACK_DEG
 
 
 def preferred_orientations(region: SingularityRegion) -> list[float]:
@@ -238,7 +237,7 @@ def preferred_orientations(region: SingularityRegion) -> list[float]:
     Raises NoEscapeError when the gaps are at most ANGLE_SLACK_DEG wide.
     """
     if region.half_width_deg == 0.0:
-        return [_HALF_PERIOD_DEG]
+        return [HALF_PERIOD_DEG]
     if region.sector_measure_deg == ORIENTATION_PERIOD_DEG:
         raise NoEscapeError("forbidden set covers every orientation")
     return list(_GAP_CENTRES_DEG)
@@ -278,11 +277,13 @@ def calibrate_reach_for_sector(D: float, target_sector_deg: float,
     R = a b / sqrt(b^2 + sin^2(target/4) (a^2 - b^2)).  Target 120 gives
     the largest reach that still forbids every roll (~101.19 mm at D=160).
 
-    Raises ValueError for a non-finite target or one outside [0, 120], and
-    InvalidSectionError for a non-finite or non-positive D.
+    Raises ValueError for a target that is not a finite number or lies
+    outside [0, 120], and InvalidSectionError for a D that is not a
+    finite number > 0.
     """
-    if not (math.isfinite(target_sector_deg)
-            and 0.0 <= target_sector_deg <= ORIENTATION_PERIOD_DEG):
+    target_sector_deg = real_number(target_sector_deg, "target_sector_deg",
+                                    ValueError)
+    if not 0.0 <= target_sector_deg <= ORIENTATION_PERIOD_DEG:
         raise ValueError(f"target sector must lie in [0, 120] deg, got "
                          f"{target_sector_deg!r}")
     # on the scaled section, and the reach scaled back

@@ -54,7 +54,7 @@ def test_fk_overflow_prints_only_the_typed_error():
     # numpy's overflow warnings would land on stderr before the error
     proc = run_console_script("fk", "--cmd", "1e308,-1e308,1e308,0")
     assert proc.returncode == 2
-    assert proc.stderr.decode() == "error: v_cz must be finite\n"
+    assert proc.stderr.decode() == "error: v_cz must be finite, got nan\n"
 
 
 _WIDE_LUGS = ["--r", "1e300", "--l", "1e-10", "--reach-min", "1e-10",
@@ -314,7 +314,7 @@ def test_sector_rejects_a_non_finite_bore(capsys, d):
     code, out, err = run_cli(capsys, "sector", f"--d={d}")
     assert code == 3
     assert out == ""
-    assert err == f"error: diameter must be finite and > 0, got {d}\n"
+    assert err == f"error: diameter must be finite, got {d}\n"
 
 
 # -- file-producing commands ----------------------------------------------------------

@@ -357,11 +357,13 @@ def test_kinematics_and_planner_carry_no_numpy_overflow_guards():
 
 
 def test_vectors_name_their_first_non_finite_field():
-    with pytest.raises(ValueError, match="^theta_dot_2 must be finite$"):
+    with pytest.raises(ValueError,
+                       match="^theta_dot_2 must be finite, got inf$"):
         CommandVector(1.0, math.inf, math.nan, 0.0)
-    with pytest.raises(ValueError, match="^v_cz must be finite$"):
+    with pytest.raises(ValueError, match="^v_cz must be finite, got nan$"):
         TwistVector(0.0, -0.0, 1e308, math.nan)
-    with pytest.raises(ValueError, match="^omega_y must be finite$"):
+    with pytest.raises(ValueError,
+                       match="^omega_y must lie within the float range$"):
         TwistVector(0, -(10 ** 400), 0.0, 0.0)
 
 
@@ -436,14 +438,14 @@ def test_lumped_model_returns_tuples_of_floats():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("v1", math.nan, "v1 must be finite"),
-    ("v3", -math.inf, "v3 must be finite"),
-    ("v2", 10 ** 400, "v2 must be finite"),
+    ("v1", math.nan, "v1 must be finite, got nan"),
+    ("v3", -math.inf, "v3 must be finite, got -inf"),
+    ("v2", 10 ** 400, "v2 must lie within the float range"),
     ("v2", True, "v2 must be a number, got True"),
     ("v1", "60", "v1 must be a number, got '60'"),
     ("arm_l2", None, "arm_l2 must be a number, got None"),
-    ("arm_l3", math.inf, "arm_l3 must be finite"),
-    ("arm_l1", 0.0, "arm_l1 must be > 0"),
+    ("arm_l3", math.inf, "arm_l3 must be finite, got inf"),
+    ("arm_l1", 0.0, "arm_l1 must be > 0, got 0.0"),
 ])
 def test_module_velocities_name_a_bad_field(field, value, message):
     fields = dict(v1=60.0, v2=60.0, v3=60.0, arm_l1=60.0, arm_l2=55.0,

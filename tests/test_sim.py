@@ -807,7 +807,8 @@ def test_monte_carlo_stores_python_ints(cfg, geom, tee_net):
     assert type(res.trials) is int and type(res.seed) is int
     assert (res.trials, res.seed) == (5, 3)
     assert json.loads(json.dumps(res.to_dict()))["trials"] == 5
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError,
+                       match="^trials must be an integer, got 5.0$"):
         monte_carlo_tee(tee_net, cfg, geom, 5.0, seed=1,
                         with_holonomic=False)
 
